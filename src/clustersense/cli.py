@@ -18,6 +18,15 @@ import numpy as np
 from . import compress, estimate, mbqc, probes, simcore
 
 
+class UsageError(Exception):
+    """A command-line value outside the range its command accepts."""
+
+
+#: Errors reported as a one-line message with exit code 2.
+_USAGE_ERRORS = (UsageError, compress.CompressError, estimate.EstimateError, mbqc.PatternError,
+                 probes.ProbeError, simcore.SimulationError)
+
+
 def _fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
@@ -39,13 +48,22 @@ def _write_csv(header: list[str], rows, out: str | None) -> None:
             sink.close()
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
+def _parse_widths(text: str, flag: str) -> list[float]:
+    """Comma-separated prior widths; each must be positive and finite."""
+    try:
+        values = [float(part) for part in text.split(",") if part.strip()]
+    except ValueError as exc:
+        raise UsageError(f"{flag}: {exc}") from None
+    if not values or not all(0 < v < math.inf for v in values):
+        raise UsageError(f"{flag} needs positive finite widths, got {text!r}")
+    return values
 
 
 def _n_grid(n_min: int, n_max: int, n_step: int) -> list[int]:
     """Dense up to 20, then every 5th value, unless an explicit step is given;
     the endpoint is always included."""
+    if not 1 <= n_min <= n_max:
+        raise UsageError(f"need 1 <= --n-min <= --n-max, got {n_min} and {n_max}")
     if n_step > 0:
         grid = list(range(n_min, n_max + 1, n_step))
     else:
@@ -76,7 +94,7 @@ def _local_row(N: int) -> tuple:
 
 
 def cmd_local(args) -> int:
-    rows = _pool_map(_local_row, list(range(args.n_min, args.n_max + 1)), args.jobs)
+    rows = _pool_map(_local_row, _n_grid(args.n_min, args.n_max, 1), args.jobs)
     _write_csv(["N", "fi_ghz_parity", "qfi_ghz", "qfi_product"], rows, args.out)
     return 0
 
@@ -96,7 +114,7 @@ def _phase_block(cell) -> list[tuple]:
 
 
 def cmd_bayes_phase(args) -> int:
-    sigmas = _parse_floats(args.sigma) if args.sigma else [k / 10 for k in range(1, 11)]
+    sigmas = _parse_widths(args.sigma, "--sigma") if args.sigma else [k / 10 for k in range(1, 11)]
     ns = _n_grid(args.n_min, args.n_max, args.n_step)
     cells = [(sigma, ns, args.theta0) for sigma in sigmas]
     blocks = _pool_map(_phase_block, cells, args.jobs)
@@ -118,7 +136,7 @@ def _freq_cell(cell) -> tuple:
 
 
 def cmd_bayes_freq(args) -> int:
-    deltas = _parse_floats(args.delta) if args.delta else [1.0]
+    deltas = _parse_widths(args.delta, "--delta") if args.delta else [1.0]
     ns = _n_grid(args.n_min, args.n_max, args.n_step)
     cells = [(N, delta) for delta in deltas for N in ns]
     rows = _pool_map(_freq_cell, cells, args.jobs)
@@ -132,7 +150,7 @@ def cmd_bayes_freq(args) -> int:
 
 def cmd_mse_limit(args) -> int:
     if args.sigma:
-        sigmas = _parse_floats(args.sigma)
+        sigmas = _parse_widths(args.sigma, "--sigma")
     else:
         sigmas = [round(0.05 * k, 10) for k in range(1, 81)]
     values = estimate.mse_limit_curve(sigmas)
@@ -151,7 +169,8 @@ def _holevo_block(cell) -> list[tuple]:
 
 
 def cmd_holevo(args) -> int:
-    sigmas = _parse_floats(args.sigma) if args.sigma else [k * math.pi / 8 for k in range(1, 9)]
+    sigmas = (_parse_widths(args.sigma, "--sigma") if args.sigma
+              else [k * math.pi / 8 for k in range(1, 9)])
     ns = _n_grid(args.n_min, args.n_max, args.n_step)
     tol = args.tol if args.tol else 1e-8
     cells = [(sigma, ns, args.theta0, tol) for sigma in sigmas]
@@ -225,16 +244,12 @@ def _verify_named_pattern(name: str, N: int, seed: int, tol: float) -> list[mbqc
         pattern = mbqc.sine_pattern(N)
         target = probes.unary_embedding(probes.sine_coefficients(N))
         return [mbqc.verify_pattern(pattern, target, tol=tol)]
-    raise ValueError(f"unknown pattern {name!r}")
+    raise UsageError(f"unknown pattern {name!r}")
 
 
 def cmd_mbqc_verify(args) -> int:
     tol = args.tol if args.tol else 1e-10
-    try:
-        reports = _verify_named_pattern(args.pattern, args.N, args.seed, tol)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    reports = _verify_named_pattern(args.pattern, args.N, args.seed, tol)
     ok = True
     for report in reports:
         ok &= report.passed
@@ -305,7 +320,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _USAGE_ERRORS as exc:
+        print(f"clustersense {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ alternating binomial sums cancel far beyond double precision at large N.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -80,6 +81,16 @@ def golden_section_minimize(f, a: float, b: float, tol: float = 1e-6) -> tuple[f
     return x, f(x)
 
 
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per order
+    (each build is an eigenvalue solve); read-only because they are shared."""
+    nodes, weights = leggauss(order)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
 # ---------------------------------------------------------------------------
 # Priors
 
@@ -142,13 +153,6 @@ class Prior:
             return dp**2 / p if p > PROB_FLOOR else 0.0
 
         return _quad(integrand, lo, hi, rtol=1e-7)
-
-    def variance(self) -> float:
-        if self.kind == "gaussian":
-            return self.sigma**2
-        lo, hi = self.support()
-        mean = _quad(lambda t: t * float(self.pdf(t)), lo, hi)
-        return _quad(lambda t: (t - mean) ** 2 * float(self.pdf(t)), lo, hi)
 
 
 def gaussian_prior(sigma: float, theta0: float = 0.0) -> Prior:
@@ -484,19 +488,6 @@ def qft_phase_variance(N: int, sigma: float, theta0: float = 0.0,
     return sigma**2 - float(np.sum(g[live] ** 2 / p[live]))
 
 
-def qft_frequency_variance(N: int, delta: float, tau: float,
-                           probe: SubspaceState | None = None) -> float:
-    """frequency_round for the Fourier-basis measurement, dense-matrix path;
-    returns the average posterior frequency MSE in units of delta^2."""
-    probe = probe if probe is not None else sine_coefficients(N)
-    gamma, eta = frequency_gamma_eta(probe, delta, tau)
-    f = _dft_columns(N)
-    p = np.einsum("nk,nk->k", f.conj(), gamma @ f).real
-    g = np.einsum("nk,nk->k", f.conj(), eta @ f).real
-    live = p > PROB_FLOOR
-    return (delta**2 - float(np.sum(g[live] ** 2 / p[live]))) / delta**2
-
-
 def bayes_variance_quadrature(prior: Prior, probe: SubspaceState, povm: Povm,
                               rtol: float = 1e-9) -> float:
     """Average posterior variance by direct integration of p(m|theta) against
@@ -572,7 +563,7 @@ def holevo_bayes_round(N: int, prior: Prior, probe: SubspaceState | None = None,
     probe = probe if probe is not None else sine_coefficients(N)
     previous = None
     for order in (64, 128, 256, 512, 1024, 2048):
-        nodes, weights = leggauss(order)
+        nodes, weights = _gauss_legendre(order)
         thetas = nodes * math.pi
         w = weights * math.pi * prior.pdf(thetas)
         if povm is None:
@@ -597,7 +588,7 @@ def holevo_outcome_probabilities(N: int, prior: Prior,
                                  order: int = 512) -> np.ndarray:
     """Unconditional QFT outcome distribution p(k) under a wrapped prior."""
     probe = probe if probe is not None else sine_coefficients(N)
-    nodes, weights = leggauss(order)
+    nodes, weights = _gauss_legendre(order)
     thetas = nodes * math.pi
     w = weights * math.pi * prior.pdf(thetas)
     return w @ _qft_outcome_matrix(probe, thetas)

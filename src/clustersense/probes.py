@@ -16,10 +16,6 @@ import numpy as np
 from . import simcore
 from .simcore import Circuit, StateVector
 
-#: Remaining-weight threshold below which the angle inversion is degenerate
-#: (all later angles are set to 0; any value would reproduce the amplitudes).
-DEGENERATE_WEIGHT = 1e-14
-
 
 class ProbeError(Exception):
     pass
@@ -91,7 +87,8 @@ def angles_from_amplitudes(psi: SubspaceState) -> AngleSchedule:
     """Invert the amplitude formula for real nonnegative coefficients.
 
     phi_1 = 2 arccos(psi_0); phi_n = 2 arccos(psi_{n-1} / sqrt(remaining
-    weight)).  Once the remaining weight is exhausted the later angles are
+    weight)), evaluated as 2 atan2(sqrt(remaining - psi_{n-1}^2), psi_{n-1}).
+    Once the remaining weight is exhausted the later angles are
     arbitrary and are canonically set to 0.
     """
     coeffs = psi.coeffs
@@ -101,13 +98,9 @@ def angles_from_amplitudes(psi: SubspaceState) -> AngleSchedule:
     # the remaining weight 1 - sum(psi_k^2, k <= n-2) is accumulated as a
     # suffix sum, which is exact for trailing zeros instead of cancelling
     suffix = np.concatenate((np.cumsum(values[::-1] ** 2)[::-1], [0.0]))
-    phis = np.zeros(psi.N)
-    for n in range(1, psi.N + 1):
-        remaining = suffix[n - 1]
-        if remaining <= DEGENERATE_WEIGHT:
-            break
-        ratio = values[n - 1] / math.sqrt(remaining)
-        phis[n - 1] = 2.0 * math.acos(min(1.0, max(-1.0, ratio)))
+    # atan2 keeps full precision where the acos ratio nears 1, at any scale
+    # of the remaining weight, and gives 0 once that weight is 0
+    phis = 2.0 * np.arctan2(np.sqrt(suffix[1 : psi.N + 1]), values[: psi.N])
     return AngleSchedule(psi.N, phis)
 
 

@@ -128,6 +128,8 @@ class Gate:
             raise SimulationError(f"gate {self.kind}: repeated qubit index")
         if len(self.polarity) != len(self.controls):
             raise SimulationError(f"gate {self.kind}: polarity mask length mismatch")
+        if len(self.targets) != (2 if self.kind == "SWAP" else 1):
+            raise SimulationError(f"gate {self.kind}: wrong target count {len(self.targets)}")
 
     @property
     def qubits(self) -> tuple[int, ...]:
@@ -286,31 +288,74 @@ class Circuit:
     def gates(self) -> list[Gate]:
         return [op for op in self.ops if isinstance(op, Gate)]
 
-    def extended(self, ops) -> "Circuit":
-        return Circuit(self.n_qubits, self.ops + tuple(ops))
-
 
 # ---------------------------------------------------------------------------
 # Application
 
-def _apply_matrix(amps: np.ndarray, n: int, mat: np.ndarray,
-                  targets: tuple[int, ...], controls: tuple[int, ...] = (),
-                  polarity: tuple[int, ...] = ()) -> np.ndarray:
-    """Apply `mat` on the target axes of the slice selected by the controls."""
-    work = amps.copy().reshape((2,) * n)
-    index = [slice(None)] * n
-    for c, p in zip(controls, polarity):
+#: Amplitudes per block in the kernel's two-part updates.  Blocks this small
+#: keep the temporaries in cache and let the allocator reuse them; whole-part
+#: temporaries at 17+ qubits cost a fresh page fault per 4 KiB.
+_BLOCK = 2**14
+
+
+def _blocks(zero: np.ndarray, one: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Matching views of two equally shaped parts, split along their leading
+    axes into blocks of about _BLOCK amplitudes."""
+    lead, size = 0, zero.size
+    while size > _BLOCK and lead < zero.ndim - 1:
+        size //= zero.shape[lead]
+        lead += 1
+    if lead == 0:
+        return [(zero, one)]
+    return [(zero[i], one[i]) for i in np.ndindex(zero.shape[:lead])]
+
+
+def _apply_inplace(work: np.ndarray, gate: Gate) -> None:
+    """Apply `gate` to `work` in place.
+
+    `work` has one length-2 axis per qubit, in qubit order, optionally
+    followed by batch axes that the gate leaves alone.  The controls are
+    fixed by indexing, so each branch touches only the controlled slice:
+    X-family gates and SWAP exchange two of its parts, diagonal gates scale
+    them, and only H, Y, RX and RY mix two parts with a dense 2x2 update.
+    """
+    index = [slice(None)] * work.ndim
+    for c, p in zip(gate.controls, gate.polarity):
         index[c] = p
-    index = tuple(index)
-    sub = work[index]
-    remaining = [q for q in range(n) if q not in controls]
-    positions = [remaining.index(t) for t in targets]
-    k = len(targets)
-    sub_t = np.moveaxis(sub, positions, range(k))
-    shape = sub_t.shape
-    transformed = mat @ sub_t.reshape(2**k, -1)
-    work[index] = np.moveaxis(transformed.reshape(shape), range(k), positions)
-    return work.reshape(-1)
+    kind = gate.kind
+    if kind == "SWAP":
+        # the |01> and |10> parts play the roles of X's target-0 and
+        # target-1 parts; the Ellipsis keeps a fully indexed part a 0-d
+        # view, not a copy
+        a, b = gate.targets
+        index[a], index[b] = 0, 1
+        zero = work[(*index, ...)]
+        index[a], index[b] = 1, 0
+        one = work[(*index, ...)]
+    else:
+        (t,) = gate.targets
+        index[t] = 0
+        zero = work[(*index, ...)]
+        index[t] = 1
+        one = work[(*index, ...)]
+    if kind in ("X", "SWAP"):
+        for z, o in _blocks(zero, one):
+            kept = z.copy()
+            z[...] = o
+            o[...] = kept
+    elif kind in ("Z", "RZ", "PHASE"):
+        mat = gate.base_matrix()
+        for part, factor in ((zero, mat[0, 0]), (one, mat[1, 1])):
+            if factor != 1:
+                part *= factor
+    else:
+        (m00, m01), (m10, m11) = gate.base_matrix()
+        for z, o in _blocks(zero, one):
+            kept = z.copy()
+            z *= m00
+            z += m01 * o
+            o *= m11
+            o += m10 * kept
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
@@ -318,9 +363,9 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     for q in gate.qubits:
         if not 0 <= q < state.n_qubits:
             raise SimulationError(f"qubit index {q} out of range for {state.n_qubits} qubits")
-    amps = _apply_matrix(state.amps, state.n_qubits, gate.base_matrix(),
-                         gate.targets, gate.controls, gate.polarity)
-    return StateVector(state.n_qubits, amps)
+    work = state.amps.reshape((2,) * state.n_qubits).copy()
+    _apply_inplace(work, gate)
+    return StateVector(state.n_qubits, work.reshape(-1))
 
 
 def measure_branch(state: StateVector, qubit: int, outcome: int) -> tuple[StateVector, float]:
@@ -372,23 +417,30 @@ def run_circuit(circuit: Circuit, initial: StateVector,
     if len(outcome_assignment) != circuit.n_measurements:
         raise SimulationError(
             f"expected {circuit.n_measurements} assigned outcomes, got {len(outcome_assignment)}")
-    state = initial
+    n = circuit.n_qubits
+    work = initial.amps.reshape((2,) * n).copy()
     prob = 1.0
     seen: list[int] = []
     for op in circuit.ops:
         if isinstance(op, Measure):
             bit = outcome_assignment[len(seen)]
-            state, p = measure_branch(state, op.qubit, bit)
+            index = [slice(None)] * n
+            index[op.qubit] = bit
+            kept = work[(*index, ...)]
+            p = float(np.vdot(kept, kept).real)
+            if p < NULL_PROB:
+                return StateVector.null(n), 0.0
+            kept /= math.sqrt(p)
+            index[op.qubit] = 1 - bit
+            work[(*index, ...)] = 0.0
             seen.append(bit)
             prob *= p
-            if state.is_null:
-                return StateVector.null(circuit.n_qubits), 0.0
         elif isinstance(op, ClassicallyControlled):
             if op.fires(tuple(seen)):
-                state = apply_gate(state, op.gate)
+                _apply_inplace(work, op.gate)
         else:
-            state = apply_gate(state, op)
-    return state, prob
+            _apply_inplace(work, op)
+    return StateVector(n, work.reshape(-1)), prob
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
@@ -399,12 +451,11 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     if circuit.n_measurements:
         raise SimulationError("circuit contains measurements")
     dim = 2**n
-    cols = np.eye(dim, dtype=complex)
+    # basis column k rides along the trailing batch axis
+    cols = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
     for op in circuit.ops:
-        mat = op.base_matrix()
-        for k in range(dim):
-            cols[:, k] = _apply_matrix(cols[:, k], n, mat, op.targets, op.controls, op.polarity)
-    return cols
+        _apply_inplace(cols, op)
+    return cols.reshape(dim, dim)
 
 
 def fidelity_up_to_global_phase(a: StateVector, b: StateVector) -> float:
@@ -413,7 +464,3 @@ def fidelity_up_to_global_phase(a: StateVector, b: StateVector) -> float:
         raise SimulationError("states have different qubit counts")
     return float(abs(np.vdot(a.amps, b.amps)))
 
-
-def states_close(a: StateVector, b: StateVector, tol: float = 1e-10) -> bool:
-    """Equality up to global phase at the package-wide fidelity tolerance."""
-    return fidelity_up_to_global_phase(a, b) >= 1.0 - tol

@@ -112,6 +112,21 @@ def test_usage_error_exit_code():
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["mbqc-verify", "ghz", "1"],
+    ["mbqc-verify", "sine", "4"],
+    ["holevo", "--sigma", "0"],
+    ["bayes-phase", "--sigma", "0.5", "--n-min", "0"],
+])
+def test_out_of_range_arguments_exit_with_usage_code(argv, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def test_jobs_flag_preserves_output(tmp_path):
     serial = tmp_path / "serial.csv"
     parallel = tmp_path / "parallel.csv"

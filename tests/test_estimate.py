@@ -285,6 +285,16 @@ def test_holevo_round_monotone_in_N():
     assert all(b > a for a, b in zip(gains, gains[1:]))
 
 
+def test_gauss_legendre_rule_is_shared_and_read_only():
+    nodes, weights = est._gauss_legendre(64)
+    assert est._gauss_legendre(64)[0] is nodes
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(64)
+    np.testing.assert_array_equal(nodes, ref_nodes)
+    np.testing.assert_array_equal(weights, ref_weights)
+    with pytest.raises(ValueError):
+        weights[0] = 0.0
+
+
 def test_holevo_outcome_distribution_shifts_with_prior_mean():
     N = 4
     base = est.holevo_outcome_probabilities(N, wrapped_gaussian_prior(0.7, 0.3))

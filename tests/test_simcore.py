@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -59,6 +60,13 @@ def test_gate_index_out_of_range():
 def test_controls_and_targets_disjoint():
     with pytest.raises(SimulationError):
         simcore.Gate("X", (0,), controls=(0,), polarity=(1,))
+
+
+def test_target_count_matches_kind():
+    with pytest.raises(SimulationError):
+        simcore.Gate("X", (0, 1))
+    with pytest.raises(SimulationError):
+        simcore.Gate("SWAP", (0,))
 
 
 def test_measure_plus_state():
@@ -228,6 +236,129 @@ def test_mcx_polarity():
     np.testing.assert_allclose(out.amps[int("101", 2)], 1.0, atol=1e-15)
     out = apply_gate(basis_state("110"), gate)
     np.testing.assert_allclose(out.amps[int("110", 2)], 1.0, atol=1e-15)
+
+
+def _apply_matrix(amps: np.ndarray, n: int, mat: np.ndarray,
+                  targets: tuple[int, ...], controls: tuple[int, ...] = (),
+                  polarity: tuple[int, ...] = ()) -> np.ndarray:
+    """Apply `mat` on the target axes of the slice selected by the controls."""
+    work = amps.copy().reshape((2,) * n)
+    index = [slice(None)] * n
+    for c, p in zip(controls, polarity):
+        index[c] = p
+    index = tuple(index)
+    sub = work[index]
+    remaining = [q for q in range(n) if q not in controls]
+    positions = [remaining.index(t) for t in targets]
+    k = len(targets)
+    sub_t = np.moveaxis(sub, positions, range(k))
+    shape = sub_t.shape
+    transformed = mat @ sub_t.reshape(2**k, -1)
+    work[index] = np.moveaxis(transformed.reshape(shape), range(k), positions)
+    return work.reshape(-1)
+
+
+def _reference_gate(amps: np.ndarray, n: int, gate: simcore.Gate) -> np.ndarray:
+    """The dense matrix route: move the target axes to the front and multiply."""
+    return _apply_matrix(amps, n, gate.base_matrix(), gate.targets, gate.controls, gate.polarity)
+
+
+_KINDS = ("X", "Y", "Z", "H", "RX", "RY", "RZ", "PHASE", "SWAP")
+# exact zeros exercise the kernel's skipping of unit diagonal factors
+_ANGLES = st.one_of(st.just(0.0), st.floats(-2 * math.pi, 2 * math.pi))
+
+
+@st.composite
+def _gates(draw, n_qubits: int) -> simcore.Gate:
+    kind = draw(st.sampled_from(_KINDS if n_qubits >= 2 else _KINDS[:-1]))
+    n_targets = 2 if kind == "SWAP" else 1
+    n_controls = draw(st.integers(0, min(2, n_qubits - n_targets)))
+    qubits = draw(st.permutations(range(n_qubits)))
+    polarity = draw(st.lists(st.integers(0, 1), min_size=n_controls, max_size=n_controls))
+    return simcore.Gate(
+        kind,
+        tuple(qubits[:n_targets]),
+        controls=tuple(qubits[n_targets:n_targets + n_controls]),
+        polarity=tuple(polarity),
+        angle=draw(_ANGLES) if kind in ("RX", "RY", "RZ") else None,
+        phases=(draw(_ANGLES), draw(_ANGLES)) if kind == "PHASE" else None,
+    )
+
+
+@st.composite
+def _states(draw, n_qubits: int) -> StateVector:
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = rng.normal(size=2**n_qubits) + 1j * rng.normal(size=2**n_qubits)
+    return StateVector(n_qubits, raw / np.linalg.norm(raw))
+
+
+# small blocks make the kernel split its parts on these few-qubit states too
+_BLOCK_SIZES = st.sampled_from((1, 4, simcore._BLOCK))
+
+
+@given(data=st.data(), n_qubits=st.integers(1, 8), block=_BLOCK_SIZES)
+@settings(max_examples=300, deadline=None)
+def test_apply_gate_matches_dense_reference(data, n_qubits, block):
+    gate = data.draw(_gates(n_qubits))
+    state = data.draw(_states(n_qubits))
+    before = state.amps.copy()
+    with mock.patch.object(simcore, "_BLOCK", block):
+        out = apply_gate(state, gate)
+    np.testing.assert_allclose(out.amps, _reference_gate(before, n_qubits, gate), rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(state.amps, before)
+
+
+@given(data=st.data(), n_qubits=st.integers(1, 5), block=_BLOCK_SIZES)
+@settings(max_examples=60, deadline=None)
+def test_circuit_unitary_matches_columnwise_reference(data, n_qubits, block):
+    gates = data.draw(st.lists(_gates(n_qubits), max_size=12))
+    dim = 2**n_qubits
+    cols = np.eye(dim, dtype=complex)
+    for gate in gates:
+        for k in range(dim):
+            cols[:, k] = _reference_gate(cols[:, k], n_qubits, gate)
+    with mock.patch.object(simcore, "_BLOCK", block):
+        unitary = circuit_unitary(Circuit(n_qubits, gates))
+    np.testing.assert_allclose(unitary, cols, rtol=0, atol=1e-12)
+
+
+@given(data=st.data(), n_qubits=st.integers(2, 6))
+@settings(max_examples=60, deadline=None)
+def test_run_circuit_matches_stepwise_reference(data, n_qubits):
+    """Gates, projections and fired classically controlled gates, applied in
+    place, against one fresh state per step through the dense route."""
+    ops = data.draw(st.lists(_gates(n_qubits), max_size=8))
+    measured = data.draw(st.lists(st.integers(0, n_qubits - 1), min_size=1, max_size=3))
+    for q in measured:
+        ops.insert(data.draw(st.integers(0, len(ops))), Measure(q))
+    seen = 0
+    for i, op in enumerate(ops):
+        if isinstance(op, Measure):
+            seen += 1
+        elif seen and data.draw(st.booleans()):
+            outcome_indices = tuple(data.draw(st.sets(st.integers(0, seen - 1), min_size=1)))
+            ops[i] = ClassicallyControlled(op, outcome_indices, flip=data.draw(st.booleans()))
+    bits = tuple(data.draw(st.lists(st.integers(0, 1), min_size=seen, max_size=seen)))
+    circuit = Circuit(n_qubits, ops)
+    initial = data.draw(_states(n_qubits))
+    before = initial.amps.copy()
+
+    state, prob, outcomes = initial, 1.0, []
+    for op in ops:
+        if isinstance(op, Measure):
+            state, p = measure_branch(state, op.qubit, bits[len(outcomes)])
+            outcomes.append(bits[len(outcomes)])
+            prob *= p
+        elif isinstance(op, ClassicallyControlled):
+            if op.fires(tuple(outcomes)):
+                state = StateVector(n_qubits, _reference_gate(state.amps, n_qubits, op.gate))
+        else:
+            state = StateVector(n_qubits, _reference_gate(state.amps, n_qubits, op))
+
+    out, out_prob = run_circuit(circuit, initial, bits)
+    assert out_prob == pytest.approx(prob, rel=1e-12, abs=1e-15)
+    np.testing.assert_allclose(out.amps, state.amps, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(initial.amps, before)
 
 
 def test_qubit_cap_enforced():
