@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -37,15 +38,20 @@ def _fmt(value) -> str:
 
 def _write_csv(header: list[str], rows, out: str | None) -> None:
     """Write rows as they arrive (rows may be a lazy iterable), so large
-    grids stream instead of accumulating."""
+    grids stream instead of accumulating.  If a row fails, `out` is removed
+    rather than left holding part of the table."""
     sink = open(out, "w") if out else sys.stdout
     try:
         sink.write(",".join(header) + "\n")
         for row in rows:
             sink.write(",".join(_fmt(v) for v in row) + "\n")
-    finally:
+    except BaseException:
         if out:
             sink.close()
+            os.remove(out)
+        raise
+    if out:
+        sink.close()
 
 
 def _parse_widths(text: str, flag: str) -> list[float]:

@@ -368,6 +368,26 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     return StateVector(state.n_qubits, work.reshape(-1))
 
 
+def _project_inplace(work: np.ndarray, qubit: int, bit: int) -> float:
+    """Project `qubit` of `work` onto `bit` in place and renormalize.
+
+    Returns the branch probability; below NULL_PROB it returns 0.0 and
+    leaves `work` unspecified.
+    """
+    if bit not in (0, 1):
+        raise SimulationError(f"outcome must be a bit, got {bit!r}")
+    index = [slice(None)] * work.ndim
+    index[qubit] = bit
+    kept = work[(*index, ...)]  # the Ellipsis keeps a 1-qubit part a view
+    prob = float(np.vdot(kept, kept).real)
+    if prob < NULL_PROB:
+        return 0.0
+    kept /= math.sqrt(prob)
+    index[qubit] = 1 - bit
+    work[(*index, ...)] = 0.0
+    return prob
+
+
 def measure_branch(state: StateVector, qubit: int, outcome: int) -> tuple[StateVector, float]:
     """Project `qubit` onto `outcome` and renormalize.
 
@@ -376,18 +396,11 @@ def measure_branch(state: StateVector, qubit: int, outcome: int) -> tuple[StateV
     """
     if not 0 <= qubit < state.n_qubits:
         raise SimulationError(f"qubit index {qubit} out of range")
-    if outcome not in (0, 1):
-        raise SimulationError(f"outcome must be a bit, got {outcome!r}")
-    psi = state.amps.reshape((2,) * state.n_qubits)
-    index = [slice(None)] * state.n_qubits
-    index[qubit] = outcome
-    kept = psi[tuple(index)]
-    prob = float(np.vdot(kept, kept).real)
-    if prob < NULL_PROB:
+    work = state.amps.reshape((2,) * state.n_qubits).copy()
+    prob = _project_inplace(work, qubit, outcome)
+    if prob == 0.0:
         return StateVector.null(state.n_qubits), 0.0
-    out = np.zeros_like(psi)
-    out[tuple(index)] = kept / math.sqrt(prob)
-    return StateVector(state.n_qubits, out.reshape(-1)), prob
+    return StateVector(state.n_qubits, work.reshape(-1)), prob
 
 
 def drop_qubit(state: StateVector, qubit: int, outcome: int) -> StateVector:
@@ -424,15 +437,9 @@ def run_circuit(circuit: Circuit, initial: StateVector,
     for op in circuit.ops:
         if isinstance(op, Measure):
             bit = outcome_assignment[len(seen)]
-            index = [slice(None)] * n
-            index[op.qubit] = bit
-            kept = work[(*index, ...)]
-            p = float(np.vdot(kept, kept).real)
-            if p < NULL_PROB:
+            p = _project_inplace(work, op.qubit, bit)
+            if p == 0.0:
                 return StateVector.null(n), 0.0
-            kept /= math.sqrt(p)
-            index[op.qubit] = 1 - bit
-            work[(*index, ...)] = 0.0
             seen.append(bit)
             prob *= p
         elif isinstance(op, ClassicallyControlled):

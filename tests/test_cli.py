@@ -127,6 +127,17 @@ def test_out_of_range_arguments_exit_with_usage_code(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_failed_row_leaves_no_partial_csv(tmp_path):
+    def rows():
+        yield (1, 0.5)
+        raise cli.estimate.EstimateError("row 2 failed")
+
+    out = tmp_path / "out.csv"
+    with pytest.raises(cli.estimate.EstimateError):
+        cli._write_csv(["N", "sigma"], rows(), str(out))
+    assert not out.exists()
+
+
 def test_jobs_flag_preserves_output(tmp_path):
     serial = tmp_path / "serial.csv"
     parallel = tmp_path / "parallel.csv"

@@ -89,6 +89,14 @@ def test_measure_ghz3_middle_qubit():
     np.testing.assert_allclose(state.amps[0], 1.0, atol=1e-14)
 
 
+@pytest.mark.parametrize("bit", [2, -1])
+def test_assigned_outcome_must_be_a_bit(bit):
+    with pytest.raises(SimulationError):
+        measure_branch(plus_state(2), 0, bit)
+    with pytest.raises(SimulationError):
+        run_circuit(Circuit(2, [Measure(0)]), plus_state(2), (bit,))
+
+
 def test_measure_zero_probability_branch_is_flagged():
     state, prob = measure_branch(zero_state(1), 0, 1)
     assert prob == 0.0
