@@ -65,6 +65,16 @@ def _parse_widths(text: str, flag: str) -> list[float]:
     return values
 
 
+def _tolerance(tol: float, default: float) -> float:
+    """The --tol value: 0 keeps the command's default, otherwise it must be
+    positive and finite."""
+    if tol == 0:
+        return default
+    if not 0 < tol < math.inf:
+        raise UsageError(f"--tol needs a positive finite value (0 for the default), got {tol}")
+    return tol
+
+
 def _n_grid(n_min: int, n_max: int, n_step: int) -> list[int]:
     """Dense up to 20, then every 5th value, unless an explicit step is given;
     the endpoint is always included."""
@@ -178,7 +188,7 @@ def cmd_holevo(args) -> int:
     sigmas = (_parse_widths(args.sigma, "--sigma") if args.sigma
               else [k * math.pi / 8 for k in range(1, 9)])
     ns = _n_grid(args.n_min, args.n_max, args.n_step)
-    tol = args.tol if args.tol else 1e-8
+    tol = _tolerance(args.tol, 1e-8)
     cells = [(sigma, ns, args.theta0, tol) for sigma in sigmas]
     blocks = _pool_map(_holevo_block, cells, args.jobs)
     rows = (row for block in blocks for row in block)
@@ -191,6 +201,8 @@ def cmd_holevo(args) -> int:
 
 def cmd_compress_verify(args) -> int:
     N = args.N
+    # unvalidated: a negative --tol fails every check, the one way to force
+    # and test this command's FAIL report
     tol = args.tol if args.tol else 1e-10
     rng = np.random.default_rng(args.seed)
     circuit, layout = compress.build_compressor(N)
@@ -254,7 +266,7 @@ def _verify_named_pattern(name: str, N: int, seed: int, tol: float) -> list[mbqc
 
 
 def cmd_mbqc_verify(args) -> int:
-    tol = args.tol if args.tol else 1e-10
+    tol = _tolerance(args.tol, 1e-10)
     reports = _verify_named_pattern(args.pattern, args.N, args.seed, tol)
     ok = True
     for report in reports:

@@ -8,10 +8,13 @@ step on a wire teleports H Z^s Rz(phi) onto the neighbour.  Angles may flip
 sign with the parity of earlier outcomes, and corrections are words of
 X/Z/H factors with outcome-parity exponents, applied after all measurements.
 
-Verification enumerates every outcome branch (sharing prefixes and dropping
-measured qubits, so the sweep costs about n_measured * 2**n_vertices
-amplitude operations in total) and checks that corrected outputs agree with
-a target state or unitary.
+Verification runs every outcome branch at once and checks that corrected
+outputs agree with a target state or unitary.  All branches of one
+measurement level share one array with a trailing branch axis; measuring a
+vertex removes its axis and doubles the branches, so each level touches
+the 2**n_vertices amplitudes and the sweep costs about
+n_measured * 2**n_vertices amplitude operations.  A single branch
+(`run_pattern`) is the same sweep with one column.
 """
 
 from __future__ import annotations
@@ -127,29 +130,85 @@ def cluster_state(graph: Graph, injected: dict[int, np.ndarray] | None = None) -
     injected = injected or {}
     plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
     state = simcore.product_state([np.asarray(injected.get(v, plus), dtype=complex) for v in range(n)])
-    for a, b in sorted(graph.edges):
-        state = simcore.apply_gate(state, simcore.cz(a, b))
-    return state
+    entangle = simcore.Circuit(n, [simcore.cz(a, b) for a, b in sorted(graph.edges)])
+    return simcore.run_circuit(entangle, state)[0]
 
 
-_CORRECTION_GATES = {"X": simcore.x, "Z": simcore.z, "H": simcore.h}
+def _parity(bits: np.ndarray, deps: tuple[int, ...], flip: bool) -> np.ndarray:
+    """Per-branch parity of the outcomes of the `deps` vertices, xor `flip`."""
+    parity = np.full(len(bits), bool(flip))
+    for v in deps:
+        parity ^= bits[:, v]
+    return parity
 
 
-def _apply_corrections(state: StateVector, pattern: MeasurementPattern,
-                       outcomes: dict[int, int], axis_of: dict[int, int]) -> StateVector:
+def _sweep(pattern: MeasurementPattern, injected: dict[int, np.ndarray] | None,
+           assignment: tuple[int, ...] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Run every outcome branch of `pattern` at once, one measurement level at a time.
+
+    The state is a (2,)*m + (B,) array: one axis per live vertex, in vertex
+    order, then a branch axis whose column b is the branch whose outcome bits,
+    in measurement order, spell b big-endian.  A level rotates the measured
+    axis by each branch's adapted angle, writes both outcomes (or only the
+    one `assignment` fixes) into one new array without that axis, so B
+    doubles, and drops the branches below simcore.NULL_PROB.  Each level
+    touches every amplitude once or a few times; the byproduct corrections
+    fire per column at the end.
+
+    Returns the corrected branch states, with the output axes in
+    `pattern.outputs` order followed by the branch axis, and the
+    probability of each branch.
+    """
+    n = pattern.graph.n_vertices
+    psi = np.array(cluster_state(pattern.graph, injected).amps).reshape((2,) * n + (1,))
+    live = list(range(n))
+    bits = np.zeros((1, n), dtype=bool)  # per branch, the outcome of each measured vertex
+    probs = np.ones(1)
+    for depth, (vertex, spec) in enumerate(pattern.measurements):
+        axis = live.index(vertex)
+        zero, one = np.moveaxis(psi, axis, 0)  # views of the two halves
+        # Rz(phi) = diag(e^{i phi/2}, e^{-i phi/2}), then H without its 1/sqrt2:
+        # halving the squared norms instead keeps the probabilities unbiased
+        if spec.base:
+            angle = np.where(_parity(bits, spec.sign_deps, spec.flip), -spec.base, spec.base)
+            phase = np.exp(0.5j * angle)
+            zero *= phase
+            one *= phase.conj()
+        outcomes = (0, 1) if assignment is None else (assignment[depth],)
+        rotated = np.empty(zero.shape + (len(outcomes),), dtype=complex)
+        for k, bit in enumerate(outcomes):
+            (np.subtract if bit else np.add)(zero, one, out=rotated[..., k])
+        psi = rotated.reshape(zero.shape[:-1] + (-1,))
+        flat = psi.reshape(-1, psi.shape[-1])
+        p = (np.einsum("kb,kb->b", flat.real, flat.real)
+             + np.einsum("kb,kb->b", flat.imag, flat.imag)) / 2
+        bits = np.repeat(bits, len(outcomes), axis=0)
+        bits[:, vertex] = np.resize(outcomes, len(bits))
+        probs = np.repeat(probs, len(outcomes))
+        keep = p >= simcore.NULL_PROB
+        if not keep.all():
+            psi, p, bits, probs = psi[..., keep], p[keep], bits[keep], probs[keep]
+        psi /= np.sqrt(2 * p)
+        probs *= p
+        del live[axis]
+
     for out in pattern.outputs:
+        zero, one = np.moveaxis(psi, live.index(out), 0)
         for factor in pattern.corrections.get(out, ()):
-            if factor.fires(outcomes):
-                state = simcore.apply_gate(state, _CORRECTION_GATES[factor.kind](axis_of[out]))
-    return state
-
-
-def _reorder_outputs(state: StateVector, pattern: MeasurementPattern,
-                     axis_of: dict[int, int]) -> StateVector:
-    axes = [axis_of[v] for v in pattern.outputs]
-    psi = state.amps.reshape((2,) * state.n_qubits)
-    psi = np.moveaxis(psi, axes, range(len(axes)))
-    return StateVector(state.n_qubits, np.ascontiguousarray(psi).reshape(-1))
+            fires = _parity(bits, factor.deps, factor.flip)
+            if factor.kind == "Z":
+                np.negative(one, out=one, where=fires)
+            elif factor.kind == "X":
+                kept = zero.copy()
+                np.copyto(zero, one, where=fires)
+                np.copyto(one, kept, where=fires)
+            else:
+                kept = zero / math.sqrt(2)
+                np.divide(one, math.sqrt(2), out=one, where=fires)
+                np.add(kept, one, out=zero, where=fires)
+                np.subtract(kept, one, out=one, where=fires)
+    order = [live.index(v) for v in pattern.outputs]
+    return psi.transpose(order + [len(live)]), probs
 
 
 def run_pattern(pattern: MeasurementPattern, outcome_assignment: tuple[int, ...],
@@ -162,27 +221,14 @@ def run_pattern(pattern: MeasurementPattern, outcome_assignment: tuple[int, ...]
     """
     if len(outcome_assignment) != pattern.n_measured:
         raise PatternError(f"expected {pattern.n_measured} outcomes")
-    state = cluster_state(pattern.graph, injected)
-    axis_of = {v: v for v in range(pattern.graph.n_vertices)}
-    outcomes: dict[int, int] = {}
-    prob = 1.0
-    for (vertex, spec), bit in zip(pattern.measurements, outcome_assignment):
-        axis = axis_of[vertex]
-        angle = spec.resolve(outcomes)
-        state = simcore.apply_gate(state, simcore.rz(axis, angle))
-        state = simcore.apply_gate(state, simcore.h(axis))
-        state, p = simcore.measure_branch(state, axis, bit)
-        prob *= p
-        if state.is_null:
-            return StateVector.null(len(pattern.outputs)), 0.0
-        state = simcore.drop_qubit(state, axis, bit)
-        outcomes[vertex] = bit
-        for v, a in axis_of.items():
-            if a > axis:
-                axis_of[v] = a - 1
-        del axis_of[vertex]
-    state = _apply_corrections(state, pattern, outcomes, axis_of)
-    return _reorder_outputs(state, pattern, axis_of), prob
+    for bit in outcome_assignment:
+        if bit not in (0, 1):
+            raise simcore.SimulationError(f"outcome must be a bit, got {bit!r}")
+    branches, probs = _sweep(pattern, injected, outcome_assignment)
+    k = len(pattern.outputs)
+    if not probs.size:
+        return StateVector.null(k), 0.0
+    return StateVector(k, branches[..., 0].reshape(-1)), float(probs[0])
 
 
 @dataclass(frozen=True)
@@ -198,38 +244,6 @@ class VerifyReport:
         return (f"{self.pattern_vertices} vertices, {self.branches} branches: "
                 f"min fidelity {self.min_fidelity:.12f}, probability sum "
                 f"{self.probability_sum:.12f} -> {status}")
-
-
-def _enumerate_branches(pattern: MeasurementPattern, injected: dict[int, np.ndarray] | None,
-                        target_state: StateVector):
-    """Depth-first sweep over all outcome branches, sharing prefix states.
-
-    Yields (min fidelity vs target, branch probability) per leaf.
-    """
-    root = cluster_state(pattern.graph, injected)
-
-    def recurse(state: StateVector, axis_of: dict[int, int], outcomes: dict[int, int],
-                prob: float, depth: int):
-        if depth == pattern.n_measured:
-            corrected = _apply_corrections(state, pattern, outcomes, axis_of)
-            corrected = _reorder_outputs(corrected, pattern, axis_of)
-            yield simcore.fidelity_up_to_global_phase(corrected, target_state), prob
-            return
-        vertex, spec = pattern.measurements[depth]
-        axis = axis_of[vertex]
-        angle = spec.resolve(outcomes)
-        rotated = simcore.apply_gate(state, simcore.rz(axis, angle))
-        rotated = simcore.apply_gate(rotated, simcore.h(axis))
-        for bit in (0, 1):
-            branch, p = simcore.measure_branch(rotated, axis, bit)
-            if branch.is_null:
-                continue
-            branch = simcore.drop_qubit(branch, axis, bit)
-            sub_axes = {v: (a - 1 if a > axis else a) for v, a in axis_of.items() if v != vertex}
-            yield from recurse(branch, sub_axes, {**outcomes, vertex: bit}, prob * p, depth + 1)
-
-    axis_of = {v: v for v in range(pattern.graph.n_vertices)}
-    yield from recurse(root, axis_of, {}, 1.0, 0)
 
 
 def verify_pattern(pattern: MeasurementPattern,
@@ -261,16 +275,19 @@ def verify_pattern(pattern: MeasurementPattern,
             out = unitary @ in_state.amps
             cases.append((injected, StateVector(k, out)))
 
+    n_out = len(pattern.outputs)
     min_fid = 1.0
     worst_total = 1.0
     branches = 0
     for injected, expected in cases:
-        total = 0.0
-        branches = 0
-        for fid, prob in _enumerate_branches(pattern, injected, expected):
-            min_fid = min(min_fid, fid)
-            total += prob
-            branches += 1
+        if expected.n_qubits != n_out:
+            raise PatternError(f"target has {expected.n_qubits} qubits, the pattern {n_out} outputs")
+        states, probs = _sweep(pattern, injected)
+        overlaps = np.einsum(states, list(range(n_out + 1)),
+                             expected.amps.conj().reshape((2,) * n_out), list(range(n_out)), [n_out])
+        min_fid = min(min_fid, float(np.abs(overlaps).min()))
+        total = float(probs.sum())
+        branches = len(probs)
         if abs(total - 1.0) >= abs(worst_total - 1.0):
             worst_total = total
     passed = (min_fid >= 1.0 - tol) and (abs(worst_total - 1.0) <= 1e-10)

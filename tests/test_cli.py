@@ -117,6 +117,9 @@ def test_usage_error_exit_code():
     ["mbqc-verify", "sine", "4"],
     ["holevo", "--sigma", "0"],
     ["bayes-phase", "--sigma", "0.5", "--n-min", "0"],
+    ["mbqc-verify", "cnot", "--tol", "-1"],
+    ["mbqc-verify", "cnot", "--tol", "nan"],
+    ["holevo", "--tol", "-1"],
 ])
 def test_out_of_range_arguments_exit_with_usage_code(argv, tmp_path, capsys):
     out = tmp_path / "out.csv"

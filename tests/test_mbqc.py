@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from clustersense import mbqc, probes, simcore
 from clustersense.mbqc import (
@@ -22,6 +24,103 @@ from clustersense.mbqc import (
     verify_pattern,
     y_rotation_pattern,
 )
+from clustersense.simcore import StateVector
+
+# ---------------------------------------------------------------------------
+# Reference: the stepwise branch walker, one gate, projection and qubit drop
+# at a time through simcore, against which the batched executor is pinned.
+
+_CORRECTION_GATES = {"X": simcore.x, "Z": simcore.z, "H": simcore.h}
+
+
+def _apply_corrections(state: StateVector, pattern: MeasurementPattern,
+                       outcomes: dict[int, int], axis_of: dict[int, int]) -> StateVector:
+    for out in pattern.outputs:
+        for factor in pattern.corrections.get(out, ()):
+            if factor.fires(outcomes):
+                state = simcore.apply_gate(state, _CORRECTION_GATES[factor.kind](axis_of[out]))
+    return state
+
+
+def _reorder_outputs(state: StateVector, pattern: MeasurementPattern,
+                     axis_of: dict[int, int]) -> StateVector:
+    axes = [axis_of[v] for v in pattern.outputs]
+    psi = state.amps.reshape((2,) * state.n_qubits)
+    psi = np.moveaxis(psi, axes, range(len(axes)))
+    return StateVector(state.n_qubits, np.ascontiguousarray(psi).reshape(-1))
+
+
+def _reference_branches(pattern: MeasurementPattern, injected: dict[int, np.ndarray] | None,
+                        target_state: StateVector):
+    """Depth-first sweep over all outcome branches, sharing prefix states.
+
+    Yields (min fidelity vs target, branch probability) per leaf.
+    """
+    root = cluster_state(pattern.graph, injected)
+
+    def recurse(state: StateVector, axis_of: dict[int, int], outcomes: dict[int, int],
+                prob: float, depth: int):
+        if depth == pattern.n_measured:
+            corrected = _apply_corrections(state, pattern, outcomes, axis_of)
+            corrected = _reorder_outputs(corrected, pattern, axis_of)
+            yield simcore.fidelity_up_to_global_phase(corrected, target_state), prob
+            return
+        vertex, spec = pattern.measurements[depth]
+        axis = axis_of[vertex]
+        angle = spec.resolve(outcomes)
+        rotated = simcore.apply_gate(state, simcore.rz(axis, angle))
+        rotated = simcore.apply_gate(rotated, simcore.h(axis))
+        for bit in (0, 1):
+            branch, p = simcore.measure_branch(rotated, axis, bit)
+            if branch.is_null:
+                continue
+            branch = simcore.drop_qubit(branch, axis, bit)
+            sub_axes = {v: (a - 1 if a > axis else a) for v, a in axis_of.items() if v != vertex}
+            yield from recurse(branch, sub_axes, {**outcomes, vertex: bit}, prob * p, depth + 1)
+
+    axis_of = {v: v for v in range(pattern.graph.n_vertices)}
+    yield from recurse(root, axis_of, {}, 1.0, 0)
+
+
+def _random_state(rng: np.random.Generator, n: int) -> np.ndarray:
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return amps / np.linalg.norm(amps)
+
+
+@st.composite
+def random_patterns(draw):
+    """A random pattern on 2-7 vertices, injected inputs or None, and a
+    random target on its outputs.  Exact |0>, |1> and |+> inputs and angles
+    0 and pi/2 make some branches null."""
+    n = draw(st.integers(2, 7))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+    order = draw(st.permutations(range(n)))
+    n_measured = draw(st.integers(0, n - 1))
+    measured, outputs = order[:n_measured], tuple(order[n_measured:])
+    angles = st.sampled_from([0.0, math.pi / 2]) | st.floats(-math.pi, math.pi)
+    measurements = []
+    for i, v in enumerate(measured):
+        deps = draw(st.lists(st.sampled_from(measured[:i]), unique=True)) if i else []
+        measurements.append((v, AngleSpec(draw(angles), tuple(deps), draw(st.booleans()))))
+    factor_deps = st.lists(st.sampled_from(measured), unique=True) if measured else st.just([])
+    corrections = {}
+    for v in outputs:
+        word = draw(st.lists(st.tuples(st.sampled_from("XZH"), factor_deps, st.booleans()),
+                             max_size=3))
+        corrections[v] = tuple(CorrectionFactor(kind, tuple(deps), flip)
+                               for kind, deps, flip in word)
+    pattern = MeasurementPattern(Graph(n, frozenset(edges)), (), tuple(measurements), outputs,
+                                 corrections)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    injected = None
+    if draw(st.booleans()):
+        exact = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 1.0]) / math.sqrt(2)]
+        vertices = draw(st.lists(st.sampled_from(range(n)), unique=True, min_size=1))
+        injected = {v: draw(st.sampled_from(exact)) if draw(st.booleans()) else _random_state(rng, 1)
+                    for v in vertices}
+    target = StateVector(len(outputs), _random_state(rng, len(outputs)))
+    return pattern, injected, target
 
 
 def test_two_vertex_cluster():
@@ -45,6 +144,15 @@ def test_cluster_with_injected_input():
     expected = simcore.apply_gate(expected, simcore.cz(0, 1))
     expected = simcore.apply_gate(expected, simcore.cz(1, 2))
     np.testing.assert_allclose(state.amps, expected.amps, atol=1e-14)
+
+
+def test_cluster_state_matches_per_edge_route():
+    graph = sine_pattern(3).graph
+    psi = np.array([0.6, 0.8j])
+    expected = simcore.product_state([psi] + [np.array([1, 1]) / math.sqrt(2)] * (graph.n_vertices - 1))
+    for a, b in sorted(graph.edges):
+        expected = simcore.apply_gate(expected, simcore.cz(a, b))
+    np.testing.assert_array_equal(cluster_state(graph, injected={0: psi}).amps, expected.amps)
 
 
 def test_cluster_size_cap():
@@ -123,13 +231,70 @@ def test_sine_pattern_vertex_budget():
 def test_run_pattern_agrees_with_enumeration():
     pattern = sine_pattern(2)
     target = probes.unary_embedding(probes.sine_coefficients(2))
+    reference = list(_reference_branches(pattern, None, target))
+    assert len(reference) == 2**pattern.n_measured
     total = 0.0
-    for branch in range(2**pattern.n_measured):
-        bits = tuple((branch >> k) & 1 for k in range(pattern.n_measured))
+    for branch, (ref_fid, ref_prob) in enumerate(reference):
+        # reference leaves come in depth-first order: the bits spell the index big-endian
+        bits = tuple((branch >> (pattern.n_measured - 1 - k)) & 1 for k in range(pattern.n_measured))
         out, prob = run_pattern(pattern, bits)
         total += prob
-        assert simcore.fidelity_up_to_global_phase(out, target) >= 1 - 1e-10
+        fid = simcore.fidelity_up_to_global_phase(out, target)
+        assert fid >= 1 - 1e-10
+        assert fid == pytest.approx(ref_fid, abs=1e-12)
+        assert prob == pytest.approx(ref_prob, abs=1e-12)
     assert total == pytest.approx(1.0, abs=1e-10)
+
+
+# Hypothesis found this one: vertex 2 measured at 1e-10 leaves a branch of
+# probability 1.25e-21.  Its normalized state is the rounding of amplitudes
+# near 3.5e-11 scaled up, so the two routes' fidelities differ by 5e-7.
+_NEAR_NULL_BRANCH = (
+    MeasurementPattern(Graph(3, frozenset({(0, 1)})), (),
+                       ((1, AngleSpec(0.0)), (2, AngleSpec(1e-10))), (0,)),
+    {1: np.array([0.6 + 0.3j, -0.2 + 0.7j]) / math.sqrt(0.98)},
+    StateVector(1, np.array([0.6, 0.8j])),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_patterns())
+@example(_NEAR_NULL_BRANCH)
+def test_sweep_matches_stepwise_reference(case):
+    pattern, injected, target = case
+    reference = list(_reference_branches(pattern, injected, target))
+    states, probs = mbqc._sweep(pattern, injected)
+    k = len(pattern.outputs)
+    assert states.shape == (2,) * k + (len(reference),)
+    fids = []
+    for b, (ref_fid, ref_prob) in enumerate(reference):
+        fids.append(simcore.fidelity_up_to_global_phase(StateVector(k, states[..., b].reshape(-1)),
+                                                        target))
+        # rounding of the amplitudes (about 1e-14 after 7 levels) grows by
+        # 1/sqrt(p) when a branch of probability p is normalized
+        assert fids[-1] == pytest.approx(ref_fid, abs=1e-12 + 1e-14 / math.sqrt(ref_prob))
+        assert probs[b] == pytest.approx(ref_prob, abs=1e-12)
+    if injected is None:
+        report = verify_pattern(pattern, target)
+        assert report.branches == len(reference)
+        assert report.min_fidelity == pytest.approx(min([1.0] + fids), abs=1e-12)
+        assert report.probability_sum == pytest.approx(sum(p for _, p in reference), abs=1e-12)
+
+
+def test_isolated_measured_vertex_has_a_null_branch():
+    # |+> measured at angle 0 always reads 0; outcome 1 has probability 0
+    pattern = MeasurementPattern(Graph(2, frozenset()), (), ((0, AngleSpec(0.0)),), (1,))
+    report = verify_pattern(pattern, simcore.plus_state(1))
+    assert report.passed
+    assert report.branches == 1
+    assert report.probability_sum == pytest.approx(1.0, abs=1e-15)
+    out, prob = run_pattern(pattern, (1,))
+    assert out.is_null and out.n_qubits == 1
+    assert prob == 0.0
+    with pytest.raises(simcore.SimulationError):
+        run_pattern(pattern, (2,))
+    with pytest.raises(PatternError):
+        verify_pattern(pattern, simcore.plus_state(2))
 
 
 def test_corrupted_correction_fails_some_branch():
