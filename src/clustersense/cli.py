@@ -90,6 +90,16 @@ def _n_grid(n_min: int, n_max: int, n_step: int) -> list[int]:
     return grid
 
 
+def _classical_n_grid(args) -> list[int]:
+    """The N grid of a command that also evaluates the classical strategy,
+    which is capped at CLASSICAL_PARALLEL_N_CAP."""
+    ns = _n_grid(args.n_min, args.n_max, args.n_step)
+    if ns[-1] > estimate.CLASSICAL_PARALLEL_N_CAP:
+        raise UsageError(f"--n-max {args.n_max} exceeds the classical strategy's cap "
+                         f"N={estimate.CLASSICAL_PARALLEL_N_CAP}")
+    return ns
+
+
 def _pool_map(func, cells, jobs: int):
     """Ordered results; lazy generator when serial, ordered pool map otherwise."""
     if jobs <= 1:
@@ -131,7 +141,7 @@ def _phase_block(cell) -> list[tuple]:
 
 def cmd_bayes_phase(args) -> int:
     sigmas = _parse_widths(args.sigma, "--sigma") if args.sigma else [k / 10 for k in range(1, 11)]
-    ns = _n_grid(args.n_min, args.n_max, args.n_step)
+    ns = _classical_n_grid(args)
     cells = [(sigma, ns, args.theta0) for sigma in sigmas]
     blocks = _pool_map(_phase_block, cells, args.jobs)
     rows = (row for block in blocks for row in block)
@@ -153,7 +163,7 @@ def _freq_cell(cell) -> tuple:
 
 def cmd_bayes_freq(args) -> int:
     deltas = _parse_widths(args.delta, "--delta") if args.delta else [1.0]
-    ns = _n_grid(args.n_min, args.n_max, args.n_step)
+    ns = _classical_n_grid(args)
     cells = [(N, delta) for delta in deltas for N in ns]
     rows = _pool_map(_freq_cell, cells, args.jobs)
     _write_csv(["N", "delta", "tau_quantum", "delta2_over_V_quantum",
@@ -201,9 +211,7 @@ def cmd_holevo(args) -> int:
 
 def cmd_compress_verify(args) -> int:
     N = args.N
-    # unvalidated: a negative --tol fails every check, the one way to force
-    # and test this command's FAIL report
-    tol = args.tol if args.tol else 1e-10
+    tol = _tolerance(args.tol, 1e-10)
     rng = np.random.default_rng(args.seed)
     circuit, layout = compress.build_compressor(N)
     report = compress.count_resources(circuit, layout.step_slices)

@@ -7,9 +7,10 @@ relative phases e^{-i n theta}.  All operators on the subspace are plain
 
 Gaussian-prior quantities have closed forms built from the characteristic
 function E[e^{-i k theta}]; everything else integrates the prior
-numerically.  The optimal-parallel classical strategy is evaluated from its
-exact combinatorial sums, done in fixed high precision because two nested
-alternating binomial sums cancel far beyond double precision at large N.
+numerically.  The optimal-parallel classical strategy has an outcome law
+that is a trigonometric polynomial of degree N, so a periodic trapezoid rule
+against the wrapped Gaussian integrates it exactly in float64, with every
+summed term positive.
 """
 
 from __future__ import annotations
@@ -19,11 +20,10 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-import mpmath
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy import integrate
-from scipy.special import xlogy
+from scipy.special import gammaln, xlogy
 
 from .probes import SubspaceState, sine_coefficients
 from .simcore import StateVector
@@ -488,27 +488,6 @@ def qft_phase_variance(N: int, sigma: float, theta0: float = 0.0,
     return sigma**2 - float(np.sum(g[live] ** 2 / p[live]))
 
 
-def bayes_variance_quadrature(prior: Prior, probe: SubspaceState, povm: Povm,
-                              rtol: float = 1e-9) -> float:
-    """Average posterior variance by direct integration of p(m|theta) against
-    the prior — the independent oracle for the closed-form route."""
-    probs_fn = probe_probs_fn(probe, povm)
-    lo, hi = prior.support()
-    n_out = len(povm.effects)
-    p = np.empty(n_out)
-    first = np.empty(n_out)
-    second = np.empty(n_out)
-    for m in range(n_out):
-        def weighted(t, power, m=m):
-            return t**power * float(prior.pdf(t)) * float(probs_fn(t)[m])
-
-        p[m] = _quad(lambda t: weighted(t, 0), lo, hi, rtol)
-        first[m] = _quad(lambda t: weighted(t, 1), lo, hi, rtol)
-        second[m] = _quad(lambda t: weighted(t, 2), lo, hi, rtol)
-    live = p > PROB_FLOOR
-    return float(np.sum(second[live]) - np.sum(first[live] ** 2 / p[live]))
-
-
 # ---------------------------------------------------------------------------
 # Holevo phase variance
 
@@ -610,118 +589,81 @@ def van_trees_general(prior_fisher: float, qfi: float) -> float:
     return 1.0 / (prior_fisher + qfi)
 
 
-def _signed_expansion(N: int, m: int) -> list[int]:
-    """Exact integer coefficients of (1+x)^(N-m) (1-x)^m.
+#: Quadrature nodes whose wrapped prior weight is below this fraction of the
+#: largest one are dropped: what they would add lies far below float64
+#: rounding, and at narrow priors they are most of the M nodes.
+_NODE_FLOOR = 1e-40
 
-    These are the binary Krawtchouk values K_s(m; N), generated by their
-    three-term recurrence (the division is always exact), which is O(N)
-    instead of the O(N^2) double binomial sum.
+
+def _classical_parallel_sums(N: int, sigma: float) -> float:
+    """sigma^2 - sum_m gamma_m^2 / p_m for the parallel classical strategy.
+
+    With the basis aligned at theta0 the outcome law of N |+> qubits is
+    P(m|theta) = C(N, m) ((1 + sin theta)/2)^(N-m) ((1 - sin theta)/2)^m, a
+    trigonometric polynomial of degree N.  So p_m and gamma_m are integrals
+    over one period against the wrapped weights sum_k g(theta + 2 pi k) and
+    sum_k (theta + 2 pi k) g(theta + 2 pi k), whose Fourier coefficients
+    decay as e^{-j^2 sigma^2 / 2}.  The trapezoid rule on
+    M = N + 2 + ceil(12 / sigma) equispaced nodes is then exact up to
+    aliasing below e^{-72}.  P is built from log-binomials and the half-angle
+    squares (1 +- sin theta)/2 = sin^2, cos^2(theta/2 + pi/4), so every term
+    is a positive float64 and nothing cancels before the final subtraction.
     """
-    out = [0] * (N + 1)
-    out[0] = 1
-    if N >= 1:
-        out[1] = N - 2 * m
-    for s in range(1, N):
-        out[s + 1] = ((N - 2 * m) * out[s] - (N - s + 1) * out[s - 1]) // (s + 1)
-    return out
+    M = N + 2 + math.ceil(12.0 / sigma)
+    theta = (2 * math.pi / M) * (np.arange(M) - M // 2)
+    # images farther out than 40 sigma underflow to zero
+    n_images = math.ceil((40 * sigma + math.pi) / (2 * math.pi))
+    unwrapped = theta[:, None] + 2 * math.pi * np.arange(-n_images, n_images + 1)
+    g = np.exp(-0.5 * (unwrapped / sigma) ** 2)
+    w0 = g.sum(axis=1)
+    w1 = (unwrapped * g).sum(axis=1)
+    live = w0 >= _NODE_FLOOR * w0.max()
+    half = theta[live, None] / 2 + math.pi / 4
+    m = np.arange(N + 1)
+    log_binom = gammaln(N + 1) - gammaln(m + 1) - gammaln(N - m + 1)
+    P = np.exp(log_binom + xlogy(N - m, np.sin(half) ** 2) + xlogy(m, np.cos(half) ** 2))
+    scale = math.sqrt(2 * math.pi) / (M * sigma)  # node spacing times the Gaussian's norm
+    p = scale * (w0[live] @ P)
+    gamma = scale * (w1[live] @ P)
+    # an outcome whose weight underflows to 0 would add gamma_m^2 / p_m, which
+    # Cauchy-Schwarz bounds by int theta^2 g P(m|theta): it underflows too
+    seen = p > 0
+    return sigma**2 - float(np.sum(gamma[seen] ** 2 / p[seen]))
 
 
-def _sin_power_moment(n: int, sigma) -> "mpmath.mpf":
-    """E[sin^n theta] for theta ~ N(0, sigma^2); zero for odd n."""
-    if n % 2 == 1:
-        return mpmath.mpf(0)
-    if n == 0:
-        return mpmath.mpf(1)
-    half = n // 2
-    scale = mpmath.mpf(2) ** (-n)
-    total = mpmath.binomial(n, half) * scale
-    for l in range(half):
-        total += (2 * (-1) ** (half - l)) * mpmath.binomial(n, l) * scale * mpmath.exp(
-            -((n - 2 * l) ** 2) * sigma**2 / 2)
-    return total
-
-
-def _theta_sin_power_moment(n: int, sigma) -> "mpmath.mpf":
-    """E[theta sin^n theta] for theta ~ N(0, sigma^2); zero for even n."""
-    if n % 2 == 0:
-        return mpmath.mpf(0)
-    prefactor = n * sigma**2 * mpmath.mpf(2) ** (1 - n)
-    total = mpmath.exp(-(sigma**2) / 2) * mpmath.binomial(n - 1, (n - 1) // 2)
-    for l in range((n - 1) // 2):
-        sign = (-1) ** ((n - 2 * l - 1) // 2)
-        total += sign * mpmath.binomial(n - 1, l) * (
-            mpmath.exp(-((n - 2 * l - 2) ** 2) * sigma**2 / 2)
-            + mpmath.exp(-((n - 2 * l) ** 2) * sigma**2 / 2))
-    return prefactor * total
-
-
-def _classical_parallel_from_tables(N: int, sig, even_moments: dict, odd_moments: dict) -> float:
-    scale = mpmath.mpf(2) ** (-N)
-    subtract = mpmath.mpf(0)
-    for m in range(N + 1):
-        coeffs = _signed_expansion(N, m)
-        binom = mpmath.binomial(N, m) * scale
-        weight = binom * mpmath.fsum(coeffs[s] * even_moments[s] for s in range(0, N + 1, 2))
-        gamma_m = binom * mpmath.fsum(coeffs[s] * odd_moments[s] for s in range(1, N + 1, 2))
-        if weight > mpmath.mpf(10) ** (-30):
-            subtract += gamma_m**2 / weight
-    return float(sig**2 - subtract)
-
-
-def _classical_parallel_mp(N: int, sigma: float) -> float:
-    """High-precision evaluation of the exact parallel-strategy sums."""
-    return classical_parallel_curve([N], sigma)[0]
+def _check_classical_n(N: int) -> None:
+    if not isinstance(N, (int, np.integer)):
+        raise EstimateError(f"N must be an integer, got {N!r}")
+    if N < 1:
+        raise EstimateError("N must be >= 1")
+    if N > CLASSICAL_PARALLEL_N_CAP:
+        raise EstimateError(f"N={N} exceeds the cap {CLASSICAL_PARALLEL_N_CAP}")
 
 
 def classical_parallel_curve(Ns, sigma: float) -> list[float]:
-    """classical_parallel_variance over an N grid, sharing the moment tables
-    (they depend on sigma and the power only)."""
+    """classical_parallel_variance over an N grid, for
+    1 <= N <= CLASSICAL_PARALLEL_N_CAP and any width up to the largest
+    interrogation time of TAU_GRID (optimize_tau_classical's range)."""
+    if not 0 < sigma <= TAU_GRID[-1]:
+        raise EstimateError(f"supported width range is 0 < sigma <= {TAU_GRID[-1]:g}")
     Ns = list(Ns)
-    n_max = max(Ns)
-    dps = 40 + int(0.35 * n_max)
-    with mpmath.workdps(dps):
-        sig = mpmath.mpf(sigma)
-        even = {s: _sin_power_moment(s, sig) for s in range(0, n_max + 1, 2)}
-        odd = {s: _theta_sin_power_moment(s, sig) for s in range(1, n_max + 1, 2)}
-        return [_classical_parallel_from_tables(N, sig, even, odd) for N in Ns]
+    for N in Ns:
+        _check_classical_n(N)
+    return [_classical_parallel_sums(N, sigma) for N in Ns]
 
 
 def classical_parallel_variance(N: int, sigma: float) -> float:
     """Average posterior MSE of the optimal parallel classical strategy
     (|+>^N probe, per-qubit rotated-X measurements, Gaussian prior).
 
-    Exact combinatorial sums: outcome weights expand into moments
-    E[sin^s theta] and E[theta sin^s theta].  The binomial expansions cancel
-    catastrophically, so the integer part is exact and the transcendental
-    part runs at ~0.35 N + 40 decimal digits.  The derivation absorbs
-    theta0, so the result does not depend on the prior mean.
+    The outcome weights and first moments are integrated by a periodic
+    trapezoid rule that is exact for this trigonometric-polynomial outcome
+    law (see _classical_parallel_sums).  The derivation absorbs theta0, so
+    the result does not depend on the prior mean.
     """
-    if N < 1:
-        raise EstimateError("N must be >= 1")
-    if N > CLASSICAL_PARALLEL_N_CAP:
-        raise EstimateError(f"N={N} exceeds the cap {CLASSICAL_PARALLEL_N_CAP}")
     if not 0 < sigma <= 1.5:
         raise EstimateError("supported width range is 0 < sigma <= 1.5")
-    return _classical_parallel_mp(N, sigma)
-
-
-def classical_parallel_variance_quadrature(N: int, sigma: float, theta0: float = 0.0,
-                                           rtol: float = 1e-9) -> float:
-    """Quadrature oracle for the parallel classical strategy (any theta0)."""
-    probs_fn = product_probs_fn(N, theta_ref=theta0)
-    prior = gaussian_prior(sigma, theta0)
-    lo, hi = prior.support()
-    subtract = 0.0
-    for m in range(N + 1):
-        def weighted(t, power, m=m):
-            return (t - theta0) ** power * float(prior.pdf(t)) * float(probs_fn(t)[m])
-
-        p = _quad(lambda t: weighted(t, 0), lo, hi, rtol)
-        if p < PROB_FLOOR:
-            continue
-        g = _quad(lambda t: weighted(t, 1), lo, hi, rtol)
-        subtract += g**2 / p
-    return sigma**2 - subtract
+    return classical_parallel_curve([N], sigma)[0]
 
 
 def mse_limit_curve(sigmas) -> np.ndarray:
@@ -852,8 +794,9 @@ def optimize_tau_classical(N: int) -> TauOptimum:
     """Interrogation-time optimum of the parallel classical strategy; the
     frequency objective (in delta^2 units) is the phase variance at width
     tau divided by tau^2."""
+    _check_classical_n(N)
 
     def objective(tau: float) -> float:
-        return _classical_parallel_mp(N, tau) / tau**2
+        return classical_parallel_curve([N], tau)[0] / tau**2
 
     return _optimize_objective(objective, TAU_GRID)

@@ -177,10 +177,6 @@ def h(q: int) -> Gate:
     return Gate("H", (q,))
 
 
-def rx(q: int, angle: float) -> Gate:
-    return Gate("RX", (q,), angle=angle)
-
-
 def ry(q: int, angle: float) -> Gate:
     return Gate("RY", (q,), angle=angle)
 
@@ -388,23 +384,8 @@ def _project_inplace(work: np.ndarray, qubit: int, bit: int) -> float:
     return prob
 
 
-def measure_branch(state: StateVector, qubit: int, outcome: int) -> tuple[StateVector, float]:
-    """Project `qubit` onto `outcome` and renormalize.
-
-    Returns the post-measurement state and the branch probability; a
-    zero-probability branch returns (null state, 0.0).
-    """
-    if not 0 <= qubit < state.n_qubits:
-        raise SimulationError(f"qubit index {qubit} out of range")
-    work = state.amps.reshape((2,) * state.n_qubits).copy()
-    prob = _project_inplace(work, qubit, outcome)
-    if prob == 0.0:
-        return StateVector.null(state.n_qubits), 0.0
-    return StateVector(state.n_qubits, work.reshape(-1)), prob
-
-
 def drop_qubit(state: StateVector, qubit: int, outcome: int) -> StateVector:
-    """Remove a qubit known to be in |outcome> (e.g. after measure_branch).
+    """Remove a qubit known to be in |outcome> (e.g. after a projection).
 
     Errors if the state carries weight on the complementary branch.
     """

@@ -1,0 +1,165 @@
+"""Reference routes that the tests pin the package against.
+
+* The exact combinatorial sums of the optimal parallel classical strategy,
+  in mpmath at 40 + 0.35 N decimal digits: outcome weights expand into the
+  moments E[sin^s theta] and E[theta sin^s theta], and the two nested
+  alternating binomial sums cancel far beyond double precision, so the
+  integer part is exact and only the transcendental part is rounded.
+* Adaptive-quadrature integrals of p(m|theta) against the prior, for the
+  Bayesian rounds and for the classical strategy.
+* The single-branch projection that returns a fresh state.
+
+None of these is on a production path; they are slow and kept for their
+independence.
+"""
+
+from __future__ import annotations
+
+import mpmath
+import numpy as np
+
+from clustersense.estimate import (
+    PROB_FLOOR,
+    Povm,
+    Prior,
+    _quad,
+    gaussian_prior,
+    probe_probs_fn,
+    product_probs_fn,
+)
+from clustersense.probes import SubspaceState
+from clustersense.simcore import SimulationError, StateVector, _project_inplace
+
+# ---------------------------------------------------------------------------
+# Classical parallel strategy: exact sums in mpmath
+
+def _signed_expansion(N: int, m: int) -> list[int]:
+    """Exact integer coefficients of (1+x)^(N-m) (1-x)^m.
+
+    These are the binary Krawtchouk values K_s(m; N), generated by their
+    three-term recurrence (the division is always exact), which is O(N)
+    instead of the O(N^2) double binomial sum.
+    """
+    out = [0] * (N + 1)
+    out[0] = 1
+    if N >= 1:
+        out[1] = N - 2 * m
+    for s in range(1, N):
+        out[s + 1] = ((N - 2 * m) * out[s] - (N - s + 1) * out[s - 1]) // (s + 1)
+    return out
+
+
+def _sin_power_moment(n: int, sigma) -> "mpmath.mpf":
+    """E[sin^n theta] for theta ~ N(0, sigma^2); zero for odd n."""
+    if n % 2 == 1:
+        return mpmath.mpf(0)
+    if n == 0:
+        return mpmath.mpf(1)
+    half = n // 2
+    scale = mpmath.mpf(2) ** (-n)
+    total = mpmath.binomial(n, half) * scale
+    for l in range(half):
+        total += (2 * (-1) ** (half - l)) * mpmath.binomial(n, l) * scale * mpmath.exp(
+            -((n - 2 * l) ** 2) * sigma**2 / 2)
+    return total
+
+
+def _theta_sin_power_moment(n: int, sigma) -> "mpmath.mpf":
+    """E[theta sin^n theta] for theta ~ N(0, sigma^2); zero for even n."""
+    if n % 2 == 0:
+        return mpmath.mpf(0)
+    prefactor = n * sigma**2 * mpmath.mpf(2) ** (1 - n)
+    total = mpmath.exp(-(sigma**2) / 2) * mpmath.binomial(n - 1, (n - 1) // 2)
+    for l in range((n - 1) // 2):
+        sign = (-1) ** ((n - 2 * l - 1) // 2)
+        total += sign * mpmath.binomial(n - 1, l) * (
+            mpmath.exp(-((n - 2 * l - 2) ** 2) * sigma**2 / 2)
+            + mpmath.exp(-((n - 2 * l) ** 2) * sigma**2 / 2))
+    return prefactor * total
+
+
+def _classical_parallel_from_tables(N: int, sig, even_moments: dict, odd_moments: dict) -> float:
+    scale = mpmath.mpf(2) ** (-N)
+    subtract = mpmath.mpf(0)
+    for m in range(N + 1):
+        coeffs = _signed_expansion(N, m)
+        binom = mpmath.binomial(N, m) * scale
+        weight = binom * mpmath.fsum(coeffs[s] * even_moments[s] for s in range(0, N + 1, 2))
+        gamma_m = binom * mpmath.fsum(coeffs[s] * odd_moments[s] for s in range(1, N + 1, 2))
+        if weight > mpmath.mpf(10) ** (-30):
+            subtract += gamma_m**2 / weight
+    return float(sig**2 - subtract)
+
+
+def classical_parallel_curve(Ns, sigma: float) -> list[float]:
+    """classical_parallel_variance over an N grid, sharing the moment tables
+    (they depend on sigma and the power only)."""
+    Ns = list(Ns)
+    n_max = max(Ns)
+    dps = 40 + int(0.35 * n_max)
+    with mpmath.workdps(dps):
+        sig = mpmath.mpf(sigma)
+        even = {s: _sin_power_moment(s, sig) for s in range(0, n_max + 1, 2)}
+        odd = {s: _theta_sin_power_moment(s, sig) for s in range(1, n_max + 1, 2)}
+        return [_classical_parallel_from_tables(N, sig, even, odd) for N in Ns]
+
+
+def classical_parallel_variance_quadrature(N: int, sigma: float, theta0: float = 0.0,
+                                           rtol: float = 1e-9) -> float:
+    """Quadrature oracle for the parallel classical strategy (any theta0)."""
+    probs_fn = product_probs_fn(N, theta_ref=theta0)
+    prior = gaussian_prior(sigma, theta0)
+    lo, hi = prior.support()
+    subtract = 0.0
+    for m in range(N + 1):
+        def weighted(t, power, m=m):
+            return (t - theta0) ** power * float(prior.pdf(t)) * float(probs_fn(t)[m])
+
+        p = _quad(lambda t: weighted(t, 0), lo, hi, rtol)
+        if p < PROB_FLOOR:
+            continue
+        g = _quad(lambda t: weighted(t, 1), lo, hi, rtol)
+        subtract += g**2 / p
+    return sigma**2 - subtract
+
+
+# ---------------------------------------------------------------------------
+# Bayesian round by quadrature
+
+def bayes_variance_quadrature(prior: Prior, probe: SubspaceState, povm: Povm,
+                              rtol: float = 1e-9) -> float:
+    """Average posterior variance by direct integration of p(m|theta) against
+    the prior — the independent oracle for the closed-form route."""
+    probs_fn = probe_probs_fn(probe, povm)
+    lo, hi = prior.support()
+    n_out = len(povm.effects)
+    p = np.empty(n_out)
+    first = np.empty(n_out)
+    second = np.empty(n_out)
+    for m in range(n_out):
+        def weighted(t, power, m=m):
+            return t**power * float(prior.pdf(t)) * float(probs_fn(t)[m])
+
+        p[m] = _quad(lambda t: weighted(t, 0), lo, hi, rtol)
+        first[m] = _quad(lambda t: weighted(t, 1), lo, hi, rtol)
+        second[m] = _quad(lambda t: weighted(t, 2), lo, hi, rtol)
+    live = p > PROB_FLOOR
+    return float(np.sum(second[live]) - np.sum(first[live] ** 2 / p[live]))
+
+
+# ---------------------------------------------------------------------------
+# Measurement of one branch
+
+def measure_branch(state: StateVector, qubit: int, outcome: int) -> tuple[StateVector, float]:
+    """Project `qubit` onto `outcome` and renormalize.
+
+    Returns the post-measurement state and the branch probability; a
+    zero-probability branch returns (null state, 0.0).
+    """
+    if not 0 <= qubit < state.n_qubits:
+        raise SimulationError(f"qubit index {qubit} out of range")
+    work = state.amps.reshape((2,) * state.n_qubits).copy()
+    prob = _project_inplace(work, qubit, outcome)
+    if prob == 0.0:
+        return StateVector.null(state.n_qubits), 0.0
+    return StateVector(state.n_qubits, work.reshape(-1)), prob

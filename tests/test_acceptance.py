@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+import reference
 
 from clustersense import compress, estimate as est, mbqc, probes, simcore
 
@@ -224,10 +225,10 @@ def test_criterion_11_closed_forms_vs_quadrature():
                 worst_entry = max(worst_entry, abs(gamma[i, j] - outer * char),
                                   abs(eta[i, j] - outer * first))
             closed = est.average_posterior_variance(prior, probe, povm)
-            quad = est.bayes_variance_quadrature(prior, probe, povm)
+            quad = reference.bayes_variance_quadrature(prior, probe, povm)
             worst_v = max(worst_v, abs(closed - quad) / quad)
             closed_cl = est.classical_parallel_variance(N, sigma)
-            quad_cl = est.classical_parallel_variance_quadrature(N, sigma)
+            quad_cl = reference.classical_parallel_variance_quadrature(N, sigma)
             worst_cl = max(worst_cl, abs(closed_cl - quad_cl) / quad_cl)
     ok = worst_entry < 1e-8 and worst_v < 1e-6 and worst_cl < 1e-6
     assert _line(11, ok, f"Gamma/eta entrywise {worst_entry:.1e} (tol 1e-8), "

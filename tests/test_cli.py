@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from clustersense import cli
+from clustersense import cli, simcore
 
 
 def run_cli(argv, capsys):
@@ -89,9 +89,20 @@ def test_compress_verify_passes(capsys):
     assert out.strip().endswith("PASS")
 
 
-def test_compress_verify_fails_with_impossible_tolerance(capsys):
-    code, out = run_cli(["compress-verify", "2", "--tol", "-1.0"], capsys)
+def test_compress_verify_fails_with_impossible_tolerance(monkeypatch, capsys):
+    # a compressor with one stray X on an output wire maps every input to the
+    # wrong binary state: a verification failure, not a usage error
+    build = cli.compress.build_compressor
+
+    def broken(N):
+        circuit, layout = build(N)
+        stray = simcore.x(layout.final_binary[0])
+        return simcore.Circuit(circuit.n_qubits, [*circuit.ops, stray]), layout
+
+    monkeypatch.setattr(cli.compress, "build_compressor", broken)
+    code, out = run_cli(["compress-verify", "2"], capsys)
     assert code == 1
+    assert "MISMATCH" in out
     assert out.strip().endswith("FAIL")
 
 
@@ -120,6 +131,10 @@ def test_usage_error_exit_code():
     ["mbqc-verify", "cnot", "--tol", "-1"],
     ["mbqc-verify", "cnot", "--tol", "nan"],
     ["holevo", "--tol", "-1"],
+    ["compress-verify", "2", "--tol", "nan"],
+    ["compress-verify", "2", "--tol", "-1"],
+    ["bayes-phase", "--n-max", "300"],
+    ["bayes-freq", "--n-min", "300", "--n-max", "300"],
 ])
 def test_out_of_range_arguments_exit_with_usage_code(argv, tmp_path, capsys):
     out = tmp_path / "out.csv"

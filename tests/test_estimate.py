@@ -1,8 +1,16 @@
+import functools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
+import reference
 
+import clustersense
 from clustersense import estimate as est
 from clustersense import mbqc, probes, simcore
 from clustersense.estimate import (
@@ -10,10 +18,9 @@ from clustersense.estimate import (
     EstimateError,
     MSEValidityWarning,
     Povm,
+    TAU_GRID,
     bayes_round,
-    bayes_variance_quadrature,
     classical_parallel_variance,
-    classical_parallel_variance_quadrature,
     dephased_fisher_information,
     fisher_information,
     flat_prior,
@@ -227,7 +234,7 @@ def test_bayes_round_quadrature_oracle_agreement():
         povm = qft_povm(N)
         for sigma in (0.1, 0.5, 1.0):
             closed = est.average_posterior_variance(gaussian_prior(sigma), probe, povm)
-            quad = bayes_variance_quadrature(gaussian_prior(sigma), probe, povm)
+            quad = reference.bayes_variance_quadrature(gaussian_prior(sigma), probe, povm)
             assert closed == pytest.approx(quad, rel=1e-6)
 
 
@@ -337,7 +344,7 @@ def test_signed_expansion_matches_double_binomial_sum():
                     for kp in range(max(0, s - (N - m)), min(m, s) + 1))
                 for s in range(N + 1)
             ]
-            assert est._signed_expansion(N, m) == direct
+            assert reference._signed_expansion(N, m) == direct
 
 
 def test_classical_parallel_single_qubit_closed_form():
@@ -350,14 +357,14 @@ def test_classical_parallel_matches_quadrature_oracle():
     for sigma in (0.1, 0.5, 1.0):
         for N in (2, 6, 10):
             closed = classical_parallel_variance(N, sigma)
-            quad = classical_parallel_variance_quadrature(N, sigma)
+            quad = reference.classical_parallel_variance_quadrature(N, sigma)
             assert closed == pytest.approx(quad, rel=1e-6)
 
 
 def test_classical_parallel_mean_independence():
     closed = classical_parallel_variance(4, 0.35)
     for theta0 in (0.0, 0.7, 2.9):
-        quad = classical_parallel_variance_quadrature(4, 0.35, theta0=theta0)
+        quad = reference.classical_parallel_variance_quadrature(4, 0.35, theta0=theta0)
         assert quad == pytest.approx(closed, abs=1e-10)
 
 
@@ -368,6 +375,55 @@ def test_classical_parallel_range_checks():
         classical_parallel_variance(4, 2.0)
     with pytest.raises(EstimateError):
         classical_parallel_variance(est.CLASSICAL_PARALLEL_N_CAP + 1, 0.5)
+
+
+def test_classical_curve_range_checks():
+    # the widest prior optimize_tau_classical evaluates is in range
+    assert len(est.classical_parallel_curve([1, 2], TAU_GRID[-1])) == 2
+    for Ns, sigma in (([0], 0.5), ([4, est.CLASSICAL_PARALLEL_N_CAP + 1], 0.5), ([4.5], 0.5),
+                      ([4], 0.0), ([4], TAU_GRID[-1] * 1.01), ([4], math.nan)):
+        with pytest.raises(EstimateError):
+            est.classical_parallel_curve(Ns, sigma)
+    for N in (0, 4.5, est.CLASSICAL_PARALLEL_N_CAP + 1):
+        with pytest.raises(EstimateError):
+            optimize_tau_classical(N)
+
+
+#: N up to the cap, and widths that span TAU_GRID, where optimize_tau_classical
+#: evaluates the classical curve.
+PIN_NS = (1, 2, 8, 40, 64, 200, est.CLASSICAL_PARALLEL_N_CAP)
+_MP_BINOMIAL = mpmath.binomial
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_binomial_at(n: int, k: int, prec: int):
+    return _MP_BINOMIAL(n, k)
+
+
+@pytest.mark.parametrize("sigma", [1e-3, 0.01, 0.1, 0.5, 1.0, 1.5, 5.0, 20.0])
+def test_periodic_rule_matches_mpmath_sums(sigma, monkeypatch):
+    # the oracle's binomials depend only on (n, k) and the working precision,
+    # which PIN_NS fixes for every width, so the grid shares them
+    monkeypatch.setattr(mpmath, "binomial", lambda n, k: _mp_binomial_at(n, k, mpmath.mp.prec))
+    fast = est.classical_parallel_curve(PIN_NS, sigma)
+    exact = reference.classical_parallel_curve(PIN_NS, sigma)
+    np.testing.assert_allclose(fast, exact, rtol=1e-10, atol=0)
+
+
+def test_node_pruning_does_not_move_the_sums(monkeypatch):
+    cases = ((40, 1e-3), (40, 0.1), (est.CLASSICAL_PARALLEL_N_CAP, 0.5), (64, 20.0))
+    pruned = [est._classical_parallel_sums(N, sigma) for N, sigma in cases]
+    monkeypatch.setattr(est, "_NODE_FLOOR", 0.0)
+    every_node = [est._classical_parallel_sums(N, sigma) for N, sigma in cases]
+    np.testing.assert_allclose(pruned, every_node, rtol=1e-13, atol=0)
+
+
+def test_package_import_leaves_mpmath_unloaded():
+    code = "import sys, clustersense, clustersense.cli; print('mpmath' in sys.modules)"
+    src = str(Path(clustersense.__file__).parents[1])
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert run.stdout.strip() == "False"
 
 
 def test_classical_parallel_dominates_van_trees_bound():

