@@ -10,6 +10,11 @@ nearest-neighbour swaps so the next unary bit is adjacent.
 Wires are logical indices; the swap schedule is tracked so the final
 position of each binary bit is known.  Semantics (not lattice layout) are
 what gets verified.
+
+Every gate is an X (any controls and polarities) or a SWAP, so the circuit
+permutes basis states without phases and runs on bit rows, not amplitudes.
+The N+1 images of the unary basis states (`unary_images`) decide its action
+on the whole unary subspace, at any N.
 """
 
 from __future__ import annotations
@@ -171,27 +176,60 @@ def classical_compress_oracle(bits: str) -> int:
     return n
 
 
+def _push_bits(circuit: Circuit, bits: np.ndarray) -> np.ndarray:
+    """Images of the basis states in the rows of a boolean (rows, n_qubits)
+    array, column w holding wire w.  An X flips its target where every
+    control matches its polarity; a SWAP exchanges its two columns where
+    they differ (and the controls match)."""
+    wires = np.array(bits, dtype=bool).T.copy()  # one contiguous row per wire
+    for op in circuit.ops:
+        if not isinstance(op, Gate) or op.kind not in ("X", "SWAP"):
+            raise CompressError(f"{op!r} does not permute basis states")
+        fires = True
+        for wire, polarity in zip(op.controls, op.polarity):
+            fires = fires & (wires[wire] if polarity else ~wires[wire])
+        if op.kind == "X":
+            wires[op.targets[0]] ^= fires
+        else:
+            wires[list(op.targets)] ^= fires & (wires[op.targets[0]] ^ wires[op.targets[1]])
+    return wires.T
+
+
+def _push_unary(circuit: Circuit, layout: CompressorLayout, unary: np.ndarray) -> np.ndarray:
+    """_push_bits on (rows, N) unary-wire bits, with every other wire 0."""
+    return _push_bits(circuit, np.pad(unary.astype(bool), ((0, 0), (0, layout.n_qubits - layout.N))))
+
+
+def unary_images(circuit: Circuit, layout: CompressorLayout) -> np.ndarray:
+    """Row n: the output bits of |1^n 0^(N-n)> (x) |0...0>, n = 0..N."""
+    return _push_unary(circuit, layout, np.tri(layout.N + 1, layout.N, -1))
+
+
 def compress_statevector(state: simcore.StateVector, layout: CompressorLayout,
                          circuit: Circuit) -> simcore.StateVector:
     """Embed an N-qubit unary-register state, run the compressor, check that
     all non-output wires are clean, and return the lambda-qubit result
-    (MSB-first qubit order)."""
+    (MSB-first qubit order).
+
+    Only the input's support goes through the gates, as bit rows.  The
+    non-output wires are checked in descending order, like successive qubit
+    drops: weight above 1e-20 on a set bit raises, and rows with it set are
+    dropped.  The amplitudes land, unchanged, on their images' values.
+    """
     if state.n_qubits != layout.N:
         raise CompressError("input must live on the N unary wires")
-    full = np.zeros(2 ** layout.n_qubits, dtype=complex)
-    shift = layout.n_qubits - layout.N
-    full[np.arange(2**layout.N) << shift] = state.amps
-    out, _ = simcore.run_circuit(circuit, simcore.StateVector(layout.n_qubits, full))
-    result = out
-    keep = layout.final_binary_msb_first()
-    for wire in sorted(set(range(layout.n_qubits)) - set(keep), reverse=True):
-        result = simcore.drop_qubit(result, wire, 0)
-        keep = tuple(w - 1 if w > wire else w for w in keep)
-    order = [keep.index(w) for w in sorted(keep)]
-    # reorder remaining axes so the MSB of the value comes first
-    psi = result.amps.reshape((2,) * layout.lam)
-    psi = np.moveaxis(psi, order, range(layout.lam))
-    return simcore.StateVector(layout.lam, np.ascontiguousarray(psi).reshape(-1))
+    support = np.flatnonzero(state.amps)
+    amps = state.amps[support]
+    images = _push_unary(circuit, layout, (support[:, None] >> np.arange(layout.N - 1, -1, -1)) & 1)
+    for wire in sorted(set(range(layout.n_qubits)) - set(layout.final_binary), reverse=True):
+        dirty = images[:, wire]
+        if float(np.vdot(amps[dirty], amps[dirty]).real) > 1e-20:
+            raise simcore.SimulationError(f"qubit {wire} is not definitely |0>")
+        images, amps = images[~dirty], amps[~dirty]
+    values = images[:, list(layout.final_binary_msb_first())] @ (1 << np.arange(layout.lam - 1, -1, -1))
+    out = np.zeros(2**layout.lam, dtype=complex)
+    out[values] = amps
+    return simcore.StateVector(layout.lam, out)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,11 @@ vertex removes its axis and doubles the branches, so each level touches
 the 2**n_vertices amplitudes and the sweep costs about
 n_measured * 2**n_vertices amplitude operations.  A single branch
 (`run_pattern`) is the same sweep with one column.
+
+Renormalizing an outcome of conditional probability p scales its rounding by
+1/sqrt(p), so verification at tolerance `tol` prunes the outcomes below
+`verdict_cutoff(tol)`, counts the branches pruned, and leaves their weight
+out of the probability sum.
 """
 
 from __future__ import annotations
@@ -28,6 +33,9 @@ from . import probes, simcore
 from .simcore import StateVector
 
 BRANCH_ENUM_CAP = 16
+#: Bound on the rounding one sweep level leaves in a branch's normalized
+#: amplitudes, before the 1/sqrt(p) growth of a rare outcome.
+LEVEL_ROUNDING = 1e-15
 
 
 class PatternError(Exception):
@@ -142,8 +150,16 @@ def _parity(bits: np.ndarray, deps: tuple[int, ...], flip: bool) -> np.ndarray:
     return parity
 
 
+def verdict_cutoff(tol: float) -> float:
+    """Smallest conditional outcome probability whose branch fidelity is
+    resolved to `tol`: (LEVEL_ROUNDING / tol)**2, and never below
+    simcore.NULL_PROB."""
+    return max(simcore.NULL_PROB, (LEVEL_ROUNDING / tol) ** 2)
+
+
 def _sweep(pattern: MeasurementPattern, injected: dict[int, np.ndarray] | None,
-           assignment: tuple[int, ...] | None = None) -> tuple[np.ndarray, np.ndarray]:
+           assignment: tuple[int, ...] | None = None,
+           cutoff: float = simcore.NULL_PROB) -> tuple[np.ndarray, np.ndarray]:
     """Run every outcome branch of `pattern` at once, one measurement level at a time.
 
     The state is a (2,)*m + (B,) array: one axis per live vertex, in vertex
@@ -151,7 +167,8 @@ def _sweep(pattern: MeasurementPattern, injected: dict[int, np.ndarray] | None,
     in measurement order, spell b big-endian.  A level rotates the measured
     axis by each branch's adapted angle, writes both outcomes (or only the
     one `assignment` fixes) into one new array without that axis, so B
-    doubles, and drops the branches below simcore.NULL_PROB.  Each level
+    doubles, and drops the branches whose outcome had conditional
+    probability below `cutoff`.  Each level
     touches every amplitude once or a few times; the byproduct corrections
     fire per column at the end.
 
@@ -185,7 +202,7 @@ def _sweep(pattern: MeasurementPattern, injected: dict[int, np.ndarray] | None,
         bits = np.repeat(bits, len(outcomes), axis=0)
         bits[:, vertex] = np.resize(outcomes, len(bits))
         probs = np.repeat(probs, len(outcomes))
-        keep = p >= simcore.NULL_PROB
+        keep = p >= cutoff
         if not keep.all():
             psi, p, bits, probs = psi[..., keep], p[keep], bits[keep], probs[keep]
         psi /= np.sqrt(2 * p)
@@ -238,6 +255,9 @@ class VerifyReport:
     min_fidelity: float
     probability_sum: float
     passed: bool
+    #: outcome branches left out, summed over the input cases: a conditional
+    #: probability below verdict_cutoff(tol) on their path
+    pruned: int = 0
 
     def __str__(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -256,6 +276,10 @@ def verify_pattern(pattern: MeasurementPattern,
     inputs) or a unitary matrix on the input qubits, in which case a fiducial
     set of product input states is driven through the pattern (a supplied
     `input_states` list overrides the default fiducials).
+
+    Branches whose fidelity would rest on rounding (see `verdict_cutoff`)
+    are pruned and counted in `pruned`; their weight stays out of
+    `probability_sum`, which must still be within 1e-10 of 1.
     """
     if pattern.n_measured > BRANCH_ENUM_CAP:
         raise PatternError(
@@ -279,19 +303,21 @@ def verify_pattern(pattern: MeasurementPattern,
     min_fid = 1.0
     worst_total = 1.0
     branches = 0
+    pruned = 0
     for injected, expected in cases:
         if expected.n_qubits != n_out:
             raise PatternError(f"target has {expected.n_qubits} qubits, the pattern {n_out} outputs")
-        states, probs = _sweep(pattern, injected)
+        states, probs = _sweep(pattern, injected, cutoff=verdict_cutoff(tol))
         overlaps = np.einsum(states, list(range(n_out + 1)),
                              expected.amps.conj().reshape((2,) * n_out), list(range(n_out)), [n_out])
-        min_fid = min(min_fid, float(np.abs(overlaps).min()))
+        min_fid = min(min_fid, float(np.abs(overlaps).min(initial=1.0)))
         total = float(probs.sum())
         branches = len(probs)
+        pruned += 2**pattern.n_measured - branches
         if abs(total - 1.0) >= abs(worst_total - 1.0):
             worst_total = total
     passed = (min_fid >= 1.0 - tol) and (abs(worst_total - 1.0) <= 1e-10)
-    return VerifyReport(pattern.graph.n_vertices, branches, min_fid, worst_total, passed)
+    return VerifyReport(pattern.graph.n_vertices, branches, min_fid, worst_total, passed, pruned)
 
 
 _KET0 = np.array([1.0, 0.0], dtype=complex)

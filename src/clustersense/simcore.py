@@ -384,21 +384,6 @@ def _project_inplace(work: np.ndarray, qubit: int, bit: int) -> float:
     return prob
 
 
-def drop_qubit(state: StateVector, qubit: int, outcome: int) -> StateVector:
-    """Remove a qubit known to be in |outcome> (e.g. after a projection).
-
-    Errors if the state carries weight on the complementary branch.
-    """
-    psi = state.amps.reshape((2,) * state.n_qubits)
-    index = [slice(None)] * state.n_qubits
-    index[qubit] = 1 - outcome
-    discarded = psi[tuple(index)]
-    if float(np.vdot(discarded, discarded).real) > 1e-20:
-        raise SimulationError(f"qubit {qubit} is not definitely |{outcome}>")
-    index[qubit] = outcome
-    return StateVector(state.n_qubits - 1, np.ascontiguousarray(psi[tuple(index)]).reshape(-1))
-
-
 def run_circuit(circuit: Circuit, initial: StateVector,
                 outcome_assignment: tuple[int, ...] = ()) -> tuple[StateVector, float]:
     """Execute the circuit, projecting each Measure onto the assigned bit.

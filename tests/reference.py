@@ -7,7 +7,11 @@
   integer part is exact and only the transcendental part is rounded.
 * Adaptive-quadrature integrals of p(m|theta) against the prior, for the
   Bayesian rounds and for the classical strategy.
-* The single-branch projection that returns a fresh state.
+* The single-branch projection that returns a fresh state, and the qubit
+  drop that follows it.
+* The compressor run densely: the 2^n-amplitude embedding through every
+  gate of `simcore.run_circuit`, then one qubit drop per non-output wire.
+* The QFT-readout variance through two dense DFT products.
 
 None of these is on a production path; they are slow and kept for their
 independence.
@@ -15,20 +19,30 @@ independence.
 
 from __future__ import annotations
 
+import math
+
 import mpmath
 import numpy as np
 
+from clustersense.compress import CompressError, CompressorLayout
 from clustersense.estimate import (
     PROB_FLOOR,
     Povm,
     Prior,
     _quad,
+    gamma_eta,
     gaussian_prior,
     probe_probs_fn,
     product_probs_fn,
 )
-from clustersense.probes import SubspaceState
-from clustersense.simcore import SimulationError, StateVector, _project_inplace
+from clustersense.probes import SubspaceState, sine_coefficients
+from clustersense.simcore import (
+    Circuit,
+    SimulationError,
+    StateVector,
+    _project_inplace,
+    run_circuit,
+)
 
 # ---------------------------------------------------------------------------
 # Classical parallel strategy: exact sums in mpmath
@@ -163,3 +177,61 @@ def measure_branch(state: StateVector, qubit: int, outcome: int) -> tuple[StateV
     if prob == 0.0:
         return StateVector.null(state.n_qubits), 0.0
     return StateVector(state.n_qubits, work.reshape(-1)), prob
+
+
+def drop_qubit(state: StateVector, qubit: int, outcome: int) -> StateVector:
+    """Remove a qubit known to be in |outcome> (e.g. after a projection).
+
+    Errors if the state carries weight on the complementary branch.
+    """
+    psi = state.amps.reshape((2,) * state.n_qubits)
+    index = [slice(None)] * state.n_qubits
+    index[qubit] = 1 - outcome
+    discarded = psi[tuple(index)]
+    if float(np.vdot(discarded, discarded).real) > 1e-20:
+        raise SimulationError(f"qubit {qubit} is not definitely |{outcome}>")
+    index[qubit] = outcome
+    return StateVector(state.n_qubits - 1, np.ascontiguousarray(psi[tuple(index)]).reshape(-1))
+
+
+# ---------------------------------------------------------------------------
+# The compressor on the dense simulator
+
+def compress_statevector_dense(state: StateVector, layout: CompressorLayout,
+                               circuit: Circuit) -> StateVector:
+    """Embed an N-qubit unary-register state, run the compressor gate by gate
+    on all 2^n_qubits amplitudes, drop every non-output wire (which must be
+    |0>), and return the lambda-qubit result (MSB-first qubit order)."""
+    if state.n_qubits != layout.N:
+        raise CompressError("input must live on the N unary wires")
+    full = np.zeros(2 ** layout.n_qubits, dtype=complex)
+    shift = layout.n_qubits - layout.N
+    full[np.arange(2**layout.N) << shift] = state.amps
+    result, _ = run_circuit(circuit, StateVector(layout.n_qubits, full))
+    keep = layout.final_binary_msb_first()
+    for wire in sorted(set(range(layout.n_qubits)) - set(keep), reverse=True):
+        result = drop_qubit(result, wire, 0)
+        keep = tuple(w - 1 if w > wire else w for w in keep)
+    order = [keep.index(w) for w in sorted(keep)]
+    # reorder remaining axes so the MSB of the value comes first
+    psi = result.amps.reshape((2,) * layout.lam)
+    psi = np.moveaxis(psi, order, range(layout.lam))
+    return StateVector(layout.lam, np.ascontiguousarray(psi).reshape(-1))
+
+
+# ---------------------------------------------------------------------------
+# QFT readout through dense DFT products
+
+def qft_phase_variance_dense(N: int, sigma: float, theta0: float = 0.0,
+                             probe: SubspaceState | None = None) -> float:
+    """Average posterior MSE of the probe with the (N+1)-point Fourier-basis
+    readout: p_k and g_k as f_k^+ Gamma f_k and f_k^+ eta f_k, by two dense
+    matrix products with the DFT columns."""
+    probe = probe if probe is not None else sine_coefficients(N)
+    gamma, eta = gamma_eta(gaussian_prior(sigma, theta0), probe)
+    n = np.arange(N + 1)
+    f = np.exp(1j * np.outer(n, n) * 2 * math.pi / (N + 1)) / math.sqrt(N + 1)
+    p = np.einsum("nk,nk->k", f.conj(), gamma @ f).real
+    g = np.einsum("nk,nk->k", f.conj(), eta @ f).real - theta0 * p
+    live = p > PROB_FLOOR
+    return sigma**2 - float(np.sum(g[live] ** 2 / p[live]))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from reference import compress_statevector_dense
 
 from clustersense import compress, probes, simcore
 from clustersense.compress import (
@@ -13,6 +14,7 @@ from clustersense.compress import (
     compress_statevector,
     count_resources,
     make_layout,
+    unary_images,
 )
 
 #: Theory bound for one block: half adders 2(lam-1)+1, carry uncompute lam-1,
@@ -20,6 +22,7 @@ from clustersense.compress import (
 STEP_GATES_PER_LAMBDA = 8.0
 #: Whole-circuit budget anchored at the N=4 ratio (6.17); the extra headroom
 #: covers the polarity-X share that grows with lambda toward the 8.0 bound.
+#: The same constant as criterion 7's GATE_COUNT_C.
 GATES_PER_N_LAMBDA = 6.17 + 2.0
 #: Measured maximum of mbqc_estimate / (N lam^2) over N in {2..64} is 8.17.
 MBQC_PER_N_LAMBDA_SQ = 8.5
@@ -190,3 +193,84 @@ def test_resource_scaling_bounds():
         assert report.mbqc_qubit_estimate <= MBQC_PER_N_LAMBDA_SQ * N * layout.lam**2
         assert report.toffoli_count > 0
         assert report.depth <= report.gate_count
+
+
+def _outcome(route, state, layout, circuit):
+    """The compressed amplitudes, or the message of the SimulationError raised."""
+    try:
+        return route(state, layout, circuit).amps
+    except simcore.SimulationError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 5, 8, 12])
+def test_index_route_matches_dense_reference(N):
+    circuit, layout = build_compressor(N)
+    rng = np.random.default_rng(N)
+    inputs = [probes.unary_basis_state(n, N) for n in range(N + 1)]
+    for _ in range(2):
+        raw = rng.normal(size=N + 1) + 1j * rng.normal(size=N + 1)
+        inputs.append(probes.unary_embedding(probes.SubspaceState(N, raw / np.linalg.norm(raw))))
+    # a random basis state, a unary state with weight 1e-12 leaked onto a
+    # non-unary string (above the 1e-20 clean-wire threshold), and a random
+    # dense state over the whole register
+    inputs.append(simcore.basis_state(int(rng.integers(2**N)), N))
+    leaked = probes.unary_basis_state(N, N).amps * math.sqrt(1 - 1e-12)
+    leaked[1] = 1e-6  # the string 0...01
+    inputs.append(simcore.StateVector(N, leaked))
+    raw = rng.normal(size=2**N) + 1j * rng.normal(size=2**N)
+    inputs.append(simcore.StateVector(N, raw / np.linalg.norm(raw)))
+    for state in inputs:
+        fast = _outcome(compress_statevector, state, layout, circuit)
+        dense = _outcome(compress_statevector_dense, state, layout, circuit)
+        if isinstance(dense, str):
+            assert fast == dense
+        else:
+            np.testing.assert_array_equal(fast, dense)
+    if N >= 2:
+        # only the unary strings come out clean; the rest fail on a named wire
+        assert isinstance(_outcome(compress_statevector, inputs[-2], layout, circuit), str)
+        assert isinstance(_outcome(compress_statevector, inputs[-1], layout, circuit), str)
+
+
+def test_non_unary_input_fails_on_the_same_wire():
+    circuit, layout = build_compressor(12)
+    state = simcore.basis_state("010100000000")
+    for route in (compress_statevector, compress_statevector_dense):
+        with pytest.raises(simcore.SimulationError, match="qubit 13 "):
+            route(state, layout, circuit)
+
+
+def test_bit_route_rejects_gates_that_are_not_permutations():
+    circuit, layout = build_compressor(2)
+    for extra in (simcore.h(0), simcore.cz(0, 1), simcore.Measure(0)):
+        broken = simcore.Circuit(circuit.n_qubits, circuit.ops + (extra,))
+        with pytest.raises(CompressError):
+            compress_statevector(probes.unary_basis_state(1, 2), layout, broken)
+
+
+def _unary_image_problems(circuit, layout) -> list[str]:
+    """What is wrong with the images of the N+1 unary inputs: row n must read
+    n on final_binary, every other wire must be 0, and no two rows may agree."""
+    images = unary_images(circuit, layout)
+    place = 1 << np.arange(layout.lam - 1, -1, -1)
+    values = images[:, list(layout.final_binary_msb_first())].astype(np.int64) @ place
+    problems = [f"unary {n} reads {v}" for n, v in enumerate(values) if v != n]
+    ancillas = sorted(set(range(layout.n_qubits)) - set(layout.final_binary))
+    problems += [f"unary {n} leaves an ancilla set" for n in np.flatnonzero(images[:, ancillas].any(axis=1))]
+    if len(np.unique(images, axis=0)) != layout.N + 1:
+        problems.append("two unary inputs share an image")
+    return problems
+
+
+@pytest.mark.parametrize("N", [3, 7, 12, 31, 100, 255])
+def test_unary_images_prove_the_subspace_action(N):
+    # a phase-free permutation is fixed on the unary subspace by these N+1
+    # images, so this is the whole action there, far past the dense cap
+    circuit, layout = build_compressor(N)
+    assert _unary_image_problems(circuit, layout) == []
+    report = count_resources(circuit, layout.step_slices)
+    assert report.gate_count <= GATES_PER_N_LAMBDA * N * layout.lam
+    ancilla = min(set(range(layout.n_qubits)) - set(layout.final_binary))
+    broken = simcore.Circuit(circuit.n_qubits, circuit.ops + (simcore.x(ancilla),))
+    assert _unary_image_problems(broken, layout)

@@ -247,6 +247,21 @@ def test_fast_qft_path_matches_generic_route():
             assert fast == pytest.approx(via_povm, rel=1e-12)
 
 
+@pytest.mark.parametrize("theta0", [0.0, 0.3])
+def test_diagonal_fft_route_matches_dense_reference(theta0):
+    # V = sigma^2 - sum g^2/p cancels up to four digits at N = 200, so the
+    # sum, of size sigma^2, is what both routes hold to 1e-12.  A random
+    # complex probe gives a Gamma without the sine probe's mirror symmetry.
+    rng = np.random.default_rng(5)
+    for N in (1, 2, 7, 40, 200):
+        raw = rng.normal(size=N + 1) + 1j * rng.normal(size=N + 1)
+        for probe in (probes.sine_coefficients(N), probes.SubspaceState(N, raw / np.linalg.norm(raw))):
+            for sigma in (0.1, 0.5, 1.0):
+                fast = qft_phase_variance(N, sigma, theta0, probe)
+                dense = reference.qft_phase_variance_dense(N, sigma, theta0, probe)
+                assert fast == pytest.approx(dense, rel=1e-12, abs=1e-12 * sigma**2)
+
+
 def test_mse_warning_for_wide_priors():
     with pytest.warns(MSEValidityWarning):
         est.average_posterior_variance(gaussian_prior(1.2), PLUS_PROBE,
@@ -419,11 +434,13 @@ def test_node_pruning_does_not_move_the_sums(monkeypatch):
 
 
 def test_package_import_leaves_mpmath_unloaded():
-    code = "import sys, clustersense, clustersense.cli; print('mpmath' in sys.modules)"
+    # scipy.integrate too: only adaptive quadrature needs it
+    code = ("import sys, clustersense, clustersense.cli; "
+            "print('mpmath' in sys.modules, 'scipy.integrate' in sys.modules)")
     src = str(Path(clustersense.__file__).parents[1])
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
-    assert run.stdout.strip() == "False"
+    assert run.stdout.strip() == "False False"
 
 
 def test_classical_parallel_dominates_van_trees_bound():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference import measure_branch
+from reference import drop_qubit, measure_branch
 
 from clustersense import mbqc, probes, simcore
 from clustersense.mbqc import (
@@ -52,9 +52,10 @@ def _reorder_outputs(state: StateVector, pattern: MeasurementPattern,
 
 
 def _reference_branches(pattern: MeasurementPattern, injected: dict[int, np.ndarray] | None,
-                        target_state: StateVector):
+                        target_state: StateVector, cutoff: float = simcore.NULL_PROB):
     """Depth-first sweep over all outcome branches, sharing prefix states.
 
+    An outcome of conditional probability below `cutoff` ends its branch.
     Yields (min fidelity vs target, branch probability) per leaf.
     """
     root = cluster_state(pattern.graph, injected)
@@ -73,14 +74,20 @@ def _reference_branches(pattern: MeasurementPattern, injected: dict[int, np.ndar
         rotated = simcore.apply_gate(rotated, simcore.h(axis))
         for bit in (0, 1):
             branch, p = measure_branch(rotated, axis, bit)
-            if branch.is_null:
+            if branch.is_null or p < cutoff:
                 continue
-            branch = simcore.drop_qubit(branch, axis, bit)
+            branch = drop_qubit(branch, axis, bit)
             sub_axes = {v: (a - 1 if a > axis else a) for v, a in axis_of.items() if v != vertex}
             yield from recurse(branch, sub_axes, {**outcomes, vertex: bit}, prob * p, depth + 1)
 
     axis_of = {v: v for v in range(pattern.graph.n_vertices)}
     yield from recurse(root, axis_of, {}, 1.0, 0)
+
+
+def _verdict(fids, probs, tol: float) -> bool:
+    """verify_pattern's rule on one case: every kept branch within tol of
+    fidelity 1, and the kept weight within 1e-10 of 1."""
+    return min([1.0] + list(fids)) >= 1.0 - tol and abs(float(np.sum(probs)) - 1.0) <= 1e-10
 
 
 def _random_state(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -249,7 +256,8 @@ def test_run_pattern_agrees_with_enumeration():
 
 # Hypothesis found this one: vertex 2 measured at 1e-10 leaves a branch of
 # probability 1.25e-21.  Its normalized state is the rounding of amplitudes
-# near 3.5e-11 scaled up, so the two routes' fidelities differ by 5e-7.
+# near 3.5e-11 scaled up, so the two routes' fidelities differ by 5e-7, and
+# verification prunes it at any tolerance below 3e-5.
 _NEAR_NULL_BRANCH = (
     MeasurementPattern(Graph(3, frozenset({(0, 1)})), (),
                        ((1, AngleSpec(0.0)), (2, AngleSpec(1e-10))), (0,)),
@@ -275,11 +283,47 @@ def test_sweep_matches_stepwise_reference(case):
         # 1/sqrt(p) when a branch of probability p is normalized
         assert fids[-1] == pytest.approx(ref_fid, abs=1e-12 + 1e-14 / math.sqrt(ref_prob))
         assert probs[b] == pytest.approx(ref_prob, abs=1e-12)
+    # both routes, with the branches that cannot decide the verdict pruned
+    tol = 1e-10
+    cutoff = mbqc.verdict_cutoff(tol)
+    kept = list(_reference_branches(pattern, injected, target, cutoff))
+    states, probs = mbqc._sweep(pattern, injected, cutoff=cutoff)
+    assert len(probs) == len(kept)
+    fids = [simcore.fidelity_up_to_global_phase(StateVector(k, states[..., b].reshape(-1)), target)
+            for b in range(len(kept))]
+    for fid, (ref_fid, ref_prob) in zip(fids, kept):
+        assert fid == pytest.approx(ref_fid, abs=1e-12 + 1e-14 / math.sqrt(ref_prob))
+    assert _verdict(fids, probs, tol) == _verdict(*zip(*kept), tol)
     if injected is None:
-        report = verify_pattern(pattern, target)
-        assert report.branches == len(reference)
+        report = verify_pattern(pattern, target, tol=tol)
+        assert report.branches == len(kept)
+        assert report.pruned == 2**pattern.n_measured - len(kept)
         assert report.min_fidelity == pytest.approx(min([1.0] + fids), abs=1e-12)
-        assert report.probability_sum == pytest.approx(sum(p for _, p in reference), abs=1e-12)
+        assert report.probability_sum == pytest.approx(sum(p for _, p in kept), abs=1e-12)
+        assert report.passed == _verdict(fids, probs, tol)
+
+
+def test_near_null_branch_does_not_decide_the_verdict():
+    # _NEAR_NULL_BRANCH with vertex 1 as the input and its byproduct
+    # corrected: a deterministic pattern whose output is H|psi>
+    pattern = MeasurementPattern(Graph(3, frozenset({(0, 1)})), (1,),
+                                 ((1, AngleSpec(0.0)), (2, AngleSpec(1e-10))), (0,),
+                                 {0: (CorrectionFactor("X", (1,)),)})
+    psi = _NEAR_NULL_BRANCH[1][1]
+    hadamard = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+    target = StateVector(1, hadamard @ psi)
+    # Unpruned, its two branches of probability 1.25e-21 were measured 5e-13
+    # (executor) and 1.1e-12 (reference) below fidelity 1, so at tol = 1e-12
+    # rounding alone put the two verdicts on either side.  Pruned at
+    # verdict_cutoff(tol), both routes pass.
+    tol = 1e-12
+    report = verify_pattern(pattern, hadamard, input_states=[[psi]], tol=tol)
+    assert report.passed and report.branches == 2 and report.pruned == 2
+    kept = list(_reference_branches(pattern, {1: psi}, target, mbqc.verdict_cutoff(tol)))
+    assert _verdict(*zip(*kept), tol)
+    assert report.probability_sum == pytest.approx(1.0, abs=1e-15)
+    # shipped patterns keep every branch at the default tolerance
+    assert verify_pattern(sine_pattern(2), probes.unary_embedding(probes.sine_coefficients(2))).pruned == 0
 
 
 def test_isolated_measured_vertex_has_a_null_branch():
@@ -288,6 +332,7 @@ def test_isolated_measured_vertex_has_a_null_branch():
     report = verify_pattern(pattern, simcore.plus_state(1))
     assert report.passed
     assert report.branches == 1
+    assert report.pruned == 1
     assert report.probability_sum == pytest.approx(1.0, abs=1e-15)
     out, prob = run_pattern(pattern, (1,))
     assert out.is_null and out.n_qubits == 1

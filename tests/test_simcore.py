@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import measure_branch
+from reference import drop_qubit, measure_branch
 
 from clustersense import simcore
 from clustersense.simcore import (
@@ -17,7 +17,6 @@ from clustersense.simcore import (
     apply_gate,
     basis_state,
     circuit_unitary,
-    drop_qubit,
     fidelity_up_to_global_phase,
     plus_state,
     run_circuit,
