@@ -155,8 +155,7 @@ def cmd_bayes_phase(args) -> int:
 
 def _freq_cell(cell) -> tuple:
     N, delta = cell
-    quantum = estimate.optimize_tau(N, delta, probes.sine_coefficients(N),
-                                    estimate.qft_povm(N))
+    quantum = estimate.optimize_tau(N, delta, probes.sine_coefficients(N), None)
     classical = estimate.optimize_tau_classical(N)
     return (N, delta, quantum.tau, 1.0 / quantum.vbar, classical.tau, 1.0 / classical.vbar)
 

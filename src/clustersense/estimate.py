@@ -6,11 +6,12 @@ relative phases e^{-i n theta}.  All operators on the subspace are plain
 (N+1) x (N+1) matrices in the |n>_un basis.
 
 Gaussian-prior quantities have closed forms built from the characteristic
-function E[e^{-i k theta}]; everything else integrates the prior
-numerically.  The optimal-parallel classical strategy has an outcome law
-that is a trigonometric polynomial of degree N, so a periodic trapezoid rule
-against the wrapped Gaussian integrates it exactly in float64, with every
-summed term positive.
+function E[e^{-i k theta}]; wrapped and flat priors are integrated over
+[-pi, pi] by Gauss-Legendre rules of doubling order.  A measurement is a
+Povm, or None for the (N+1)-point Fourier readout.  The optimal-parallel
+classical strategy has an outcome law that is a trigonometric polynomial of
+degree N, so a periodic trapezoid rule against the wrapped Gaussian
+integrates it exactly in float64, with every summed term positive.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ class EstimateError(Exception):
 
 
 class QuadratureError(EstimateError):
-    """An adaptive integral failed to reach the requested tolerance."""
+    """Gauss-Legendre rules up to the largest order did not integrate the
+    prior to 1, or did not agree to the requested tolerance."""
 
 
 class MSEValidityWarning(UserWarning):
@@ -45,23 +47,6 @@ class MSEValidityWarning(UserWarning):
 
 # ---------------------------------------------------------------------------
 # Numerics helpers
-
-def _quad(f, a: float, b: float, rtol: float = 1e-9) -> float:
-    # imported here: scipy.integrate doubles the package's import footprint
-    # (about 26 MiB and 0.2 s), and only non-Gaussian priors integrate
-    from scipy import integrate
-
-    value, err = integrate.quad(f, a, b, epsabs=1e-13, epsrel=rtol, limit=400)
-    if err > 1e-8 * max(1.0, abs(value)):
-        raise QuadratureError(f"integral error estimate {err:.2e} too large for value {value:.6e}")
-    return value
-
-
-def _quad_complex(f, a: float, b: float, rtol: float = 1e-9) -> complex:
-    re = _quad(lambda t: f(t).real, a, b, rtol)
-    im = _quad(lambda t: f(t).imag, a, b, rtol)
-    return re + 1j * im
-
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -94,6 +79,28 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+def _gauss_legendre_converged(pdf, evaluate, tol: float = 1e-12):
+    """evaluate(thetas, w), w the Gauss-Legendre weights on [-pi, pi] times
+    pdf(thetas), at orders 64, 128, ..., 2048 until two successive orders
+    integrate pdf to 1 (nodes can miss a narrow prior) and agree to `tol`
+    relative to max(1, |value|).  An infinite value is returned at once."""
+    previous = None
+    for order in (64, 128, 256, 512, 1024, 2048):
+        nodes, weights = _gauss_legendre(order)
+        thetas = nodes * math.pi
+        w = weights * math.pi * pdf(thetas)
+        value = evaluate(thetas, w)
+        if np.any(np.isinf(value)):
+            return value
+        if abs(np.sum(w) - 1.0) > tol:
+            value = None
+        elif previous is not None and np.all(
+                np.abs(value - previous) <= tol * np.maximum(1.0, np.abs(value))):
+            return value
+        previous = value
+    raise QuadratureError(f"Gauss-Legendre orders up to 2048 did not resolve the prior to {tol:g}")
+
+
 # ---------------------------------------------------------------------------
 # Priors
 
@@ -101,8 +108,9 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
 class Prior:
     """Gaussian / wrapped-Gaussian / flat prior with mean theta0 and width sigma.
 
-    The wrapped density lives on [-pi, pi]; image terms are kept while
-    |2 pi q| <= pi + 10 sigma and the truncated sum is renormalized.
+    The wrapped density lives on [-pi, pi]; its image terms are centred on
+    theta0 reduced into [-pi, pi], kept while |2 pi q| <= pi + 10 sigma, and
+    the truncated sum is renormalized by its closed-form integral.
     """
 
     kind: str
@@ -116,15 +124,22 @@ class Prior:
         if self.kind != "flat" and not self.sigma > 0:
             raise EstimateError("sigma must be positive")
         if self.kind == "wrapped_gaussian":
-            raw = _quad(lambda t: float(self._wrapped_sum(np.asarray(t))), -math.pi, math.pi)
-            object.__setattr__(self, "_norm", raw)
+            # the images of [-pi, pi] tile [-L, L] - centre, L = (2 q_max + 1) pi
+            edge = (2 * self._q_max() + 1) * math.pi
+            centre, scale = math.remainder(self.theta0, 2 * math.pi), math.sqrt(2) * self.sigma
+            object.__setattr__(self, "_norm", 0.5 * (math.erf((edge - centre) / scale)
+                                                     + math.erf((edge + centre) / scale)))
+
+    def _q_max(self) -> int:
+        return math.ceil((math.pi + 10 * self.sigma) / (2 * math.pi))
 
     def _wrapped_sum(self, theta: np.ndarray) -> np.ndarray:
-        q_max = math.ceil((math.pi + 10 * self.sigma) / (2 * math.pi))
+        q_max = self._q_max()
+        centre = math.remainder(self.theta0, 2 * math.pi)
         total = np.zeros_like(theta, dtype=float)
         for q in range(-q_max, q_max + 1):
             total = total + np.exp(
-                -((theta - self.theta0 + 2 * math.pi * q) ** 2) / (2 * self.sigma**2))
+                -((theta - centre + 2 * math.pi * q) ** 2) / (2 * self.sigma**2))
         return total / (math.sqrt(2 * math.pi) * self.sigma)
 
     def pdf(self, theta):
@@ -148,14 +163,15 @@ class Prior:
         if self.kind == "flat":
             return 0.0
         eps = 1e-6
-        lo, hi = self.support()
 
-        def integrand(t):
-            p = float(self.pdf(t))
-            dp = (float(self.pdf(t + eps)) - float(self.pdf(t - eps))) / (2 * eps)
-            return dp**2 / p if p > PROB_FLOOR else 0.0
+        def evaluate(thetas, w):
+            p = self.pdf(thetas)
+            dp = (self.pdf(thetas + eps) - self.pdf(thetas - eps)) / (2 * eps)
+            live = p > PROB_FLOOR
+            return float(np.sum(w[live] * (dp[live] / p[live]) ** 2))
 
-        return _quad(integrand, lo, hi, rtol=1e-7)
+        # the central difference carries about 1e-10 of rounding
+        return _gauss_legendre_converged(self.pdf, evaluate, tol=1e-8)
 
 
 def gaussian_prior(sigma: float, theta0: float = 0.0) -> Prior:
@@ -211,7 +227,7 @@ class Povm:
         return self._stacked
 
     def outcome_probabilities(self, rho: np.ndarray) -> np.ndarray:
-        return np.einsum("kij,ji->k", self.stacked(), rho).real
+        return _effect_traces(self, rho)
 
 
 def qft_povm(N: int) -> Povm:
@@ -243,6 +259,38 @@ def single_qubit_optimal_povm(theta0: float = 0.0) -> Povm:
     return Povm(tuple(effects), ("+", "-"))
 
 
+def _fourier_diagonal(matrix: np.ndarray) -> np.ndarray:
+    """f_k^+ A f_k for the (N+1)-point DFT columns f_k, k = 0..N.
+
+    The quadratic form sums A_nm e^{-2 pi i (n-m) k / (N+1)} / (N+1), so it
+    needs only the sums along the diagonals n - m = -N..N, folded mod N+1,
+    and one FFT: O(N^2) instead of a dense O(N^3) product.
+    """
+    size = len(matrix)
+    n = np.arange(size)
+    fold = ((n[:, None] - n[None, :]) % size).ravel()
+    flat = matrix.ravel()
+    sums = (np.bincount(fold, weights=flat.real, minlength=size)
+            + 1j * np.bincount(fold, weights=flat.imag, minlength=size))
+    return np.fft.fft(sums).real / size
+
+
+def _effect_traces(povm: Povm | None, matrix: np.ndarray) -> np.ndarray:
+    """Tr(E_k A) for each effect E_k of `povm`, A Hermitian; for povm=None
+    the N+1 Fourier projectors, without building them."""
+    if povm is None:
+        return _fourier_diagonal(matrix)
+    return np.einsum("kij,ji->k", povm.stacked(), matrix).real
+
+
+def _information(p: np.ndarray, g: np.ndarray) -> float:
+    """sum_k g_k^2 / p_k, skipping outcomes with p_k <= PROB_FLOOR: the
+    Fisher information for g = dp/dtheta, and sigma^2 - V for a Gaussian
+    prior with p_k = Tr(E_k Gamma), g_k = Tr(E_k eta) - theta0 p_k."""
+    live = p > PROB_FLOOR
+    return float(np.sum(g[live] ** 2 / p[live]))
+
+
 # ---------------------------------------------------------------------------
 # Encoded states and local estimation
 
@@ -254,10 +302,9 @@ def encoded_rho(probe: SubspaceState, theta: float) -> np.ndarray:
 
 def probe_probs_fn(probe: SubspaceState, povm: Povm):
     """theta -> outcome distribution for the probe/POVM pair."""
-    stacked = povm.stacked()
 
     def probs(theta: float) -> np.ndarray:
-        return np.einsum("kij,ji->k", stacked, encoded_rho(probe, theta)).real
+        return _effect_traces(povm, encoded_rho(probe, theta))
 
     return probs
 
@@ -268,8 +315,7 @@ def fisher_information(probs_fn, theta: float, step: float = 1e-5) -> float:
     if np.min(p0) < -1e-12:
         raise EstimateError(f"negative outcome probability {np.min(p0):.3e}")
     dp = (np.asarray(probs_fn(theta + step)) - np.asarray(probs_fn(theta - step))) / (2 * step)
-    mask = p0 > PROB_FLOOR
-    return float(np.sum(dp[mask] ** 2 / p0[mask]))
+    return _information(p0, dp)
 
 
 def qfi_pure(probe: SubspaceState) -> float:
@@ -330,8 +376,31 @@ def product_probs_fn(N: int, theta_ref: float = 0.0):
 # ---------------------------------------------------------------------------
 # Bayesian machinery
 
-def _characteristic_gaussian(kappa: np.ndarray, theta0: float, sigma: float) -> np.ndarray:
-    return np.exp(-1j * kappa * theta0 - kappa**2 * sigma**2 / 2.0)
+def _harmonic_moments(prior: Prior, N: int) -> np.ndarray:
+    """int p(theta) {1, theta, theta^2, e^{i theta}} e^{-i k theta} dtheta
+    for k = -N..N as a (4, 2N + 1) array, column k + N: closed forms in the
+    Gaussian characteristic function, else integrated over [-pi, pi]."""
+    k = np.arange(-N, N + 1)
+    if prior.kind == "gaussian":
+        s2, t0 = prior.sigma**2, prior.theta0
+        char = np.exp(-1j * k * t0 - k**2 * s2 / 2.0)
+        return np.stack([char, (t0 - 1j * k * s2) * char,
+                         (s2 + t0**2 - 2j * t0 * k * s2 - k**2 * s2**2) * char,
+                         np.exp(-1j * (k - 1) * t0 - (k - 1) ** 2 * s2 / 2.0)])
+
+    def evaluate(thetas, w):
+        powers = np.stack([w, thetas * w, thetas**2 * w, np.exp(1j * thetas) * w])
+        return powers @ np.exp(-1j * np.outer(thetas, k))
+
+    return _gauss_legendre_converged(prior.pdf, evaluate)
+
+
+def _on_subspace(probe: SubspaceState, harmonics: np.ndarray) -> np.ndarray:
+    """psi_n psi_m* h_{n-m} from harmonics h_k, k = -N..N, on the last axis:
+    entry (n, m) of rho(theta) is psi_n psi_m* e^{-i (n-m) theta}."""
+    n = np.arange(probe.N + 1)
+    kappa = n[:, None] - n[None, :]
+    return np.outer(probe.coeffs, probe.coeffs.conj()) * harmonics[..., kappa + probe.N]
 
 
 def gamma_eta(prior: Prior, probe: SubspaceState) -> tuple[np.ndarray, np.ndarray]:
@@ -340,43 +409,17 @@ def gamma_eta(prior: Prior, probe: SubspaceState) -> tuple[np.ndarray, np.ndarra
 
     Gaussian priors use the closed forms
     Gamma_nm = psi_n psi_m* e^{-i(n-m) theta0} e^{-(n-m)^2 sigma^2 / 2},
-    eta_nm  = (theta0 - i (n-m) sigma^2) Gamma_nm;
-    other priors are integrated numerically.
+    eta_nm  = (theta0 - i (n-m) sigma^2) Gamma_nm, on the full matrices
+    (bayes-phase cells carry these roundings); other priors use
+    _harmonic_moments.
     """
+    if prior.kind != "gaussian":
+        return tuple(_on_subspace(probe, _harmonic_moments(prior, probe.N)[:2]))
     probe_outer = np.outer(probe.coeffs, probe.coeffs.conj())
     n = np.arange(probe.N + 1)
     kappa = n[:, None] - n[None, :]
-    if prior.kind == "gaussian":
-        char = _characteristic_gaussian(kappa, prior.theta0, prior.sigma)
-        gamma = probe_outer * char
-        eta = probe_outer * (prior.theta0 - 1j * kappa * prior.sigma**2) * char
-        return gamma, eta
-    lo, hi = prior.support()
-    char = np.empty_like(kappa, dtype=complex)
-    first = np.empty_like(kappa, dtype=complex)
-    for k in range(-probe.N, probe.N + 1):
-        c = _quad_complex(lambda t: float(prior.pdf(t)) * np.exp(-1j * k * t), lo, hi)
-        f = _quad_complex(lambda t: t * float(prior.pdf(t)) * np.exp(-1j * k * t), lo, hi)
-        char[kappa == k] = c
-        first[kappa == k] = f
-    return probe_outer * char, probe_outer * first
-
-
-def _second_moment_matrix(prior: Prior, probe: SubspaceState) -> np.ndarray:
-    """Omega = int theta^2 p rho dtheta, for per-outcome posterior variances."""
-    probe_outer = np.outer(probe.coeffs, probe.coeffs.conj())
-    n = np.arange(probe.N + 1)
-    kappa = n[:, None] - n[None, :]
-    if prior.kind == "gaussian":
-        s2, t0 = prior.sigma**2, prior.theta0
-        factor = s2 + t0**2 - 2j * t0 * kappa * s2 - kappa**2 * s2**2
-        return probe_outer * factor * _characteristic_gaussian(kappa, t0, prior.sigma)
-    lo, hi = prior.support()
-    second = np.empty_like(kappa, dtype=complex)
-    for k in range(-probe.N, probe.N + 1):
-        val = _quad_complex(lambda t: t**2 * float(prior.pdf(t)) * np.exp(-1j * k * t), lo, hi)
-        second[kappa == k] = val
-    return probe_outer * second
+    char = np.exp(-1j * kappa * prior.theta0 - kappa**2 * prior.sigma**2 / 2.0)
+    return probe_outer * char, probe_outer * (prior.theta0 - 1j * kappa * prior.sigma**2) * char
 
 
 @dataclass(frozen=True)
@@ -422,14 +465,14 @@ def bayes_round(state: BayesState) -> EstimationResult:
     sigma^2 - sum_m gamma_m^2 / Tr(E_m Gamma); outcomes with probability
     below 1e-14 carry zero weight and are skipped.
     """
-    prior, povm = state.prior, state.povm
+    prior, probe, povm = state.prior, state.probe, state.povm
     if prior.kind == "gaussian" and prior.sigma > 1.0:
         warnings.warn("MSE phase results are unreliable for sigma > 1", MSEValidityWarning)
-    stacked = povm.stacked()
-    probs = np.einsum("kij,ji->k", stacked, state.gamma).real
-    firsts = np.einsum("kij,ji->k", stacked, state.eta).real
-    omega = _second_moment_matrix(prior, state.probe)
-    seconds = np.einsum("kij,ji->k", stacked, omega).real
+    # Omega = int theta^2 p rho dtheta and the phasor moment Phi = int e^{i theta} p rho dtheta
+    omega, phasor = _on_subspace(probe, _harmonic_moments(prior, probe.N)[2:])
+    probs = _effect_traces(povm, state.gamma)
+    firsts = _effect_traces(povm, state.eta)
+    seconds = _effect_traces(povm, omega)
 
     live = probs > PROB_FLOOR
     estimates = np.full(len(probs), np.nan)
@@ -438,12 +481,14 @@ def bayes_round(state: BayesState) -> EstimationResult:
     variances[live] = seconds[live] / probs[live] - estimates[live] ** 2
 
     if prior.kind == "gaussian":
-        centered = firsts[live] - prior.theta0 * probs[live]
-        avg = prior.sigma**2 - float(np.sum(centered**2 / probs[live]))
+        avg = prior.sigma**2 - _information(probs, firsts - prior.theta0 * probs)
         return EstimationResult(povm.labels, probs, estimates, variances, avg)
 
     avg = float(np.sum(probs[live] * variances[live]))
-    phasors = np.einsum("kij,ji->k", stacked, _phasor_moment_matrix(prior, state.probe))
+    # Tr(E Phi) through the Hermitian and anti-Hermitian parts of Phi
+    adjoint = phasor.conj().T
+    phasors = (_effect_traces(povm, (phasor + adjoint) / 2)
+               + 1j * _effect_traces(povm, (phasor - adjoint) / 2j))
     holevo = np.full(len(probs), np.nan)
     mod_sq = np.abs(phasors[live] / probs[live]) ** 2
     holevo[live] = np.where(mod_sq < 1e-28, np.inf, 1.0 / np.maximum(mod_sq, 1e-28) - 1.0)
@@ -452,37 +497,30 @@ def bayes_round(state: BayesState) -> EstimationResult:
                             holevo_variances=holevo, avg_holevo_variance=avg_holevo)
 
 
-def _phasor_moment_matrix(prior: Prior, probe: SubspaceState) -> np.ndarray:
-    """Phi = int p(theta) rho(theta) e^{i theta} dtheta, for posterior phasors."""
-    probe_outer = np.outer(probe.coeffs, probe.coeffs.conj())
-    n = np.arange(probe.N + 1)
-    kappa = n[:, None] - n[None, :]
-    lo, hi = prior.support()
-    moment = np.empty_like(kappa, dtype=complex)
-    for k in range(-probe.N, probe.N + 1):
-        val = _quad_complex(lambda t: float(prior.pdf(t)) * np.exp(1j * (1 - k) * t), lo, hi)
-        moment[kappa == k] = val
-    return probe_outer * moment
-
-
 def average_posterior_variance(prior: Prior, probe: SubspaceState, povm: Povm) -> float:
     return bayes_round(BayesState(prior, probe, povm)).avg_posterior_variance
 
 
-def _fourier_diagonal(matrix: np.ndarray) -> np.ndarray:
-    """f_k^+ A f_k for the (N+1)-point DFT columns f_k, k = 0..N.
+def _checked_probe(N: int, probe: SubspaceState | None, povm: Povm | None) -> SubspaceState:
+    """The probe of an N-qubit round (the sine state when None), checked
+    against N and against the dimension of the measurement."""
+    probe = probe if probe is not None else sine_coefficients(N)
+    if probe.N != N:
+        raise EstimateError(f"the probe has N={probe.N}, the round N={N}")
+    if povm is not None and povm.dim != N + 1:
+        raise EstimateError(f"POVM dimension {povm.dim} does not match N + 1 = {N + 1}")
+    return probe
 
-    The quadratic form sums A_nm e^{-2 pi i (n-m) k / (N+1)} / (N+1), so it
-    needs only the sums along the diagonals n - m = -N..N, folded mod N+1,
-    and one FFT: O(N^2) instead of a dense O(N^3) product.
-    """
-    size = len(matrix)
-    n = np.arange(size)
-    fold = ((n[:, None] - n[None, :]) % size).ravel()
-    flat = matrix.ravel()
-    sums = (np.bincount(fold, weights=flat.real, minlength=size)
-            + 1j * np.bincount(fold, weights=flat.imag, minlength=size))
-    return np.fft.fft(sums).real / size
+
+def _gaussian_mse(N: int, sigma: float, theta0: float, probe: SubspaceState | None,
+                  povm: Povm | None) -> float:
+    """Average posterior MSE of one round under a Gaussian prior:
+    sigma^2 - sum_k (g_k - theta0 p_k)^2 / p_k with p_k = Tr(E_k Gamma) and
+    g_k = Tr(E_k eta); povm=None is the (N+1)-point Fourier readout."""
+    probe = _checked_probe(N, probe, povm)
+    gamma, eta = gamma_eta(gaussian_prior(sigma, theta0), probe)
+    p = _effect_traces(povm, gamma)
+    return sigma**2 - _information(p, _effect_traces(povm, eta) - theta0 * p)
 
 
 def qft_phase_variance(N: int, sigma: float, theta0: float = 0.0,
@@ -493,12 +531,7 @@ def qft_phase_variance(N: int, sigma: float, theta0: float = 0.0,
     g_k = f_k^+ eta f_k come from the diagonal sums of Gamma and eta and one
     FFT each, so it stays cheap up to N of a few hundred.
     """
-    probe = probe if probe is not None else sine_coefficients(N)
-    gamma, eta = gamma_eta(gaussian_prior(sigma, theta0), probe)
-    p = _fourier_diagonal(gamma)
-    g = _fourier_diagonal(eta) - theta0 * p
-    live = p > PROB_FLOOR
-    return sigma**2 - float(np.sum(g[live] ** 2 / p[live]))
+    return _gaussian_mse(N, sigma, theta0, probe, None)
 
 
 # ---------------------------------------------------------------------------
@@ -508,18 +541,19 @@ def holevo_variance(dist) -> float:
     """|<e^{i theta}>|^-2 - 1 for a circular distribution.
 
     Accepts a Prior (closed form e^{sigma^2} - 1 for Gaussian shapes,
-    infinite for flat), a pdf callable on [-pi, pi], or a (values, weights)
-    pair of samples.  A vanishing mean phasor is flagged as math.inf.
+    infinite for flat), a normalized pdf callable on [-pi, pi], or a
+    (values, weights) pair of samples.  A vanishing mean phasor is flagged as
+    math.inf.
     """
     if isinstance(dist, Prior):
         if dist.kind == "flat":
             return math.inf
         if dist.kind == "gaussian":
             return math.exp(dist.sigma**2) - 1.0
-        phasor = _quad_complex(lambda t: float(dist.pdf(t)) * np.exp(1j * t), -math.pi, math.pi)
+        phasor = _harmonic_moments(dist, 0)[3, 0]
     elif callable(dist):
-        norm = _quad(lambda t: float(dist(t)), -math.pi, math.pi)
-        phasor = _quad_complex(lambda t: float(dist(t)) * np.exp(1j * t), -math.pi, math.pi) / norm
+        phasor = _gauss_legendre_converged(lambda ts: np.array([float(dist(t)) for t in ts]),
+                                           lambda thetas, w: w @ np.exp(1j * thetas))
     else:
         values, weights = dist
         weights = np.asarray(weights, dtype=float)
@@ -530,16 +564,12 @@ def holevo_variance(dist) -> float:
     return 1.0 / mod_sq - 1.0
 
 
-def _qft_outcome_matrix(probe: SubspaceState, thetas: np.ndarray) -> np.ndarray:
-    """p(k | theta) for all QFT outcomes at once: the DFT of psi_n e^{-i n theta}."""
-    n = np.arange(probe.N + 1)
-    u = probe.coeffs[None, :] * np.exp(-1j * np.outer(thetas, n))
-    return np.abs(np.fft.fft(u, axis=1)) ** 2 / (probe.N + 1)
-
-
-def _generic_outcome_matrix(probe: SubspaceState, povm: Povm, thetas: np.ndarray) -> np.ndarray:
-    n = np.arange(probe.N + 1)
-    u = probe.coeffs[None, :] * np.exp(-1j * np.outer(thetas, n))
+def _outcome_matrix(probe: SubspaceState, povm: Povm | None, thetas: np.ndarray) -> np.ndarray:
+    """p(k | theta) for every outcome and node; for povm=None (the Fourier
+    readout) the DFT of psi_n e^{-i n theta}."""
+    u = probe.coeffs[None, :] * np.exp(-1j * np.outer(thetas, np.arange(probe.N + 1)))
+    if povm is None:
+        return np.abs(np.fft.fft(u, axis=1)) ** 2 / (probe.N + 1)
     return np.einsum("kij,tj,ti->tk", povm.stacked(), u, u.conj()).real
 
 
@@ -552,38 +582,27 @@ def holevo_bayes_round(N: int, prior: Prior, probe: SubspaceState | None = None,
     refinements agree to `tol`.  The default probe/POVM pair is the sine
     state with the Fourier-basis measurement (fast FFT path).
     """
-    probe = probe if probe is not None else sine_coefficients(N)
-    previous = None
-    for order in (64, 128, 256, 512, 1024, 2048):
-        nodes, weights = _gauss_legendre(order)
-        thetas = nodes * math.pi
-        w = weights * math.pi * prior.pdf(thetas)
-        if povm is None:
-            P = _qft_outcome_matrix(probe, thetas)
-        else:
-            P = _generic_outcome_matrix(probe, povm, thetas)
+    probe = _checked_probe(N, probe, povm)
+
+    def evaluate(thetas, w):
+        P = _outcome_matrix(probe, povm, thetas)
         p_m = w @ P
         phasors = (w * np.exp(1j * thetas)) @ P
         live = p_m > PROB_FLOOR
         mod_sq = np.abs(phasors[live] / p_m[live]) ** 2
         if np.any(mod_sq < 1e-28):
             return math.inf
-        total = float(np.sum(p_m[live] * (1.0 / mod_sq - 1.0)))
-        if previous is not None and abs(total - previous) <= tol * max(1.0, abs(total)):
-            return total
-        previous = total
-    raise QuadratureError("Holevo averaging did not converge between refinements")
+        return float(np.sum(p_m[live] * (1.0 / mod_sq - 1.0)))
+
+    return _gauss_legendre_converged(prior.pdf, evaluate, tol)
 
 
 def holevo_outcome_probabilities(N: int, prior: Prior,
-                                 probe: SubspaceState | None = None,
-                                 order: int = 512) -> np.ndarray:
+                                 probe: SubspaceState | None = None) -> np.ndarray:
     """Unconditional QFT outcome distribution p(k) under a wrapped prior."""
-    probe = probe if probe is not None else sine_coefficients(N)
-    nodes, weights = _gauss_legendre(order)
-    thetas = nodes * math.pi
-    w = weights * math.pi * prior.pdf(thetas)
-    return w @ _qft_outcome_matrix(probe, thetas)
+    probe = _checked_probe(N, probe, None)
+    return _gauss_legendre_converged(
+        prior.pdf, lambda thetas, w: w @ _outcome_matrix(probe, None, thetas))
 
 
 # ---------------------------------------------------------------------------
@@ -716,11 +735,7 @@ def dephased_fisher_information(probe: SubspaceState, povm: Povm, sigma: float,
     kappa = n[:, None] - n[None, :]
     rho = dephased_rho(probe, sigma, theta)
     drho = -1j * kappa * rho
-    stacked = povm.stacked()
-    p = np.einsum("kij,ji->k", stacked, rho).real
-    dp = np.einsum("kij,ji->k", stacked, drho).real
-    mask = p > PROB_FLOOR
-    return float(np.sum(dp[mask] ** 2 / p[mask]))
+    return _information(_effect_traces(povm, rho), _effect_traces(povm, drho))
 
 
 def noisy_local_equivalence_check(N: int, sigma: float, probe: SubspaceState,
@@ -741,33 +756,13 @@ def noisy_local_equivalence_check(N: int, sigma: float, probe: SubspaceState,
 # ---------------------------------------------------------------------------
 # Frequency estimation
 
-def frequency_gamma_eta(probe: SubspaceState, delta: float, tau: float
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Gamma and eta for frequency estimation with a centered Gaussian prior
-    of width delta and dimensionless interrogation time tau = t * delta."""
-    n = np.arange(probe.N + 1)
-    kappa = n[:, None] - n[None, :]
-    damp = np.exp(-(kappa**2) * tau**2 / 2.0)
-    outer = np.outer(probe.coeffs, probe.coeffs.conj())
-    gamma = outer * damp
-    eta = outer * (-1j * tau * delta * kappa) * damp
-    return gamma, eta
-
-
 def frequency_round(N: int, delta: float, tau: float, probe: SubspaceState,
-                    povm: Povm) -> float:
-    """Average posterior frequency MSE, in units of delta^2."""
+                    povm: Povm | None) -> float:
+    """Average posterior frequency MSE, in units of delta^2: the phase MSE
+    at prior width tau = t delta over tau^2, in which delta cancels."""
     if tau <= 0:
         raise EstimateError("tau must be positive")
-    if probe.N != N:
-        raise EstimateError("probe size does not match N")
-    gamma, eta = frequency_gamma_eta(probe, delta, tau)
-    stacked = povm.stacked()
-    p = np.einsum("kij,ji->k", stacked, gamma).real
-    g = np.einsum("kij,ji->k", stacked, eta).real
-    live = p > PROB_FLOOR
-    vbar = delta**2 - float(np.sum(g[live] ** 2 / p[live]))
-    return vbar / delta**2
+    return _gaussian_mse(N, tau, 0.0, probe, povm) / tau**2
 
 
 @dataclass(frozen=True)
@@ -792,10 +787,11 @@ def _optimize_objective(objective, grid: np.ndarray) -> TauOptimum:
     return TauOptimum(tau, val, boundary=False)
 
 
-def optimize_tau(N: int, delta: float, probe: SubspaceState, povm: Povm) -> TauOptimum:
+def optimize_tau(N: int, delta: float, probe: SubspaceState, povm: Povm | None) -> TauOptimum:
     """Best interrogation time: coarse log grid in [1e-3, 20] followed by
     golden-section refinement around the best grid point (the objective is
-    observed to be unimodal, but the grid guards against surprises)."""
+    observed to be unimodal, but the grid guards against surprises).
+    povm=None is the (N+1)-point Fourier readout."""
 
     def objective(tau: float) -> float:
         return frequency_round(N, delta, tau, probe, povm)

@@ -251,7 +251,7 @@ def run_pattern(pattern: MeasurementPattern, outcome_assignment: tuple[int, ...]
 @dataclass(frozen=True)
 class VerifyReport:
     pattern_vertices: int
-    branches: int
+    branches: int  #: the fewest outcome branches kept by any input case
     min_fidelity: float
     probability_sum: float
     passed: bool
@@ -302,7 +302,7 @@ def verify_pattern(pattern: MeasurementPattern,
     n_out = len(pattern.outputs)
     min_fid = 1.0
     worst_total = 1.0
-    branches = 0
+    branches = 2**pattern.n_measured
     pruned = 0
     for injected, expected in cases:
         if expected.n_qubits != n_out:
@@ -312,8 +312,8 @@ def verify_pattern(pattern: MeasurementPattern,
                              expected.amps.conj().reshape((2,) * n_out), list(range(n_out)), [n_out])
         min_fid = min(min_fid, float(np.abs(overlaps).min(initial=1.0)))
         total = float(probs.sum())
-        branches = len(probs)
-        pruned += 2**pattern.n_measured - branches
+        branches = min(branches, len(probs))
+        pruned += 2**pattern.n_measured - len(probs)
         if abs(total - 1.0) >= abs(worst_total - 1.0):
             worst_total = total
     passed = (min_fid >= 1.0 - tol) and (abs(worst_total - 1.0) <= 1e-10)

@@ -5,8 +5,10 @@
   moments E[sin^s theta] and E[theta sin^s theta], and the two nested
   alternating binomial sums cancel far beyond double precision, so the
   integer part is exact and only the transcendental part is rounded.
-* Adaptive-quadrature integrals of p(m|theta) against the prior, for the
-  Bayesian rounds and for the classical strategy.
+* Adaptive quadrature (scipy.integrate.quad), and with it integrals of
+  p(m|theta) against the prior, for the Bayesian rounds and for the
+  classical strategy; the package itself integrates priors by fixed
+  Gauss-Legendre rules.
 * The single-branch projection that returns a fresh state, and the qubit
   drop that follows it.
 * The compressor run densely: the 2^n-amplitude embedding through every
@@ -23,13 +25,14 @@ import math
 
 import mpmath
 import numpy as np
+from scipy import integrate
 
 from clustersense.compress import CompressError, CompressorLayout
 from clustersense.estimate import (
     PROB_FLOOR,
     Povm,
     Prior,
-    _quad,
+    QuadratureError,
     gamma_eta,
     gaussian_prior,
     probe_probs_fn,
@@ -43,6 +46,22 @@ from clustersense.simcore import (
     _project_inplace,
     run_circuit,
 )
+
+# ---------------------------------------------------------------------------
+# Adaptive quadrature
+
+def _quad(f, a: float, b: float, rtol: float = 1e-9) -> float:
+    value, err = integrate.quad(f, a, b, epsabs=1e-13, epsrel=rtol, limit=400)
+    if err > 1e-8 * max(1.0, abs(value)):
+        raise QuadratureError(f"integral error estimate {err:.2e} too large for value {value:.6e}")
+    return value
+
+
+def _quad_complex(f, a: float, b: float, rtol: float = 1e-9) -> complex:
+    re = _quad(lambda t: f(t).real, a, b, rtol)
+    im = _quad(lambda t: f(t).imag, a, b, rtol)
+    return re + 1j * im
+
 
 # ---------------------------------------------------------------------------
 # Classical parallel strategy: exact sums in mpmath

@@ -216,9 +216,9 @@ def test_criterion_11_closed_forms_vs_quadrature():
             gamma, eta = est.gamma_eta(prior, probe)
             lo, hi = prior.support()
             for kappa in range(-N, N + 1):
-                char = est._quad_complex(
+                char = reference._quad_complex(
                     lambda t: float(prior.pdf(t)) * np.exp(-1j * kappa * t), lo, hi)
-                first = est._quad_complex(
+                first = reference._quad_complex(
                     lambda t: t * float(prior.pdf(t)) * np.exp(-1j * kappa * t), lo, hi)
                 i, j = (kappa, 0) if kappa >= 0 else (0, -kappa)
                 outer = probe.coeffs[i] * probe.coeffs[j].conjugate()

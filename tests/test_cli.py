@@ -145,6 +145,15 @@ def test_out_of_range_arguments_exit_with_usage_code(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["holevo", "--theta0", "100", "--n-max", "3"],
+])
+def test_in_range_arguments_exit_zero(argv, tmp_path):
+    out = tmp_path / "out.csv"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert "nan" not in out.read_text()
+
+
 def test_failed_row_leaves_no_partial_csv(tmp_path):
     def rows():
         yield (1, 0.5)

@@ -159,10 +159,10 @@ def test_gamma_eta_match_quadrature():
     for i in range(3):
         for j in range(3):
             kappa = n[i] - n[j]
-            char = est._quad_complex(
+            char = reference._quad_complex(
                 lambda t: float(prior.pdf(t)) * np.exp(-1j * kappa * t),
                 prior.theta0 - 8 * prior.sigma, prior.theta0 + 8 * prior.sigma)
-            first = est._quad_complex(
+            first = reference._quad_complex(
                 lambda t: t * float(prior.pdf(t)) * np.exp(-1j * kappa * t),
                 prior.theta0 - 8 * prior.sigma, prior.theta0 + 8 * prior.sigma)
             outer = probe.coeffs[i] * probe.coeffs[j].conjugate()
@@ -333,6 +333,59 @@ def test_holevo_round_with_explicit_povm_matches_fft_path():
     assert fast == pytest.approx(generic, rel=1e-9)
 
 
+def test_wrapped_prior_mean_outside_pi_is_reduced():
+    far, reduced = 100.0, math.remainder(100.0, 2 * math.pi)
+    prior = wrapped_gaussian_prior(0.5, far)
+    assert prior._norm == pytest.approx(1.0, abs=1e-12)
+    assert holevo_bayes_round(3, prior) == pytest.approx(
+        holevo_bayes_round(3, wrapped_gaussian_prior(0.5, reduced)), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: qft_phase_variance(5, 0.5, probe=probes.sine_coefficients(3)),
+    lambda: holevo_bayes_round(5, wrapped_gaussian_prior(0.5), probe=probes.sine_coefficients(3)),
+    lambda: holevo_bayes_round(3, wrapped_gaussian_prior(0.5), povm=qft_povm(4)),
+    lambda: frequency_round(3, 1.0, 0.5, probes.sine_coefficients(3), qft_povm(4)),
+    lambda: est.holevo_outcome_probabilities(5, wrapped_gaussian_prior(0.5),
+                                             probes.sine_coefficients(3)),
+], ids=["qft-probe", "holevo-probe", "holevo-povm", "frequency-povm", "outcomes-probe"])
+def test_round_rejects_a_probe_or_povm_of_another_size(call):
+    with pytest.raises(EstimateError):
+        call()
+
+
+_MOMENT_WEIGHTS = (lambda t: 1.0, lambda t: t, lambda t: t * t, lambda t: np.exp(1j * t))
+
+
+@pytest.mark.parametrize("prior", [
+    *(wrapped_gaussian_prior(sigma, theta0) for sigma in (0.1, 0.3, 1.0, math.pi)
+      for theta0 in (0.0, 0.2)),
+    flat_prior(),
+], ids=lambda prior: f"{prior.kind}-{prior.sigma:.3g}-{prior.theta0:g}")
+def test_harmonic_moments_match_adaptive_quadrature(prior):
+    for N in (1, 3, 10):
+        moments = est._harmonic_moments(prior, N)
+        assert moments.shape == (4, 2 * N + 1)
+        for row, weight in enumerate(_MOMENT_WEIGHTS):
+            for col, k in enumerate(range(-N, N + 1)):
+                want = reference._quad_complex(
+                    lambda t: weight(t) * float(prior.pdf(t)) * np.exp(-1j * k * t),
+                    -math.pi, math.pi, rtol=1e-12)
+                assert abs(moments[row, col] - want) <= 1e-12, (N, row, k)
+
+
+def test_round_integrals_leave_scipy_integrate_unloaded():
+    code = ("import sys\n"
+            "from clustersense import estimate as est, probes\n"
+            "prior = est.wrapped_gaussian_prior(0.5, 0.2)\n"
+            "est.bayes_round(est.BayesState(prior, probes.sine_coefficients(3), est.qft_povm(3)))\n"
+            "est.holevo_bayes_round(3, prior)\n"
+            "est.holevo_variance(prior)\n"
+            "prior.fisher_information()\n"
+            "print('scipy.integrate' in sys.modules)")
+    assert _run_fresh(code) == "False"
+
+
 def test_wrapped_bayes_round_carries_holevo_fields():
     N = 3
     prior = wrapped_gaussian_prior(0.5)
@@ -433,14 +486,19 @@ def test_node_pruning_does_not_move_the_sums(monkeypatch):
     np.testing.assert_allclose(pruned, every_node, rtol=1e-13, atol=0)
 
 
-def test_package_import_leaves_mpmath_unloaded():
-    # scipy.integrate too: only adaptive quadrature needs it
-    code = ("import sys, clustersense, clustersense.cli; "
-            "print('mpmath' in sys.modules, 'scipy.integrate' in sys.modules)")
+def _run_fresh(code: str) -> str:
+    """stdout of `code` run in a new interpreter on this source tree."""
     src = str(Path(clustersense.__file__).parents[1])
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
-    assert run.stdout.strip() == "False False"
+    return run.stdout.strip()
+
+
+def test_package_import_leaves_mpmath_unloaded():
+    # scipy.integrate too: only the test oracles use adaptive quadrature
+    code = ("import sys, clustersense, clustersense.cli; "
+            "print('mpmath' in sys.modules, 'scipy.integrate' in sys.modules)")
+    assert _run_fresh(code) == "False False"
 
 
 def test_classical_parallel_dominates_van_trees_bound():
@@ -510,6 +568,15 @@ def test_frequency_round_equals_phase_at_matched_width():
             assert freq == pytest.approx(phase / width**2, rel=1e-12)
 
 
+@pytest.mark.parametrize("N", [1, 2, 3, 8, 40, 64])
+def test_fourier_frequency_route_matches_qft_povm(N):
+    probe = probes.sine_coefficients(N)
+    povm = qft_povm(N)
+    fast = [frequency_round(N, 1.0, tau, probe, None) for tau in TAU_GRID]
+    dense = [frequency_round(N, 1.0, tau, probe, povm) for tau in TAU_GRID]
+    np.testing.assert_allclose(fast, dense, rtol=1e-12, atol=0)
+
+
 def test_frequency_round_requires_positive_tau():
     with pytest.raises(EstimateError):
         frequency_round(2, 1.0, 0.0, probes.sine_coefficients(2), qft_povm(2))
@@ -542,9 +609,29 @@ def test_golden_section_minimize():
 # ---------------------------------------------------------------------------
 # priors
 
+@pytest.mark.parametrize("sigma", [0.05, 0.1, 0.3])
+def test_narrow_wrapped_prior_fisher_information_is_gaussian(sigma):
+    # below sigma ~ 0.5 the images add nothing, so I(p) = 1/sigma^2
+    assert wrapped_gaussian_prior(sigma, 0.2).fisher_information() == pytest.approx(
+        1.0 / sigma**2, rel=1e-8)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: gamma_eta(wrapped_gaussian_prior(0.01), probes.sine_coefficients(3)),
+    lambda: holevo_variance(wrapped_gaussian_prior(1e-3)),
+    lambda: holevo_bayes_round(2, wrapped_gaussian_prior(1e-3)),
+    lambda: wrapped_gaussian_prior(1e-3).fisher_information(),
+], ids=["harmonics", "holevo-variance", "holevo-round", "prior-fisher"])
+def test_prior_too_narrow_for_the_rule_raises(call):
+    # at sigma = 1e-3 the first orders' nodes miss the prior: every value is
+    # 0 at two orders, which must not count as converged
+    with pytest.raises(est.QuadratureError):
+        call()
+
+
 def test_wrapped_prior_normalization():
     prior = wrapped_gaussian_prior(1.3, theta0=0.4)
-    total = est._quad(lambda t: float(prior.pdf(t)), -math.pi, math.pi)
+    total = reference._quad(lambda t: float(prior.pdf(t)), -math.pi, math.pi)
     assert total == pytest.approx(1.0, abs=1e-10)
 
 

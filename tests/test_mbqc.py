@@ -326,6 +326,17 @@ def test_near_null_branch_does_not_decide_the_verdict():
     assert verify_pattern(sine_pattern(2), probes.unary_embedding(probes.sine_coefficients(2))).pruned == 0
 
 
+def test_branch_count_is_the_fewest_kept_by_any_input_case():
+    # measuring the |+> neighbour of the input in X reads the input's Z value:
+    # the |0> and |1> fiducials each have a null branch, |+> and |+i> none
+    pattern = MeasurementPattern(Graph(2, frozenset({(0, 1)})), (0,), ((1, AngleSpec(0.0)),), (0,))
+    report = verify_pattern(pattern, np.eye(2))
+    assert report.branches == 1
+    assert report.pruned == 2
+    assert not report.passed
+    assert " 1 branches" in str(report)
+
+
 def test_isolated_measured_vertex_has_a_null_branch():
     # |+> measured at angle 0 always reads 0; outcome 1 has probability 0
     pattern = MeasurementPattern(Graph(2, frozenset()), (), ((0, AngleSpec(0.0)),), (1,))
