@@ -1,7 +1,8 @@
 """Command-line front end: estimation-curve data as deterministic CSV, plus
 the compression and measurement-pattern verification suites.
 
-Exit codes: 0 on success, 1 on verification failure, 2 on usage errors.
+Exit codes: 0 on success, 1 on a verification failure or a numerical one (a
+quadrature that did not converge), 2 on usage errors.
 CSV cells are formatted with 12 significant digits ('%.12g', NaN spelled
 "nan"), so identical configurations produce byte-identical files.
 """
@@ -347,6 +348,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except estimate.QuadratureError as exc:
+        print(f"clustersense {args.command}: error: {exc}", file=sys.stderr)
+        return 1
     except _USAGE_ERRORS as exc:
         print(f"clustersense {args.command}: error: {exc}", file=sys.stderr)
         return 2

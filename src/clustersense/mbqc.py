@@ -9,12 +9,16 @@ sign with the parity of earlier outcomes, and corrections are words of
 X/Z/H factors with outcome-parity exponents, applied after all measurements.
 
 Verification runs every outcome branch at once and checks that corrected
-outputs agree with a target state or unitary.  All branches of one
+outputs agree with a target state or unitary.  The full cluster is never
+built: a vertex joins the state, in |+> with its CZs to live neighbours,
+just before it or a neighbour is measured, so the live width is the
+pattern's cut width and not its vertex count.  All branches of one
 measurement level share one array with a trailing branch axis; measuring a
-vertex removes its axis and doubles the branches, so each level touches
-the 2**n_vertices amplitudes and the sweep costs about
-n_measured * 2**n_vertices amplitude operations.  A single branch
-(`run_pattern`) is the same sweep with one column.
+vertex removes its axis and doubles the branches, so the sweep costs the
+sum over levels of 2**(live width + depth) amplitude operations, run in
+chunks of the branch axis that keep every array under _CHUNK_AMPS
+amplitudes.  A single branch (`run_pattern`) is the same sweep with one
+column.
 
 Renormalizing an outcome of conditional probability p scales its rounding by
 1/sqrt(p), so verification at tolerance `tol` prunes the outcomes below
@@ -157,60 +161,165 @@ def verdict_cutoff(tol: float) -> float:
     return max(simcore.NULL_PROB, (LEVEL_ROUNDING / tol) ** 2)
 
 
-def _sweep(pattern: MeasurementPattern, injected: dict[int, np.ndarray] | None,
-           assignment: tuple[int, ...] | None = None,
-           cutoff: float = simcore.NULL_PROB) -> tuple[np.ndarray, np.ndarray]:
-    """Run every outcome branch of `pattern` at once, one measurement level at a time.
+#: Largest array, in amplitudes, that one sweep level writes: a level whose
+#: result would be larger runs its branch axis in halves, depth-first.
+_CHUNK_AMPS = 2**15
 
-    The state is a (2,)*m + (B,) array: one axis per live vertex, in vertex
-    order, then a branch axis whose column b is the branch whose outcome bits,
-    in measurement order, spell b big-endian.  A level rotates the measured
-    axis by each branch's adapted angle, writes both outcomes (or only the
-    one `assignment` fixes) into one new array without that axis, so B
-    doubles, and drops the branches whose outcome had conditional
-    probability below `cutoff`.  Each level
-    touches every amplitude once or a few times; the byproduct corrections
-    fire per column at the end.
 
-    Returns the corrected branch states, with the output axes in
-    `pattern.outputs` order followed by the branch axis, and the
-    probability of each branch.
+@dataclass(frozen=True)
+class _Level:
+    """One step of a sweep: vertices join the state, then one is measured.
+
+    Each join is a vertex and the axes of its live neighbours at the time it
+    joins; `axis` is the measured vertex's axis (None for the closing step
+    that adds outputs no measurement reached) and `width` the number of live
+    vertex axes once the joins are done.
     """
-    n = pattern.graph.n_vertices
-    psi = np.array(cluster_state(pattern.graph, injected).amps).reshape((2,) * n + (1,))
-    live = list(range(n))
-    bits = np.zeros((1, n), dtype=bool)  # per branch, the outcome of each measured vertex
-    probs = np.ones(1)
-    for depth, (vertex, spec) in enumerate(pattern.measurements):
-        axis = live.index(vertex)
-        zero, one = np.moveaxis(psi, axis, 0)  # views of the two halves
-        # Rz(phi) = diag(e^{i phi/2}, e^{-i phi/2}), then H without its 1/sqrt2:
-        # halving the squared norms instead keeps the probabilities unbiased
-        if spec.base:
-            angle = np.where(_parity(bits, spec.sign_deps, spec.flip), -spec.base, spec.base)
-            phase = np.exp(0.5j * angle)
-            zero *= phase
-            one *= phase.conj()
-        outcomes = (0, 1) if assignment is None else (assignment[depth],)
-        rotated = np.empty(zero.shape + (len(outcomes),), dtype=complex)
-        for k, bit in enumerate(outcomes):
-            (np.subtract if bit else np.add)(zero, one, out=rotated[..., k])
-        psi = rotated.reshape(zero.shape[:-1] + (-1,))
-        flat = psi.reshape(-1, psi.shape[-1])
-        p = (np.einsum("kb,kb->b", flat.real, flat.real)
-             + np.einsum("kb,kb->b", flat.imag, flat.imag)) / 2
-        bits = np.repeat(bits, len(outcomes), axis=0)
-        bits[:, vertex] = np.resize(outcomes, len(bits))
-        probs = np.repeat(probs, len(outcomes))
-        keep = p >= cutoff
-        if not keep.all():
-            psi, p, bits, probs = psi[..., keep], p[keep], bits[keep], probs[keep]
-        psi /= np.sqrt(2 * p)
-        probs *= p
-        del live[axis]
 
-    for out in pattern.outputs:
-        zero, one = np.moveaxis(psi, live.index(out), 0)
+    joins: tuple[tuple[int, tuple[int, ...]], ...]
+    axis: int | None
+    width: int
+
+
+def _plan(pattern: MeasurementPattern) -> tuple[list[_Level], list[int]]:
+    """The levels of a lazy sweep and the final axis of each output.
+
+    Before vertex v is measured, v and its neighbours that have not joined
+    yet join the state; each new vertex is appended after the live axes, so
+    every edge is entangled once both of its ends are live, and every edge of
+    v before v is measured.  Outputs that no measurement reached join last.
+    """
+    neighbours: dict[int, set[int]] = {v: set() for v in range(pattern.graph.n_vertices)}
+    for a, b in pattern.graph.edges:
+        neighbours[a].add(b)
+        neighbours[b].add(a)
+    live: list[int] = []
+    joined: set[int] = set()
+
+    def join(vertices) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        joins = []
+        for v in vertices:
+            joins.append((v, tuple(live.index(u) for u in sorted(neighbours[v]) if u in live)))
+            live.append(v)
+            joined.add(v)
+        return tuple(joins)
+
+    levels = []
+    for vertex, _ in pattern.measurements:
+        joins = join(sorted(({vertex} | neighbours[vertex]) - joined))
+        levels.append(_Level(joins, live.index(vertex), len(live)))
+        live.remove(vertex)
+    joins = join([v for v in pattern.outputs if v not in joined])
+    levels.append(_Level(joins, None, len(live)))
+    width = max(level.width for level in levels)
+    if width > simcore.MAX_QUBITS:
+        raise PatternError(f"{width} live vertices at once exceed the dense-simulation cap "
+                           f"{simcore.MAX_QUBITS}")
+    return levels, [live.index(v) for v in pattern.outputs]
+
+
+def _sweep_chunks(pattern: MeasurementPattern, injected: dict[int, np.ndarray] | None,
+                  assignment: tuple[int, ...] | None = None,
+                  cutoff: float = simcore.NULL_PROB):
+    """Run every outcome branch of `pattern`, one measurement level at a time,
+    and yield the corrected branch states in chunks.
+
+    The state is a (2,)*m + (B,) array: one axis per live vertex, then a
+    branch axis whose column b is the branch whose outcome bits, in
+    measurement order, spell b big-endian.  A level adds its joining
+    vertices in |+> (or their injected kets), each with a sign flip on the
+    half where it and a live neighbour both read 1 (the CZ), then rotates
+    the measured axis by each branch's adapted angle and writes both
+    outcomes (or only the one `assignment` fixes) into one new array without
+    that axis, so B doubles; branches whose outcome had conditional
+    probability below `cutoff` are dropped.  The byproduct corrections fire
+    per column at the end.
+
+    A level whose result would exceed _CHUNK_AMPS amplitudes runs the two
+    halves of the branch axis one after the other, depth-first, so chunks
+    arrive in branch order.  Each yield is (states, probs): the chunk's
+    corrected states, output axes in `pattern.outputs` order followed by
+    the branch axis, and the probability of each branch.
+    """
+    levels, out_axes = _plan(pattern)
+    kets = {v: np.asarray(ket, dtype=complex) for v, ket in (injected or {}).items()}
+    plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
+    n = pattern.graph.n_vertices
+    # per pending chunk: its next level, state, per-branch outcome bits of
+    # every vertex, and branch probabilities
+    stack = [(0, np.ones(1, dtype=complex), np.zeros((1, n), dtype=bool), np.ones(1))]
+    while stack:
+        depth, psi, bits, probs = stack.pop()
+        if depth == len(levels):
+            yield _corrected(pattern, psi, bits, out_axes), probs
+            continue
+        level = levels[depth]
+        size = 2**level.width * len(probs)
+        if level.axis is not None:
+            outcomes = (0, 1) if assignment is None else (assignment[depth],)
+            size = size // 2 * len(outcomes)
+        if len(probs) > 1 and size > _CHUNK_AMPS:
+            # the halves are views of disjoint columns, so a level may
+            # write into one of them in place without touching the other
+            half = len(probs) // 2
+            stack.append((depth, psi[..., half:], bits[half:], probs[half:]))
+            stack.append((depth, psi[..., :half], bits[:half], probs[:half]))
+            continue
+        for vertex, nbr_axes in level.joins:
+            ket = kets.get(vertex, plus)
+            grown = np.empty(psi.shape[:-1] + (2,) + psi.shape[-1:], dtype=complex)
+            np.multiply(psi, ket[0], out=grown[..., 0, :])
+            one = grown[..., 1, :]
+            np.multiply(psi, ket[1], out=one)
+            for axis in nbr_axes:
+                flip = one[(slice(None),) * axis + (1,)]
+                np.negative(flip, out=flip)
+            psi = grown
+        if level.axis is not None:
+            psi, bits, probs = _measure(psi, bits, probs, level.axis, pattern.measurements[depth],
+                                        outcomes, cutoff)
+            if not len(probs):
+                continue
+        stack.append((depth + 1, psi, bits, probs))
+
+
+def _measure(psi: np.ndarray, bits: np.ndarray, probs: np.ndarray, axis: int,
+             measurement: tuple[int, AngleSpec], outcomes: tuple[int, ...], cutoff: float):
+    """Measure the vertex on `axis` on every branch: the state without that
+    axis and with len(outcomes) columns per branch, and the grown bits and
+    probabilities, less the branches whose outcome fell below `cutoff`."""
+    vertex, spec = measurement
+    zero, one = np.moveaxis(psi, axis, 0)  # views of the two halves
+    # Rz(phi) = diag(e^{i phi/2}, e^{-i phi/2}), then H without its 1/sqrt2:
+    # halving the squared norms instead keeps the probabilities unbiased
+    if spec.base:
+        angle = np.where(_parity(bits, spec.sign_deps, spec.flip), -spec.base, spec.base)
+        phase = np.exp(0.5j * angle)
+        zero *= phase
+        one *= phase.conj()
+    rotated = np.empty(zero.shape + (len(outcomes),), dtype=complex)
+    for k, bit in enumerate(outcomes):
+        (np.subtract if bit else np.add)(zero, one, out=rotated[..., k])
+    psi = rotated.reshape(zero.shape[:-1] + (-1,))
+    flat = psi.reshape(-1, psi.shape[-1])
+    p = (np.einsum("kb,kb->b", flat.real, flat.real)
+         + np.einsum("kb,kb->b", flat.imag, flat.imag)) / 2
+    bits = np.repeat(bits, len(outcomes), axis=0)
+    bits[:, vertex] = np.resize(outcomes, len(bits))
+    probs = np.repeat(probs, len(outcomes))
+    keep = p >= cutoff
+    if not keep.all():
+        psi, p, bits, probs = psi[..., keep], p[keep], bits[keep], probs[keep]
+    psi /= np.sqrt(2 * p)
+    return psi, bits, probs * p
+
+
+def _corrected(pattern: MeasurementPattern, psi: np.ndarray, bits: np.ndarray,
+               out_axes: list[int]) -> np.ndarray:
+    """Fire each output's correction word per branch column, then order the
+    output axes as `pattern.outputs`, the branch axis last."""
+    for out, axis in zip(pattern.outputs, out_axes):
+        zero, one = np.moveaxis(psi, axis, 0)
         for factor in pattern.corrections.get(out, ()):
             fires = _parity(bits, factor.deps, factor.flip)
             if factor.kind == "Z":
@@ -224,8 +333,25 @@ def _sweep(pattern: MeasurementPattern, injected: dict[int, np.ndarray] | None,
                 np.divide(one, math.sqrt(2), out=one, where=fires)
                 np.add(kept, one, out=zero, where=fires)
                 np.subtract(kept, one, out=one, where=fires)
-    order = [live.index(v) for v in pattern.outputs]
-    return psi.transpose(order + [len(live)]), probs
+    return psi.transpose(out_axes + [len(out_axes)])
+
+
+def _sweep(pattern: MeasurementPattern, injected: dict[int, np.ndarray] | None,
+           assignment: tuple[int, ...] | None = None,
+           cutoff: float = simcore.NULL_PROB) -> tuple[np.ndarray, np.ndarray]:
+    """Every kept outcome branch of `pattern` at once: the chunks of
+    `_sweep_chunks` joined along the branch axis.  The exhaustive sweep
+    costs the sum over levels of 2**(live width + depth) amplitude
+    operations, run in chunks of at most _CHUNK_AMPS amplitudes.
+
+    Returns the corrected branch states, with the output axes in
+    `pattern.outputs` order followed by the branch axis, and the
+    probability of each branch.
+    """
+    chunks = [(np.empty((2,) * len(pattern.outputs) + (0,), dtype=complex), np.empty(0))]
+    chunks += _sweep_chunks(pattern, injected, assignment, cutoff)
+    states, probs = zip(*chunks)
+    return np.concatenate(states, axis=-1), np.concatenate(probs)
 
 
 def run_pattern(pattern: MeasurementPattern, outcome_assignment: tuple[int, ...],
@@ -307,13 +433,15 @@ def verify_pattern(pattern: MeasurementPattern,
     for injected, expected in cases:
         if expected.n_qubits != n_out:
             raise PatternError(f"target has {expected.n_qubits} qubits, the pattern {n_out} outputs")
-        states, probs = _sweep(pattern, injected, cutoff=verdict_cutoff(tol))
-        overlaps = np.einsum(states, list(range(n_out + 1)),
-                             expected.amps.conj().reshape((2,) * n_out), list(range(n_out)), [n_out])
-        min_fid = min(min_fid, float(np.abs(overlaps).min(initial=1.0)))
-        total = float(probs.sum())
-        branches = min(branches, len(probs))
-        pruned += 2**pattern.n_measured - len(probs)
+        bra = expected.amps.conj().reshape((2,) * n_out)
+        kept, total = 0, 0.0
+        for states, probs in _sweep_chunks(pattern, injected, cutoff=verdict_cutoff(tol)):
+            overlaps = np.einsum(states, list(range(n_out + 1)), bra, list(range(n_out)), [n_out])
+            min_fid = min(min_fid, float(np.abs(overlaps).min(initial=1.0)))
+            total += float(probs.sum())
+            kept += len(probs)
+        branches = min(branches, kept)
+        pruned += 2**pattern.n_measured - kept
         if abs(total - 1.0) >= abs(worst_total - 1.0):
             worst_total = total
     passed = (min_fid >= 1.0 - tol) and (abs(worst_total - 1.0) <= 1e-10)

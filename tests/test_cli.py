@@ -147,11 +147,26 @@ def test_out_of_range_arguments_exit_with_usage_code(argv, tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["holevo", "--theta0", "100", "--n-max", "3"],
+    ["holevo", "--sigma", "0.001", "--n-max", "2"],
 ])
 def test_in_range_arguments_exit_zero(argv, tmp_path):
     out = tmp_path / "out.csv"
     assert cli.main(argv + ["--out", str(out)]) == 0
     assert "nan" not in out.read_text()
+
+
+def test_numerical_failure_exits_one(monkeypatch, tmp_path, capsys):
+    def unconverged(*args, **kwargs):
+        raise cli.estimate.QuadratureError("Gauss-Legendre orders up to 2048 did not converge")
+
+    monkeypatch.setattr(cli.estimate, "_gauss_legendre_converged", unconverged)
+    out = tmp_path / "out.csv"
+    assert cli.main(["holevo", "--n-max", "2", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "clustersense holevo: error: Gauss-Legendre orders up to 2048 did not converge"]
+    assert not out.exists()
 
 
 def test_failed_row_leaves_no_partial_csv(tmp_path):

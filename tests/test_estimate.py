@@ -617,16 +617,99 @@ def test_narrow_wrapped_prior_fisher_information_is_gaussian(sigma):
 
 
 @pytest.mark.parametrize("call", [
-    lambda: gamma_eta(wrapped_gaussian_prior(0.01), probes.sine_coefficients(3)),
-    lambda: holevo_variance(wrapped_gaussian_prior(1e-3)),
-    lambda: holevo_bayes_round(2, wrapped_gaussian_prior(1e-3)),
-    lambda: wrapped_gaussian_prior(1e-3).fisher_information(),
-], ids=["harmonics", "holevo-variance", "holevo-round", "prior-fisher"])
+    lambda: holevo_variance(lambda t: float(wrapped_gaussian_prior(1e-3).pdf(t))),
+    lambda: holevo_bayes_round(2, gaussian_prior(1e-3)),
+    lambda: est.holevo_outcome_probabilities(2, gaussian_prior(1e-3)),
+], ids=["holevo-variance", "holevo-round", "outcome-probabilities"])
 def test_prior_too_narrow_for_the_rule_raises(call):
-    # at sigma = 1e-3 the first orders' nodes miss the prior: every value is
-    # 0 at two orders, which must not count as converged
+    # a pdf callable and an unwrapped Gaussian carry no window, so the rule
+    # spans [-pi, pi]: at sigma = 1e-3 the first orders' nodes miss the
+    # prior, every value is 0 at two orders, and that must not count as
+    # converged
     with pytest.raises(est.QuadratureError):
         call()
+
+
+def _narrow_holevo_round_by_quad(N: int, sigma: float) -> float:
+    """holevo_bayes_round(N, wrapped_gaussian_prior(sigma)) by adaptive
+    quadrature over +-12 sigma, with the Fourier readout's law
+    |DFT(psi_n e^{-i n theta})|^2 / (N + 1) written out."""
+    prior, probe = wrapped_gaussian_prior(sigma), probes.sine_coefficients(N)
+
+    def law(theta):
+        u = probe.coeffs * np.exp(-1j * theta * np.arange(N + 1))
+        return np.abs(np.fft.fft(u)) ** 2 / (N + 1)
+
+    total = 0.0
+    for m in range(N + 1):
+        p = reference._quad(lambda t: float(prior.pdf(t)) * law(t)[m], -12 * sigma, 12 * sigma,
+                            rtol=1e-14)
+        phasor = reference._quad_complex(lambda t: float(prior.pdf(t)) * law(t)[m] * np.exp(1j * t),
+                                         -12 * sigma, 12 * sigma, rtol=1e-14)
+        total += p * (abs(p / phasor) ** 2 - 1)
+    return total
+
+
+@pytest.mark.parametrize("call, expected, rel", [
+    (lambda: gamma_eta(wrapped_gaussian_prior(0.01), probes.sine_coefficients(3)),
+     lambda: gamma_eta(gaussian_prior(0.01), probes.sine_coefficients(3)), None),
+    (lambda: holevo_variance(wrapped_gaussian_prior(1e-3)), lambda: math.expm1(1e-6), 1e-8),
+    (lambda: holevo_bayes_round(2, wrapped_gaussian_prior(1e-3)),
+     lambda: _narrow_holevo_round_by_quad(2, 1e-3), 1e-8),
+    (lambda: wrapped_gaussian_prior(1e-3).fisher_information(), lambda: 1e6, 1e-10),
+], ids=["harmonics", "holevo-variance", "holevo-round", "prior-fisher"])
+def test_narrow_wrapped_prior_integrates(call, expected, rel):
+    # the cases of test_prior_too_narrow_for_the_rule_raises that a rule on
+    # theta0 +- 12 sigma now resolves, each against its closed form or oracle
+    if rel is None:
+        for value, want in zip(call(), expected()):
+            np.testing.assert_allclose(value, want, rtol=0, atol=1e-12)
+    else:
+        assert call() == pytest.approx(expected(), rel=rel, abs=0)
+
+
+@pytest.mark.parametrize("theta0", [0.2, 3.1, math.pi, -3.14159])
+@pytest.mark.parametrize("sigma", [1e-3, 5e-3, 0.01])
+def test_narrow_wrapped_prior_closed_forms(sigma, theta0):
+    prior = wrapped_gaussian_prior(sigma, theta0)
+    assert holevo_variance(prior) == pytest.approx(math.expm1(sigma**2), rel=1e-8, abs=0)
+    assert prior.fisher_information() == pytest.approx(1.0 / sigma**2, rel=1e-10)
+
+
+def test_narrow_rule_wraps_past_pi():
+    sigma = 1e-3
+    mass, mean, second, _ = est._harmonic_moments(wrapped_gaussian_prior(sigma, 3.1), 0)[:, 0]
+    assert mass == pytest.approx(1.0, abs=1e-12)
+    assert mean == pytest.approx(3.1, abs=1e-12)
+    assert second == pytest.approx(3.1**2 + sigma**2, abs=1e-12)
+    # centred on pi, half the mass sits at each end of [-pi, pi]:
+    # E theta = 0 and E theta^2 = E (pi - |x|)^2 = pi^2 - 2 sigma sqrt(2 pi) + sigma^2.
+    # Offsets near +-pi carry ulp(2 pi) ~ 9e-16 of rounding, which moves the
+    # density by up to 1e-14 / sigma relative in the tails
+    mass, mean, second, _ = est._harmonic_moments(wrapped_gaussian_prior(sigma, math.pi), 0)[:, 0]
+    assert mass == pytest.approx(1.0, abs=1e-12)
+    assert mean == pytest.approx(0.0, abs=1e-12)
+    assert second == pytest.approx(math.pi**2 - 2 * sigma * math.sqrt(2 * math.pi) + sigma**2,
+                                   abs=1e-11)
+
+
+def test_rule_spans_the_circle_from_pi_over_12():
+    # the holevo and phase-figure widths keep the nodes they always had
+    for sigma in (math.pi / 12, math.pi / 8, 1.0, 5.0):
+        assert wrapped_gaussian_prior(sigma, 0.4).rule_intervals() == ((-math.pi, math.pi),)
+    (a, b), (c, d) = wrapped_gaussian_prior(0.2, 3.0).rule_intervals()
+    assert (a, b, c) == (pytest.approx(0.6), math.pi, -math.pi)
+    assert d == pytest.approx(5.4 - 2 * math.pi)
+    assert gaussian_prior(1e-3).rule_intervals() == ((-math.pi, math.pi),)
+    # on the whole circle the mapped rule is bit for bit the one before
+    # intervals existed: the nodes and weights on [-1, 1] times pi
+    nodes, weights = est._gauss_legendre(64)
+    thetas, scaled = est._gauss_legendre_on(64, ((-math.pi, math.pi),))
+    np.testing.assert_array_equal(thetas, nodes * math.pi)
+    np.testing.assert_array_equal(scaled, weights * math.pi)
+    assert est._gauss_legendre_on(64, ((-math.pi, math.pi),))[0] is thetas
+    with pytest.raises(ValueError):
+        scaled[0] = 0.0
 
 
 def test_wrapped_prior_normalization():

@@ -266,11 +266,8 @@ _NEAR_NULL_BRANCH = (
 )
 
 
-@settings(max_examples=200, deadline=None)
-@given(random_patterns())
-@example(_NEAR_NULL_BRANCH)
-def test_sweep_matches_stepwise_reference(case):
-    pattern, injected, target = case
+def _assert_sweep_matches_reference(pattern: MeasurementPattern,
+                                    injected: dict[int, np.ndarray] | None, target: StateVector):
     reference = list(_reference_branches(pattern, injected, target))
     states, probs = mbqc._sweep(pattern, injected)
     k = len(pattern.outputs)
@@ -303,21 +300,118 @@ def test_sweep_matches_stepwise_reference(case):
         assert report.passed == _verdict(fids, probs, tol)
 
 
-def test_near_null_branch_does_not_decide_the_verdict():
+@settings(max_examples=200, deadline=None)
+@given(random_patterns())
+@example(_NEAR_NULL_BRANCH)
+def test_sweep_matches_stepwise_reference(case):
+    _assert_sweep_matches_reference(*case)
+
+
+# |+> measured at angle 0 always reads 0, between two measurements on a
+# wire: half the branches are dropped in the middle of the sweep
+_NULL_BRANCH_ON_A_WIRE = MeasurementPattern(
+    Graph(4, frozenset({(0, 1), (1, 3)})), (),
+    ((0, AngleSpec(0.3)), (2, AngleSpec(0.0)), (1, AngleSpec(0.5, (0,)))), (3,))
+
+
+def _corrected_near_null_branch() -> MeasurementPattern:
     # _NEAR_NULL_BRANCH with vertex 1 as the input and its byproduct
     # corrected: a deterministic pattern whose output is H|psi>
-    pattern = MeasurementPattern(Graph(3, frozenset({(0, 1)})), (1,),
-                                 ((1, AngleSpec(0.0)), (2, AngleSpec(1e-10))), (0,),
-                                 {0: (CorrectionFactor("X", (1,)),)})
+    return MeasurementPattern(Graph(3, frozenset({(0, 1)})), (1,),
+                              ((1, AngleSpec(0.0)), (2, AngleSpec(1e-10))), (0,),
+                              {0: (CorrectionFactor("X", (1,)),)})
+
+
+_HADAMARD = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+
+
+def _ghz_wrong_when_s1_is_0() -> MeasurementPattern:
+    # ghz_pattern(3) with an extra Z on its last output whenever s1 = 0: only
+    # the first half of the branches fails, so the worst fidelity is not in
+    # the last chunk
+    ghz = ghz_pattern(3)
+    wrong = ghz.corrections[4] + (CorrectionFactor("Z", (1,), flip=True),)
+    return MeasurementPattern(ghz.graph, (), ghz.measurements, ghz.outputs,
+                              {**ghz.corrections, 4: wrong})
+
+
+@pytest.mark.parametrize("case", [
+    (sine_pattern(2), None, probes.unary_embedding(probes.sine_coefficients(2))),
+    _NEAR_NULL_BRANCH,
+    (_NULL_BRANCH_ON_A_WIRE, None, simcore.plus_state(1)),
+], ids=["sine-2", "near-null", "null-branch"])
+def test_chunked_sweep_matches_stepwise_reference(case, monkeypatch):
+    monkeypatch.setattr(mbqc, "_CHUNK_AMPS", 2)
+    pattern, injected, target = case
+    assert len(list(mbqc._sweep_chunks(pattern, injected))) > 1
+    _assert_sweep_matches_reference(pattern, injected, target)
+
+
+@pytest.mark.parametrize("pattern, target, inputs, tol", [
+    (sine_pattern(2), probes.unary_embedding(probes.sine_coefficients(2)), None, 1e-10),
+    (_corrected_near_null_branch(), _HADAMARD, [[_NEAR_NULL_BRANCH[1][1]]], 1e-12),
+    (_NULL_BRANCH_ON_A_WIRE, simcore.plus_state(1), None, 1e-10),
+    (cnot_pattern(), mbqc.CNOT_MATRIX, None, 1e-10),
+    (_ghz_wrong_when_s1_is_0(), probes.ghz_state(3), None, 1e-10),
+], ids=["sine-2", "corrected-near-null", "null-branch", "cnot", "ghz-early-failure"])
+def test_chunked_verification_matches_one_chunk(pattern, target, inputs, tol, monkeypatch):
+    whole = verify_pattern(pattern, target, inputs, tol)
+    monkeypatch.setattr(mbqc, "_CHUNK_AMPS", 2)
+    chunked = verify_pattern(pattern, target, inputs, tol)
+    assert (chunked.branches, chunked.pruned, chunked.passed) == (
+        whole.branches, whole.pruned, whole.passed)
+    assert chunked.min_fidelity == pytest.approx(whole.min_fidelity, abs=1e-12)
+    assert chunked.probability_sum == pytest.approx(whole.probability_sum, abs=1e-12)
+
+
+def test_live_width_not_vertex_count_meets_the_cap():
+    def centre_first(n_leaves: int) -> MeasurementPattern:
+        # measuring the centre first needs it and every leaf live at once
+        leaves = tuple(range(1, n_leaves + 1))
+        star = Graph(n_leaves + 1, frozenset((0, v) for v in leaves))
+        return MeasurementPattern(star, (), ((0, AngleSpec(0.0)),), leaves)
+
+    with pytest.raises(PatternError, match="live vertices"):
+        run_pattern(centre_first(25), (0,))
+    # the plan allocates nothing: exactly MAX_QUBITS live vertices pass it
+    assert max(level.width for level in mbqc._plan(centre_first(simcore.MAX_QUBITS - 1))[0]) == (
+        simcore.MAX_QUBITS)
+    with pytest.raises(PatternError, match="live vertices"):
+        mbqc._plan(centre_first(simcore.MAX_QUBITS))
+    leaves = tuple(range(1, simcore.MAX_QUBITS + 2))
+    star = Graph(len(leaves) + 1, frozenset((0, v) for v in leaves))
+    # measuring the leaves first keeps two vertices live; the first X
+    # outcome 0 leaves the centre in |0>, and the other leaves then agree
+    leaves_first = MeasurementPattern(star, (), tuple((v, AngleSpec(0.0)) for v in leaves), (0,))
+    out, prob = run_pattern(leaves_first, (0,) * len(leaves))
+    assert prob == pytest.approx(0.5, abs=1e-12)
+    np.testing.assert_allclose(out.amps, [1.0, 0.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("N", [4, 6, 8, 12])
+def test_sine_pattern_branches_past_the_dense_cap(N):
+    pattern = sine_pattern(N)
+    assert pattern.graph.n_vertices > simcore.MAX_QUBITS
+    target = probes.unary_embedding(probes.sine_coefficients(N))
+    rng = np.random.default_rng(N)
+    for _ in range(4):
+        bits = tuple(int(b) for b in rng.integers(0, 2, size=pattern.n_measured))
+        out, prob = run_pattern(pattern, bits)
+        assert simcore.fidelity_up_to_global_phase(out, target) >= 1 - 1e-10
+        # every outcome of a pattern with flow is a fair coin
+        assert prob == pytest.approx(2.0 ** -pattern.n_measured, rel=1e-9)
+
+
+def test_near_null_branch_does_not_decide_the_verdict():
+    pattern = _corrected_near_null_branch()
     psi = _NEAR_NULL_BRANCH[1][1]
-    hadamard = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
-    target = StateVector(1, hadamard @ psi)
+    target = StateVector(1, _HADAMARD @ psi)
     # Unpruned, its two branches of probability 1.25e-21 were measured 5e-13
     # (executor) and 1.1e-12 (reference) below fidelity 1, so at tol = 1e-12
     # rounding alone put the two verdicts on either side.  Pruned at
     # verdict_cutoff(tol), both routes pass.
     tol = 1e-12
-    report = verify_pattern(pattern, hadamard, input_states=[[psi]], tol=tol)
+    report = verify_pattern(pattern, _HADAMARD, input_states=[[psi]], tol=tol)
     assert report.passed and report.branches == 2 and report.pruned == 2
     kept = list(_reference_branches(pattern, {1: psi}, target, mbqc.verdict_cutoff(tol)))
     assert _verdict(*zip(*kept), tol)
