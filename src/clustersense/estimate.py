@@ -5,11 +5,15 @@ encoding is exp(-i theta H), so a probe with coefficients psi_n picks up
 relative phases e^{-i n theta}.  All operators on the subspace are plain
 (N+1) x (N+1) matrices in the |n>_un basis.
 
-Gaussian-prior quantities have closed forms built from the characteristic
-function E[e^{-i k theta}]; wrapped and flat priors are integrated over
-[-pi, pi] by Gauss-Legendre rules of doubling order, a wrapped prior
+A prior enters a round only through its harmonics
+h_d = int p(theta) w(theta) e^{-i d theta} dtheta, d = -N..N, for w = 1,
+theta, theta^2 and e^{i theta}: the prior-averaged operators are
+psi psi^+ o h entrywise.  The 1 and e^{i theta} harmonics are closed forms;
+the theta and theta^2 harmonics of wrapped and flat priors are integrated
+over [-pi, pi] by Gauss-Legendre rules of doubling order, a wrapped prior
 narrower than pi / 12 over theta0 +- 12 sigma only.  A measurement is a
-Povm, or None for the (N+1)-point Fourier readout.  The optimal-parallel
+Povm, or None for the (N+1)-point Fourier readout, whose traces take the
+probe's autocorrelation and one FFT (_fourier_traces).  The optimal-parallel
 classical strategy has an outcome law that is a trigonometric polynomial of
 degree N, so a periodic trapezoid rule against the wrapped Gaussian
 integrates it exactly in float64, with every summed term positive.
@@ -24,7 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import gammaln, xlogy
 
 from .probes import SubspaceState, sine_coefficients
 from .simcore import StateVector
@@ -96,9 +99,13 @@ def _gauss_legendre_converged(pdf, evaluate, tol: float = 1e-12,
                               intervals: tuple[tuple[float, float], ...] = ((-math.pi, math.pi),)):
     """evaluate(thetas, w), w the Gauss-Legendre weights times pdf(thetas),
     at orders 64, 128, ..., 2048 until two successive orders integrate pdf
-    to 1 (nodes can miss a narrow prior) and agree to `tol` relative to
-    max(1, |value|).  An infinite value is returned at once.  Each of the
-    `intervals` (all of [-pi, pi] by default) carries one rule of the order.
+    to 1 within `tol` (nodes can miss a narrow prior) and agree to `tol`
+    relative to the largest |value| of the result, so a value far below 1
+    keeps its own digits.  The scale is not taken entry by entry: an entry
+    can vanish by symmetry (the mean of a prior centred on 0) and then
+    carries only rounding.  An infinite value is returned at once.  Each of
+    the `intervals` (all of [-pi, pi] by default) carries one rule of the
+    order.
     """
     previous = None
     for order in (64, 128, 256, 512, 1024, 2048):
@@ -110,7 +117,7 @@ def _gauss_legendre_converged(pdf, evaluate, tol: float = 1e-12,
         if abs(np.sum(w) - 1.0) > tol:
             value = None
         elif previous is not None and np.all(
-                np.abs(value - previous) <= tol * np.maximum(1.0, np.abs(value))):
+                np.abs(value - previous) <= tol * np.max(np.abs(value))):
             return value
         previous = value
     raise QuadratureError(f"Gauss-Legendre orders up to 2048 did not resolve the prior to {tol:g}")
@@ -260,7 +267,8 @@ class Povm:
         return self._stacked
 
     def outcome_probabilities(self, rho: np.ndarray) -> np.ndarray:
-        return _effect_traces(self, rho)
+        """Tr(E_k rho) for each effect."""
+        return np.einsum("kij,ji->k", self._stacked, rho).real
 
 
 def qft_povm(N: int) -> Povm:
@@ -292,28 +300,37 @@ def single_qubit_optimal_povm(theta0: float = 0.0) -> Povm:
     return Povm(tuple(effects), ("+", "-"))
 
 
-def _fourier_diagonal(matrix: np.ndarray) -> np.ndarray:
-    """f_k^+ A f_k for the (N+1)-point DFT columns f_k, k = 0..N.
+def _on_subspace(probe: SubspaceState, harmonics: np.ndarray) -> np.ndarray:
+    """psi_n psi_m* h_{n-m} from harmonics h_d, d = -N..N, on the last axis:
+    entry (n, m) of rho(theta) is psi_n psi_m* e^{-i (n-m) theta}."""
+    n = np.arange(probe.N + 1)
+    kappa = n[:, None] - n[None, :]
+    return np.outer(probe.coeffs, probe.coeffs.conj()) * harmonics[..., kappa + probe.N]
 
-    The quadratic form sums A_nm e^{-2 pi i (n-m) k / (N+1)} / (N+1), so it
-    needs only the sums along the diagonals n - m = -N..N, folded mod N+1,
-    and one FFT: O(N^2) instead of a dense O(N^3) product.
+
+def _fourier_traces(probe: SubspaceState, harmonics: np.ndarray) -> np.ndarray:
+    """Tr(E_k psi psi^+ o h) for the N+1 Fourier effects E_k = f_k f_k^+ and
+    each row h of `harmonics` (d = -N..N on the last axis), complex, so a
+    non-Hermitian row such as the e^{i theta} moment needs no split.
+
+    f_k^+ A f_k sums A_nm e^{-2 pi i (n-m) k / (N+1)} / (N+1), and the
+    entries of psi psi^+ o h on the diagonal n - m = d sum to a_d h_d, with
+    a_d = sum_n psi_n psi*_{n-d} the probe's autocorrelation: fold a_d h_d
+    mod N+1 and take one FFT, with no (N+1)^2 matrix.
     """
-    size = len(matrix)
-    n = np.arange(size)
-    fold = ((n[:, None] - n[None, :]) % size).ravel()
-    flat = matrix.ravel()
-    sums = (np.bincount(fold, weights=flat.real, minlength=size)
-            + 1j * np.bincount(fold, weights=flat.imag, minlength=size))
-    return np.fft.fft(sums).real / size
+    N = probe.N
+    terms = np.convolve(probe.coeffs, probe.coeffs[::-1].conj()) * harmonics
+    folded = terms[..., N:].copy()
+    folded[..., 1:] += terms[..., :N]  # d = -N..-1 lands on d + N + 1
+    return np.fft.fft(folded, axis=-1) / (N + 1)
 
 
-def _effect_traces(povm: Povm | None, matrix: np.ndarray) -> np.ndarray:
-    """Tr(E_k A) for each effect E_k of `povm`, A Hermitian; for povm=None
-    the N+1 Fourier projectors, without building them."""
+def _traces(probe: SubspaceState, harmonics: np.ndarray, povm: Povm | None) -> np.ndarray:
+    """Tr(E_k psi psi^+ o h) for each effect of `povm` and each row h of
+    `harmonics`, complex; povm=None is the (N+1)-point Fourier readout."""
     if povm is None:
-        return _fourier_diagonal(matrix)
-    return np.einsum("kij,ji->k", povm.stacked(), matrix).real
+        return _fourier_traces(probe, harmonics)
+    return np.einsum("kij,...ji->...k", povm.stacked(), _on_subspace(probe, harmonics))
 
 
 def _information(p: np.ndarray, g: np.ndarray) -> float:
@@ -337,7 +354,7 @@ def probe_probs_fn(probe: SubspaceState, povm: Povm):
     """theta -> outcome distribution for the probe/POVM pair."""
 
     def probs(theta: float) -> np.ndarray:
-        return _effect_traces(povm, encoded_rho(probe, theta))
+        return povm.outcome_probabilities(encoded_rho(probe, theta))
 
     return probs
 
@@ -392,16 +409,31 @@ def parity_probs_fn(N: int):
     return probs
 
 
+@functools.lru_cache(maxsize=64)
+def _log_binomials(N: int) -> np.ndarray:
+    """log C(N, m) for m = 0..N, each the log of the exact integer;
+    read-only because it is shared."""
+    out = np.array([math.log(math.comb(N, m)) for m in range(N + 1)])
+    out.setflags(write=False)
+    return out
+
+
+def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x log y elementwise, with 0 log 0 = 0: a vanishing probability raised
+    to the power 0 is 1."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(x == 0, 0.0, x * np.log(y))
+
+
 def product_probs_fn(N: int, theta_ref: float = 0.0):
     """Outcome distribution of N |+> qubits each measured in the rotated-X
     basis aligned to theta_ref; m counts '-' results (binomial)."""
     m = np.arange(N + 1)
-    log_binom = np.array([math.lgamma(N + 1) - math.lgamma(k + 1) - math.lgamma(N - k + 1)
-                          for k in m])
+    log_binom = _log_binomials(N)
 
     def probs(theta: float) -> np.ndarray:
         s = math.sin(theta - theta_ref)
-        return np.exp(log_binom + xlogy(N - m, (1 + s) / 2) + xlogy(m, (1 - s) / 2))
+        return np.exp(log_binom + _xlogy(N - m, (1 + s) / 2) + _xlogy(m, (1 - s) / 2))
 
     return probs
 
@@ -409,10 +441,39 @@ def product_probs_fn(N: int, theta_ref: float = 0.0):
 # ---------------------------------------------------------------------------
 # Bayesian machinery
 
+def _periodic_harmonics(prior: Prior, N: int) -> tuple[np.ndarray, float]:
+    """Rows h_d = int p(theta) e^{-i d theta} dtheta and the centred phasor
+    harmonics c_d = int p(theta) (e^{i (theta - t0)} - 1) e^{-i d theta} dtheta,
+    d = -N..N, as a (2, 2N + 1) array with column d + N, and the centre t0.
+
+    Gaussian and wrapped priors: t0 is the mean reduced into [-pi, pi], as
+    Prior centres its images, h_d = e^{-i d t0 - d^2 sigma^2 / 2} and
+    c_d = e^{-i d t0} (e^{-(d-1)^2 sigma^2 / 2} - e^{-d^2 sigma^2 / 2}), formed
+    through expm1 so that it keeps its digits at small sigma.  At integer d
+    the wrapped law's harmonics are its parent Gaussian's characteristic
+    function, and an unwrapped Gaussian enters a 2 pi-periodic integrand only
+    through that function, so both give these rows.  A flat prior gives
+    h_d = delta_{d,0} and c_d = delta_{d,1} - delta_{d,0} about t0 = 0.
+    """
+    d = np.arange(-N, N + 1)
+    if prior.kind == "flat":
+        mass = (d == 0).astype(complex)
+        return np.stack([mass, (d == 1) - mass]), 0.0
+    t0, s2 = math.remainder(prior.theta0, 2 * math.pi), prior.sigma**2
+    # e^{-(d-1)^2 s2/2} - e^{-d^2 s2/2} as the larger term times expm1 of their
+    # log ratio -|2d - 1| s2 / 2, so that nothing overflows
+    x = (2 * d - 1) * s2 / 2.0
+    centred = (-np.sign(x) * np.exp(-1j * d * t0 - np.minimum(d**2, (d - 1) ** 2) * s2 / 2.0)
+               * np.expm1(-np.abs(x)))
+    return np.stack([np.exp(-1j * d * t0 - d**2 * s2 / 2.0), centred]), t0
+
+
 def _harmonic_moments(prior: Prior, N: int) -> np.ndarray:
     """int p(theta) {1, theta, theta^2, e^{i theta}} e^{-i k theta} dtheta
     for k = -N..N as a (4, 2N + 1) array, column k + N: closed forms in the
-    Gaussian characteristic function, else integrated over [-pi, pi]."""
+    Gaussian characteristic function for a Gaussian prior; otherwise the 1
+    and e^{i theta} rows from _periodic_harmonics and the theta and theta^2
+    rows integrated over [-pi, pi]."""
     k = np.arange(-N, N + 1)
     if prior.kind == "gaussian":
         s2, t0 = prior.sigma**2, prior.theta0
@@ -422,37 +483,23 @@ def _harmonic_moments(prior: Prior, N: int) -> np.ndarray:
                          np.exp(-1j * (k - 1) * t0 - (k - 1) ** 2 * s2 / 2.0)])
 
     def evaluate(thetas, w):
-        powers = np.stack([w, thetas * w, thetas**2 * w, np.exp(1j * thetas) * w])
-        return powers @ np.exp(-1j * np.outer(thetas, k))
+        return np.stack([thetas * w, thetas**2 * w]) @ np.exp(-1j * np.outer(thetas, k))
 
-    return _gauss_legendre_converged(prior.pdf, evaluate, intervals=prior.rule_intervals())
-
-
-def _on_subspace(probe: SubspaceState, harmonics: np.ndarray) -> np.ndarray:
-    """psi_n psi_m* h_{n-m} from harmonics h_k, k = -N..N, on the last axis:
-    entry (n, m) of rho(theta) is psi_n psi_m* e^{-i (n-m) theta}."""
-    n = np.arange(probe.N + 1)
-    kappa = n[:, None] - n[None, :]
-    return np.outer(probe.coeffs, probe.coeffs.conj()) * harmonics[..., kappa + probe.N]
+    first, second = _gauss_legendre_converged(prior.pdf, evaluate,
+                                              intervals=prior.rule_intervals())
+    (mass, centred), centre = _periodic_harmonics(prior, N)
+    return np.stack([mass, first, second, np.exp(1j * centre) * (mass + centred)])
 
 
 def gamma_eta(prior: Prior, probe: SubspaceState) -> tuple[np.ndarray, np.ndarray]:
     """Prior-averaged state Gamma = int p rho dtheta and first moment
-    eta = int theta p rho dtheta on the subspace.
-
-    Gaussian priors use the closed forms
-    Gamma_nm = psi_n psi_m* e^{-i(n-m) theta0} e^{-(n-m)^2 sigma^2 / 2},
-    eta_nm  = (theta0 - i (n-m) sigma^2) Gamma_nm, on the full matrices
-    (bayes-phase cells carry these roundings); other priors use
-    _harmonic_moments.
+    eta = int theta p rho dtheta on the subspace: psi_n psi_m* h_{n-m} for
+    the 1 and theta rows of _harmonic_moments.  For a Gaussian prior these
+    are Gamma_nm = psi_n psi_m* e^{-i(n-m) theta0} e^{-(n-m)^2 sigma^2 / 2}
+    and eta_nm = (theta0 - i (n-m) sigma^2) Gamma_nm.  The rounds themselves
+    never build these matrices; they contract the harmonics directly.
     """
-    if prior.kind != "gaussian":
-        return tuple(_on_subspace(probe, _harmonic_moments(prior, probe.N)[:2]))
-    probe_outer = np.outer(probe.coeffs, probe.coeffs.conj())
-    n = np.arange(probe.N + 1)
-    kappa = n[:, None] - n[None, :]
-    char = np.exp(-1j * kappa * prior.theta0 - kappa**2 * prior.sigma**2 / 2.0)
-    return probe_outer * char, probe_outer * (prior.theta0 - 1j * kappa * prior.sigma**2) * char
+    return tuple(_on_subspace(probe, _harmonic_moments(prior, probe.N)[:2]))
 
 
 @dataclass(frozen=True)
@@ -501,11 +548,10 @@ def bayes_round(state: BayesState) -> EstimationResult:
     prior, probe, povm = state.prior, state.probe, state.povm
     if prior.kind == "gaussian" and prior.sigma > 1.0:
         warnings.warn("MSE phase results are unreliable for sigma > 1", MSEValidityWarning)
-    # Omega = int theta^2 p rho dtheta and the phasor moment Phi = int e^{i theta} p rho dtheta
-    omega, phasor = _on_subspace(probe, _harmonic_moments(prior, probe.N)[2:])
-    probs = _effect_traces(povm, state.gamma)
-    firsts = _effect_traces(povm, state.eta)
-    seconds = _effect_traces(povm, omega)
+    # Tr(E_m X) for X = Gamma, eta, Omega = int theta^2 p rho dtheta and the
+    # phasor moment Phi = int e^{i theta} p rho dtheta
+    traces = _traces(probe, _harmonic_moments(prior, probe.N), povm)
+    probs, firsts, seconds = traces[:3].real
 
     live = probs > PROB_FLOOR
     estimates = np.full(len(probs), np.nan)
@@ -518,12 +564,8 @@ def bayes_round(state: BayesState) -> EstimationResult:
         return EstimationResult(povm.labels, probs, estimates, variances, avg)
 
     avg = float(np.sum(probs[live] * variances[live]))
-    # Tr(E Phi) through the Hermitian and anti-Hermitian parts of Phi
-    adjoint = phasor.conj().T
-    phasors = (_effect_traces(povm, (phasor + adjoint) / 2)
-               + 1j * _effect_traces(povm, (phasor - adjoint) / 2j))
     holevo = np.full(len(probs), np.nan)
-    mod_sq = np.abs(phasors[live] / probs[live]) ** 2
+    mod_sq = np.abs(traces[3, live] / probs[live]) ** 2
     holevo[live] = np.where(mod_sq < 1e-28, np.inf, 1.0 / np.maximum(mod_sq, 1e-28) - 1.0)
     avg_holevo = float(np.sum(probs[live] * holevo[live]))
     return EstimationResult(povm.labels, probs, estimates, variances, avg,
@@ -551,9 +593,8 @@ def _gaussian_mse(N: int, sigma: float, theta0: float, probe: SubspaceState | No
     sigma^2 - sum_k (g_k - theta0 p_k)^2 / p_k with p_k = Tr(E_k Gamma) and
     g_k = Tr(E_k eta); povm=None is the (N+1)-point Fourier readout."""
     probe = _checked_probe(N, probe, povm)
-    gamma, eta = gamma_eta(gaussian_prior(sigma, theta0), probe)
-    p = _effect_traces(povm, gamma)
-    return sigma**2 - _information(p, _effect_traces(povm, eta) - theta0 * p)
+    p, g = _traces(probe, _harmonic_moments(gaussian_prior(sigma, theta0), N)[:2], povm).real
+    return sigma**2 - _information(p, g - theta0 * p)
 
 
 def qft_phase_variance(N: int, sigma: float, theta0: float = 0.0,
@@ -561,8 +602,9 @@ def qft_phase_variance(N: int, sigma: float, theta0: float = 0.0,
     """Average posterior MSE for the probe + Fourier-basis measurement.
 
     Same quantity as bayes_round with qft_povm, but p_k = f_k^+ Gamma f_k and
-    g_k = f_k^+ eta f_k come from the diagonal sums of Gamma and eta and one
-    FFT each, so it stays cheap up to N of a few hundred.
+    g_k = f_k^+ eta f_k come from the probe's autocorrelation times the
+    Gaussian harmonics and one FFT (_fourier_traces): O(N^2) for the
+    autocorrelation, and no (N+1)^2 matrix is built.
     """
     return _gaussian_mse(N, sigma, theta0, probe, None)
 
@@ -573,23 +615,18 @@ def qft_phase_variance(N: int, sigma: float, theta0: float = 0.0,
 def holevo_variance(dist) -> float:
     """|<e^{i theta}>|^-2 - 1 for a circular distribution.
 
-    Accepts a Prior (closed form e^{sigma^2} - 1 for Gaussian shapes,
-    infinite for flat), a normalized pdf callable on [-pi, pi], or a
-    (values, weights) pair of samples.  A vanishing mean phasor is flagged as
-    math.inf.
+    Accepts a Prior (closed form e^{sigma^2} - 1 for Gaussian and wrapped
+    shapes, whose mean phasors are both e^{i theta0 - sigma^2 / 2}; infinite
+    for flat), a normalized pdf callable on [-pi, pi], or a (values, weights)
+    pair of samples.  A vanishing mean phasor is flagged as math.inf.
     """
     if isinstance(dist, Prior):
-        if dist.kind == "flat":
-            return math.inf
-        if dist.kind == "gaussian":
-            return math.exp(dist.sigma**2) - 1.0
-        # over the mass the rule reaches: at sigma = 1e-3 a 1e-14 shortfall
-        # would move the variance, about sigma^2, by 1e-8 relative
-        mass, _, _, phasor = _harmonic_moments(dist, 0)[:, 0]
-        phasor /= mass
-    elif callable(dist):
-        phasor = _gauss_legendre_converged(lambda ts: np.array([float(dist(t)) for t in ts]),
-                                           lambda thetas, w: w @ np.exp(1j * thetas))
+        return math.inf if dist.kind == "flat" else math.expm1(dist.sigma**2)
+    if callable(dist):
+        # the mass sets the scale that the phasor, 0 for a flat law, converges to
+        phasor = _gauss_legendre_converged(
+            lambda ts: np.array([float(dist(t)) for t in ts]),
+            lambda thetas, w: np.array([np.sum(w), w @ np.exp(1j * thetas)]))[1]
     else:
         values, weights = dist
         weights = np.asarray(weights, dtype=float)
@@ -600,46 +637,35 @@ def holevo_variance(dist) -> float:
     return 1.0 / mod_sq - 1.0
 
 
-def _outcome_matrix(probe: SubspaceState, povm: Povm | None, thetas: np.ndarray) -> np.ndarray:
-    """p(k | theta) for every outcome and node; for povm=None (the Fourier
-    readout) the DFT of psi_n e^{-i n theta}."""
-    u = probe.coeffs[None, :] * np.exp(-1j * np.outer(thetas, np.arange(probe.N + 1)))
-    if povm is None:
-        return np.abs(np.fft.fft(u, axis=1)) ** 2 / (probe.N + 1)
-    return np.einsum("kij,tj,ti->tk", povm.stacked(), u, u.conj()).real
-
-
 def holevo_bayes_round(N: int, prior: Prior, probe: SubspaceState | None = None,
-                       povm: Povm | None = None, tol: float = 1e-8) -> float:
-    """Average posterior Holevo phase variance over the measurement outcomes.
+                       povm: Povm | None = None) -> float:
+    """Average posterior Holevo phase variance over the measurement outcomes,
+    sum_m p_m (|phi_m / p_m|^-2 - 1).
 
-    Integrates p(m|theta) p(theta) and its e^{i theta} moment over
-    [-pi, pi] with Gauss-Legendre rules of doubling order until two
-    refinements agree to `tol`.  The default probe/POVM pair is the sine
-    state with the Fourier-basis measurement (fast FFT path).
+    p_m = int p(theta) P(m|theta) dtheta and its e^{i theta} moment phi_m are
+    traces against the prior's closed-form harmonics (_periodic_harmonics):
+    exact at any width, with no quadrature, and an unwrapped Gaussian gives
+    its wrap's value.  The phasor is taken about the prior's centre t0,
+    e^{-i t0} phi_m = p_m + c_m, so p_m^2 - |phi_m|^2 = -(2 p_m Re c_m + |c_m|^2)
+    keeps its digits when the prior is narrow.  The default probe/POVM pair
+    is the sine state with the Fourier-basis measurement (one FFT).
     """
     probe = _checked_probe(N, probe, povm)
-
-    def evaluate(thetas, w):
-        P = _outcome_matrix(probe, povm, thetas)
-        p_m = w @ P
-        phasors = (w * np.exp(1j * thetas)) @ P
-        live = p_m > PROB_FLOOR
-        mod_sq = np.abs(phasors[live] / p_m[live]) ** 2
-        if np.any(mod_sq < 1e-28):
-            return math.inf
-        return float(np.sum(p_m[live] * (1.0 / mod_sq - 1.0)))
-
-    return _gauss_legendre_converged(prior.pdf, evaluate, tol, prior.rule_intervals())
+    p, centred = _traces(probe, _periodic_harmonics(prior, N)[0], povm)
+    live = p.real > PROB_FLOOR
+    p, centred = p[live].real, centred[live]
+    phasor_sq = np.abs(p + centred) ** 2
+    if np.any(phasor_sq < 1e-28 * p**2):
+        return math.inf
+    return float(np.sum(-p * (2 * p * centred.real + np.abs(centred) ** 2) / phasor_sq))
 
 
 def holevo_outcome_probabilities(N: int, prior: Prior,
                                  probe: SubspaceState | None = None) -> np.ndarray:
-    """Unconditional QFT outcome distribution p(k) under a wrapped prior."""
+    """Unconditional QFT outcome distribution p(k) under a periodic prior,
+    from its closed-form harmonics."""
     probe = _checked_probe(N, probe, None)
-    return _gauss_legendre_converged(
-        prior.pdf, lambda thetas, w: w @ _outcome_matrix(probe, None, thetas),
-        intervals=prior.rule_intervals())
+    return _fourier_traces(probe, _periodic_harmonics(prior, N)[0][0]).real
 
 
 # ---------------------------------------------------------------------------
@@ -689,8 +715,8 @@ def _classical_parallel_sums(N: int, sigma: float) -> float:
     live = w0 >= _NODE_FLOOR * w0.max()
     half = theta[live, None] / 2 + math.pi / 4
     m = np.arange(N + 1)
-    log_binom = gammaln(N + 1) - gammaln(m + 1) - gammaln(N - m + 1)
-    P = np.exp(log_binom + xlogy(N - m, np.sin(half) ** 2) + xlogy(m, np.cos(half) ** 2))
+    P = np.exp(_log_binomials(N) + _xlogy(N - m, np.sin(half) ** 2)
+               + _xlogy(m, np.cos(half) ** 2))
     scale = math.sqrt(2 * math.pi) / (M * sigma)  # node spacing times the Gaussian's norm
     p = scale * (w0[live] @ P)
     gamma = scale * (w1[live] @ P)
@@ -767,12 +793,12 @@ def dephased_rho(probe: SubspaceState, sigma: float, theta: float) -> np.ndarray
 
 def dephased_fisher_information(probe: SubspaceState, povm: Povm, sigma: float,
                                 theta: float) -> float:
-    """FI of the dephased probe at theta, via the analytic state derivative."""
-    n = np.arange(probe.N + 1)
-    kappa = n[:, None] - n[None, :]
-    rho = dephased_rho(probe, sigma, theta)
-    drho = -1j * kappa * rho
-    return _information(_effect_traces(povm, rho), _effect_traces(povm, drho))
+    """FI of the dephased probe at theta, via the analytic state derivative:
+    rho is psi psi^+ o h with h_d = e^{-d^2 sigma^2 / 2 - i d theta}, and
+    d rho / d theta is psi psi^+ o (-i d h)."""
+    d = np.arange(-probe.N, probe.N + 1)
+    h = np.exp(-(d**2) * sigma**2 / 2.0 - 1j * d * theta)
+    return _information(*_traces(probe, np.stack([h, -1j * d * h]), povm).real)
 
 
 def noisy_local_equivalence_check(N: int, sigma: float, probe: SubspaceState,

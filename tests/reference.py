@@ -9,11 +9,15 @@
   p(m|theta) against the prior, for the Bayesian rounds and for the
   classical strategy; the package itself integrates priors by fixed
   Gauss-Legendre rules.
+* The Holevo round by node quadrature: the outcome law evaluated node by
+  node and integrated against the prior, where the package contracts the
+  probe's autocorrelation with the prior's closed-form harmonics.
 * The single-branch projection that returns a fresh state, and the qubit
   drop that follows it.
 * The compressor run densely: the 2^n-amplitude embedding through every
   gate of `simcore.run_circuit`, then one qubit drop per non-output wire.
-* The QFT-readout variance through two dense DFT products.
+* The QFT-readout variance through two dense DFT products on Gamma and eta
+  written out in closed form.
 
 None of these is on a production path; they are slow and kept for their
 independence.
@@ -33,7 +37,7 @@ from clustersense.estimate import (
     Povm,
     Prior,
     QuadratureError,
-    gamma_eta,
+    _gauss_legendre_converged,
     gaussian_prior,
     probe_probs_fn,
     product_probs_fn,
@@ -181,6 +185,90 @@ def bayes_variance_quadrature(prior: Prior, probe: SubspaceState, povm: Povm,
 
 
 # ---------------------------------------------------------------------------
+# Holevo round by node quadrature
+
+def _offset_law(prior: Prior):
+    """(centre, pdf, intervals) for the prior's law of the offset
+    x = theta - centre, centre its mean reduced into [-pi, pi] (0 for a flat
+    prior).  The density is written in x, so no node near +-pi loses the
+    digits of its offset.  A wrapped prior is a sum of Gaussian images on the
+    circle, or on +-12 sigma when that is narrower; an unwrapped Gaussian
+    spans +-12 sigma of the real line, with no images at all."""
+    if prior.kind == "flat":
+        return 0.0, lambda x: np.full_like(x, 1 / (2 * math.pi)), ((-math.pi, math.pi),)
+    sigma = prior.sigma
+    if prior.kind == "gaussian":
+        q, half = np.zeros(1), 12 * sigma
+    else:
+        q_max = math.ceil((math.pi + 12 * sigma) / (2 * math.pi))
+        q, half = np.arange(-q_max, q_max + 1), min(math.pi, 12 * sigma)
+
+    def pdf(x):
+        images = x[:, None] + 2 * math.pi * q
+        return np.exp(-images**2 / (2 * sigma**2)).sum(axis=1) / (math.sqrt(2 * math.pi) * sigma)
+
+    return math.remainder(prior.theta0, 2 * math.pi), pdf, ((-half, half),)
+
+
+def outcome_law(probe: SubspaceState, povm: Povm | None = None):
+    """thetas -> P(m | theta), one row per node: |DFT(psi_n e^{-i n theta})|^2
+    / (N + 1) for the Fourier readout, else the squared overlaps of the
+    encoded probe with the eigenvectors of each effect, summed per effect
+    (the eigenvectors are found once, here)."""
+    n = np.arange(probe.N + 1)
+    if povm is not None:
+        values, vectors = np.linalg.eigh(povm.stacked())
+        owner, column = np.nonzero(values > 1e-12)
+        rows = vectors[owner, :, column] * np.sqrt(values[owner, column])[:, None]
+        per_effect = np.zeros((len(owner), len(povm.effects)))
+        per_effect[np.arange(len(owner)), owner] = 1.0
+
+    def law(thetas):
+        u = probe.coeffs * np.exp(-1j * np.outer(thetas, n))
+        if povm is None:
+            return np.abs(np.fft.fft(u, axis=1)) ** 2 / (probe.N + 1)
+        return np.abs(u @ rows.conj().T) ** 2 @ per_effect
+
+    return law
+
+
+def holevo_bayes_round_by_nodes(prior: Prior, law, tol: float = 1e-13) -> float:
+    """sum_m p_m (|phi_m / p_m|^-2 - 1) with p_m and phi_m, the integrals of
+    P(m|theta) = law(theta) and e^{i theta} P(m|theta) against the prior,
+    taken node by node by Gauss-Legendre rules of doubling order until two
+    agree to `tol` relative to the value.
+
+    Each outcome's phasor is taken about its own direction theta_m = arg
+    phi_m, so that p_m^2 - |phi_m|^2 = S_m (2 p_m - S_m) - T_m^2 with
+    S_m = int w 2 sin^2((theta - theta_m) / 2) P(m|theta) >= 0 and
+    T_m = int w sin(theta - theta_m) P(m|theta), which is 0 up to rounding:
+    nothing cancels, at any prior width.
+    """
+    centre, pdf, intervals = _offset_law(prior)
+
+    def evaluate(x, w):
+        P = law(centre + x)
+        p = w @ P
+        P = P[:, p > PROB_FLOOR]
+        p = p[p > PROB_FLOOR]
+        y = x[:, None] - np.angle((w * np.exp(1j * x)) @ P)
+        S = w @ (2 * np.sin(y / 2) ** 2 * P)
+        T = w @ (np.sin(y) * P)
+        return float(np.sum(p * (S * (2 * p - S) - T**2) / ((p - S) ** 2 + T**2)))
+
+    return _gauss_legendre_converged(pdf, evaluate, tol, intervals)
+
+
+def outcome_probabilities_by_nodes(prior: Prior, law, tol: float = 1e-12) -> np.ndarray:
+    """p(m), the integral of law(theta) against the prior node by node, to
+    `tol` relative to the largest p(m).  The default is looser than the
+    round's: each p(m), about 1 / (N + 1), carries the rounding of a sum of
+    terms as large as the whole law's."""
+    centre, pdf, intervals = _offset_law(prior)
+    return _gauss_legendre_converged(pdf, lambda x, w: w @ law(centre + x), tol, intervals)
+
+
+# ---------------------------------------------------------------------------
 # Measurement of one branch
 
 def measure_branch(state: StateVector, qubit: int, outcome: int) -> tuple[StateVector, float]:
@@ -245,10 +333,15 @@ def qft_phase_variance_dense(N: int, sigma: float, theta0: float = 0.0,
                              probe: SubspaceState | None = None) -> float:
     """Average posterior MSE of the probe with the (N+1)-point Fourier-basis
     readout: p_k and g_k as f_k^+ Gamma f_k and f_k^+ eta f_k, by two dense
-    matrix products with the DFT columns."""
+    matrix products with the DFT columns, on the closed forms
+    Gamma_nm = psi_n psi_m* e^{-i(n-m) theta0 - (n-m)^2 sigma^2 / 2} and
+    eta_nm = (theta0 - i (n-m) sigma^2) Gamma_nm."""
     probe = probe if probe is not None else sine_coefficients(N)
-    gamma, eta = gamma_eta(gaussian_prior(sigma, theta0), probe)
     n = np.arange(N + 1)
+    kappa = n[:, None] - n[None, :]
+    gamma = (np.outer(probe.coeffs, probe.coeffs.conj())
+             * np.exp(-1j * kappa * theta0 - kappa**2 * sigma**2 / 2.0))
+    eta = (theta0 - 1j * kappa * sigma**2) * gamma
     f = np.exp(1j * np.outer(n, n) * 2 * math.pi / (N + 1)) / math.sqrt(N + 1)
     p = np.einsum("nk,nk->k", f.conj(), gamma @ f).real
     g = np.einsum("nk,nk->k", f.conj(), eta @ f).real - theta0 * p

@@ -159,7 +159,7 @@ def test_numerical_failure_exits_one(monkeypatch, tmp_path, capsys):
     def unconverged(*args, **kwargs):
         raise cli.estimate.QuadratureError("Gauss-Legendre orders up to 2048 did not converge")
 
-    monkeypatch.setattr(cli.estimate, "_gauss_legendre_converged", unconverged)
+    monkeypatch.setattr(cli.estimate, "holevo_bayes_round", unconverged)
     out = tmp_path / "out.csv"
     assert cli.main(["holevo", "--n-max", "2", "--out", str(out)]) == 1
     captured = capsys.readouterr()

@@ -333,6 +333,62 @@ def test_holevo_round_with_explicit_povm_matches_fft_path():
     assert fast == pytest.approx(generic, rel=1e-9)
 
 
+#: Widths from a rule on +-12 sigma to a nearly flat prior, and means at 0,
+#: off 0, near the cut at +-pi and on it.
+HOLEVO_PIN_SIGMAS = (1e-3, 0.01, math.pi / 12, math.pi / 8, 1.0, math.pi)
+HOLEVO_PIN_THETA0S = (0.0, 0.2, 3.1, math.pi)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 8, 40, 100])
+def test_holevo_closed_form_matches_node_oracle(N):
+    # the harmonic route against node quadrature of the outcome law; the
+    # random complex probe has no mirror symmetry, and qft_povm takes the
+    # explicit-POVM route of the same readout
+    rng = np.random.default_rng(N)
+    raw = rng.normal(size=N + 1) + 1j * rng.normal(size=N + 1)
+    sine, scrambled = probes.sine_coefficients(N), probes.SubspaceState(N, raw / np.linalg.norm(raw))
+    readouts = [(probe, povm, reference.outcome_law(probe, povm))
+                for probe, povm in ((sine, None), (sine, qft_povm(N)), (scrambled, None))]
+    for sigma in HOLEVO_PIN_SIGMAS:
+        for theta0 in HOLEVO_PIN_THETA0S:
+            prior = wrapped_gaussian_prior(sigma, theta0)
+            for probe, povm, law in readouts:
+                assert holevo_bayes_round(N, prior, probe, povm) == pytest.approx(
+                    reference.holevo_bayes_round_by_nodes(prior, law), rel=2e-12, abs=0), (
+                        sigma, theta0, povm is None, probe is sine)
+                if povm is None:
+                    np.testing.assert_allclose(est.holevo_outcome_probabilities(N, prior, probe),
+                                               reference.outcome_probabilities_by_nodes(prior, law),
+                                               rtol=0, atol=2e-14)
+
+
+@pytest.mark.parametrize("N", [1, 3, 8])
+def test_unwrapped_gaussian_round_is_its_wrap(N):
+    # the oracle integrates the unwrapped Gaussian over the real line; the
+    # closed form uses the wrap's harmonics
+    law = reference.outcome_law(probes.sine_coefficients(N))
+    for sigma in (0.01, 0.5, 1.0):
+        for theta0 in (0.2, 3.1):
+            prior = gaussian_prior(sigma, theta0)
+            assert holevo_bayes_round(N, prior) == pytest.approx(
+                reference.holevo_bayes_round_by_nodes(prior, law), rel=2e-12, abs=0)
+            assert holevo_bayes_round(N, prior) == holevo_bayes_round(
+                N, wrapped_gaussian_prior(sigma, theta0))
+            np.testing.assert_allclose(est.holevo_outcome_probabilities(N, prior),
+                                       reference.outcome_probabilities_by_nodes(prior, law),
+                                       rtol=0, atol=2e-14)
+
+
+@pytest.mark.parametrize("N", [1, 2, 8])
+def test_flat_prior_round_matches_node_oracle(N):
+    prior = flat_prior()
+    assert holevo_bayes_round(N, prior) == pytest.approx(
+        reference.holevo_bayes_round_by_nodes(prior, reference.outcome_law(probes.sine_coefficients(N))),
+        rel=2e-12, abs=0)
+    np.testing.assert_allclose(est.holevo_outcome_probabilities(N, prior), np.full(N + 1, 1 / (N + 1)),
+                               rtol=0, atol=1e-15)
+
+
 def test_wrapped_prior_mean_outside_pi_is_reduced():
     far, reduced = 100.0, math.remainder(100.0, 2 * math.pi)
     prior = wrapped_gaussian_prior(0.5, far)
@@ -372,6 +428,16 @@ def test_harmonic_moments_match_adaptive_quadrature(prior):
                     lambda t: weight(t) * float(prior.pdf(t)) * np.exp(-1j * k * t),
                     -math.pi, math.pi, rtol=1e-12)
                 assert abs(moments[row, col] - want) <= 1e-12, (N, row, k)
+
+
+def test_phase_commands_leave_scipy_unloaded():
+    code = ("import sys\n"
+            "from clustersense import cli\n"
+            "for argv in (['bayes-phase', '--sigma', '0.5', '--n-max', '8'],\n"
+            "             ['holevo', '--sigma', '0.4', '--n-max', '8']):\n"
+            "    assert cli.main(argv + ['--out', __import__('os').devnull]) == 0\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    assert _run_fresh(code) == "[]"
 
 
 def test_round_integrals_leave_scipy_integrate_unloaded():
@@ -618,21 +684,19 @@ def test_narrow_wrapped_prior_fisher_information_is_gaussian(sigma):
 
 @pytest.mark.parametrize("call", [
     lambda: holevo_variance(lambda t: float(wrapped_gaussian_prior(1e-3).pdf(t))),
-    lambda: holevo_bayes_round(2, gaussian_prior(1e-3)),
-    lambda: est.holevo_outcome_probabilities(2, gaussian_prior(1e-3)),
-], ids=["holevo-variance", "holevo-round", "outcome-probabilities"])
+], ids=["holevo-variance"])
 def test_prior_too_narrow_for_the_rule_raises(call):
-    # a pdf callable and an unwrapped Gaussian carry no window, so the rule
-    # spans [-pi, pi]: at sigma = 1e-3 the first orders' nodes miss the
-    # prior, every value is 0 at two orders, and that must not count as
-    # converged
+    # a pdf callable carries no window, so the rule spans [-pi, pi]: at
+    # sigma = 1e-3 the first orders' nodes miss the prior, every value is 0
+    # at two orders, and that must not count as converged
     with pytest.raises(est.QuadratureError):
         call()
 
 
-def _narrow_holevo_round_by_quad(N: int, sigma: float) -> float:
-    """holevo_bayes_round(N, wrapped_gaussian_prior(sigma)) by adaptive
-    quadrature over +-12 sigma, with the Fourier readout's law
+def _narrow_fourier_integrals_by_quad(N: int, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """p_m and phi_m, the integrals of P(m|theta) and e^{i theta} P(m|theta)
+    against wrapped_gaussian_prior(sigma), by adaptive quadrature over
+    +-12 sigma, with the Fourier readout's law
     |DFT(psi_n e^{-i n theta})|^2 / (N + 1) written out."""
     prior, probe = wrapped_gaussian_prior(sigma), probes.sine_coefficients(N)
 
@@ -640,14 +704,19 @@ def _narrow_holevo_round_by_quad(N: int, sigma: float) -> float:
         u = probe.coeffs * np.exp(-1j * theta * np.arange(N + 1))
         return np.abs(np.fft.fft(u)) ** 2 / (N + 1)
 
-    total = 0.0
-    for m in range(N + 1):
-        p = reference._quad(lambda t: float(prior.pdf(t)) * law(t)[m], -12 * sigma, 12 * sigma,
-                            rtol=1e-14)
-        phasor = reference._quad_complex(lambda t: float(prior.pdf(t)) * law(t)[m] * np.exp(1j * t),
-                                         -12 * sigma, 12 * sigma, rtol=1e-14)
-        total += p * (abs(p / phasor) ** 2 - 1)
-    return total
+    p = np.array([reference._quad(lambda t: float(prior.pdf(t)) * law(t)[m],
+                                  -12 * sigma, 12 * sigma, rtol=1e-14) for m in range(N + 1)])
+    phasor = np.array([reference._quad_complex(
+        lambda t: float(prior.pdf(t)) * law(t)[m] * np.exp(1j * t), -12 * sigma, 12 * sigma,
+        rtol=1e-14) for m in range(N + 1)])
+    return p, phasor
+
+
+def _narrow_holevo_round_by_quad(N: int, sigma: float) -> float:
+    """holevo_bayes_round(N, wrapped_gaussian_prior(sigma)) from
+    _narrow_fourier_integrals_by_quad."""
+    p, phasor = _narrow_fourier_integrals_by_quad(N, sigma)
+    return float(np.sum(p * (np.abs(p / phasor) ** 2 - 1)))
 
 
 @pytest.mark.parametrize("call, expected, rel", [
@@ -657,10 +726,17 @@ def _narrow_holevo_round_by_quad(N: int, sigma: float) -> float:
     (lambda: holevo_bayes_round(2, wrapped_gaussian_prior(1e-3)),
      lambda: _narrow_holevo_round_by_quad(2, 1e-3), 1e-8),
     (lambda: wrapped_gaussian_prior(1e-3).fisher_information(), lambda: 1e6, 1e-10),
-], ids=["harmonics", "holevo-variance", "holevo-round", "prior-fisher"])
+    (lambda: holevo_bayes_round(2, gaussian_prior(1e-3)),
+     lambda: _narrow_holevo_round_by_quad(2, 1e-3), 1e-8),
+    (lambda: est.holevo_outcome_probabilities(2, gaussian_prior(1e-3)),
+     lambda: _narrow_fourier_integrals_by_quad(2, 1e-3)[0], None),
+], ids=["harmonics", "holevo-variance", "holevo-round", "prior-fisher", "gaussian-holevo-round",
+        "outcome-probabilities"])
 def test_narrow_wrapped_prior_integrates(call, expected, rel):
-    # the cases of test_prior_too_narrow_for_the_rule_raises that a rule on
-    # theta0 +- 12 sigma now resolves, each against its closed form or oracle
+    # the cases of test_prior_too_narrow_for_the_rule_raises that now
+    # resolve, each against its closed form or oracle: a rule on theta0 +-
+    # 12 sigma integrates the wrapped prior, and the Holevo rounds of an
+    # unwrapped Gaussian take its wrap's closed-form harmonics
     if rel is None:
         for value, want in zip(call(), expected()):
             np.testing.assert_allclose(value, want, rtol=0, atol=1e-12)
@@ -674,6 +750,30 @@ def test_narrow_wrapped_prior_closed_forms(sigma, theta0):
     prior = wrapped_gaussian_prior(sigma, theta0)
     assert holevo_variance(prior) == pytest.approx(math.expm1(sigma**2), rel=1e-8, abs=0)
     assert prior.fisher_information() == pytest.approx(1.0 / sigma**2, rel=1e-10)
+
+
+@pytest.mark.parametrize("theta0", [0.0, 0.2])
+def test_narrow_prior_second_moment_is_relative(theta0):
+    # convergence is judged against the result's own scale, not against 1:
+    # the theta^2 harmonic of a width-1e-3 prior is sigma^2 + theta0^2
+    sigma = 1e-3
+    second = est._harmonic_moments(wrapped_gaussian_prior(sigma, theta0), 0)[2, 0]
+    assert second.real == pytest.approx(sigma**2 + theta0**2, rel=1e-10, abs=0)
+    assert abs(second.imag) <= 1e-10 * (sigma**2 + theta0**2)
+
+
+def test_convergence_is_relative_to_the_value():
+    flat = flat_prior().pdf
+    # a value of 1e-6 whose orders differ by 5e-15, 5e-9 of itself: converged
+    # in absolute terms, but not to 1e-12 of its own size
+    with pytest.raises(est.QuadratureError):
+        est._gauss_legendre_converged(flat, lambda thetas, w: 1e-6 * (1 + 0.64e-6 / len(thetas)))
+    # the mean of a flat prior is 0 up to rounding; it is judged against
+    # the largest entry of the result, not against itself
+    mean, second = est._gauss_legendre_converged(
+        flat, lambda thetas, w: np.array([w @ thetas, w @ thetas**2]))
+    assert abs(mean) <= 1e-14
+    assert second == pytest.approx(math.pi**2 / 3, rel=1e-13)
 
 
 def test_narrow_rule_wraps_past_pi():
