@@ -12,11 +12,14 @@ psi psi^+ o h entrywise.  The 1 and e^{i theta} harmonics are closed forms;
 the theta and theta^2 harmonics of wrapped and flat priors are integrated
 over [-pi, pi] by Gauss-Legendre rules of doubling order, a wrapped prior
 narrower than pi / 12 over theta0 +- 12 sigma only.  A measurement is a
-Povm, or None for the (N+1)-point Fourier readout, whose traces take the
-probe's autocorrelation and one FFT (_fourier_traces).  The optimal-parallel
-classical strategy has an outcome law that is a trigonometric polynomial of
-degree N, so a periodic trapezoid rule against the wrapped Gaussian
-integrates it exactly in float64, with every summed term positive.
+Povm, whose effects are folded against the probe into one matrix per call,
+or None for the (N+1)-point Fourier readout, whose traces take the probe's
+autocorrelation and one FFT (_fourier_traces).  Either way a stack of
+harmonic rows, such as the Gaussian rows of a whole grid of widths, is one
+call.  The optimal-parallel classical strategy has an outcome law that is a
+trigonometric polynomial of degree N, so a periodic trapezoid rule against
+the wrapped Gaussian integrates it exactly in float64, with every summed
+term positive.
 """
 
 from __future__ import annotations
@@ -327,18 +330,31 @@ def _fourier_traces(probe: SubspaceState, harmonics: np.ndarray) -> np.ndarray:
 
 def _traces(probe: SubspaceState, harmonics: np.ndarray, povm: Povm | None) -> np.ndarray:
     """Tr(E_k psi psi^+ o h) for each effect of `povm` and each row h of
-    `harmonics`, complex; povm=None is the (N+1)-point Fourier readout."""
+    `harmonics` (d = -N..N on the last axis, leading axes kept), complex;
+    povm=None is the (N+1)-point Fourier readout.
+
+    An explicit POVM is first folded against the probe,
+    B_kd = sum_{j - i = d} (E_k)_ij psi_j psi_i*, one diagonal of the
+    effects at a time; every row then costs the product h B^T, and a stack
+    of rows is a stack of such products, each computed as if alone.
+    """
     if povm is None:
         return _fourier_traces(probe, harmonics)
-    return np.einsum("kij,...ji->...k", povm.stacked(), _on_subspace(probe, harmonics))
+    N, psi = probe.N, probe.coeffs
+    folded = np.empty((len(povm.labels), 2 * N + 1), dtype=complex)
+    for d in range(-N, N + 1):
+        lo, hi = max(d, 0), N + 1 + min(d, 0)  # the j of diagonal d; i = j - d
+        folded[:, d + N] = (np.diagonal(povm.stacked(), d, 1, 2)
+                            @ (psi[lo:hi] * psi[lo - d:hi - d].conj()))
+    return harmonics @ folded.T
 
 
-def _information(p: np.ndarray, g: np.ndarray) -> float:
-    """sum_k g_k^2 / p_k, skipping outcomes with p_k <= PROB_FLOOR: the
-    Fisher information for g = dp/dtheta, and sigma^2 - V for a Gaussian
-    prior with p_k = Tr(E_k Gamma), g_k = Tr(E_k eta) - theta0 p_k."""
-    live = p > PROB_FLOOR
-    return float(np.sum(g[live] ** 2 / p[live]))
+def _information(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """sum_k g_k^2 / p_k over the last axis, skipping outcomes with
+    p_k <= PROB_FLOOR: the Fisher information for g = dp/dtheta, and
+    sigma^2 - V for a Gaussian prior with p_k = Tr(E_k Gamma),
+    g_k = Tr(E_k eta) - theta0 p_k."""
+    return np.divide(g**2, p, out=np.zeros_like(p), where=p > PROB_FLOOR).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +381,7 @@ def fisher_information(probs_fn, theta: float, step: float = 1e-5) -> float:
     if np.min(p0) < -1e-12:
         raise EstimateError(f"negative outcome probability {np.min(p0):.3e}")
     dp = (np.asarray(probs_fn(theta + step)) - np.asarray(probs_fn(theta - step))) / (2 * step)
-    return _information(p0, dp)
+    return float(_information(p0, dp))
 
 
 def qfi_pure(probe: SubspaceState) -> float:
@@ -468,27 +484,35 @@ def _periodic_harmonics(prior: Prior, N: int) -> tuple[np.ndarray, float]:
     return np.stack([np.exp(-1j * d * t0 - d**2 * s2 / 2.0), centred]), t0
 
 
+def _gaussian_harmonics(sigma, theta0: float, N: int) -> np.ndarray:
+    """int p(theta) {1, theta} e^{-i k theta} dtheta, k = -N..N, for a
+    Gaussian prior of mean theta0: e^{-i k theta0 - k^2 sigma^2 / 2} and
+    (theta0 - i k sigma^2) times it.  sigma is one width or an array of
+    widths; the result has shape sigma.shape + (2, 2N + 1), column k + N."""
+    k = np.arange(-N, N + 1)
+    s2 = np.square(np.asarray(sigma, dtype=float))[..., None]
+    char = np.exp(-1j * k * theta0 - k**2 * s2 / 2.0)
+    return np.stack([char, (theta0 - 1j * k * s2) * char], axis=-2)
+
+
 def _harmonic_moments(prior: Prior, N: int) -> np.ndarray:
-    """int p(theta) {1, theta, theta^2, e^{i theta}} e^{-i k theta} dtheta
-    for k = -N..N as a (4, 2N + 1) array, column k + N: closed forms in the
-    Gaussian characteristic function for a Gaussian prior; otherwise the 1
-    and e^{i theta} rows from _periodic_harmonics and the theta and theta^2
-    rows integrated over [-pi, pi]."""
+    """int p(theta) {1, theta, theta^2} e^{-i k theta} dtheta for k = -N..N
+    as a (3, 2N + 1) array, column k + N: closed forms in the Gaussian
+    characteristic function for a Gaussian prior; otherwise the 1 row from
+    _periodic_harmonics and the theta and theta^2 rows integrated over
+    [-pi, pi]."""
     k = np.arange(-N, N + 1)
     if prior.kind == "gaussian":
         s2, t0 = prior.sigma**2, prior.theta0
-        char = np.exp(-1j * k * t0 - k**2 * s2 / 2.0)
-        return np.stack([char, (t0 - 1j * k * s2) * char,
-                         (s2 + t0**2 - 2j * t0 * k * s2 - k**2 * s2**2) * char,
-                         np.exp(-1j * (k - 1) * t0 - (k - 1) ** 2 * s2 / 2.0)])
+        char, first = _gaussian_harmonics(prior.sigma, t0, N)
+        return np.stack([char, first, (s2 + t0**2 - 2j * t0 * k * s2 - k**2 * s2**2) * char])
 
     def evaluate(thetas, w):
         return np.stack([thetas * w, thetas**2 * w]) @ np.exp(-1j * np.outer(thetas, k))
 
     first, second = _gauss_legendre_converged(prior.pdf, evaluate,
                                               intervals=prior.rule_intervals())
-    (mass, centred), centre = _periodic_harmonics(prior, N)
-    return np.stack([mass, first, second, np.exp(1j * centre) * (mass + centred)])
+    return np.stack([_periodic_harmonics(prior, N)[0][0], first, second])
 
 
 def gamma_eta(prior: Prior, probe: SubspaceState) -> tuple[np.ndarray, np.ndarray]:
@@ -543,14 +567,20 @@ def bayes_round(state: BayesState) -> EstimationResult:
 
     For Gaussian priors the average variance uses the exact simplification
     sigma^2 - sum_m gamma_m^2 / Tr(E_m Gamma); outcomes with probability
-    below 1e-14 carry zero weight and are skipped.
+    below 1e-14 carry zero weight and are skipped.  Wrapped and flat priors
+    also get Holevo variances, from the centred phasor row of
+    _periodic_harmonics as in holevo_bayes_round, so they keep their digits
+    at narrow widths.
     """
     prior, probe, povm = state.prior, state.probe, state.povm
     if prior.kind == "gaussian" and prior.sigma > 1.0:
         warnings.warn("MSE phase results are unreliable for sigma > 1", MSEValidityWarning)
-    # Tr(E_m X) for X = Gamma, eta, Omega = int theta^2 p rho dtheta and the
-    # phasor moment Phi = int e^{i theta} p rho dtheta
-    traces = _traces(probe, _harmonic_moments(prior, probe.N), povm)
+    # Tr(E_m X) for X = Gamma, eta, Omega = int theta^2 p rho dtheta and, for
+    # a periodic prior, the centred phasor moment
+    rows = _harmonic_moments(prior, probe.N)
+    if prior.kind != "gaussian":
+        rows = np.vstack([rows, _periodic_harmonics(prior, probe.N)[0][1]])
+    traces = _traces(probe, rows, povm)
     probs, firsts, seconds = traces[:3].real
 
     live = probs > PROB_FLOOR
@@ -560,16 +590,15 @@ def bayes_round(state: BayesState) -> EstimationResult:
     variances[live] = seconds[live] / probs[live] - estimates[live] ** 2
 
     if prior.kind == "gaussian":
-        avg = prior.sigma**2 - _information(probs, firsts - prior.theta0 * probs)
+        avg = prior.sigma**2 - float(_information(probs, firsts - prior.theta0 * probs))
         return EstimationResult(povm.labels, probs, estimates, variances, avg)
 
     avg = float(np.sum(probs[live] * variances[live]))
+    weighted = _weighted_holevo(probs[live], traces[3, live])
     holevo = np.full(len(probs), np.nan)
-    mod_sq = np.abs(traces[3, live] / probs[live]) ** 2
-    holevo[live] = np.where(mod_sq < 1e-28, np.inf, 1.0 / np.maximum(mod_sq, 1e-28) - 1.0)
-    avg_holevo = float(np.sum(probs[live] * holevo[live]))
+    holevo[live] = weighted / probs[live]
     return EstimationResult(povm.labels, probs, estimates, variances, avg,
-                            holevo_variances=holevo, avg_holevo_variance=avg_holevo)
+                            holevo_variances=holevo, avg_holevo_variance=float(np.sum(weighted)))
 
 
 def average_posterior_variance(prior: Prior, probe: SubspaceState, povm: Povm) -> float:
@@ -587,14 +616,21 @@ def _checked_probe(N: int, probe: SubspaceState | None, povm: Povm | None) -> Su
     return probe
 
 
-def _gaussian_mse(N: int, sigma: float, theta0: float, probe: SubspaceState | None,
-                  povm: Povm | None) -> float:
+def _gaussian_mse(N: int, sigma, theta0: float, probe: SubspaceState | None,
+                  povm: Povm | None) -> np.ndarray:
     """Average posterior MSE of one round under a Gaussian prior:
     sigma^2 - sum_k (g_k - theta0 p_k)^2 / p_k with p_k = Tr(E_k Gamma) and
-    g_k = Tr(E_k eta); povm=None is the (N+1)-point Fourier readout."""
+    g_k = Tr(E_k eta); povm=None is the (N+1)-point Fourier readout.
+
+    sigma is one width or an array of widths, and the result has its shape.
+    Only the 1 and theta harmonic rows are formed, and the traces of every
+    width are taken in one call (_traces keeps leading axes), so a grid of
+    widths costs one kernel call and a single width runs the same kernel.
+    """
     probe = _checked_probe(N, probe, povm)
-    p, g = _traces(probe, _harmonic_moments(gaussian_prior(sigma, theta0), N)[:2], povm).real
-    return sigma**2 - _information(p, g - theta0 * p)
+    traces = _traces(probe, _gaussian_harmonics(sigma, theta0, N), povm).real
+    p, g = traces[..., 0, :], traces[..., 1, :]
+    return np.square(np.asarray(sigma, dtype=float)) - _information(p, g - theta0 * p)
 
 
 def qft_phase_variance(N: int, sigma: float, theta0: float = 0.0,
@@ -606,7 +642,7 @@ def qft_phase_variance(N: int, sigma: float, theta0: float = 0.0,
     Gaussian harmonics and one FFT (_fourier_traces): O(N^2) for the
     autocorrelation, and no (N+1)^2 matrix is built.
     """
-    return _gaussian_mse(N, sigma, theta0, probe, None)
+    return float(_gaussian_mse(N, sigma, theta0, probe, None))
 
 
 # ---------------------------------------------------------------------------
@@ -653,11 +689,18 @@ def holevo_bayes_round(N: int, prior: Prior, probe: SubspaceState | None = None,
     probe = _checked_probe(N, probe, povm)
     p, centred = _traces(probe, _periodic_harmonics(prior, N)[0], povm)
     live = p.real > PROB_FLOOR
-    p, centred = p[live].real, centred[live]
+    return float(np.sum(_weighted_holevo(p[live].real, centred[live])))
+
+
+def _weighted_holevo(p: np.ndarray, centred: np.ndarray) -> np.ndarray:
+    """p_m (|phi_m / p_m|^-2 - 1) per outcome, from p_m and the trace c_m of
+    the centred phasor row (e^{-i t0} phi_m = p_m + c_m):
+    -p_m (2 p_m Re c_m + |c_m|^2) / |p_m + c_m|^2, in which nothing cancels
+    at a narrow prior; infinite where the phasor vanishes."""
     phasor_sq = np.abs(p + centred) ** 2
-    if np.any(phasor_sq < 1e-28 * p**2):
-        return math.inf
-    return float(np.sum(-p * (2 * p * centred.real + np.abs(centred) ** 2) / phasor_sq))
+    vanished = phasor_sq < 1e-28 * p**2
+    return np.where(vanished, np.inf, -p * (2 * p * centred.real + np.abs(centred) ** 2)
+                    / np.where(vanished, 1.0, phasor_sq))
 
 
 def holevo_outcome_probabilities(N: int, prior: Prior,
@@ -703,9 +746,18 @@ def _classical_parallel_sums(N: int, sigma: float) -> float:
     aliasing below e^{-72}.  P is built from log-binomials and the half-angle
     squares (1 +- sin theta)/2 = sin^2, cos^2(theta/2 + pi/4), so every term
     is a positive float64 and nothing cancels before the final subtraction.
+
+    Only the nodes within 14 sigma of 0 are built, all M of them once
+    14 sigma >= pi.  Below that, every image of a node farther out lies
+    farther than 14 sigma from 0 as well, so its wrapped weight is under
+    5 e^{-98} < _NODE_FLOOR times that of the node at 0 (at least 1): the
+    floor would drop it.  The floor still picks the kept nodes, so the kept
+    set, its order and the sums are those of the rule on all M nodes, at
+    about 53 nodes in place of 12,042 at sigma = 1e-3.
     """
     M = N + 2 + math.ceil(12.0 / sigma)
-    theta = (2 * math.pi / M) * (np.arange(M) - M // 2)
+    reach = min(M // 2, math.floor(14 * sigma * M / (2 * math.pi)))
+    theta = (2 * math.pi / M) * np.arange(-reach, min(reach, M - 1 - M // 2) + 1)
     # images farther out than 40 sigma underflow to zero
     n_images = math.ceil((40 * sigma + math.pi) / (2 * math.pi))
     unwrapped = theta[:, None] + 2 * math.pi * np.arange(-n_images, n_images + 1)
@@ -798,7 +850,7 @@ def dephased_fisher_information(probe: SubspaceState, povm: Povm, sigma: float,
     d rho / d theta is psi psi^+ o (-i d h)."""
     d = np.arange(-probe.N, probe.N + 1)
     h = np.exp(-(d**2) * sigma**2 / 2.0 - 1j * d * theta)
-    return _information(*_traces(probe, np.stack([h, -1j * d * h]), povm).real)
+    return float(_information(*_traces(probe, np.stack([h, -1j * d * h]), povm).real))
 
 
 def noisy_local_equivalence_check(N: int, sigma: float, probe: SubspaceState,
@@ -819,13 +871,17 @@ def noisy_local_equivalence_check(N: int, sigma: float, probe: SubspaceState,
 # ---------------------------------------------------------------------------
 # Frequency estimation
 
-def frequency_round(N: int, delta: float, tau: float, probe: SubspaceState,
-                    povm: Povm | None) -> float:
+def frequency_round(N: int, delta: float, tau, probe: SubspaceState,
+                    povm: Povm | None):
     """Average posterior frequency MSE, in units of delta^2: the phase MSE
-    at prior width tau = t delta over tau^2, in which delta cancels."""
-    if tau <= 0:
+    at prior width tau = t delta over tau^2, in which delta cancels.  tau is
+    one interrogation time (a float is returned) or an array of them (an
+    array of the same shape, from one call of _gaussian_mse)."""
+    tau = np.asarray(tau, dtype=float)
+    if not np.all(tau > 0):
         raise EstimateError("tau must be positive")
-    return _gaussian_mse(N, tau, 0.0, probe, povm) / tau**2
+    vbar = _gaussian_mse(N, tau, 0.0, probe, povm) / np.square(tau)
+    return float(vbar) if vbar.ndim == 0 else vbar
 
 
 @dataclass(frozen=True)
@@ -839,15 +895,20 @@ TAU_GRID = np.geomspace(1e-3, 20.0, 60)
 
 
 def _optimize_objective(objective, grid: np.ndarray) -> TauOptimum:
-    values = [objective(t) for t in grid]
+    """Minimum of objective over `grid`, refined by golden section between
+    the neighbours of the best grid point.  objective maps an array of
+    interrogation times to the array of its values: the whole grid is one
+    call, and the refinement calls the same objective on one time at a
+    time.  An optimum at either end of the grid is returned as a boundary."""
+    values = objective(grid)
     best = int(np.argmin(values))
     if best == 0 or best == len(grid) - 1:
         return TauOptimum(float(grid[best]), float(values[best]), boundary=True)
     tau, val = golden_section_minimize(objective, float(grid[best - 1]), float(grid[best + 1]),
                                        tol=1e-6)
     if val > values[best]:
-        tau, val = float(grid[best]), float(values[best])
-    return TauOptimum(tau, val, boundary=False)
+        tau, val = grid[best], values[best]
+    return TauOptimum(float(tau), float(val), boundary=False)
 
 
 def optimize_tau(N: int, delta: float, probe: SubspaceState, povm: Povm | None) -> TauOptimum:
@@ -855,20 +916,14 @@ def optimize_tau(N: int, delta: float, probe: SubspaceState, povm: Povm | None) 
     golden-section refinement around the best grid point (the objective is
     observed to be unimodal, but the grid guards against surprises).
     povm=None is the (N+1)-point Fourier readout."""
-
-    def objective(tau: float) -> float:
-        return frequency_round(N, delta, tau, probe, povm)
-
-    return _optimize_objective(objective, TAU_GRID)
+    return _optimize_objective(lambda tau: frequency_round(N, delta, tau, probe, povm), TAU_GRID)
 
 
 def optimize_tau_classical(N: int) -> TauOptimum:
     """Interrogation-time optimum of the parallel classical strategy; the
     frequency objective (in delta^2 units) is the phase variance at width
-    tau divided by tau^2."""
+    tau divided by tau^2, one classical_parallel_curve call per width."""
     _check_classical_n(N)
-
-    def objective(tau: float) -> float:
-        return classical_parallel_curve([N], tau)[0] / tau**2
-
+    objective = np.vectorize(lambda tau: classical_parallel_curve([N], tau)[0] / tau**2,
+                             otypes=[float])
     return _optimize_objective(objective, TAU_GRID)

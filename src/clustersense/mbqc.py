@@ -220,7 +220,8 @@ def _plan(pattern: MeasurementPattern) -> tuple[list[_Level], list[int]]:
 
 def _sweep_chunks(pattern: MeasurementPattern, injected: dict[int, np.ndarray] | None,
                   assignment: tuple[int, ...] | None = None,
-                  cutoff: float = simcore.NULL_PROB):
+                  cutoff: float = simcore.NULL_PROB,
+                  plan: tuple[list[_Level], list[int]] | None = None):
     """Run every outcome branch of `pattern`, one measurement level at a time,
     and yield the corrected branch states in chunks.
 
@@ -239,9 +240,10 @@ def _sweep_chunks(pattern: MeasurementPattern, injected: dict[int, np.ndarray] |
     halves of the branch axis one after the other, depth-first, so chunks
     arrive in branch order.  Each yield is (states, probs): the chunk's
     corrected states, output axes in `pattern.outputs` order followed by
-    the branch axis, and the probability of each branch.
+    the branch axis, and the probability of each branch.  `plan` is
+    `_plan(pattern)` when the caller has it already.
     """
-    levels, out_axes = _plan(pattern)
+    levels, out_axes = plan or _plan(pattern)
     kets = {v: np.asarray(ket, dtype=complex) for v, ket in (injected or {}).items()}
     plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
     n = pattern.graph.n_vertices
@@ -305,7 +307,8 @@ def _measure(psi: np.ndarray, bits: np.ndarray, probs: np.ndarray, axis: int,
     p = (np.einsum("kb,kb->b", flat.real, flat.real)
          + np.einsum("kb,kb->b", flat.imag, flat.imag)) / 2
     bits = np.repeat(bits, len(outcomes), axis=0)
-    bits[:, vertex] = np.resize(outcomes, len(bits))
+    for k, bit in enumerate(outcomes):
+        bits[k::len(outcomes), vertex] = bit
     probs = np.repeat(probs, len(outcomes))
     keep = p >= cutoff
     if not keep.all():
@@ -426,6 +429,7 @@ def verify_pattern(pattern: MeasurementPattern,
             cases.append((injected, StateVector(k, out)))
 
     n_out = len(pattern.outputs)
+    plan = _plan(pattern)
     min_fid = 1.0
     worst_total = 1.0
     branches = 2**pattern.n_measured
@@ -435,7 +439,7 @@ def verify_pattern(pattern: MeasurementPattern,
             raise PatternError(f"target has {expected.n_qubits} qubits, the pattern {n_out} outputs")
         bra = expected.amps.conj().reshape((2,) * n_out)
         kept, total = 0, 0.0
-        for states, probs in _sweep_chunks(pattern, injected, cutoff=verdict_cutoff(tol)):
+        for states, probs in _sweep_chunks(pattern, injected, cutoff=verdict_cutoff(tol), plan=plan):
             overlaps = np.einsum(states, list(range(n_out + 1)), bra, list(range(n_out)), [n_out])
             min_fid = min(min_fid, float(np.abs(overlaps).min(initial=1.0)))
             total += float(probs.sum())

@@ -18,6 +18,13 @@
   gate of `simcore.run_circuit`, then one qubit drop per non-output wire.
 * The QFT-readout variance through two dense DFT products on Gamma and eta
   written out in closed form.
+* Traces Tr(E_k psi psi^+ o h) of an explicit POVM through the dense
+  (N+1)^2 operator of each harmonic row, where the package folds the
+  effects against the probe first.
+* The periodic trapezoid rule of the classical strategy on all of its
+  nodes, where the package builds only those near the prior's mean.
+* The interrogation-time search as a loop of one objective call per width,
+  where the package evaluates the whole grid in one call.
 
 None of these is on a production path; they are slow and kept for their
 independence.
@@ -33,12 +40,18 @@ from scipy import integrate
 
 from clustersense.compress import CompressError, CompressorLayout
 from clustersense.estimate import (
+    _NODE_FLOOR,
     PROB_FLOOR,
     Povm,
     Prior,
     QuadratureError,
+    TauOptimum,
     _gauss_legendre_converged,
+    _log_binomials,
+    _on_subspace,
+    _xlogy,
     gaussian_prior,
+    golden_section_minimize,
     probe_probs_fn,
     product_probs_fn,
 )
@@ -139,6 +152,31 @@ def classical_parallel_curve(Ns, sigma: float) -> list[float]:
         even = {s: _sin_power_moment(s, sig) for s in range(0, n_max + 1, 2)}
         odd = {s: _theta_sin_power_moment(s, sig) for s in range(1, n_max + 1, 2)}
         return [_classical_parallel_from_tables(N, sig, even, odd) for N in Ns]
+
+
+def classical_parallel_sums_by_all_nodes(N: int, sigma: float,
+                                         node_floor: float = _NODE_FLOOR) -> float:
+    """sigma^2 - sum_m gamma_m^2 / p_m by the periodic trapezoid rule on all
+    M = N + 2 + ceil(12 / sigma) nodes, each weighted by its wrapped Gaussian
+    sums; nodes below `node_floor` times the largest weight are dropped
+    (node_floor=0 keeps every node)."""
+    M = N + 2 + math.ceil(12.0 / sigma)
+    theta = (2 * math.pi / M) * (np.arange(M) - M // 2)
+    n_images = math.ceil((40 * sigma + math.pi) / (2 * math.pi))
+    unwrapped = theta[:, None] + 2 * math.pi * np.arange(-n_images, n_images + 1)
+    g = np.exp(-0.5 * (unwrapped / sigma) ** 2)
+    w0 = g.sum(axis=1)
+    w1 = (unwrapped * g).sum(axis=1)
+    live = w0 >= node_floor * w0.max()
+    half = theta[live, None] / 2 + math.pi / 4
+    m = np.arange(N + 1)
+    P = np.exp(_log_binomials(N) + _xlogy(N - m, np.sin(half) ** 2)
+               + _xlogy(m, np.cos(half) ** 2))
+    scale = math.sqrt(2 * math.pi) / (M * sigma)
+    p = scale * (w0[live] @ P)
+    gamma = scale * (w1[live] @ P)
+    seen = p > 0
+    return sigma**2 - float(np.sum(gamma[seen] ** 2 / p[seen]))
 
 
 def classical_parallel_variance_quadrature(N: int, sigma: float, theta0: float = 0.0,
@@ -269,6 +307,15 @@ def outcome_probabilities_by_nodes(prior: Prior, law, tol: float = 1e-12) -> np.
 
 
 # ---------------------------------------------------------------------------
+# Explicit-POVM traces through dense operators
+
+def traces_dense(probe: SubspaceState, harmonics: np.ndarray, povm: Povm) -> np.ndarray:
+    """Tr(E_k psi psi^+ o h) for each effect and each row h of `harmonics`,
+    each row's operator psi_n psi_m* h_{n-m} built as an (N+1)^2 matrix."""
+    return np.einsum("kij,...ji->...k", povm.stacked(), _on_subspace(probe, harmonics))
+
+
+# ---------------------------------------------------------------------------
 # Measurement of one branch
 
 def measure_branch(state: StateVector, qubit: int, outcome: int) -> tuple[StateVector, float]:
@@ -347,3 +394,21 @@ def qft_phase_variance_dense(N: int, sigma: float, theta0: float = 0.0,
     g = np.einsum("nk,nk->k", f.conj(), eta @ f).real - theta0 * p
     live = p > PROB_FLOOR
     return sigma**2 - float(np.sum(g[live] ** 2 / p[live]))
+
+
+# ---------------------------------------------------------------------------
+# Interrogation-time search, one width at a time
+
+def optimize_by_width_loop(objective, grid: np.ndarray) -> TauOptimum:
+    """The best of objective(tau) over `grid`, one call per width, refined
+    by golden section between the neighbours of the best grid point; an
+    optimum at either end of the grid is a boundary."""
+    values = [objective(tau) for tau in grid]
+    best = int(np.argmin(values))
+    if best == 0 or best == len(grid) - 1:
+        return TauOptimum(float(grid[best]), float(values[best]), boundary=True)
+    tau, val = golden_section_minimize(objective, float(grid[best - 1]), float(grid[best + 1]),
+                                       tol=1e-6)
+    if val > values[best]:
+        tau, val = grid[best], values[best]
+    return TauOptimum(float(tau), float(val), boundary=False)

@@ -247,6 +247,31 @@ def test_fast_qft_path_matches_generic_route():
             assert fast == pytest.approx(via_povm, rel=1e-12)
 
 
+def _random_rank_two_povm(N: int, rng) -> Povm:
+    """Projectors onto pairs of columns of a random unitary (the last one
+    rank one when N + 1 is odd)."""
+    raw = rng.normal(size=(N + 1, N + 1)) + 1j * rng.normal(size=(N + 1, N + 1))
+    unitary = np.linalg.qr(raw)[0]
+    pairs = [unitary[:, c:c + 2] for c in range(0, N + 1, 2)]
+    return Povm(tuple(v @ v.conj().T for v in pairs), tuple(str(c) for c in range(len(pairs))))
+
+
+@pytest.mark.parametrize("N", [1, 3, 8, 40])
+def test_folded_effects_match_dense_traces(N):
+    # an explicit POVM folded against the probe against one dense operator
+    # per harmonic row, on a stack of complex rows of unit scale
+    rng = np.random.default_rng(N)
+    raw = rng.normal(size=N + 1) + 1j * rng.normal(size=N + 1)
+    probe = probes.SubspaceState(N, raw / np.linalg.norm(raw))
+    rows = np.exp(1j * rng.uniform(-math.pi, math.pi, size=(2, 3, 2 * N + 1)))
+    povms = [qft_povm(N), _random_rank_two_povm(N, rng)]
+    if N == 1:
+        povms.append(single_qubit_optimal_povm(0.4))
+    for povm in povms:
+        np.testing.assert_allclose(est._traces(probe, rows, povm),
+                                   reference.traces_dense(probe, rows, povm), rtol=0, atol=1e-13)
+
+
 @pytest.mark.parametrize("theta0", [0.0, 0.3])
 def test_diagonal_fft_route_matches_dense_reference(theta0):
     # V = sigma^2 - sum g^2/p cancels up to four digits at N = 200, so the
@@ -362,6 +387,28 @@ def test_holevo_closed_form_matches_node_oracle(N):
                                                rtol=0, atol=2e-14)
 
 
+@pytest.mark.parametrize("N", [1, 2, 8])
+def test_bayes_round_holevo_fields_match_node_oracle(N):
+    # the Holevo fields of bayes_round keep their digits at narrow priors,
+    # as holevo_bayes_round does
+    rng = np.random.default_rng(N)
+    raw = rng.normal(size=N + 1) + 1j * rng.normal(size=N + 1)
+    sine, scrambled = probes.sine_coefficients(N), probes.SubspaceState(N, raw / np.linalg.norm(raw))
+    povm = qft_povm(N)
+    priors = [wrapped_gaussian_prior(sigma, theta0)
+              for sigma in HOLEVO_PIN_SIGMAS for theta0 in HOLEVO_PIN_THETA0S] + [flat_prior()]
+    for probe in (sine, scrambled):
+        law = reference.outcome_law(probe, povm)
+        for prior in priors:
+            result = bayes_round(BayesState(prior, probe, povm))
+            assert result.avg_holevo_variance == pytest.approx(
+                reference.holevo_bayes_round_by_nodes(prior, law), rel=2e-12, abs=0), (
+                    prior, probe is sine)
+            live = result.probs > est.PROB_FLOOR
+            assert np.sum(result.probs[live] * result.holevo_variances[live]) == pytest.approx(
+                result.avg_holevo_variance, rel=1e-14)
+
+
 @pytest.mark.parametrize("N", [1, 3, 8])
 def test_unwrapped_gaussian_round_is_its_wrap(N):
     # the oracle integrates the unwrapped Gaussian over the real line; the
@@ -420,7 +467,8 @@ _MOMENT_WEIGHTS = (lambda t: 1.0, lambda t: t, lambda t: t * t, lambda t: np.exp
 ], ids=lambda prior: f"{prior.kind}-{prior.sigma:.3g}-{prior.theta0:g}")
 def test_harmonic_moments_match_adaptive_quadrature(prior):
     for N in (1, 3, 10):
-        moments = est._harmonic_moments(prior, N)
+        (mass, centred), centre = est._periodic_harmonics(prior, N)
+        moments = np.vstack([est._harmonic_moments(prior, N), np.exp(1j * centre) * (mass + centred)])
         assert moments.shape == (4, 2 * N + 1)
         for row, weight in enumerate(_MOMENT_WEIGHTS):
             for col, k in enumerate(range(-N, N + 1)):
@@ -544,12 +592,20 @@ def test_periodic_rule_matches_mpmath_sums(sigma, monkeypatch):
     np.testing.assert_allclose(fast, exact, rtol=1e-10, atol=0)
 
 
-def test_node_pruning_does_not_move_the_sums(monkeypatch):
+def test_node_pruning_does_not_move_the_sums():
     cases = ((40, 1e-3), (40, 0.1), (est.CLASSICAL_PARALLEL_N_CAP, 0.5), (64, 20.0))
     pruned = [est._classical_parallel_sums(N, sigma) for N, sigma in cases]
-    monkeypatch.setattr(est, "_NODE_FLOOR", 0.0)
-    every_node = [est._classical_parallel_sums(N, sigma) for N, sigma in cases]
+    every_node = [reference.classical_parallel_sums_by_all_nodes(N, sigma, node_floor=0.0)
+                  for N, sigma in cases]
     np.testing.assert_allclose(pruned, every_node, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 8, 40, 64, est.CLASSICAL_PARALLEL_N_CAP])
+def test_node_window_keeps_the_sums_bit_for_bit(N):
+    # the nodes past 14 sigma are never built; the floor would drop them all
+    for sigma in TAU_GRID:
+        assert est._classical_parallel_sums(N, sigma) == (
+            reference.classical_parallel_sums_by_all_nodes(N, sigma)), sigma
 
 
 def _run_fresh(code: str) -> str:
@@ -646,6 +702,50 @@ def test_fourier_frequency_route_matches_qft_povm(N):
 def test_frequency_round_requires_positive_tau():
     with pytest.raises(EstimateError):
         frequency_round(2, 1.0, 0.0, probes.sine_coefficients(2), qft_povm(2))
+    with pytest.raises(EstimateError):
+        frequency_round(2, 1.0, np.array([0.5, -0.1]), probes.sine_coefficients(2), None)
+
+
+@pytest.mark.parametrize("N", [1, 2, 8, 40])
+def test_width_grid_in_one_call_matches_single_widths(N):
+    # one _gaussian_mse call over TAU_GRID against one call per width, for
+    # the Fourier readout and the explicit qft_povm, off and on theta0 = 0
+    probe = probes.sine_coefficients(N)
+    for povm in (None, qft_povm(N)):
+        for theta0 in (0.0, 0.7):
+            batch = est._gaussian_mse(N, TAU_GRID, theta0, probe, povm)
+            assert batch.shape == TAU_GRID.shape
+            single = [est._gaussian_mse(N, float(sigma), theta0, probe, povm) for sigma in TAU_GRID]
+            assert all(np.ndim(v) == 0 for v in single)
+            np.testing.assert_allclose(batch, single, rtol=1e-15, atol=0)
+    grid = TAU_GRID.reshape(6, 10)
+    np.testing.assert_array_equal(frequency_round(N, 1.0, grid, probe, None),
+                                  frequency_round(N, 1.0, TAU_GRID, probe, None).reshape(6, 10))
+
+
+@pytest.mark.parametrize("N", [1, 4, 40])
+def test_tau_search_matches_the_width_loop(N):
+    probe = probes.sine_coefficients(N)
+    for povm in (None, qft_povm(N)):
+        loop = reference.optimize_by_width_loop(
+            lambda tau: frequency_round(N, 1.0, tau, probe, povm), TAU_GRID)
+        assert optimize_tau(N, 1.0, probe, povm) == loop
+        # the Fourier readout of one qubit is best at the shortest time
+        assert loop.boundary == (N == 1)
+    loop = reference.optimize_by_width_loop(
+        lambda tau: est.classical_parallel_curve([N], tau)[0] / tau**2, TAU_GRID)
+    assert optimize_tau_classical(N) == loop
+    assert not loop.boundary
+
+
+def test_grid_point_beats_a_refinement_that_misses_it():
+    # a dip on one grid point only: golden section never lands on it again
+    def spike(tau):
+        return np.where(tau == TAU_GRID[30], 0.0, 1.0)
+
+    optimum = est._optimize_objective(spike, TAU_GRID)
+    assert optimum == est.TauOptimum(float(TAU_GRID[30]), 0.0, boundary=False)
+    assert optimum == reference.optimize_by_width_loop(spike, TAU_GRID)
 
 
 def test_optimize_tau_quantum_beats_fixed_tau():
@@ -778,7 +878,7 @@ def test_convergence_is_relative_to_the_value():
 
 def test_narrow_rule_wraps_past_pi():
     sigma = 1e-3
-    mass, mean, second, _ = est._harmonic_moments(wrapped_gaussian_prior(sigma, 3.1), 0)[:, 0]
+    mass, mean, second = est._harmonic_moments(wrapped_gaussian_prior(sigma, 3.1), 0)[:, 0]
     assert mass == pytest.approx(1.0, abs=1e-12)
     assert mean == pytest.approx(3.1, abs=1e-12)
     assert second == pytest.approx(3.1**2 + sigma**2, abs=1e-12)
@@ -786,7 +886,7 @@ def test_narrow_rule_wraps_past_pi():
     # E theta = 0 and E theta^2 = E (pi - |x|)^2 = pi^2 - 2 sigma sqrt(2 pi) + sigma^2.
     # Offsets near +-pi carry ulp(2 pi) ~ 9e-16 of rounding, which moves the
     # density by up to 1e-14 / sigma relative in the tails
-    mass, mean, second, _ = est._harmonic_moments(wrapped_gaussian_prior(sigma, math.pi), 0)[:, 0]
+    mass, mean, second = est._harmonic_moments(wrapped_gaussian_prior(sigma, math.pi), 0)[:, 0]
     assert mass == pytest.approx(1.0, abs=1e-12)
     assert mean == pytest.approx(0.0, abs=1e-12)
     assert second == pytest.approx(math.pi**2 - 2 * sigma * math.sqrt(2 * math.pi) + sigma**2,

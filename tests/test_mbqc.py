@@ -431,6 +431,16 @@ def test_branch_count_is_the_fewest_kept_by_any_input_case():
     assert " 1 branches" in str(report)
 
 
+def test_verification_plans_the_sweep_once(monkeypatch):
+    # the plan depends on the pattern only, not on the input case
+    calls = []
+    plan = mbqc._plan
+    monkeypatch.setattr(mbqc, "_plan", lambda pattern: calls.append(pattern) or plan(pattern))
+    report = verify_pattern(cnot_pattern(), mbqc.CNOT_MATRIX)
+    assert report.passed
+    assert len(calls) == 1
+
+
 def test_isolated_measured_vertex_has_a_null_branch():
     # |+> measured at angle 0 always reads 0; outcome 1 has probability 0
     pattern = MeasurementPattern(Graph(2, frozenset()), (), ((0, AngleSpec(0.0)),), (1,))
