@@ -7,16 +7,19 @@ relative phases e^{-i n theta}.  All operators on the subspace are plain
 
 A prior enters a round only through its harmonics
 h_d = int p(theta) w(theta) e^{-i d theta} dtheta, d = -N..N, for w = 1,
-theta, theta^2 and e^{i theta}: the prior-averaged operators are
-psi psi^+ o h entrywise.  The 1 and e^{i theta} harmonics are closed forms;
-the theta and theta^2 harmonics of wrapped and flat priors are integrated
-over [-pi, pi] by Gauss-Legendre rules of doubling order, a wrapped prior
-narrower than pi / 12 over theta0 +- 12 sigma only.  A measurement is a
-Povm, whose effects are folded against the probe into one matrix per call,
-or None for the (N+1)-point Fourier readout, whose traces take the probe's
-autocorrelation and one FFT (_fourier_traces).  Either way a stack of
-harmonic rows, such as the Gaussian rows of a whole grid of widths, is one
-call.  The optimal-parallel classical strategy has an outcome law that is a
+theta, theta^2 and the centred phasor e^{i (theta - t0)} - 1 about the
+prior's mean t0: the prior-averaged operators are psi psi^+ o h entrywise.
+The 1 and phasor harmonics are closed forms; the theta and theta^2
+harmonics of wrapped and flat priors are integrated over [-pi, pi] by
+Gauss-Legendre rules of doubling order, a wrapped prior narrower than
+pi / 12 over theta0 +- 12 sigma only.  A measurement is a Povm, each effect
+stored through its factor as E_k = F_k^+ F_k, or None for the (N+1)-point
+Fourier readout.  Either way the traces start from one autocorrelation:
+of the probe, folded mod N+1 and taken through one FFT for the Fourier
+readout (_fourier_traces), or of the probe weighted by each factor row for
+a Povm (_traces), so no (N+1)^2 matrix is built.  A stack of harmonic rows,
+such as the Gaussian rows of a whole grid of widths, is one call.  The
+optimal-parallel classical strategy has an outcome law that is a
 trigonometric polynomial of degree N, so a periodic trapezoid rule against
 the wrapped Gaussian integrates it exactly in float64, with every summed
 term positive.
@@ -234,73 +237,60 @@ def flat_prior() -> Prior:
 
 @dataclass(frozen=True)
 class Povm:
-    """Positive effects on the (N+1)-dimensional subspace, summing to 1."""
+    """A measurement on the (N+1)-dimensional subspace, each effect stored
+    as E_k = F_k^+ F_k through its factor F_k = factors[k], of shape
+    (r, N+1); an effect of rank below r has zero rows.  Effects written this
+    way are Hermitian and positive semidefinite, so the constructor checks
+    only that they sum to the identity."""
 
-    effects: tuple[np.ndarray, ...]
+    factors: np.ndarray
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        effects = tuple(np.asarray(e, dtype=complex) for e in self.effects)
-        dim = effects[0].shape[0]
-        if len(self.labels) != len(effects):
+        try:
+            factors = np.array(self.factors, dtype=complex)
+        except (TypeError, ValueError):  # ragged or not numeric
+            factors = np.empty(0)
+        if factors.ndim != 3 or factors.size == 0:
+            raise EstimateError("factors must be a non-empty (K, r, N+1) array")
+        if len(self.labels) != len(factors):
             raise EstimateError("one label per effect required")
-        total = np.zeros((dim, dim), dtype=complex)
-        for e in effects:
-            if e.shape != (dim, dim):
-                raise EstimateError("effects must share one square shape")
-            if np.max(np.abs(e - e.conj().T)) > 1e-10:
-                raise EstimateError("effect is not Hermitian")
-            if np.min(np.linalg.eigvalsh(e)) < -1e-10:
-                raise EstimateError("effect is not positive semidefinite")
-            total += e
-        if np.max(np.abs(total - np.eye(dim))) > 1e-10:
+        rows = factors.reshape(-1, factors.shape[2])
+        if not np.max(np.abs(rows.conj().T @ rows - np.eye(factors.shape[2]))) <= 1e-10:
             raise EstimateError("effects do not sum to the identity")
-        for e in effects:
-            e.setflags(write=False)
-        object.__setattr__(self, "effects", effects)
-        stacked = np.stack(effects)
-        stacked.setflags(write=False)
-        object.__setattr__(self, "_stacked", stacked)
+        factors.setflags(write=False)
+        object.__setattr__(self, "factors", factors)
 
     @property
     def dim(self) -> int:
-        return self.effects[0].shape[0]
-
-    def stacked(self) -> np.ndarray:
-        return self._stacked
+        return self.factors.shape[2]
 
     def outcome_probabilities(self, rho: np.ndarray) -> np.ndarray:
-        """Tr(E_k rho) for each effect."""
-        return np.einsum("kij,ji->k", self._stacked, rho).real
+        """Tr(E_k rho) = sum_r F_kr rho F_kr^+ for each effect."""
+        return np.einsum("kri,ij,krj->k", self.factors, rho, self.factors.conj()).real
 
 
 def qft_povm(N: int) -> Povm:
-    """Fourier-basis projectors |e_k><e_k| for k = 0..N plus the zero
-    completion effect for the subspace-orthogonal outcome (never fires for
-    states inside the subspace)."""
+    """Fourier-basis projectors |e_k><e_k| for k = 0..N, each the factor
+    <e_k|, plus the zero completion effect for the subspace-orthogonal
+    outcome (never fires for states inside the subspace)."""
     if N < 1:
         raise EstimateError("N must be >= 1")
     n = np.arange(N + 1)
-    effects = []
-    for k in range(N + 1):
-        vec = np.exp(1j * n * 2 * math.pi * k / (N + 1)) / math.sqrt(N + 1)
-        effects.append(np.outer(vec, vec.conj()))
-    effects.append(np.zeros((N + 1, N + 1), dtype=complex))
+    bras = np.exp(-2j * math.pi * np.outer(n, n) / (N + 1)) / math.sqrt(N + 1)
+    factors = np.vstack([bras, np.zeros(N + 1)])[:, None, :]
     labels = tuple(f"k={k}" for k in range(N + 1)) + ("overflow",)
-    return Povm(tuple(effects), labels)
+    return Povm(factors, labels)
 
 
 def single_qubit_optimal_povm(theta0: float = 0.0) -> Povm:
     """Rotated-X projectors, the optimal single-qubit Bayesian measurement
-    for a Gaussian prior centered at theta0."""
-    effects = []
+    for a Gaussian prior centered at theta0: the bras of
+    (|0> +- |1>) / sqrt 2 under the encoding phases e^{-i phi (n - 1/2)},
+    phi = theta0 + pi / 2."""
     phi = theta0 + math.pi / 2
-    for sign in (+1.0, -1.0):
-        vec = np.array([1.0, sign], dtype=complex) / math.sqrt(2)
-        # encoding phases e^{-i phi (n - 1/2)}
-        vec = vec * np.exp(-1j * phi * (np.arange(2) - 0.5))
-        effects.append(np.outer(vec, vec.conj()))
-    return Povm(tuple(effects), ("+", "-"))
+    bras = np.array([[1.0, 1.0], [1.0, -1.0]]) * np.exp(1j * phi * (np.arange(2) - 0.5))
+    return Povm(bras[:, None, :] / math.sqrt(2), ("+", "-"))
 
 
 def _on_subspace(probe: SubspaceState, harmonics: np.ndarray) -> np.ndarray:
@@ -311,18 +301,28 @@ def _on_subspace(probe: SubspaceState, harmonics: np.ndarray) -> np.ndarray:
     return np.outer(probe.coeffs, probe.coeffs.conj()) * harmonics[..., kappa + probe.N]
 
 
+def _autocorrelation(u: np.ndarray) -> np.ndarray:
+    """a_d = sum_n u_n u*_{n-d}, d = -N..N at column d + N, of each row of u
+    (n = 0..N on the last axis, leading axes kept); a single row costs one
+    np.convolve and nothing more."""
+    if u.ndim == 1:
+        return np.convolve(u, u[::-1].conj())
+    rows = [_autocorrelation(row) for row in u.reshape(-1, u.shape[-1])]
+    return np.reshape(rows, u.shape[:-1] + (2 * u.shape[-1] - 1,))
+
+
 def _fourier_traces(probe: SubspaceState, harmonics: np.ndarray) -> np.ndarray:
     """Tr(E_k psi psi^+ o h) for the N+1 Fourier effects E_k = f_k f_k^+ and
     each row h of `harmonics` (d = -N..N on the last axis), complex, so a
-    non-Hermitian row such as the e^{i theta} moment needs no split.
+    non-Hermitian row such as the centred phasor row needs no split.
 
     f_k^+ A f_k sums A_nm e^{-2 pi i (n-m) k / (N+1)} / (N+1), and the
     entries of psi psi^+ o h on the diagonal n - m = d sum to a_d h_d, with
-    a_d = sum_n psi_n psi*_{n-d} the probe's autocorrelation: fold a_d h_d
-    mod N+1 and take one FFT, with no (N+1)^2 matrix.
+    a_d the probe's autocorrelation: fold a_d h_d mod N+1 and take one FFT,
+    with no (N+1)^2 matrix.
     """
     N = probe.N
-    terms = np.convolve(probe.coeffs, probe.coeffs[::-1].conj()) * harmonics
+    terms = _autocorrelation(probe.coeffs) * harmonics
     folded = terms[..., N:].copy()
     folded[..., 1:] += terms[..., :N]  # d = -N..-1 lands on d + N + 1
     return np.fft.fft(folded, axis=-1) / (N + 1)
@@ -333,19 +333,15 @@ def _traces(probe: SubspaceState, harmonics: np.ndarray, povm: Povm | None) -> n
     `harmonics` (d = -N..N on the last axis, leading axes kept), complex;
     povm=None is the (N+1)-point Fourier readout.
 
-    An explicit POVM is first folded against the probe,
-    B_kd = sum_{j - i = d} (E_k)_ij psi_j psi_i*, one diagonal of the
-    effects at a time; every row then costs the product h B^T, and a stack
-    of rows is a stack of such products, each computed as if alone.
+    With E_k = sum_r F_kr^+ F_kr the trace is sum_d h_d B_kd, where B_kd
+    sums over r the autocorrelation of the probe weighted by the factor row,
+    u_n = F_krn psi_n: the same kernel as the Fourier readout's, with no
+    (N+1)^2 matrix.  Every row then costs the product h B^T, and a stack of
+    rows is a stack of such products, each computed as if alone.
     """
     if povm is None:
         return _fourier_traces(probe, harmonics)
-    N, psi = probe.N, probe.coeffs
-    folded = np.empty((len(povm.labels), 2 * N + 1), dtype=complex)
-    for d in range(-N, N + 1):
-        lo, hi = max(d, 0), N + 1 + min(d, 0)  # the j of diagonal d; i = j - d
-        folded[:, d + N] = (np.diagonal(povm.stacked(), d, 1, 2)
-                            @ (psi[lo:hi] * psi[lo - d:hi - d].conj()))
+    folded = _autocorrelation(povm.factors * probe.coeffs).sum(axis=1)
     return harmonics @ folded.T
 
 
@@ -528,24 +524,15 @@ def gamma_eta(prior: Prior, probe: SubspaceState) -> tuple[np.ndarray, np.ndarra
 
 @dataclass(frozen=True)
 class BayesState:
-    """A prior/probe/POVM triple with the cached Gamma and eta matrices."""
+    """A prior/probe/POVM triple for one Bayesian round, the POVM checked
+    against the probe's dimension."""
 
     prior: Prior
     probe: SubspaceState
     povm: Povm
-    gamma: np.ndarray = field(init=False, repr=False)
-    eta: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.povm.dim != self.probe.N + 1:
-            raise EstimateError("POVM dimension does not match the probe subspace")
-        gamma, eta = gamma_eta(self.prior, self.probe)
-        if abs(np.trace(gamma).real - 1.0) > 1e-10:
-            raise EstimateError("Gamma is not trace one")
-        gamma.setflags(write=False)
-        eta.setflags(write=False)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "eta", eta)
+        _checked_probe(self.probe.N, self.probe, self.povm)
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,11 @@
   gate of `simcore.run_circuit`, then one qubit drop per non-output wire.
 * The QFT-readout variance through two dense DFT products on Gamma and eta
   written out in closed form.
-* Traces Tr(E_k psi psi^+ o h) of an explicit POVM through the dense
-  (N+1)^2 operator of each harmonic row, where the package folds the
-  effects against the probe first.
+* Each POVM effect as a dense (N+1)^2 matrix F_k^+ F_k, and through it the
+  traces Tr(E_k psi psi^+ o h) against the dense operator of each harmonic
+  row and the outcome law from each effect's eigenvectors, where the
+  package keeps only the factors and takes the autocorrelation of the
+  probe weighted by each factor row.
 * The periodic trapezoid rule of the classical strategy on all of its
   nodes, where the package builds only those near the prior's mean.
 * The interrogation-time search as a loop of one objective call per width,
@@ -207,7 +209,7 @@ def bayes_variance_quadrature(prior: Prior, probe: SubspaceState, povm: Povm,
     the prior — the independent oracle for the closed-form route."""
     probs_fn = probe_probs_fn(probe, povm)
     lo, hi = prior.support()
-    n_out = len(povm.effects)
+    n_out = len(povm.labels)
     p = np.empty(n_out)
     first = np.empty(n_out)
     second = np.empty(n_out)
@@ -255,10 +257,10 @@ def outcome_law(probe: SubspaceState, povm: Povm | None = None):
     (the eigenvectors are found once, here)."""
     n = np.arange(probe.N + 1)
     if povm is not None:
-        values, vectors = np.linalg.eigh(povm.stacked())
+        values, vectors = np.linalg.eigh(dense_effects(povm))
         owner, column = np.nonzero(values > 1e-12)
         rows = vectors[owner, :, column] * np.sqrt(values[owner, column])[:, None]
-        per_effect = np.zeros((len(owner), len(povm.effects)))
+        per_effect = np.zeros((len(owner), len(povm.labels)))
         per_effect[np.arange(len(owner)), owner] = 1.0
 
     def law(thetas):
@@ -307,12 +309,17 @@ def outcome_probabilities_by_nodes(prior: Prior, law, tol: float = 1e-12) -> np.
 
 
 # ---------------------------------------------------------------------------
-# Explicit-POVM traces through dense operators
+# Explicit POVMs through dense operators
+
+def dense_effects(povm: Povm) -> np.ndarray:
+    """The (K, N+1, N+1) stack of effects E_k = F_k^+ F_k."""
+    return np.einsum("kri,krj->kij", povm.factors.conj(), povm.factors)
+
 
 def traces_dense(probe: SubspaceState, harmonics: np.ndarray, povm: Povm) -> np.ndarray:
     """Tr(E_k psi psi^+ o h) for each effect and each row h of `harmonics`,
     each row's operator psi_n psi_m* h_{n-m} built as an (N+1)^2 matrix."""
-    return np.einsum("kij,...ji->...k", povm.stacked(), _on_subspace(probe, harmonics))
+    return np.einsum("kij,...ji->...k", dense_effects(povm), _on_subspace(probe, harmonics))
 
 
 # ---------------------------------------------------------------------------

@@ -113,18 +113,18 @@ def test_qfi_statevector_product_state():
 def test_qft_povm_completeness_and_size():
     for N in (1, 4, 9):
         povm = qft_povm(N)
-        assert len(povm.effects) == N + 2
-        total = sum(povm.effects)
-        np.testing.assert_allclose(total, np.eye(N + 1), atol=1e-10)
+        effects = reference.dense_effects(povm)
+        assert len(effects) == len(povm.labels) == N + 2
+        np.testing.assert_allclose(effects.sum(axis=0), np.eye(N + 1), atol=1e-10)
 
 
 def test_qft_povm_single_qubit_effects():
-    povm = qft_povm(1)
+    effects = reference.dense_effects(qft_povm(1))
     plus = np.full((2, 2), 0.5)
     minus = np.array([[0.5, -0.5], [-0.5, 0.5]])
-    np.testing.assert_allclose(povm.effects[0], plus, atol=1e-12)
-    np.testing.assert_allclose(povm.effects[1], minus, atol=1e-12)
-    np.testing.assert_allclose(povm.effects[2], np.zeros((2, 2)), atol=1e-15)
+    np.testing.assert_allclose(effects[0], plus, atol=1e-12)
+    np.testing.assert_allclose(effects[1], minus, atol=1e-12)
+    np.testing.assert_allclose(effects[2], np.zeros((2, 2)), atol=1e-15)
 
 
 def test_probe_weight_never_reaches_completion_effect():
@@ -136,10 +136,15 @@ def test_probe_weight_never_reaches_completion_effect():
 
 
 def test_povm_validation():
-    with pytest.raises(EstimateError):
-        Povm((np.eye(2) * 0.5,), ("half",))
-    with pytest.raises(EstimateError):
-        Povm((np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])), ("a", "b"))
+    # incomplete, not a number, empty, without effects, two axes, ragged,
+    # one label short
+    for factors, labels in [(np.sqrt(0.5) * np.eye(2)[None], ("half",)),
+                            (np.full((1, 2, 2), np.nan), ("nan",)), ((), ()),
+                            (np.zeros((0, 1, 2)), ()), (np.eye(2), ("a", "b")),
+                            ([[[1, 0]], [[0, 1, 0]]], ("a", "b")),
+                            (np.eye(2)[:, None, :], ("a",))]:
+        with pytest.raises(EstimateError):
+            Povm(factors, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -247,29 +252,39 @@ def test_fast_qft_path_matches_generic_route():
             assert fast == pytest.approx(via_povm, rel=1e-12)
 
 
-def _random_rank_two_povm(N: int, rng) -> Povm:
-    """Projectors onto pairs of columns of a random unitary (the last one
-    rank one when N + 1 is odd)."""
+def _random_povm(N: int, rank: int, rng) -> Povm:
+    """Projectors onto runs of `rank` columns of a random unitary (the last
+    run shorter when rank does not divide N + 1, its factor padded with
+    zero rows)."""
     raw = rng.normal(size=(N + 1, N + 1)) + 1j * rng.normal(size=(N + 1, N + 1))
-    unitary = np.linalg.qr(raw)[0]
-    pairs = [unitary[:, c:c + 2] for c in range(0, N + 1, 2)]
-    return Povm(tuple(v @ v.conj().T for v in pairs), tuple(str(c) for c in range(len(pairs))))
+    bras = np.vstack([np.linalg.qr(raw)[0].conj().T, np.zeros((-(N + 1) % rank, N + 1))])
+    return Povm(bras.reshape(-1, rank, N + 1), tuple(str(c) for c in range(len(bras) // rank)))
 
 
 @pytest.mark.parametrize("N", [1, 3, 8, 40])
 def test_folded_effects_match_dense_traces(N):
-    # an explicit POVM folded against the probe against one dense operator
-    # per harmonic row, on a stack of complex rows of unit scale
+    # the factored traces of an explicit POVM against one dense operator per
+    # harmonic row, on a stack of complex rows of unit scale, and its outcome
+    # probabilities against the dense effects; qft_povm's outcomes in the
+    # order of the Fourier readout's
     rng = np.random.default_rng(N)
     raw = rng.normal(size=N + 1) + 1j * rng.normal(size=N + 1)
     probe = probes.SubspaceState(N, raw / np.linalg.norm(raw))
     rows = np.exp(1j * rng.uniform(-math.pi, math.pi, size=(2, 3, 2 * N + 1)))
-    povms = [qft_povm(N), _random_rank_two_povm(N, rng)]
+    qft = qft_povm(N)
+    padded = Povm(np.concatenate([qft.factors, np.zeros((N + 2, 2, N + 1))], axis=1), qft.labels)
+    povms = [qft, _random_povm(N, 2, rng), _random_povm(N, 3, rng), padded]
     if N == 1:
         povms.append(single_qubit_optimal_povm(0.4))
+    rho = est.dephased_rho(probe, 0.3, 0.7)
     for povm in povms:
         np.testing.assert_allclose(est._traces(probe, rows, povm),
                                    reference.traces_dense(probe, rows, povm), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(povm.outcome_probabilities(rho),
+                                   np.einsum("kij,ji->k", reference.dense_effects(povm), rho).real,
+                                   rtol=0, atol=1e-13)
+    np.testing.assert_allclose(est._traces(probe, rows, qft)[..., :N + 1],
+                               est._fourier_traces(probe, rows), rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("theta0", [0.0, 0.3])
@@ -295,9 +310,7 @@ def test_mse_warning_for_wide_priors():
 
 def test_outcome_pruning_limit():
     # an effect whose weight vanishes contributes nothing in the limit
-    base = np.diag([1.0, 0.0]).astype(complex)
-    rest = np.diag([0.0, 1.0]).astype(complex)
-    povm = Povm((base, rest), ("0", "1"))
+    povm = Povm(np.eye(2)[:, None, :], ("0", "1"))
     prior = gaussian_prior(0.4)
     vbars = []
     for eps in (1e-4, 1e-6, 0.0):
@@ -451,7 +464,9 @@ def test_wrapped_prior_mean_outside_pi_is_reduced():
     lambda: frequency_round(3, 1.0, 0.5, probes.sine_coefficients(3), qft_povm(4)),
     lambda: est.holevo_outcome_probabilities(5, wrapped_gaussian_prior(0.5),
                                              probes.sine_coefficients(3)),
-], ids=["qft-probe", "holevo-probe", "holevo-povm", "frequency-povm", "outcomes-probe"])
+    lambda: BayesState(gaussian_prior(0.5), probes.sine_coefficients(3), qft_povm(4)),
+], ids=["qft-probe", "holevo-probe", "holevo-povm", "frequency-povm", "outcomes-probe",
+        "bayes-state-povm"])
 def test_round_rejects_a_probe_or_povm_of_another_size(call):
     with pytest.raises(EstimateError):
         call()
