@@ -76,11 +76,20 @@ def _tolerance(tol: float, default: float) -> float:
     return tol
 
 
+def _rng(seed: int) -> np.random.Generator:
+    """The generator of a nonnegative --seed."""
+    if seed < 0:
+        raise UsageError(f"--seed needs a nonnegative integer, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def _n_grid(n_min: int, n_max: int, n_step: int) -> list[int]:
     """Dense up to 20, then every 5th value, unless an explicit step is given;
     the endpoint is always included."""
     if not 1 <= n_min <= n_max:
         raise UsageError(f"need 1 <= --n-min <= --n-max, got {n_min} and {n_max}")
+    if n_step < 0:
+        raise UsageError(f"--n-step needs a positive stride (0 for the default grid), got {n_step}")
     if n_step > 0:
         grid = list(range(n_min, n_max + 1, n_step))
     else:
@@ -212,7 +221,7 @@ def cmd_holevo(args) -> int:
 def cmd_compress_verify(args) -> int:
     N = args.N
     tol = _tolerance(args.tol, 1e-10)
-    rng = np.random.default_rng(args.seed)
+    rng = _rng(args.seed)
     circuit, layout = compress.build_compressor(N)
     report = compress.count_resources(circuit, layout.step_slices)
     print(f"compressor N={N}: lambda={layout.lam}, qubits={layout.n_qubits}, "
@@ -252,7 +261,7 @@ def cmd_compress_verify(args) -> int:
 # Pattern verification
 
 def _verify_named_pattern(name: str, N: int, seed: int, tol: float) -> list[mbqc.VerifyReport]:
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     if name == "teleport":
         angles = [0.0, math.pi / 2] + list(rng.uniform(-math.pi, math.pi, size=3))
         return [mbqc.verify_pattern(mbqc.teleport_pattern(phi), mbqc.teleport_unitary(phi), tol=tol)

@@ -183,7 +183,7 @@ def _push_bits(circuit: Circuit, bits: np.ndarray) -> np.ndarray:
     they differ (and the controls match)."""
     wires = np.array(bits, dtype=bool).T.copy()  # one contiguous row per wire
     for op in circuit.ops:
-        if not isinstance(op, Gate) or op.kind not in ("X", "SWAP"):
+        if op.kind not in ("X", "SWAP"):
             raise CompressError(f"{op!r} does not permute basis states")
         fires = True
         for wire, polarity in zip(op.controls, op.polarity):
@@ -267,7 +267,7 @@ def _is_toffoli(gate: Gate) -> bool:
     return gate.kind == "X" and len(gate.controls) == 2
 
 
-def _depth_and_width(gates: list[Gate]) -> tuple[int, int]:
+def _depth_and_width(gates: tuple[Gate, ...]) -> tuple[int, int]:
     frontier: dict[int, int] = {}
     depth = 0
     touched: set[int] = set()
@@ -289,7 +289,7 @@ def count_resources(circuit: Circuit,
     wires included).  Without explicit block boundaries the whole circuit is
     one block.
     """
-    gates = [op for op in circuit.ops if isinstance(op, Gate)]
+    gates = circuit.ops
     if step_slices is None:
         step_slices = ((0, len(gates)),) if gates else ()
     estimate = 0

@@ -9,10 +9,10 @@ A prior enters a round only through its harmonics
 h_d = int p(theta) w(theta) e^{-i d theta} dtheta, d = -N..N, for w = 1,
 theta, theta^2 and the centred phasor e^{i (theta - t0)} - 1 about the
 prior's mean t0: the prior-averaged operators are psi psi^+ o h entrywise.
-The 1 and phasor harmonics are closed forms; the theta and theta^2
-harmonics of wrapped and flat priors are integrated over [-pi, pi] by
-Gauss-Legendre rules of doubling order, a wrapped prior narrower than
-pi / 12 over theta0 +- 12 sigma only.  A measurement is a Povm, each effect
+The 1 and phasor harmonics are closed forms, and so are the theta and
+theta^2 harmonics of a flat prior; those of a wrapped prior are integrated
+over [-pi, pi] by Gauss-Legendre rules of doubling order, over theta0 +- 12
+sigma only when narrower than pi / 12.  A measurement is a Povm, each effect
 stored through its factor as E_k = F_k^+ F_k, or None for the (N+1)-point
 Fourier readout.  Either way the traces start from one autocorrelation:
 of the probe, folded mod N+1 and taken through one FFT for the Fourier
@@ -235,7 +235,7 @@ def flat_prior() -> Prior:
 # ---------------------------------------------------------------------------
 # POVMs on the unary subspace
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Povm:
     """A measurement on the (N+1)-dimensional subspace, each effect stored
     as E_k = F_k^+ F_k through its factor F_k = factors[k], of shape
@@ -495,13 +495,21 @@ def _harmonic_moments(prior: Prior, N: int) -> np.ndarray:
     """int p(theta) {1, theta, theta^2} e^{-i k theta} dtheta for k = -N..N
     as a (3, 2N + 1) array, column k + N: closed forms in the Gaussian
     characteristic function for a Gaussian prior; otherwise the 1 row from
-    _periodic_harmonics and the theta and theta^2 rows integrated over
-    [-pi, pi]."""
+    _periodic_harmonics and, for a flat prior, the theta and theta^2 rows
+    i (-1)^k / k and 2 (-1)^k / k^2 (0 and pi^2 / 3 at k = 0), for a
+    wrapped prior integrated over [-pi, pi]."""
     k = np.arange(-N, N + 1)
     if prior.kind == "gaussian":
         s2, t0 = prior.sigma**2, prior.theta0
         char, first = _gaussian_harmonics(prior.sigma, t0, N)
         return np.stack([char, first, (s2 + t0**2 - 2j * t0 * k * s2 - k**2 * s2**2) * char])
+    if prior.kind == "flat":
+        off = k != 0
+        first = np.zeros(2 * N + 1, dtype=complex)
+        second = np.full(2 * N + 1, math.pi**2 / 3, dtype=complex)
+        first[off] = 1j * (-1.0) ** k[off] / k[off]
+        second[off] = 2 * (-1.0) ** k[off] / k[off] ** 2
+        return np.stack([_periodic_harmonics(prior, N)[0][0], first, second])
 
     def evaluate(thetas, w):
         return np.stack([thetas * w, thetas**2 * w]) @ np.exp(-1j * np.outer(thetas, k))
@@ -522,7 +530,7 @@ def gamma_eta(prior: Prior, probe: SubspaceState) -> tuple[np.ndarray, np.ndarra
     return tuple(_on_subspace(probe, _harmonic_moments(prior, probe.N)[:2]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BayesState:
     """A prior/probe/POVM triple for one Bayesian round, the POVM checked
     against the probe's dimension."""
@@ -535,7 +543,7 @@ class BayesState:
         _checked_probe(self.probe.N, self.probe, self.povm)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EstimationResult:
     labels: tuple[str, ...]
     probs: np.ndarray

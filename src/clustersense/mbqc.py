@@ -134,18 +134,6 @@ class MeasurementPattern:
         return len(self.measurements)
 
 
-def cluster_state(graph: Graph, injected: dict[int, np.ndarray] | None = None) -> StateVector:
-    """|+> on every vertex (or the injected state), then CZ across each edge."""
-    n = graph.n_vertices
-    if n > simcore.MAX_QUBITS:
-        raise PatternError(f"{n} vertices exceed the dense-simulation cap")
-    injected = injected or {}
-    plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
-    state = simcore.product_state([np.asarray(injected.get(v, plus), dtype=complex) for v in range(n)])
-    entangle = simcore.Circuit(n, [simcore.cz(a, b) for a, b in sorted(graph.edges)])
-    return simcore.run_circuit(entangle, state)[0]
-
-
 def _parity(bits: np.ndarray, deps: tuple[int, ...], flip: bool) -> np.ndarray:
     """Per-branch parity of the outcomes of the `deps` vertices, xor `flip`."""
     parity = np.full(len(bits), bool(flip))

@@ -21,7 +21,7 @@ class ProbeError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubspaceState:
     """Coefficients psi_0..psi_N over the unary basis; normalized."""
 
@@ -43,7 +43,7 @@ class SubspaceState:
         return np.abs(self.coeffs) ** 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AngleSchedule:
     """Rotation angles phi_1..phi_N, each in [0, pi] so that both
     sin(phi/2) and cos(phi/2) are nonnegative."""

@@ -1,4 +1,6 @@
-"""Dense state-vector simulation of few-qubit circuits.
+"""Dense state vectors, the gate and circuit data that `compress` and `probes`
+build, and the dense gate kernel the tests use as their oracle.  Adaptive
+measurement is an `mbqc` pattern, not a circuit.
 
 Conventions, fixed once for the whole package:
 
@@ -6,9 +8,6 @@ Conventions, fixed once for the whole package:
   the computational basis index (big-endian).
 * Rotation gates use ``R_P(phi) = exp(+i phi P / 2)``, so
   ``Ry(phi) = [[cos(phi/2), sin(phi/2)], [-sin(phi/2), cos(phi/2)]]``.
-* Measurements are exact projections onto an assigned outcome; there is no
-  sampling.  A zero-probability branch yields a flagged null state instead
-  of raising, so branch-enumeration loops stay uniform.
 
 States are immutable; every operation returns a fresh ``StateVector``.
 """
@@ -22,9 +21,8 @@ import numpy as np
 
 MAX_QUBITS = 24
 
-NORM_ATOL = 1e-12
 #: Branch weights below this are treated as exactly zero.  All shipped
-#: patterns/circuits have branch probabilities >= 2**-20, far above it.
+#: patterns have branch probabilities >= 2**-20, far above it.
 NULL_PROB = 1e-24
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -40,7 +38,7 @@ class SimulationError(Exception):
     """Contract violation in a simulator operation."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """Complex amplitudes over the 2**n computational basis states."""
 
@@ -62,10 +60,6 @@ class StateVector:
 
     def norm_sq(self) -> float:
         return float(np.vdot(self.amps, self.amps).real)
-
-    def check_normalized(self, atol: float = NORM_ATOL) -> None:
-        if abs(self.norm_sq() - 1.0) > atol:
-            raise SimulationError(f"state norm**2 = {self.norm_sq()} deviates from 1 beyond {atol}")
 
     @staticmethod
     def null(n_qubits: int) -> "StateVector":
@@ -230,59 +224,18 @@ def cry(control: int, target: int, angle: float) -> Gate:
 # Circuits
 
 @dataclass(frozen=True)
-class Measure:
-    qubit: int
-
-
-@dataclass(frozen=True)
-class ClassicallyControlled:
-    """Apply `gate` iff the XOR of the referenced measurement outcomes
-    (by position in the circuit's measurement order), xor `flip`, is 1."""
-
-    gate: Gate
-    outcome_indices: tuple[int, ...]
-    flip: bool = False
-
-    def fires(self, outcomes: tuple[int, ...]) -> bool:
-        parity = bool(self.flip)
-        for i in self.outcome_indices:
-            parity ^= bool(outcomes[i])
-        return parity
-
-
-@dataclass(frozen=True)
 class Circuit:
     n_qubits: int
-    ops: tuple = ()
+    ops: tuple[Gate, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "ops", tuple(self.ops))
-        seen_measures = 0
         for op in self.ops:
-            if isinstance(op, Measure):
-                self._check_indices((op.qubit,))
-                seen_measures += 1
-            elif isinstance(op, ClassicallyControlled):
-                self._check_indices(op.gate.qubits)
-                if any(i >= seen_measures for i in op.outcome_indices):
-                    raise SimulationError("classically controlled gate references a later measurement")
-            elif isinstance(op, Gate):
-                self._check_indices(op.qubits)
-            else:
+            if not isinstance(op, Gate):
                 raise SimulationError(f"unsupported circuit op {op!r}")
-
-    def _check_indices(self, qubits: tuple[int, ...]) -> None:
-        for q in qubits:
-            if not 0 <= q < self.n_qubits:
-                raise SimulationError(f"qubit index {q} out of range for {self.n_qubits} qubits")
-
-    @property
-    def n_measurements(self) -> int:
-        return sum(1 for op in self.ops if isinstance(op, Measure))
-
-    @property
-    def gates(self) -> list[Gate]:
-        return [op for op in self.ops if isinstance(op, Gate)]
+            for q in op.qubits:
+                if not 0 <= q < self.n_qubits:
+                    raise SimulationError(f"qubit index {q} out of range for {self.n_qubits} qubits")
 
 
 # ---------------------------------------------------------------------------
@@ -364,65 +317,22 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     return StateVector(state.n_qubits, work.reshape(-1))
 
 
-def _project_inplace(work: np.ndarray, qubit: int, bit: int) -> float:
-    """Project `qubit` of `work` onto `bit` in place and renormalize.
-
-    Returns the branch probability; below NULL_PROB it returns 0.0 and
-    leaves `work` unspecified.
-    """
-    if bit not in (0, 1):
-        raise SimulationError(f"outcome must be a bit, got {bit!r}")
-    index = [slice(None)] * work.ndim
-    index[qubit] = bit
-    kept = work[(*index, ...)]  # the Ellipsis keeps a 1-qubit part a view
-    prob = float(np.vdot(kept, kept).real)
-    if prob < NULL_PROB:
-        return 0.0
-    kept /= math.sqrt(prob)
-    index[qubit] = 1 - bit
-    work[(*index, ...)] = 0.0
-    return prob
-
-
-def run_circuit(circuit: Circuit, initial: StateVector,
-                outcome_assignment: tuple[int, ...] = ()) -> tuple[StateVector, float]:
-    """Execute the circuit, projecting each Measure onto the assigned bit.
-
-    Returns (final state, joint probability of the assigned branch).  A
-    zero-probability branch short-circuits to (null state, 0.0).
-    """
+def run_circuit(circuit: Circuit, initial: StateVector) -> StateVector:
+    """Apply the circuit's gates in order to a copy of `initial`."""
     if initial.n_qubits != circuit.n_qubits:
         raise SimulationError("initial state size does not match circuit")
-    if len(outcome_assignment) != circuit.n_measurements:
-        raise SimulationError(
-            f"expected {circuit.n_measurements} assigned outcomes, got {len(outcome_assignment)}")
     n = circuit.n_qubits
     work = initial.amps.reshape((2,) * n).copy()
-    prob = 1.0
-    seen: list[int] = []
     for op in circuit.ops:
-        if isinstance(op, Measure):
-            bit = outcome_assignment[len(seen)]
-            p = _project_inplace(work, op.qubit, bit)
-            if p == 0.0:
-                return StateVector.null(n), 0.0
-            seen.append(bit)
-            prob *= p
-        elif isinstance(op, ClassicallyControlled):
-            if op.fires(tuple(seen)):
-                _apply_inplace(work, op.gate)
-        else:
-            _apply_inplace(work, op)
-    return StateVector(n, work.reshape(-1)), prob
+        _apply_inplace(work, op)
+    return StateVector(n, work.reshape(-1))
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Full 2**n unitary of a measurement-free circuit (n <= 12)."""
+    """Full 2**n unitary of a circuit (n <= 12)."""
     n = circuit.n_qubits
     if n > 12:
         raise SimulationError("circuit_unitary supports at most 12 qubits")
-    if circuit.n_measurements:
-        raise SimulationError("circuit contains measurements")
     dim = 2**n
     # basis column k rides along the trailing batch axis
     cols = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))

@@ -12,8 +12,11 @@
 * The Holevo round by node quadrature: the outcome law evaluated node by
   node and integrated against the prior, where the package contracts the
   probe's autocorrelation with the prior's closed-form harmonics.
-* The single-branch projection that returns a fresh state, and the qubit
-  drop that follows it.
+* The projection of one qubit onto an assigned outcome, in place and as a
+  fresh state, and the qubit drop that follows it.
+* The whole cluster state of a graph: every vertex in |+> or its injected
+  state, then one CZ per edge through `simcore.run_circuit`, for the
+  stepwise branch walker that the pattern sweep is pinned against.
 * The compressor run densely: the 2^n-amplitude embedding through every
   gate of `simcore.run_circuit`, then one qubit drop per non-output wire.
 * The QFT-readout variance through two dense DFT products on Gamma and eta
@@ -57,12 +60,16 @@ from clustersense.estimate import (
     probe_probs_fn,
     product_probs_fn,
 )
+from clustersense.mbqc import Graph, PatternError
 from clustersense.probes import SubspaceState, sine_coefficients
 from clustersense.simcore import (
+    MAX_QUBITS,
+    NULL_PROB,
     Circuit,
     SimulationError,
     StateVector,
-    _project_inplace,
+    cz,
+    product_state,
     run_circuit,
 )
 
@@ -325,6 +332,26 @@ def traces_dense(probe: SubspaceState, harmonics: np.ndarray, povm: Povm) -> np.
 # ---------------------------------------------------------------------------
 # Measurement of one branch
 
+def _project_inplace(work: np.ndarray, qubit: int, bit: int) -> float:
+    """Project `qubit` of `work` onto `bit` in place and renormalize.
+
+    Returns the branch probability; below NULL_PROB it returns 0.0 and
+    leaves `work` unspecified.
+    """
+    if bit not in (0, 1):
+        raise SimulationError(f"outcome must be a bit, got {bit!r}")
+    index = [slice(None)] * work.ndim
+    index[qubit] = bit
+    kept = work[(*index, ...)]  # the Ellipsis keeps a 1-qubit part a view
+    prob = float(np.vdot(kept, kept).real)
+    if prob < NULL_PROB:
+        return 0.0
+    kept /= math.sqrt(prob)
+    index[qubit] = 1 - bit
+    work[(*index, ...)] = 0.0
+    return prob
+
+
 def measure_branch(state: StateVector, qubit: int, outcome: int) -> tuple[StateVector, float]:
     """Project `qubit` onto `outcome` and renormalize.
 
@@ -356,6 +383,20 @@ def drop_qubit(state: StateVector, qubit: int, outcome: int) -> StateVector:
 
 
 # ---------------------------------------------------------------------------
+# Cluster states
+
+def cluster_state(graph: Graph, injected: dict[int, np.ndarray] | None = None) -> StateVector:
+    """|+> on every vertex (or the injected state), then CZ across each edge."""
+    n = graph.n_vertices
+    if n > MAX_QUBITS:
+        raise PatternError(f"{n} vertices exceed the dense-simulation cap")
+    injected = injected or {}
+    plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
+    state = product_state([np.asarray(injected.get(v, plus), dtype=complex) for v in range(n)])
+    return run_circuit(Circuit(n, [cz(a, b) for a, b in sorted(graph.edges)]), state)
+
+
+# ---------------------------------------------------------------------------
 # The compressor on the dense simulator
 
 def compress_statevector_dense(state: StateVector, layout: CompressorLayout,
@@ -368,7 +409,7 @@ def compress_statevector_dense(state: StateVector, layout: CompressorLayout,
     full = np.zeros(2 ** layout.n_qubits, dtype=complex)
     shift = layout.n_qubits - layout.N
     full[np.arange(2**layout.N) << shift] = state.amps
-    result, _ = run_circuit(circuit, StateVector(layout.n_qubits, full))
+    result = run_circuit(circuit, StateVector(layout.n_qubits, full))
     keep = layout.final_binary_msb_first()
     for wire in sorted(set(range(layout.n_qubits)) - set(keep), reverse=True):
         result = drop_qubit(result, wire, 0)

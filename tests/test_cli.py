@@ -135,6 +135,9 @@ def test_usage_error_exit_code():
     ["compress-verify", "2", "--tol", "-1"],
     ["bayes-phase", "--n-max", "300"],
     ["bayes-freq", "--n-min", "300", "--n-max", "300"],
+    ["bayes-phase", "--n-max", "10", "--n-step", "-3"],
+    ["mbqc-verify", "teleport", "--seed", "-1"],
+    ["compress-verify", "3", "--seed", "-5"],
 ])
 def test_out_of_range_arguments_exit_with_usage_code(argv, tmp_path, capsys):
     out = tmp_path / "out.csv"

@@ -54,7 +54,7 @@ def _embed_on_unary(N: int, layout, unary_bits: str) -> simcore.StateVector:
 def test_first_step_adds_one():
     layout = make_layout(4)
     step = build_step(1, layout)
-    out, _ = simcore.run_circuit(step, _embed_on_unary(4, layout, "1000"))
+    out = simcore.run_circuit(step, _embed_on_unary(4, layout, "1000"))
     # u_1 consumed; after the shift the binary value 1 sits on the new wires
     _, binary, _ = layout.step_wires[1]
     index = int(np.argmax(np.abs(out.amps)))
@@ -70,7 +70,7 @@ def test_first_step_on_zero_is_identity():
     layout = make_layout(4)
     step = build_step(1, layout)
     initial = _embed_on_unary(4, layout, "0000")
-    out, _ = simcore.run_circuit(step, initial)
+    out = simcore.run_circuit(step, initial)
     assert simcore.fidelity_up_to_global_phase(out, initial) >= 1 - 1e-12
 
 
@@ -99,7 +99,7 @@ def test_ancillas_return_to_zero_with_probability_one():
         state = probes.unary_basis_state(n, N)
         full = np.zeros(2**layout.n_qubits, dtype=complex)
         full[np.arange(2**N) << (layout.n_qubits - N)] = state.amps
-        out, _ = simcore.run_circuit(circuit, simcore.StateVector(layout.n_qubits, full))
+        out = simcore.run_circuit(circuit, simcore.StateVector(layout.n_qubits, full))
         psi = out.amps.reshape((2,) * layout.n_qubits)
         index = tuple(slice(None) if w in keep else 0 for w in range(layout.n_qubits))
         clean_weight = float(np.sum(np.abs(psi[index]) ** 2))
@@ -160,7 +160,7 @@ def test_qft_single_qubit_is_hadamard():
 
 
 def test_qft_zero_column_is_uniform():
-    out, _ = simcore.run_circuit(build_qft(2), simcore.zero_state(2))
+    out = simcore.run_circuit(build_qft(2), simcore.zero_state(2))
     np.testing.assert_allclose(out.amps, [0.5] * 4, atol=1e-14)
 
 
@@ -243,7 +243,7 @@ def test_non_unary_input_fails_on_the_same_wire():
 
 def test_bit_route_rejects_gates_that_are_not_permutations():
     circuit, layout = build_compressor(2)
-    for extra in (simcore.h(0), simcore.cz(0, 1), simcore.Measure(0)):
+    for extra in (simcore.h(0), simcore.cz(0, 1)):
         broken = simcore.Circuit(circuit.n_qubits, circuit.ops + (extra,))
         with pytest.raises(CompressError):
             compress_statevector(probes.unary_basis_state(1, 2), layout, broken)

@@ -147,6 +147,30 @@ def test_povm_validation():
             Povm(factors, labels)
 
 
+def _bayes_state() -> BayesState:
+    return BayesState(gaussian_prior(0.5), probes.sine_coefficients(2), qft_povm(2))
+
+
+_ARRAY_VALUES = {
+    "StateVector": lambda: simcore.plus_state(2),
+    "SubspaceState": lambda: probes.sine_coefficients(2),
+    "AngleSchedule": lambda: probes.angles_from_amplitudes(probes.sine_coefficients(2)),
+    "Povm": lambda: qft_povm(2),
+    "BayesState": _bayes_state,
+    "EstimationResult": lambda: bayes_round(_bayes_state()),
+}
+
+
+@pytest.mark.parametrize("build", _ARRAY_VALUES.values(), ids=_ARRAY_VALUES.keys())
+def test_values_holding_arrays_compare_and_hash_by_identity(build):
+    # an elementwise array comparison has no single truth value
+    x, y = build(), build()
+    assert x == x
+    assert not x == y
+    assert hash(x) == hash(x)
+    assert x in {x}
+
+
 # ---------------------------------------------------------------------------
 # Gamma / eta and the Bayes round
 
@@ -491,6 +515,16 @@ def test_harmonic_moments_match_adaptive_quadrature(prior):
                     lambda t: weight(t) * float(prior.pdf(t)) * np.exp(-1j * k * t),
                     -math.pi, math.pi, rtol=1e-12)
                 assert abs(moments[row, col] - want) <= 1e-12, (N, row, k)
+
+
+@pytest.mark.parametrize("N", [1, 8, 64, 200])
+def test_flat_prior_moments_match_gauss_legendre(N):
+    # the closed-form theta and theta^2 rows against the rule they replaced
+    k = np.arange(-N, N + 1)
+    want = est._gauss_legendre_converged(
+        flat_prior().pdf,
+        lambda thetas, w: np.stack([thetas * w, thetas**2 * w]) @ np.exp(-1j * np.outer(thetas, k)))
+    np.testing.assert_allclose(est._harmonic_moments(flat_prior(), N)[1:], want, rtol=0, atol=1e-12)
 
 
 def test_phase_commands_leave_scipy_unloaded():

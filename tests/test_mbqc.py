@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference import drop_qubit, measure_branch
+from reference import cluster_state, drop_qubit, measure_branch
 
 from clustersense import mbqc, probes, simcore
 from clustersense.mbqc import (
@@ -13,7 +13,6 @@ from clustersense.mbqc import (
     Graph,
     MeasurementPattern,
     PatternError,
-    cluster_state,
     cnot_pattern,
     ghz_pattern,
     path_graph,

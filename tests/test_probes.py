@@ -122,21 +122,21 @@ def test_degenerate_inversion_sets_trailing_angles_to_zero():
 def test_prep_circuit_single_qubit():
     psi = SubspaceState(1, np.array([1, 1], dtype=complex) / math.sqrt(2))
     circuit = build_prep_circuit(angles_from_amplitudes(psi))
-    out, _ = simcore.run_circuit(circuit, simcore.zero_state(1))
+    out = simcore.run_circuit(circuit, simcore.zero_state(1))
     np.testing.assert_allclose(out.amps, [1 / math.sqrt(2)] * 2, atol=1e-12)
 
 
 def test_prep_circuit_sine_three_qubits():
     psi = sine_coefficients(3)
     circuit = build_prep_circuit(angles_from_amplitudes(psi))
-    out, _ = simcore.run_circuit(circuit, simcore.zero_state(3))
+    out = simcore.run_circuit(circuit, simcore.zero_state(3))
     assert simcore.fidelity_up_to_global_phase(out, unary_embedding(psi)) >= 1 - 1e-10
 
 
 def test_prep_circuit_gate_count_is_N():
     for N in (1, 3, 6):
         schedule = angles_from_amplitudes(sine_coefficients(N))
-        assert len(build_prep_circuit(schedule).gates) == N
+        assert len(build_prep_circuit(schedule).ops) == N
 
 
 def test_prep_circuit_output_support_is_unary():
@@ -145,7 +145,7 @@ def test_prep_circuit_output_support_is_unary():
         N = int(rng.integers(2, 7))
         phis = rng.uniform(0, math.pi, size=N)
         circuit = build_prep_circuit(AngleSchedule(N, phis))
-        out, _ = simcore.run_circuit(circuit, simcore.zero_state(N))
+        out = simcore.run_circuit(circuit, simcore.zero_state(N))
         unary_indices = {int("1" * n + "0" * (N - n), 2) for n in range(N + 1)}
         for index, amp in enumerate(out.amps):
             if index not in unary_indices:
@@ -160,7 +160,7 @@ def test_prep_circuit_matches_embedding_for_random_profiles():
             coeffs = raw / np.linalg.norm(raw)
             psi = SubspaceState(N, coeffs.astype(complex))
             circuit = build_prep_circuit(angles_from_amplitudes(psi))
-            out, _ = simcore.run_circuit(circuit, simcore.zero_state(N))
+            out = simcore.run_circuit(circuit, simcore.zero_state(N))
             assert simcore.fidelity_up_to_global_phase(out, unary_embedding(psi)) >= 1 - 1e-10
 
 

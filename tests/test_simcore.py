@@ -10,8 +10,6 @@ from reference import drop_qubit, measure_branch
 from clustersense import simcore
 from clustersense.simcore import (
     Circuit,
-    ClassicallyControlled,
-    Measure,
     SimulationError,
     StateVector,
     apply_gate,
@@ -54,6 +52,10 @@ def test_ry_pi_on_zero_gives_minus_one():
 def test_gate_index_out_of_range():
     with pytest.raises(SimulationError):
         apply_gate(zero_state(2), simcore.h(2))
+    # a circuit holds only gates, each on its own qubits
+    for op in (simcore.h(2), ("H", 0)):
+        with pytest.raises(SimulationError):
+            Circuit(2, [op])
 
 
 def test_controls_and_targets_disjoint():
@@ -92,8 +94,6 @@ def test_measure_ghz3_middle_qubit():
 def test_assigned_outcome_must_be_a_bit(bit):
     with pytest.raises(SimulationError):
         measure_branch(plus_state(2), 0, bit)
-    with pytest.raises(SimulationError):
-        run_circuit(Circuit(2, [Measure(0)]), plus_state(2), (bit,))
 
 
 def test_measure_zero_probability_branch_is_flagged():
@@ -104,50 +104,44 @@ def test_measure_zero_probability_branch_is_flagged():
 
 def test_empty_circuit_is_identity():
     initial = plus_state(2)
-    out, prob = run_circuit(Circuit(2), initial)
-    assert prob == 1.0
+    out = run_circuit(Circuit(2), initial)
     np.testing.assert_allclose(out.amps, initial.amps)
 
 
-def _ghz_from_cluster_circuit(N: int) -> Circuit:
-    """1D cluster of 2N-1 qubits; X-basis measurement of the odd qubits and
-    outcome-parity X corrections leave the even qubits in a GHZ state."""
+def _ghz_from_cluster(N: int, bits: tuple[int, ...]) -> tuple[StateVector, float]:
+    """1D cluster of 2N-1 qubits; X-basis measurement of the odd qubits onto
+    `bits` and outcome-parity X corrections leave the even qubits in a GHZ
+    state.  Returns the even qubits' state and the branch probability."""
     n = 2 * N - 1
     ops = [simcore.h(q) for q in range(n)]
     ops += [simcore.cz(q, q + 1) for q in range(n - 1)]
-    measured = list(range(1, n, 2))
-    for q in measured:
-        ops.append(simcore.h(q))
-        ops.append(Measure(q))
+    state, prob = run_circuit(Circuit(n, ops), zero_state(n)), 1.0
+    measured = range(1, n, 2)
+    for q, bit in zip(measured, bits):
+        state, p = measure_branch(apply_gate(state, simcore.h(q)), q, bit)
+        prob *= p
     for m in range(1, N):
-        ops.append(ClassicallyControlled(simcore.x(2 * m), tuple(range(m))))
-    return Circuit(n, ops)
-
-
-def _extract_outputs(state: StateVector, measured: list[int], bits: tuple[int, ...]) -> StateVector:
-    for qubit, bit in sorted(zip(measured, bits), reverse=True):
-        state = drop_qubit(state, qubit, bit)
-    return state
+        if sum(bits[:m]) % 2:
+            state = apply_gate(state, simcore.x(2 * m))
+    for q, bit in sorted(zip(measured, bits), reverse=True):
+        state = drop_qubit(state, q, bit)
+    return state, prob
 
 
 def test_cluster_circuit_yields_ghz_on_reference_branch():
-    circuit = _ghz_from_cluster_circuit(4)
-    out, prob = run_circuit(circuit, zero_state(7), (0, 0, 0))
+    reduced, prob = _ghz_from_cluster(4, (0, 0, 0))
     assert prob == pytest.approx(1 / 8, abs=1e-12)
-    reduced = _extract_outputs(out, [1, 3, 5], (0, 0, 0))
     ghz4 = StateVector(4, np.array([SQ2] + [0] * 14 + [SQ2]))
     assert fidelity_up_to_global_phase(reduced, ghz4) >= 1 - 1e-10
 
 
 def test_cluster_circuit_yields_ghz_on_every_branch():
-    circuit = _ghz_from_cluster_circuit(4)
     ghz4 = StateVector(4, np.array([SQ2] + [0] * 14 + [SQ2]))
     total = 0.0
     for branch in range(8):
         bits = tuple((branch >> k) & 1 for k in range(3))
-        out, prob = run_circuit(circuit, zero_state(7), bits)
+        reduced, prob = _ghz_from_cluster(4, bits)
         total += prob
-        reduced = _extract_outputs(out, [1, 3, 5], bits)
         assert fidelity_up_to_global_phase(reduced, ghz4) >= 1 - 1e-10
     assert total == pytest.approx(1.0, abs=1e-10)
 
@@ -203,8 +197,7 @@ def _random_circuit(rng: np.random.Generator, n_qubits: int, n_gates: int) -> Ci
 def test_norm_preserved_by_random_circuits(seed, n_qubits, n_gates):
     rng = np.random.default_rng(seed)
     circuit = _random_circuit(rng, n_qubits, n_gates)
-    out, prob = run_circuit(circuit, plus_state(n_qubits))
-    assert prob == 1.0
+    out = run_circuit(circuit, plus_state(n_qubits))
     assert abs(out.norm_sq() - 1.0) < 1e-12
 
 
@@ -212,15 +205,13 @@ def test_norm_preserved_by_random_circuits(seed, n_qubits, n_gates):
 @settings(max_examples=25, deadline=None)
 def test_branch_probabilities_complete(seed):
     rng = np.random.default_rng(seed)
-    ops = list(_random_circuit(rng, 3, 6).ops)
-    ops.insert(3, Measure(0))
-    ops.append(Measure(2))
-    circuit = Circuit(3, ops)
+    ops = _random_circuit(rng, 3, 6).ops
     total = 0.0
     for branch in range(4):
-        bits = (branch & 1, branch >> 1)
-        _, prob = run_circuit(circuit, plus_state(3), bits)
-        total += prob
+        # qubit 0 projected after the third gate, qubit 2 after the last
+        state, p0 = measure_branch(run_circuit(Circuit(3, ops[:3]), plus_state(3)), 0, branch & 1)
+        _, p2 = measure_branch(run_circuit(Circuit(3, ops[3:]), state), 2, branch >> 1)
+        total += p0 * p2
     assert total == pytest.approx(1.0, abs=1e-10)
 
 
@@ -230,11 +221,6 @@ def test_drop_qubit_requires_definite_value():
     state, _ = measure_branch(plus_state(2), 0, 1)
     reduced = drop_qubit(state, 0, 1)
     np.testing.assert_allclose(reduced.amps, [SQ2, SQ2], atol=1e-15)
-
-
-def test_classical_control_references_only_earlier_measurements():
-    with pytest.raises(SimulationError):
-        Circuit(2, [ClassicallyControlled(simcore.x(1), (0,)), Measure(0)])
 
 
 def test_mcx_polarity():
@@ -332,39 +318,18 @@ def test_circuit_unitary_matches_columnwise_reference(data, n_qubits, block):
 @given(data=st.data(), n_qubits=st.integers(2, 6))
 @settings(max_examples=60, deadline=None)
 def test_run_circuit_matches_stepwise_reference(data, n_qubits):
-    """Gates, projections and fired classically controlled gates, applied in
-    place, against one fresh state per step through the dense route."""
-    ops = data.draw(st.lists(_gates(n_qubits), max_size=8))
-    measured = data.draw(st.lists(st.integers(0, n_qubits - 1), min_size=1, max_size=3))
-    for q in measured:
-        ops.insert(data.draw(st.integers(0, len(ops))), Measure(q))
-    seen = 0
-    for i, op in enumerate(ops):
-        if isinstance(op, Measure):
-            seen += 1
-        elif seen and data.draw(st.booleans()):
-            outcome_indices = tuple(data.draw(st.sets(st.integers(0, seen - 1), min_size=1)))
-            ops[i] = ClassicallyControlled(op, outcome_indices, flip=data.draw(st.booleans()))
-    bits = tuple(data.draw(st.lists(st.integers(0, 1), min_size=seen, max_size=seen)))
-    circuit = Circuit(n_qubits, ops)
+    """Gates applied in place, against one fresh state per gate through the
+    dense route."""
+    gates = data.draw(st.lists(_gates(n_qubits), max_size=8))
     initial = data.draw(_states(n_qubits))
     before = initial.amps.copy()
 
-    state, prob, outcomes = initial, 1.0, []
-    for op in ops:
-        if isinstance(op, Measure):
-            state, p = measure_branch(state, op.qubit, bits[len(outcomes)])
-            outcomes.append(bits[len(outcomes)])
-            prob *= p
-        elif isinstance(op, ClassicallyControlled):
-            if op.fires(tuple(outcomes)):
-                state = StateVector(n_qubits, _reference_gate(state.amps, n_qubits, op.gate))
-        else:
-            state = StateVector(n_qubits, _reference_gate(state.amps, n_qubits, op))
+    expected = initial.amps
+    for gate in gates:
+        expected = _reference_gate(expected, n_qubits, gate)
 
-    out, out_prob = run_circuit(circuit, initial, bits)
-    assert out_prob == pytest.approx(prob, rel=1e-12, abs=1e-15)
-    np.testing.assert_allclose(out.amps, state.amps, rtol=0, atol=1e-12)
+    out = run_circuit(Circuit(n_qubits, gates), initial)
+    np.testing.assert_allclose(out.amps, expected, rtol=0, atol=1e-12)
     np.testing.assert_array_equal(initial.amps, before)
 
 
