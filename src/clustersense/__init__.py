@@ -2,10 +2,10 @@
 
 Subpackages by concern:
 
-* :mod:`clustersense.simcore`  - dense state-vector simulation (ground truth)
+* :mod:`clustersense.simcore`  - gate-only dense state-vector reference
 * :mod:`clustersense.probes`   - unary-subspace probe states and prep circuits
 * :mod:`clustersense.compress` - unary-to-binary compression circuit and QFT
-* :mod:`clustersense.mbqc`     - cluster states and measurement patterns
+* :mod:`clustersense.mbqc`     - measurement patterns and their branch-exhaustive checks
 * :mod:`clustersense.estimate` - local and Bayesian phase/frequency estimation
 * :mod:`clustersense.cli`      - estimation-curve CSV output and verification CLI
 """

@@ -110,11 +110,13 @@ def _classical_n_grid(args) -> list[int]:
     return ns
 
 
-def _pool_map(func, cells, jobs: int):
-    """Ordered results; lazy generator when serial, ordered pool map otherwise."""
-    if jobs <= 1:
+def _pool_map(func, cells: list, jobs: int):
+    """Ordered results; lazy generator when serial, else at most one worker per cell."""
+    if jobs < 1:
+        raise UsageError(f"--jobs needs a positive worker count, got {jobs}")
+    if jobs == 1:
         return (func(cell) for cell in cells)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
         return list(pool.map(func, cells))
 
 
@@ -207,7 +209,6 @@ def cmd_holevo(args) -> int:
     sigmas = (_parse_widths(args.sigma, "--sigma") if args.sigma
               else [k * math.pi / 8 for k in range(1, 9)])
     ns = _n_grid(args.n_min, args.n_max, args.n_step)
-    _tolerance(args.tol, 1e-8)  # validated, though the closed-form rounds take no tolerance
     cells = [(sigma, ns, args.theta0) for sigma in sigmas]
     blocks = _pool_map(_holevo_block, cells, args.jobs)
     rows = (row for block in blocks for row in block)
@@ -295,22 +296,23 @@ def cmd_mbqc_verify(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _add_common(parser: argparse.ArgumentParser, n_min: int, n_max: int) -> None:
-    parser.add_argument("--n-min", type=int, default=n_min)
-    parser.add_argument("--n-max", type=int, default=n_max)
-    parser.add_argument("--n-step", type=int, default=0,
-                        help="explicit N stride (default: dense to 20, then every 5th)")
-    parser.add_argument("--sigma", type=str, default="",
-                        help="comma-separated prior widths")
-    parser.add_argument("--delta", type=str, default="",
-                        help="comma-separated frequency prior widths")
-    parser.add_argument("--theta0", type=float, default=0.0)
-    parser.add_argument("--out", type=str, default="")
-    parser.add_argument("--tol", type=float, default=0.0,
-                        help="tolerance override (0 keeps per-command defaults)")
-    parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for the randomized verification inputs")
+#: Every option a command may take.  Each command lists the ones it reads and
+#: argparse rejects the rest; `--n-max` takes its default from the command.
+_OPTIONS = {
+    "--n-min": {"type": int, "default": 1},
+    "--n-max": {"type": int},
+    "--n-step": {"type": int, "default": 0,
+                 "help": "explicit N stride (default: dense to 20, then every 5th)"},
+    "--sigma": {"type": str, "default": "", "help": "comma-separated prior widths"},
+    "--delta": {"type": str, "default": "", "help": "comma-separated frequency prior widths"},
+    "--theta0": {"type": float, "default": 0.0},
+    "--out": {"type": str, "default": ""},
+    "--tol": {"type": float, "default": 0.0,
+              "help": "tolerance override (0 keeps per-command defaults)"},
+    "--jobs": {"type": int, "default": 1},
+    "--seed": {"type": int, "default": 0, "help": "seed for the randomized verification inputs"},
+}
+_GRID = ("--n-min", "--n-max", "--n-step")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -319,36 +321,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cluster-state metrology: estimation curves and verification suites.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("local", help="GHZ/parity Fisher information vs qubit number")
-    _add_common(p, 1, 8)
-    p.set_defaults(func=cmd_local)
+    # handlers are looked up when the parser is built, so module-level wrappers run
+    def command(name, help, func, options, **defaults):
+        p = sub.add_parser(name, help=help)
+        for flag in options:
+            p.add_argument(flag, **_OPTIONS[flag])
+        p.set_defaults(func=func, **defaults)
+        return p
 
-    p = sub.add_parser("bayes-phase", help="Gaussian-prior phase estimation curves")
-    _add_common(p, 1, 200)
-    p.set_defaults(func=cmd_bayes_phase)
-
-    p = sub.add_parser("bayes-freq", help="frequency estimation with optimized interrogation time")
-    _add_common(p, 1, 64)
-    p.set_defaults(func=cmd_bayes_freq)
-
-    p = sub.add_parser("mse-limit", help="minimal posterior MSE vs prior width")
-    _add_common(p, 1, 1)
-    p.set_defaults(func=cmd_mse_limit)
-
-    p = sub.add_parser("holevo", help="wrapped-prior Holevo phase variance curves")
-    _add_common(p, 1, 100)
-    p.set_defaults(func=cmd_holevo)
-
-    p = sub.add_parser("compress-verify", help="unary-to-binary compressor checks")
+    command("local", "GHZ/parity Fisher information vs qubit number", cmd_local,
+            ("--n-min", "--n-max", "--out", "--jobs"), n_max=8)
+    command("bayes-phase", "Gaussian-prior phase estimation curves", cmd_bayes_phase,
+            (*_GRID, "--sigma", "--theta0", "--out", "--jobs"), n_max=200)
+    command("bayes-freq", "frequency estimation with optimized interrogation time",
+            cmd_bayes_freq, (*_GRID, "--delta", "--out", "--jobs"), n_max=64)
+    command("mse-limit", "minimal posterior MSE vs prior width", cmd_mse_limit,
+            ("--sigma", "--out"))
+    command("holevo", "wrapped-prior Holevo phase variance curves", cmd_holevo,
+            (*_GRID, "--sigma", "--theta0", "--out", "--jobs"), n_max=100)
+    p = command("compress-verify", "unary-to-binary compressor checks", cmd_compress_verify,
+                ("--tol", "--seed"))
     p.add_argument("N", type=int)
-    _add_common(p, 1, 1)
-    p.set_defaults(func=cmd_compress_verify)
-
-    p = sub.add_parser("mbqc-verify", help="branch-exhaustive measurement-pattern checks")
+    p = command("mbqc-verify", "branch-exhaustive measurement-pattern checks", cmd_mbqc_verify,
+                ("--tol", "--seed"))
     p.add_argument("pattern", choices=["teleport", "yrot", "cnot", "ghz", "sine"])
     p.add_argument("N", type=int, nargs="?", default=3)
-    _add_common(p, 1, 1)
-    p.set_defaults(func=cmd_mbqc_verify)
 
     return parser
 

@@ -42,17 +42,15 @@ def binary_width(N: int) -> int:
 class CompressorLayout:
     """Wire assignments for an N-bit compressor.
 
-    `unary` holds the input wires for u_1..u_N.  `binary_start`/`carry_start`
-    are the initial accumulator wires; because each block ends with swaps,
-    the accumulator moves, and `final_binary` gives the wires holding bits
-    b_0 (LSB) .. b_{lambda-1} (MSB) after all N blocks.
+    `unary` holds the input wires for u_1..u_N; the accumulator and its
+    carries start on the wires after them (`step_wires[0]`).  Each block ends
+    with swaps, so the accumulator moves, and `final_binary` gives the wires
+    holding bits b_0 (LSB) .. b_{lambda-1} (MSB) after all N blocks.
     """
 
     N: int
     lam: int
     unary: tuple[int, ...]
-    binary_start: tuple[int, ...]
-    carry_start: tuple[int, ...]
     final_binary: tuple[int, ...]
     step_wires: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]
     step_slices: tuple[tuple[int, int], ...] = ()
@@ -83,8 +81,6 @@ def make_layout(N: int) -> CompressorLayout:
         N=N,
         lam=lam,
         unary=unary,
-        binary_start=tuple(range(N, N + lam)),
-        carry_start=tuple(range(N + lam, N + 2 * lam - 1)),
         final_binary=tuple(binary),
         step_wires=tuple(steps),
     )

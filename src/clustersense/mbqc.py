@@ -107,7 +107,8 @@ class MeasurementPattern:
     inputs: tuple[int, ...]
     measurements: tuple[tuple[int, AngleSpec], ...]
     outputs: tuple[int, ...]
-    corrections: dict[int, tuple[CorrectionFactor, ...]] = field(default_factory=dict)
+    # a dict cannot be hashed: equality compares corrections, the hash skips them
+    corrections: dict[int, tuple[CorrectionFactor, ...]] = field(default_factory=dict, hash=False)
 
     def __post_init__(self):
         measured = [v for v, _ in self.measurements]

@@ -1,3 +1,4 @@
+import argparse
 import math
 
 import numpy as np
@@ -130,7 +131,7 @@ def test_usage_error_exit_code():
     ["bayes-phase", "--sigma", "0.5", "--n-min", "0"],
     ["mbqc-verify", "cnot", "--tol", "-1"],
     ["mbqc-verify", "cnot", "--tol", "nan"],
-    ["holevo", "--tol", "-1"],
+    ["bayes-phase", "--n-max", "3", "--jobs", "0"],
     ["compress-verify", "2", "--tol", "nan"],
     ["compress-verify", "2", "--tol", "-1"],
     ["bayes-phase", "--n-max", "300"],
@@ -138,14 +139,59 @@ def test_usage_error_exit_code():
     ["bayes-phase", "--n-max", "10", "--n-step", "-3"],
     ["mbqc-verify", "teleport", "--seed", "-1"],
     ["compress-verify", "3", "--seed", "-5"],
+    ["local", "--jobs", "-2"],
 ])
 def test_out_of_range_arguments_exit_with_usage_code(argv, tmp_path, capsys):
     out = tmp_path / "out.csv"
-    assert cli.main(argv + ["--out", str(out)]) == 2
+    if argv[0] not in ("compress-verify", "mbqc-verify"):
+        argv = argv + ["--out", str(out)]
+    assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
     assert not out.exists()
+
+
+#: The options each command accepts, beside -h.
+COMMAND_OPTIONS = {
+    "local": ["--n-min", "--n-max", "--out", "--jobs"],
+    "bayes-phase": ["--n-min", "--n-max", "--n-step", "--sigma", "--theta0", "--out", "--jobs"],
+    "bayes-freq": ["--n-min", "--n-max", "--n-step", "--delta", "--out", "--jobs"],
+    "mse-limit": ["--sigma", "--out"],
+    "holevo": ["--n-min", "--n-max", "--n-step", "--sigma", "--theta0", "--out", "--jobs"],
+    "compress-verify": ["--tol", "--seed"],
+    "mbqc-verify": ["--tol", "--seed"],
+}
+
+
+def test_each_command_takes_only_the_options_it_reads():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(COMMAND_OPTIONS)
+    options = {name: [flag for action in p._actions for flag in action.option_strings
+                      if flag not in ("-h", "--help")]
+               for name, p in sub.choices.items()}
+    assert options == COMMAND_OPTIONS
+    assert sum(map(len, options.values())) == 30
+
+
+@pytest.mark.parametrize("argv", [
+    ["local", "--n-step", "2"],
+    ["local", "--sigma", "0.3"],
+    ["bayes-phase", "--delta", "1"],
+    ["bayes-freq", "--sigma", "0.5"],
+    ["holevo", "--tol", "1e-3"],
+    ["mse-limit", "--n-max", "50"],
+    ["compress-verify", "3", "--out", "x"],
+    ["mbqc-verify", "cnot", "--out", "x"],
+])
+def test_dropped_options_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -183,10 +229,42 @@ def test_failed_row_leaves_no_partial_csv(tmp_path):
     assert not out.exists()
 
 
-def test_jobs_flag_preserves_output(tmp_path):
+@pytest.mark.parametrize("argv", [
+    ["local", "--n-min", "1", "--n-max", "6"],
+    ["bayes-phase", "--sigma", "0.3,0.5", "--n-max", "4"],
+    ["holevo", "--sigma", "0.3,0.5", "--n-max", "4"],
+    ["bayes-freq", "--n-max", "3"],
+], ids=lambda argv: argv[0])
+def test_jobs_flag_preserves_output(argv, tmp_path):
     serial = tmp_path / "serial.csv"
     parallel = tmp_path / "parallel.csv"
-    base = ["local", "--n-min", "1", "--n-max", "6"]
-    assert cli.main(base + ["--out", str(serial)]) == 0
-    assert cli.main(base + ["--jobs", "2", "--out", str(parallel)]) == 0
+    assert cli.main(argv + ["--out", str(serial)]) == 0
+    assert cli.main(argv + ["--jobs", "2", "--out", str(parallel)]) == 0
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+def test_jobs_cap_at_one_worker_per_cell(tmp_path, monkeypatch):
+    class RecordingPool:
+        """Stands in for the process pool: records its size, maps serially."""
+        sizes = []
+
+        def __init__(self, max_workers):
+            self.sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, cells):
+            return map(func, cells)
+
+    serial = tmp_path / "serial.csv"
+    pooled = tmp_path / "pooled.csv"
+    argv = ["holevo", "--sigma", "0.5", "--n-max", "3"]
+    assert cli.main(argv + ["--out", str(serial)]) == 0
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    assert cli.main(argv + ["--jobs", "64", "--out", str(pooled)]) == 0
+    assert RecordingPool.sizes == [1]
+    assert pooled.read_bytes() == serial.read_bytes()

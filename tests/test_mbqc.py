@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -214,6 +215,15 @@ def test_ghz_pattern(N):
     report = verify_pattern(ghz_pattern(N), probes.ghz_state(N))
     assert report.passed
     assert report.probability_sum == pytest.approx(1.0, abs=1e-10)
+
+
+def test_patterns_hash_by_value():
+    a, b = ghz_pattern(3), ghz_pattern(3)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != ghz_pattern(4)
+    # the hash skips the corrections dict, but equality still compares it
+    assert a.corrections and dataclasses.replace(a, corrections={}) != a
 
 
 def test_ghz_pattern_vertex_count():
