@@ -111,12 +111,13 @@ def _classical_n_grid(args) -> list[int]:
 
 
 def _pool_map(func, cells: list, jobs: int):
-    """Ordered results; lazy generator when serial, else at most one worker per cell."""
+    """Ordered results; lazy and serial for one worker, else at most one worker per cell."""
     if jobs < 1:
         raise UsageError(f"--jobs needs a positive worker count, got {jobs}")
-    if jobs == 1:
+    workers = min(jobs, len(cells))
+    if workers <= 1:
         return (func(cell) for cell in cells)
-    with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(func, cells))
 
 
@@ -326,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         for flag in options:
             p.add_argument(flag, **_OPTIONS[flag])
-        p.set_defaults(func=func, **defaults)
+        p.set_defaults(func=func, parser=p, **defaults)
         return p
 
     command("local", "GHZ/parity Fisher information vs qubit number", cmd_local,
@@ -351,7 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
     except estimate.QuadratureError as exc:

@@ -8,7 +8,10 @@ relative phases e^{-i n theta}.  All operators on the subspace are plain
 A prior enters a round only through its harmonics
 h_d = int p(theta) w(theta) e^{-i d theta} dtheta, d = -N..N, for w = 1,
 theta, theta^2 and the centred phasor e^{i (theta - t0)} - 1 about the
-prior's mean t0: the prior-averaged operators are psi psi^+ o h entrywise.
+prior's mean t0: the prior-averaged operators are psi psi^+ o h entrywise
+(_on_subspace).  A Gaussian or wrapped prior's 1 harmonics are the row
+e^{-i d theta0 - d^2 sigma^2 / 2} (_gaussian_row), which is also the factor
+of the probe encoded at theta0 after Gaussian dephasing of width sigma.
 The 1 and phasor harmonics are closed forms, and so are the theta and
 theta^2 harmonics of a flat prior; those of a wrapped prior are integrated
 over [-pi, pi] by Gauss-Legendre rules of doubling order, over theta0 +- 12
@@ -161,14 +164,12 @@ class Prior:
     def _q_max(self) -> int:
         return math.ceil((math.pi + 10 * self.sigma) / (2 * math.pi))
 
-    def _wrapped_sum(self, theta: np.ndarray) -> np.ndarray:
-        q_max = self._q_max()
-        centre = math.remainder(self.theta0, 2 * math.pi)
-        total = np.zeros_like(theta, dtype=float)
-        for q in range(-q_max, q_max + 1):
-            total = total + np.exp(
-                -((theta - centre + 2 * math.pi * q) ** 2) / (2 * self.sigma**2))
-        return total / (math.sqrt(2 * math.pi) * self.sigma)
+    def _images(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Offsets theta - centre + 2 pi q of the kept images q, on a new last
+        axis, and their Gaussian terms e^{-offset^2 / 2 sigma^2}."""
+        images = 2 * math.pi * np.arange(-self._q_max(), self._q_max() + 1)
+        offsets = theta[..., None] - math.remainder(self.theta0, 2 * math.pi) + images
+        return offsets, np.exp(-offsets**2 / (2 * self.sigma**2))
 
     def pdf(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -176,7 +177,8 @@ class Prior:
             return np.exp(-((theta - self.theta0) ** 2) / (2 * self.sigma**2)) / (
                 math.sqrt(2 * math.pi) * self.sigma)
         if self.kind == "wrapped_gaussian":
-            return self._wrapped_sum(theta) / self._norm
+            return self._images(theta)[1].sum(axis=-1) / (
+                math.sqrt(2 * math.pi) * self.sigma) / self._norm
         return np.full_like(theta, 1.0 / (2 * math.pi))
 
     def rule_intervals(self) -> tuple[tuple[float, float], ...]:
@@ -204,13 +206,10 @@ class Prior:
             return 1.0 / self.sigma**2
         if self.kind == "flat":
             return 0.0
-        centre = math.remainder(self.theta0, 2 * math.pi)
-        images = 2 * math.pi * np.arange(-self._q_max(), self._q_max() + 1)
 
         def evaluate(thetas, w):
             # the score d log p / d theta in closed form over the image terms
-            offsets = thetas[:, None] - centre + images
-            g = np.exp(-offsets**2 / (2 * self.sigma**2))
+            offsets, g = self._images(thetas)
             p = g.sum(axis=1)
             live = p > 0
             score = (offsets * g).sum(axis=1)[live] / (self.sigma**2 * p[live])
@@ -357,9 +356,8 @@ def _information(p: np.ndarray, g: np.ndarray) -> np.ndarray:
 # Encoded states and local estimation
 
 def encoded_rho(probe: SubspaceState, theta: float) -> np.ndarray:
-    """Density matrix of the probe after the phase encoding."""
-    u = probe.coeffs * np.exp(-1j * np.arange(probe.N + 1) * theta)
-    return np.outer(u, u.conj())
+    """Density matrix of the probe after the phase encoding (width-0 dephasing)."""
+    return dephased_rho(probe, 0.0, theta)
 
 
 def probe_probs_fn(probe: SubspaceState, povm: Povm):
@@ -380,25 +378,28 @@ def fisher_information(probs_fn, theta: float, step: float = 1e-5) -> float:
     return float(_information(p0, dp))
 
 
-def qfi_pure(probe: SubspaceState) -> float:
-    """4 Var(H) over |psi_n|^2; the N/2 offset cancels in the variance."""
-    weights = probe.probabilities()
-    n = np.arange(probe.N + 1)
+def _four_variance(weights: np.ndarray) -> float:
+    """4 Var(n) under weights over n = 0..N: 4 Var(H) of a pure state with
+    weights[n] on the H = n - N/2 eigenspace, as the offset cancels."""
+    n = np.arange(len(weights))
     mean = float(np.dot(weights, n))
     return 4.0 * (float(np.dot(weights, n**2)) - mean**2)
 
 
+def qfi_pure(probe: SubspaceState) -> float:
+    """4 Var(H) over |psi_n|^2."""
+    return _four_variance(probe.probabilities())
+
+
 def qfi_statevector(state: StateVector) -> float:
-    """4 Var(H) for a full N-qubit state under H = sum_i Z_i / 2."""
+    """4 Var(H) for a full N-qubit state under H = sum_i Z_i / 2, from
+    |amps|^2 binned by the number of ones in the basis index."""
     n = state.n_qubits
-    weights = np.abs(state.amps) ** 2
     index = np.arange(2**n)
     popcount = np.zeros(2**n, dtype=np.int64)
     for k in range(n):
         popcount += (index >> k) & 1
-    eigen = popcount - n / 2.0
-    mean = float(np.dot(weights, eigen))
-    return 4.0 * (float(np.dot(weights, eigen**2)) - mean**2)
+    return _four_variance(np.bincount(popcount, np.abs(state.amps) ** 2, minlength=n + 1))
 
 
 def parity_strategy(N: int, theta: float) -> tuple[float, float, float]:
@@ -453,6 +454,15 @@ def product_probs_fn(N: int, theta_ref: float = 0.0):
 # ---------------------------------------------------------------------------
 # Bayesian machinery
 
+def _gaussian_row(sigma, theta0: float, N: int) -> np.ndarray:
+    """The Gaussian characteristic row e^{-i k theta0 - k^2 sigma^2 / 2},
+    k = -N..N at column k + N.  sigma is one width or an array of widths;
+    the result has shape sigma.shape + (2N + 1,)."""
+    k = np.arange(-N, N + 1)
+    s2 = np.square(np.asarray(sigma, dtype=float))[..., None]
+    return np.exp(-1j * k * theta0 - k**2 * s2 / 2.0)
+
+
 def _periodic_harmonics(prior: Prior, N: int) -> tuple[np.ndarray, float]:
     """Rows h_d = int p(theta) e^{-i d theta} dtheta and the centred phasor
     harmonics c_d = int p(theta) (e^{i (theta - t0)} - 1) e^{-i d theta} dtheta,
@@ -477,17 +487,17 @@ def _periodic_harmonics(prior: Prior, N: int) -> tuple[np.ndarray, float]:
     x = (2 * d - 1) * s2 / 2.0
     centred = (-np.sign(x) * np.exp(-1j * d * t0 - np.minimum(d**2, (d - 1) ** 2) * s2 / 2.0)
                * np.expm1(-np.abs(x)))
-    return np.stack([np.exp(-1j * d * t0 - d**2 * s2 / 2.0), centred]), t0
+    return np.stack([_gaussian_row(prior.sigma, t0, N), centred]), t0
 
 
 def _gaussian_harmonics(sigma, theta0: float, N: int) -> np.ndarray:
     """int p(theta) {1, theta} e^{-i k theta} dtheta, k = -N..N, for a
-    Gaussian prior of mean theta0: e^{-i k theta0 - k^2 sigma^2 / 2} and
+    Gaussian prior of mean theta0: the characteristic row and
     (theta0 - i k sigma^2) times it.  sigma is one width or an array of
     widths; the result has shape sigma.shape + (2, 2N + 1), column k + N."""
     k = np.arange(-N, N + 1)
     s2 = np.square(np.asarray(sigma, dtype=float))[..., None]
-    char = np.exp(-1j * k * theta0 - k**2 * s2 / 2.0)
+    char = _gaussian_row(sigma, theta0, N)
     return np.stack([char, (theta0 - 1j * k * s2) * char], axis=-2)
 
 
@@ -509,13 +519,12 @@ def _harmonic_moments(prior: Prior, N: int) -> np.ndarray:
         second = np.full(2 * N + 1, math.pi**2 / 3, dtype=complex)
         first[off] = 1j * (-1.0) ** k[off] / k[off]
         second[off] = 2 * (-1.0) ** k[off] / k[off] ** 2
-        return np.stack([_periodic_harmonics(prior, N)[0][0], first, second])
+    else:
+        def evaluate(thetas, w):
+            return np.stack([thetas * w, thetas**2 * w]) @ np.exp(-1j * np.outer(thetas, k))
 
-    def evaluate(thetas, w):
-        return np.stack([thetas * w, thetas**2 * w]) @ np.exp(-1j * np.outer(thetas, k))
-
-    first, second = _gauss_legendre_converged(prior.pdf, evaluate,
-                                              intervals=prior.rule_intervals())
+        first, second = _gauss_legendre_converged(prior.pdf, evaluate,
+                                                  intervals=prior.rule_intervals())
     return np.stack([_periodic_harmonics(prior, N)[0][0], first, second])
 
 
@@ -531,19 +540,6 @@ def gamma_eta(prior: Prior, probe: SubspaceState) -> tuple[np.ndarray, np.ndarra
 
 
 @dataclass(frozen=True, eq=False)
-class BayesState:
-    """A prior/probe/POVM triple for one Bayesian round, the POVM checked
-    against the probe's dimension."""
-
-    prior: Prior
-    probe: SubspaceState
-    povm: Povm
-
-    def __post_init__(self):
-        _checked_probe(self.probe.N, self.probe, self.povm)
-
-
-@dataclass(frozen=True, eq=False)
 class EstimationResult:
     labels: tuple[str, ...]
     probs: np.ndarray
@@ -556,9 +552,10 @@ class EstimationResult:
     avg_holevo_variance: float | None = None
 
 
-def bayes_round(state: BayesState) -> EstimationResult:
+def bayes_round(prior: Prior, probe: SubspaceState, povm: Povm) -> EstimationResult:
     """Single-shot Bayesian update: outcome probabilities Tr(E Gamma),
-    estimates Tr(E eta)/Tr(E Gamma), and posterior MSE variances.
+    estimates Tr(E eta)/Tr(E Gamma), and posterior MSE variances.  The POVM
+    must act on the probe's N + 1 dimensions.
 
     For Gaussian priors the average variance uses the exact simplification
     sigma^2 - sum_m gamma_m^2 / Tr(E_m Gamma); outcomes with probability
@@ -567,7 +564,7 @@ def bayes_round(state: BayesState) -> EstimationResult:
     _periodic_harmonics as in holevo_bayes_round, so they keep their digits
     at narrow widths.
     """
-    prior, probe, povm = state.prior, state.probe, state.povm
+    _checked_probe(probe.N, probe, povm)
     if prior.kind == "gaussian" and prior.sigma > 1.0:
         warnings.warn("MSE phase results are unreliable for sigma > 1", MSEValidityWarning)
     # Tr(E_m X) for X = Gamma, eta, Omega = int theta^2 p rho dtheta and, for
@@ -594,10 +591,6 @@ def bayes_round(state: BayesState) -> EstimationResult:
     holevo[live] = weighted / probs[live]
     return EstimationResult(povm.labels, probs, estimates, variances, avg,
                             holevo_variances=holevo, avg_holevo_variance=float(np.sum(weighted)))
-
-
-def average_posterior_variance(prior: Prior, probe: SubspaceState, povm: Povm) -> float:
-    return bayes_round(BayesState(prior, probe, povm)).avg_posterior_variance
 
 
 def _checked_probe(N: int, probe: SubspaceState | None, povm: Povm | None) -> SubspaceState:
@@ -831,20 +824,18 @@ def mse_limit_curve(sigmas) -> np.ndarray:
 # Noisy-local equivalence
 
 def dephased_rho(probe: SubspaceState, sigma: float, theta: float) -> np.ndarray:
-    """Probe after Gaussian parallel dephasing of width sigma, then encoding."""
-    n = np.arange(probe.N + 1)
-    kappa = n[:, None] - n[None, :]
-    damp = np.exp(-(kappa**2) * sigma**2 / 2.0)
-    return np.outer(probe.coeffs, probe.coeffs.conj()) * damp * np.exp(-1j * kappa * theta)
+    """Probe after Gaussian parallel dephasing of width sigma, then encoding:
+    psi psi^+ o h for the Gaussian row h_d = e^{-i d theta - d^2 sigma^2 / 2}."""
+    return _on_subspace(probe, _gaussian_row(sigma, theta, probe.N))
 
 
 def dephased_fisher_information(probe: SubspaceState, povm: Povm, sigma: float,
                                 theta: float) -> float:
     """FI of the dephased probe at theta, via the analytic state derivative:
-    rho is psi psi^+ o h with h_d = e^{-d^2 sigma^2 / 2 - i d theta}, and
+    rho is psi psi^+ o h with h the Gaussian row of dephased_rho, and
     d rho / d theta is psi psi^+ o (-i d h)."""
     d = np.arange(-probe.N, probe.N + 1)
-    h = np.exp(-(d**2) * sigma**2 / 2.0 - 1j * d * theta)
+    h = _gaussian_row(sigma, theta, probe.N)
     return float(_information(*_traces(probe, np.stack([h, -1j * d * h]), povm).real))
 
 
@@ -858,7 +849,7 @@ def noisy_local_equivalence_check(N: int, sigma: float, probe: SubspaceState,
     """
     if sigma == 0.0:
         return 0.0
-    vbar = average_posterior_variance(gaussian_prior(sigma, theta0), probe, povm)
+    vbar = bayes_round(gaussian_prior(sigma, theta0), probe, povm).avg_posterior_variance
     fi = dephased_fisher_information(probe, povm, sigma, theta0)
     return abs(vbar - (sigma**2 - sigma**4 * fi))
 

@@ -488,27 +488,16 @@ def teleport_unitary(phi: float) -> np.ndarray:
 
 
 def y_rotation_pattern(phi: float) -> MeasurementPattern:
-    """Ry(phi) on a 4-vertex wire (input vertex 0, output vertex 3).
+    """Ry(phi) on a 4-vertex wire (input vertex 0, output vertex 3): one
+    rotation block on a bare input carrier.
 
     Angles pi/2, (-1)^{s0} phi, (-1)^{s1+1} pi/2; corrected by X^{s0+s2}
     Z^{s1} and the trailing H, which together undo the byproduct
     X^{s0+s2} Z^{s1} H.
     """
-    return MeasurementPattern(
-        graph=path_graph(4),
-        inputs=(0,),
-        measurements=(
-            (0, AngleSpec(math.pi / 2)),
-            (1, AngleSpec(phi, sign_deps=(0,))),
-            (2, AngleSpec(math.pi / 2, sign_deps=(1,), flip=True)),
-        ),
-        outputs=(3,),
-        corrections={3: (
-            CorrectionFactor("X", deps=(0, 2)),
-            CorrectionFactor("Z", deps=(1,)),
-            CorrectionFactor("H", flip=True),
-        )},
-    )
+    builder = _PatternBuilder()
+    out = _rotation_block(builder, _Carrier(vertex=builder.new_vertex()), phi)
+    return builder.pattern(inputs=(0,), carriers=[out])
 
 
 def ry_matrix(phi: float) -> np.ndarray:
@@ -590,6 +579,17 @@ class _PatternBuilder:
 
     def measure(self, vertex: int, spec: AngleSpec) -> None:
         self.measurements.append((vertex, spec))
+
+    def pattern(self, inputs: tuple[int, ...], carriers: list[_Carrier]) -> MeasurementPattern:
+        """The pattern built so far, with each carrier an output corrected
+        by its byproduct word."""
+        return MeasurementPattern(
+            graph=Graph(self.n_vertices, frozenset(self.edges)),
+            inputs=inputs,
+            measurements=tuple(self.measurements),
+            outputs=tuple(c.vertex for c in carriers),
+            corrections={c.vertex: _correction_word(c) for c in carriers},
+        )
 
 
 def _xor(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -689,14 +689,7 @@ def sine_pattern(N: int) -> MeasurementPattern:
             post = _hadamard_fixup(builder, post)
         carriers.append(post)
 
-    corrections = {c.vertex: _correction_word(c) for c in carriers}
-    return MeasurementPattern(
-        graph=Graph(builder.n_vertices, frozenset(builder.edges)),
-        inputs=(),
-        measurements=tuple(builder.measurements),
-        outputs=tuple(c.vertex for c in carriers),
-        corrections=corrections,
-    )
+    return builder.pattern(inputs=(), carriers=carriers)
 
 
 def sine_pattern_vertex_budget(N: int) -> int:

@@ -37,8 +37,8 @@ def test_criterion_01_local_estimation():
 def test_criterion_02_single_qubit_closed_forms():
     worst = 0.0
     for sigma in (0.1, 0.5, 1.0):
-        result = est.bayes_round(est.BayesState(
-            est.gaussian_prior(sigma), PLUS_PROBE, est.single_qubit_optimal_povm(0.0)))
+        result = est.bayes_round(est.gaussian_prior(sigma), PLUS_PROBE,
+                                 est.single_qubit_optimal_povm(0.0))
         want_v = sigma**2 * (1 - sigma**2 * math.exp(-(sigma**2)))
         want_t = sigma**2 * math.exp(-(sigma**2) / 2)
         worst = max(worst, abs(result.avg_posterior_variance - want_v))
@@ -224,7 +224,7 @@ def test_criterion_11_closed_forms_vs_quadrature():
                 outer = probe.coeffs[i] * probe.coeffs[j].conjugate()
                 worst_entry = max(worst_entry, abs(gamma[i, j] - outer * char),
                                   abs(eta[i, j] - outer * first))
-            closed = est.average_posterior_variance(prior, probe, povm)
+            closed = est.bayes_round(prior, probe, povm).avg_posterior_variance
             quad = reference.bayes_variance_quadrature(prior, probe, povm)
             worst_v = max(worst_v, abs(closed - quad) / quad)
             closed_cl = est.classical_parallel_variance(N, sigma)

@@ -190,7 +190,9 @@ def test_dropped_options_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(argv)
     assert info.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err
+    assert f"usage: clustersense {argv[0]}" in err
     assert not (tmp_path / "x").exists()
 
 
@@ -260,11 +262,14 @@ def test_jobs_cap_at_one_worker_per_cell(tmp_path, monkeypatch):
         def map(self, func, cells):
             return map(func, cells)
 
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     serial = tmp_path / "serial.csv"
     pooled = tmp_path / "pooled.csv"
-    argv = ["holevo", "--sigma", "0.5", "--n-max", "3"]
-    assert cli.main(argv + ["--out", str(serial)]) == 0
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-    assert cli.main(argv + ["--jobs", "64", "--out", str(pooled)]) == 0
-    assert RecordingPool.sizes == [1]
-    assert pooled.read_bytes() == serial.read_bytes()
+    # one cell runs serially and builds no pool; two cells ask for two workers
+    for sigma, sizes in (("0.5", []), ("0.3,0.5", [2])):
+        RecordingPool.sizes = []
+        argv = ["holevo", "--sigma", sigma, "--n-max", "3"]
+        assert cli.main(argv + ["--out", str(serial)]) == 0
+        assert cli.main(argv + ["--jobs", "64", "--out", str(pooled)]) == 0
+        assert RecordingPool.sizes == sizes
+        assert pooled.read_bytes() == serial.read_bytes()

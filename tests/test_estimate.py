@@ -14,7 +14,6 @@ import clustersense
 from clustersense import estimate as est
 from clustersense import mbqc, probes, simcore
 from clustersense.estimate import (
-    BayesState,
     EstimateError,
     MSEValidityWarning,
     Povm,
@@ -147,17 +146,13 @@ def test_povm_validation():
             Povm(factors, labels)
 
 
-def _bayes_state() -> BayesState:
-    return BayesState(gaussian_prior(0.5), probes.sine_coefficients(2), qft_povm(2))
-
-
 _ARRAY_VALUES = {
     "StateVector": lambda: simcore.plus_state(2),
     "SubspaceState": lambda: probes.sine_coefficients(2),
     "AngleSchedule": lambda: probes.angles_from_amplitudes(probes.sine_coefficients(2)),
     "Povm": lambda: qft_povm(2),
-    "BayesState": _bayes_state,
-    "EstimationResult": lambda: bayes_round(_bayes_state()),
+    "EstimationResult": lambda: bayes_round(gaussian_prior(0.5), probes.sine_coefficients(2),
+                                            qft_povm(2)),
 }
 
 
@@ -221,8 +216,7 @@ def test_wrapped_gamma_matches_gaussian_harmonics():
 
 @pytest.mark.parametrize("sigma", [0.1, 0.5, 1.0])
 def test_single_qubit_closed_forms(sigma):
-    state = BayesState(gaussian_prior(sigma), PLUS_PROBE, single_qubit_optimal_povm(0.0))
-    result = bayes_round(state)
+    result = bayes_round(gaussian_prior(sigma), PLUS_PROBE, single_qubit_optimal_povm(0.0))
     expected_estimate = sigma**2 * math.exp(-(sigma**2) / 2)
     expected_vbar = sigma**2 * (1 - sigma**2 * math.exp(-(sigma**2)))
     np.testing.assert_allclose(np.sort(result.estimates),
@@ -233,9 +227,8 @@ def test_single_qubit_closed_forms(sigma):
 
 def test_single_qubit_closed_forms_with_offset_mean():
     sigma, theta0 = 0.5, 1.1
-    state = BayesState(gaussian_prior(sigma, theta0), PLUS_PROBE,
-                       single_qubit_optimal_povm(theta0))
-    result = bayes_round(state)
+    result = bayes_round(gaussian_prior(sigma, theta0), PLUS_PROBE,
+                         single_qubit_optimal_povm(theta0))
     shift = sigma**2 * math.exp(-(sigma**2) / 2)
     np.testing.assert_allclose(np.sort(result.estimates),
                                [theta0 - shift, theta0 + shift], atol=1e-8)
@@ -244,16 +237,16 @@ def test_single_qubit_closed_forms_with_offset_mean():
 
 
 def test_sine_qft_beats_classical_bound_at_six_qubits():
-    vbar = est.average_posterior_variance(gaussian_prior(0.5), probes.sine_coefficients(6),
-                                          qft_povm(6))
+    vbar = bayes_round(gaussian_prior(0.5), probes.sine_coefficients(6),
+                       qft_povm(6)).avg_posterior_variance
     assert 1.0 / vbar > 6 + 1 / 0.5**2
 
 
 def test_posterior_never_wider_than_prior():
     for N in (1, 3, 7):
         for sigma in (0.2, 0.6, 1.0):
-            vbar = est.average_posterior_variance(gaussian_prior(sigma),
-                                                  probes.sine_coefficients(N), qft_povm(N))
+            vbar = bayes_round(gaussian_prior(sigma), probes.sine_coefficients(N),
+                               qft_povm(N)).avg_posterior_variance
             assert 0.0 <= vbar <= sigma**2
 
 
@@ -262,7 +255,7 @@ def test_bayes_round_quadrature_oracle_agreement():
         probe = probes.sine_coefficients(N)
         povm = qft_povm(N)
         for sigma in (0.1, 0.5, 1.0):
-            closed = est.average_posterior_variance(gaussian_prior(sigma), probe, povm)
+            closed = bayes_round(gaussian_prior(sigma), probe, povm).avg_posterior_variance
             quad = reference.bayes_variance_quadrature(gaussian_prior(sigma), probe, povm)
             assert closed == pytest.approx(quad, rel=1e-6)
 
@@ -271,8 +264,8 @@ def test_fast_qft_path_matches_generic_route():
     for N in (2, 6, 11):
         for sigma in (0.2, 0.8):
             fast = qft_phase_variance(N, sigma, theta0=0.3)
-            via_povm = est.average_posterior_variance(
-                gaussian_prior(sigma, 0.3), probes.sine_coefficients(N), qft_povm(N))
+            via_povm = bayes_round(gaussian_prior(sigma, 0.3), probes.sine_coefficients(N),
+                                   qft_povm(N)).avg_posterior_variance
             assert fast == pytest.approx(via_povm, rel=1e-12)
 
 
@@ -328,8 +321,7 @@ def test_diagonal_fft_route_matches_dense_reference(theta0):
 
 def test_mse_warning_for_wide_priors():
     with pytest.warns(MSEValidityWarning):
-        est.average_posterior_variance(gaussian_prior(1.2), PLUS_PROBE,
-                                       single_qubit_optimal_povm())
+        bayes_round(gaussian_prior(1.2), PLUS_PROBE, single_qubit_optimal_povm())
 
 
 def test_outcome_pruning_limit():
@@ -339,7 +331,8 @@ def test_outcome_pruning_limit():
     vbars = []
     for eps in (1e-4, 1e-6, 0.0):
         coeffs = np.array([math.sqrt(1 - eps**2), eps], dtype=complex)
-        vbars.append(est.average_posterior_variance(prior, probes.SubspaceState(1, coeffs), povm))
+        vbars.append(bayes_round(prior, probes.SubspaceState(1, coeffs),
+                                 povm).avg_posterior_variance)
     assert vbars[1] == pytest.approx(vbars[2], abs=1e-8)
     assert vbars[0] == pytest.approx(vbars[2], abs=1e-4)
 
@@ -437,7 +430,7 @@ def test_bayes_round_holevo_fields_match_node_oracle(N):
     for probe in (sine, scrambled):
         law = reference.outcome_law(probe, povm)
         for prior in priors:
-            result = bayes_round(BayesState(prior, probe, povm))
+            result = bayes_round(prior, probe, povm)
             assert result.avg_holevo_variance == pytest.approx(
                 reference.holevo_bayes_round_by_nodes(prior, law), rel=2e-12, abs=0), (
                     prior, probe is sine)
@@ -488,7 +481,7 @@ def test_wrapped_prior_mean_outside_pi_is_reduced():
     lambda: frequency_round(3, 1.0, 0.5, probes.sine_coefficients(3), qft_povm(4)),
     lambda: est.holevo_outcome_probabilities(5, wrapped_gaussian_prior(0.5),
                                              probes.sine_coefficients(3)),
-    lambda: BayesState(gaussian_prior(0.5), probes.sine_coefficients(3), qft_povm(4)),
+    lambda: bayes_round(gaussian_prior(0.5), probes.sine_coefficients(3), qft_povm(4)),
 ], ids=["qft-probe", "holevo-probe", "holevo-povm", "frequency-povm", "outcomes-probe",
         "bayes-state-povm"])
 def test_round_rejects_a_probe_or_povm_of_another_size(call):
@@ -541,7 +534,7 @@ def test_round_integrals_leave_scipy_integrate_unloaded():
     code = ("import sys\n"
             "from clustersense import estimate as est, probes\n"
             "prior = est.wrapped_gaussian_prior(0.5, 0.2)\n"
-            "est.bayes_round(est.BayesState(prior, probes.sine_coefficients(3), est.qft_povm(3)))\n"
+            "est.bayes_round(prior, probes.sine_coefficients(3), est.qft_povm(3))\n"
             "est.holevo_bayes_round(3, prior)\n"
             "est.holevo_variance(prior)\n"
             "prior.fisher_information()\n"
@@ -552,13 +545,13 @@ def test_round_integrals_leave_scipy_integrate_unloaded():
 def test_wrapped_bayes_round_carries_holevo_fields():
     N = 3
     prior = wrapped_gaussian_prior(0.5)
-    result = bayes_round(BayesState(prior, probes.sine_coefficients(N), qft_povm(N)))
+    result = bayes_round(prior, probes.sine_coefficients(N), qft_povm(N))
     assert result.avg_holevo_variance is not None
     assert result.avg_holevo_variance == pytest.approx(holevo_bayes_round(N, prior), rel=1e-7)
     live = result.probs > est.PROB_FLOOR
     assert np.all(result.holevo_variances[live] >= 0)
     # gaussian rounds do not populate the circular fields
-    plain = bayes_round(BayesState(gaussian_prior(0.5), probes.sine_coefficients(N), qft_povm(N)))
+    plain = bayes_round(gaussian_prior(0.5), probes.sine_coefficients(N), qft_povm(N))
     assert plain.avg_holevo_variance is None
 
 
@@ -735,7 +728,7 @@ def test_frequency_round_equals_phase_at_matched_width():
         povm = qft_povm(N)
         for width in (0.3, 0.8):
             freq = frequency_round(N, 1.0, width, probe, povm)
-            phase = est.average_posterior_variance(gaussian_prior(width), probe, povm)
+            phase = bayes_round(gaussian_prior(width), probe, povm).avg_posterior_variance
             assert freq == pytest.approx(phase / width**2, rel=1e-12)
 
 

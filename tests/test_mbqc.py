@@ -532,6 +532,17 @@ def test_pattern_serialization_golden():
         "output 2 correct=X:1\n"
         "output 4 correct=X:1,3\n"
     )
+    assert pattern_to_text(y_rotation_pattern(0.7)) == (
+        "vertices 4\n"
+        "edge 0 1\n"
+        "edge 1 2\n"
+        "edge 2 3\n"
+        "input 0\n"
+        "measure 0 base=1.5707963267948966 sign=-\n"
+        "measure 1 base=0.7 sign=0\n"
+        "measure 2 base=1.5707963267948966 sign=1^1\n"
+        "output 3 correct=X:0,2;Z:1;H:-^1\n"
+    )
 
 
 def test_sine_pattern_serialization_is_stable():
