@@ -352,8 +352,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args, extra = build_parser().parse_known_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    args, extra = parser.parse_known_args(argv)
     if extra:
+        # the top-level parser takes no option but -h, so whatever precedes
+        # the command name is its leftover; the rest is the command's
+        ahead = argv.index(args.command)
+        if ahead:
+            parser.error(f"unrecognized arguments: {' '.join(argv[:ahead])}")
         args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)

@@ -25,7 +25,9 @@ such as the Gaussian rows of a whole grid of widths, is one call.  The
 optimal-parallel classical strategy has an outcome law that is a
 trigonometric polynomial of degree N, so a periodic trapezoid rule against
 the wrapped Gaussian integrates it exactly in float64, with every summed
-term positive.
+term positive.  Its node weights are Gaussian image sums below width pi and
+three Fourier terms from pi on, and a grid of widths is one call, run in
+blocks of bounded size.
 """
 
 from __future__ import annotations
@@ -294,10 +296,15 @@ def single_qubit_optimal_povm(theta0: float = 0.0) -> Povm:
 
 def _on_subspace(probe: SubspaceState, harmonics: np.ndarray) -> np.ndarray:
     """psi_n psi_m* h_{n-m} from harmonics h_d, d = -N..N, on the last axis:
-    entry (n, m) of rho(theta) is psi_n psi_m* e^{-i (n-m) theta}."""
-    n = np.arange(probe.N + 1)
-    kappa = n[:, None] - n[None, :]
-    return np.outer(probe.coeffs, probe.coeffs.conj()) * harmonics[..., kappa + probe.N]
+    entry (n, m) of rho(theta) is psi_n psi_m* e^{-i (n-m) theta}.  Each row
+    h is read through its Toeplitz view, which starts at d = 0 and steps one
+    column right for n and one left for m, so no index matrix is built."""
+    N = probe.N
+    h = np.ascontiguousarray(harmonics)
+    step = h.itemsize
+    toeplitz = np.ndarray(h.shape[:-1] + (N + 1, N + 1), h.dtype, h, N * step,
+                          h.strides[:-1] + (step, -step))
+    return probe.coeffs[:, None] * probe.coeffs.conj() * toeplitz
 
 
 def _autocorrelation(u: np.ndarray) -> np.ndarray:
@@ -431,22 +438,32 @@ def _log_binomials(N: int) -> np.ndarray:
     return out
 
 
-def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x log y elementwise, with 0 log 0 = 0: a vanishing probability raised
-    to the power 0 is 1."""
+def _outcome_law(N: int, plus, minus) -> np.ndarray:
+    """C(N, m) plus^(N-m) minus^m for m = 0..N on a new last axis, one row
+    per entry of the single-qubit probabilities plus and minus, as the
+    exponential of log C(N, m) + (N - m) log plus + m log minus.  The two
+    products are outer products whose m = N and m = 0 columns are set to 0,
+    so a vanishing probability raised to the power 0 gives 1."""
+    m = np.arange(N + 1.0)  # float, so the outer products run no casting loop
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(x == 0, 0.0, x * np.log(y))
+        law = np.multiply.outer(np.log(plus), N - m)
+        second = np.multiply.outer(np.log(minus), m)
+    law[..., N] = 0.0
+    second[..., 0] = 0.0
+    # in place: two arrays of the law's size, whose fresh pages cost more
+    # than the arithmetic at N = 200
+    law += _log_binomials(N)
+    law += second
+    return np.exp(law, out=law)
 
 
 def product_probs_fn(N: int, theta_ref: float = 0.0):
     """Outcome distribution of N |+> qubits each measured in the rotated-X
     basis aligned to theta_ref; m counts '-' results (binomial)."""
-    m = np.arange(N + 1)
-    log_binom = _log_binomials(N)
 
     def probs(theta: float) -> np.ndarray:
         s = math.sin(theta - theta_ref)
-        return np.exp(log_binom + _xlogy(N - m, (1 + s) / 2) + _xlogy(m, (1 - s) / 2))
+        return _outcome_law(N, (1 + s) / 2, (1 - s) / 2)
 
     return probs
 
@@ -477,17 +494,25 @@ def _periodic_harmonics(prior: Prior, N: int) -> tuple[np.ndarray, float]:
     through that function, so both give these rows.  A flat prior gives
     h_d = delta_{d,0} and c_d = delta_{d,1} - delta_{d,0} about t0 = 0.
     """
+    mass, t0 = _mass_row(prior, N)
     d = np.arange(-N, N + 1)
     if prior.kind == "flat":
-        mass = (d == 0).astype(complex)
-        return np.stack([mass, (d == 1) - mass]), 0.0
-    t0, s2 = math.remainder(prior.theta0, 2 * math.pi), prior.sigma**2
+        return np.stack([mass, (d == 1) - mass]), t0
+    s2 = prior.sigma**2
     # e^{-(d-1)^2 s2/2} - e^{-d^2 s2/2} as the larger term times expm1 of their
     # log ratio -|2d - 1| s2 / 2, so that nothing overflows
     x = (2 * d - 1) * s2 / 2.0
     centred = (-np.sign(x) * np.exp(-1j * d * t0 - np.minimum(d**2, (d - 1) ** 2) * s2 / 2.0)
                * np.expm1(-np.abs(x)))
-    return np.stack([_gaussian_row(prior.sigma, t0, N), centred]), t0
+    return np.stack([mass, centred]), t0
+
+
+def _mass_row(prior: Prior, N: int) -> tuple[np.ndarray, float]:
+    """The row h of _periodic_harmonics alone, and the centre t0."""
+    if prior.kind == "flat":
+        return (np.arange(-N, N + 1) == 0).astype(complex), 0.0
+    t0 = math.remainder(prior.theta0, 2 * math.pi)
+    return _gaussian_row(prior.sigma, t0, N), t0
 
 
 def _gaussian_harmonics(sigma, theta0: float, N: int) -> np.ndarray:
@@ -507,7 +532,9 @@ def _harmonic_moments(prior: Prior, N: int) -> np.ndarray:
     characteristic function for a Gaussian prior; otherwise the 1 row from
     _periodic_harmonics and, for a flat prior, the theta and theta^2 rows
     i (-1)^k / k and 2 (-1)^k / k^2 (0 and pi^2 / 3 at k = 0), for a
-    wrapped prior integrated over [-pi, pi]."""
+    wrapped prior integrated over [-pi, pi].  A wrapped or flat prior adds
+    the centred phasor row of _periodic_harmonics as a fourth row, so that
+    a round builds those rows once."""
     k = np.arange(-N, N + 1)
     if prior.kind == "gaussian":
         s2, t0 = prior.sigma**2, prior.theta0
@@ -525,7 +552,8 @@ def _harmonic_moments(prior: Prior, N: int) -> np.ndarray:
 
         first, second = _gauss_legendre_converged(prior.pdf, evaluate,
                                                   intervals=prior.rule_intervals())
-    return np.stack([_periodic_harmonics(prior, N)[0][0], first, second])
+    (mass, centred), _ = _periodic_harmonics(prior, N)
+    return np.stack([mass, first, second, centred])
 
 
 def gamma_eta(prior: Prior, probe: SubspaceState) -> tuple[np.ndarray, np.ndarray]:
@@ -569,10 +597,7 @@ def bayes_round(prior: Prior, probe: SubspaceState, povm: Povm) -> EstimationRes
         warnings.warn("MSE phase results are unreliable for sigma > 1", MSEValidityWarning)
     # Tr(E_m X) for X = Gamma, eta, Omega = int theta^2 p rho dtheta and, for
     # a periodic prior, the centred phasor moment
-    rows = _harmonic_moments(prior, probe.N)
-    if prior.kind != "gaussian":
-        rows = np.vstack([rows, _periodic_harmonics(prior, probe.N)[0][1]])
-    traces = _traces(probe, rows, povm)
+    traces = _traces(probe, _harmonic_moments(prior, probe.N), povm)
     probs, firsts, seconds = traces[:3].real
 
     live = probs > PROB_FLOOR
@@ -696,7 +721,7 @@ def holevo_outcome_probabilities(N: int, prior: Prior,
     """Unconditional QFT outcome distribution p(k) under a periodic prior,
     from its closed-form harmonics."""
     probe = _checked_probe(N, probe, None)
-    return _fourier_traces(probe, _periodic_harmonics(prior, N)[0][0]).real
+    return _fourier_traces(probe, _mass_row(prior, N)[0]).real
 
 
 # ---------------------------------------------------------------------------
@@ -719,44 +744,89 @@ def van_trees_general(prior_fisher: float, qfi: float) -> float:
 #: largest one are dropped: what they would add lies far below float64
 #: rounding, and at narrow priors they are most of the M nodes.
 _NODE_FLOOR = 1e-40
+#: A grid of widths runs in blocks of consecutive widths whose arrays hold at
+#: most this many float64 entries, 256 KiB, unless one width alone needs
+#: more (_classical_grid_sums).
+_GRID_BLOCK = 2**15
 
 
-def _classical_parallel_sums(N: int, sigma: float) -> float:
-    """sigma^2 - sum_m gamma_m^2 / p_m for the parallel classical strategy.
+def _node_window(N: int, sigma: float) -> tuple[int, int, int]:
+    """The rule size M = N + 2 + ceil(12 / sigma) and the first and last
+    index k of the kept nodes 2 pi k / M: those within 14 sigma of 0, all M
+    of them once 14 sigma >= pi."""
+    M = N + 2 + math.ceil(12.0 / sigma)
+    reach = min(M // 2, math.floor(14 * sigma * M / (2 * math.pi)))
+    return M, -reach, min(reach, M - 1 - M // 2)
+
+
+def _image_count(sigma: float) -> int:
+    """Images summed on each side of a node for a width below pi: up to
+    40 sigma + pi, past which every term underflows to zero."""
+    return math.ceil((40 * sigma + math.pi) / (2 * math.pi))
+
+
+def _fourier_weights(theta: np.ndarray, sigma) -> tuple[np.ndarray, np.ndarray]:
+    """The wrapped weights w0 = sum_k g(theta + 2 pi k) and
+    w1 = sum_k (theta + 2 pi k) g(theta + 2 pi k), g(x) = e^{-x^2 / 2 sigma^2},
+    at the nodes theta of widths sigma >= pi (one width, or one per node),
+    from their Fourier series: w0 = (sigma / sqrt(2 pi)) (1 + 2 sum_j
+    e^{-j^2 sigma^2 / 2} cos j theta) and w1 = -sigma^2 dw0/dtheta, both
+    stopped at j = 3.  The first term left out is below e^{-8 pi^2}, 5e-35
+    of the sum, where the images would number up to 257 per node."""
+    j = np.arange(1, 4)
+    decay = np.exp(-0.5 * np.multiply.outer(sigma, j) ** 2)
+    phase = np.multiply.outer(theta, j)
+    norm = np.divide(sigma, math.sqrt(2 * math.pi))
+    w0 = norm * (1 + 2 * np.sum(decay * np.cos(phase), axis=-1))
+    w1 = norm * np.square(sigma) * 2 * np.sum(j * decay * np.sin(phase), axis=-1)
+    return w0, w1
+
+
+def _classical_parallel_sums(N: int, sigma):
+    """sigma^2 - sum_m gamma_m^2 / p_m for the parallel classical strategy,
+    for one width (a float is returned) or an array of widths (an array of
+    the same shape).
 
     With the basis aligned at theta0 the outcome law of N |+> qubits is
     P(m|theta) = C(N, m) ((1 + sin theta)/2)^(N-m) ((1 - sin theta)/2)^m, a
     trigonometric polynomial of degree N.  So p_m and gamma_m are integrals
     over one period against the wrapped weights sum_k g(theta + 2 pi k) and
     sum_k (theta + 2 pi k) g(theta + 2 pi k), whose Fourier coefficients
-    decay as e^{-j^2 sigma^2 / 2}.  The trapezoid rule on
+    decay as e^{-j^2 sigma^2 / 2}: from width pi on, three terms of that
+    series give the weights (_fourier_weights), and below pi the Gaussian
+    images up to 40 sigma + pi do (_image_count).  The trapezoid rule on
     M = N + 2 + ceil(12 / sigma) equispaced nodes is then exact up to
     aliasing below e^{-72}.  P is built from log-binomials and the half-angle
-    squares (1 +- sin theta)/2 = sin^2, cos^2(theta/2 + pi/4), so every term
-    is a positive float64 and nothing cancels before the final subtraction.
+    squares (1 +- sin theta)/2 = sin^2, cos^2(theta/2 + pi/4) (_outcome_law),
+    so every term is a positive float64 and nothing cancels before the final
+    subtraction.
 
     Only the nodes within 14 sigma of 0 are built, all M of them once
-    14 sigma >= pi.  Below that, every image of a node farther out lies
-    farther than 14 sigma from 0 as well, so its wrapped weight is under
-    5 e^{-98} < _NODE_FLOOR times that of the node at 0 (at least 1): the
-    floor would drop it.  The floor still picks the kept nodes, so the kept
-    set, its order and the sums are those of the rule on all M nodes, at
-    about 53 nodes in place of 12,042 at sigma = 1e-3.
+    14 sigma >= pi (_node_window).  Below that, every image of a node
+    farther out lies farther than 14 sigma from 0 as well, so its wrapped
+    weight is under 5 e^{-98} < _NODE_FLOOR times that of the node at 0 (at
+    least 1): the floor would drop it.  The floor still picks the kept
+    nodes, so the kept set, its order and the sums are those of the rule on
+    all M nodes, at about 53 nodes in place of 12,042 at sigma = 1e-3.
+
+    An array of widths runs in blocks (_classical_block_sums) and agrees
+    with the one-width path to rounding; a single width keeps its own lean
+    path, which golden section calls one width at a time.
     """
-    M = N + 2 + math.ceil(12.0 / sigma)
-    reach = min(M // 2, math.floor(14 * sigma * M / (2 * math.pi)))
-    theta = (2 * math.pi / M) * np.arange(-reach, min(reach, M - 1 - M // 2) + 1)
-    # images farther out than 40 sigma underflow to zero
-    n_images = math.ceil((40 * sigma + math.pi) / (2 * math.pi))
-    unwrapped = theta[:, None] + 2 * math.pi * np.arange(-n_images, n_images + 1)
-    g = np.exp(-0.5 * (unwrapped / sigma) ** 2)
-    w0 = g.sum(axis=1)
-    w1 = (unwrapped * g).sum(axis=1)
+    if np.ndim(sigma):
+        return _classical_grid_sums(N, np.asarray(sigma, dtype=float))
+    M, first, last = _node_window(N, sigma)
+    theta = (2 * math.pi / M) * np.arange(first, last + 1)
+    if sigma >= math.pi:
+        w0, w1 = _fourier_weights(theta, sigma)
+    else:
+        n = _image_count(sigma)
+        unwrapped = theta[:, None] + 2 * math.pi * np.arange(-n, n + 1)
+        g = np.exp(-0.5 * (unwrapped / sigma) ** 2)
+        w0, w1 = g.sum(axis=1), (unwrapped * g).sum(axis=1)
     live = w0 >= _NODE_FLOOR * w0.max()
-    half = theta[live, None] / 2 + math.pi / 4
-    m = np.arange(N + 1)
-    P = np.exp(_log_binomials(N) + _xlogy(N - m, np.sin(half) ** 2)
-               + _xlogy(m, np.cos(half) ** 2))
+    half = theta[live] / 2 + math.pi / 4
+    P = _outcome_law(N, np.sin(half) ** 2, np.cos(half) ** 2)
     scale = math.sqrt(2 * math.pi) / (M * sigma)  # node spacing times the Gaussian's norm
     p = scale * (w0[live] @ P)
     gamma = scale * (w1[live] @ P)
@@ -764,6 +834,58 @@ def _classical_parallel_sums(N: int, sigma: float) -> float:
     # Cauchy-Schwarz bounds by int theta^2 g P(m|theta): it underflows too
     seen = p > 0
     return sigma**2 - float(np.sum(gamma[seen] ** 2 / p[seen]))
+
+
+def _classical_grid_sums(N: int, sigmas: np.ndarray) -> np.ndarray:
+    """_classical_parallel_sums over an array of widths, in blocks of
+    consecutive widths that stay on one side of pi (image sums or Fourier
+    series).  A block takes widths while its nodes times (N + 1 outcomes +
+    the terms of each node's weights) stay within _GRID_BLOCK; only a width
+    that alone passes it runs in a block that does."""
+    flat = sigmas.ravel()
+    M, first, last, images = np.array([(*_node_window(N, s), _image_count(s)) for s in flat]).T
+    counts = last - first + 1
+    wide = flat >= math.pi
+    size = counts * (N + 1 + np.where(wide, 3, 2 * images + 1))
+    blocks, lo, total = [], 0, 0
+    for i in range(flat.size):
+        if i > lo and (wide[i] != wide[lo] or total + size[i] > _GRID_BLOCK):
+            blocks.append(slice(lo, i))
+            lo, total = i, 0
+        total += size[i]
+    blocks.append(slice(lo, flat.size))
+    out = np.empty(flat.size)
+    for b in blocks:
+        out[b] = _classical_block_sums(N, flat[b], M[b], first[b], counts[b], images[b])
+    return out.reshape(sigmas.shape)
+
+
+def _classical_block_sums(N: int, sigma: np.ndarray, M: np.ndarray, first: np.ndarray,
+                          counts: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """The one-width sums for a block of widths, all below pi or all at
+    least pi: their nodes laid end to end, counts[i] of them for width i,
+    with each width's sums taken over its own segment.  Below pi each node
+    sums its width's 2 images[i] + 1 Gaussian images, laid end to end in
+    turn.  A node under the floor keeps its place with zero weight."""
+    seg = np.repeat(np.arange(len(sigma)), counts)
+    start = np.cumsum(counts) - counts
+    theta = (2 * math.pi / M)[seg] * (np.arange(len(seg)) - start[seg] + first[seg])
+    if sigma[0] >= math.pi:
+        w0, w1 = _fourier_weights(theta, sigma[seg])
+    else:
+        terms = 2 * images[seg] + 1
+        head = np.cumsum(terms) - terms
+        node = np.repeat(np.arange(len(seg)), terms)
+        x = theta[node] + 2 * math.pi * (np.arange(len(node)) - head[node] - images[seg][node])
+        g = np.exp(-0.5 * (x / sigma[seg][node]) ** 2)
+        w0, w1 = np.add.reduceat(g, head), np.add.reduceat(x * g, head)
+    live = w0 >= _NODE_FLOOR * np.maximum.reduceat(w0, start)[seg]
+    half = theta / 2 + math.pi / 4
+    P = _outcome_law(N, np.sin(half) ** 2, np.cos(half) ** 2)
+    weights = np.where(live, np.stack([w0, w1]), 0.0)
+    sums = np.array([weights[:, a:b] @ P[a:b] for a, b in zip(start, start + counts)])
+    p, gamma = ((math.sqrt(2 * math.pi) / (M * sigma))[:, None, None] * sums).transpose(1, 0, 2)
+    return sigma**2 - np.divide(gamma**2, p, out=np.zeros_like(p), where=p > 0).sum(axis=1)
 
 
 def _check_classical_n(N: int) -> None:
@@ -908,8 +1030,8 @@ def optimize_tau(N: int, delta: float, probe: SubspaceState, povm: Povm | None) 
 def optimize_tau_classical(N: int) -> TauOptimum:
     """Interrogation-time optimum of the parallel classical strategy; the
     frequency objective (in delta^2 units) is the phase variance at width
-    tau divided by tau^2, one classical_parallel_curve call per width."""
+    tau divided by tau^2.  The whole TAU_GRID is one _classical_parallel_sums
+    call, in blocks of widths; golden section then calls its one-width path."""
     _check_classical_n(N)
-    objective = np.vectorize(lambda tau: classical_parallel_curve([N], tau)[0] / tau**2,
-                             otypes=[float])
-    return _optimize_objective(objective, TAU_GRID)
+    return _optimize_objective(lambda tau: _classical_parallel_sums(N, tau) / np.square(tau),
+                               TAU_GRID)

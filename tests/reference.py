@@ -27,7 +27,10 @@
   package keeps only the factors and takes the autocorrelation of the
   probe weighted by each factor row.
 * The periodic trapezoid rule of the classical strategy on all of its
-  nodes, where the package builds only those near the prior's mean.
+  nodes, each weighted by its Gaussian images and its outcome law built
+  with np.where for 0 log 0, where the package builds only the nodes near
+  the prior's mean, sums wide priors by their Fourier series and zeroes
+  one column of each outer product in place of the np.where.
 * The interrogation-time search as a loop of one objective call per width,
   where the package evaluates the whole grid in one call.
 
@@ -54,7 +57,6 @@ from clustersense.estimate import (
     _gauss_legendre_converged,
     _log_binomials,
     _on_subspace,
-    _xlogy,
     gaussian_prior,
     golden_section_minimize,
     probe_probs_fn,
@@ -163,6 +165,30 @@ def classical_parallel_curve(Ns, sigma: float) -> list[float]:
         return [_classical_parallel_from_tables(N, sig, even, odd) for N in Ns]
 
 
+def xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x log y elementwise, with 0 log 0 = 0: a vanishing probability raised
+    to the power 0 is 1."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(x == 0, 0.0, x * np.log(y))
+
+
+def outcome_law_by_xlogy(N: int, plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
+    """C(N, m) plus^(N-m) minus^m, one row per entry of plus and minus, with
+    0^0 = 1 through np.where."""
+    m = np.arange(N + 1)
+    return np.exp(_log_binomials(N) + xlogy(N - m, plus[:, None]) + xlogy(m, minus[:, None]))
+
+
+def wrapped_weights_by_images(theta: np.ndarray, sigma: float):
+    """w0 = sum_k g(x_k), w1 = sum_k x_k g(x_k) over the Gaussian images
+    x_k = theta + 2 pi k up to 40 sigma + pi, and sum_k |x_k| g(x_k), the
+    scale that bounds the rounding of w1's sum of signed terms."""
+    n_images = math.ceil((40 * sigma + math.pi) / (2 * math.pi))
+    unwrapped = theta[:, None] + 2 * math.pi * np.arange(-n_images, n_images + 1)
+    g = np.exp(-0.5 * (unwrapped / sigma) ** 2)
+    return g.sum(axis=1), (unwrapped * g).sum(axis=1), (np.abs(unwrapped) * g).sum(axis=1)
+
+
 def classical_parallel_sums_by_all_nodes(N: int, sigma: float,
                                          node_floor: float = _NODE_FLOOR) -> float:
     """sigma^2 - sum_m gamma_m^2 / p_m by the periodic trapezoid rule on all
@@ -171,16 +197,10 @@ def classical_parallel_sums_by_all_nodes(N: int, sigma: float,
     (node_floor=0 keeps every node)."""
     M = N + 2 + math.ceil(12.0 / sigma)
     theta = (2 * math.pi / M) * (np.arange(M) - M // 2)
-    n_images = math.ceil((40 * sigma + math.pi) / (2 * math.pi))
-    unwrapped = theta[:, None] + 2 * math.pi * np.arange(-n_images, n_images + 1)
-    g = np.exp(-0.5 * (unwrapped / sigma) ** 2)
-    w0 = g.sum(axis=1)
-    w1 = (unwrapped * g).sum(axis=1)
+    w0, w1, _ = wrapped_weights_by_images(theta, sigma)
     live = w0 >= node_floor * w0.max()
-    half = theta[live, None] / 2 + math.pi / 4
-    m = np.arange(N + 1)
-    P = np.exp(_log_binomials(N) + _xlogy(N - m, np.sin(half) ** 2)
-               + _xlogy(m, np.cos(half) ** 2))
+    half = theta[live] / 2 + math.pi / 4
+    P = outcome_law_by_xlogy(N, np.sin(half) ** 2, np.cos(half) ** 2)
     scale = math.sqrt(2 * math.pi) / (M * sigma)
     p = scale * (w0[live] @ P)
     gamma = scale * (w1[live] @ P)

@@ -196,6 +196,20 @@ def test_dropped_options_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("argv, usage, leftover", [
+    (["--foo", "local"], "usage: clustersense [-h]", "--foo"),
+    (["--foo=1", "local", "--bar"], "usage: clustersense [-h]", "--foo=1"),
+    (["local", "--foo"], "usage: clustersense local", "--foo"),
+])
+def test_unknown_flag_is_reported_by_the_parser_that_received_it(argv, usage, leftover, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(usage)
+    assert err.strip().endswith(f"error: unrecognized arguments: {leftover}")
+
+
 @pytest.mark.parametrize("argv", [
     ["holevo", "--theta0", "100", "--n-max", "3"],
     ["holevo", "--sigma", "0.001", "--n-max", "2"],

@@ -492,6 +492,36 @@ def test_round_rejects_a_probe_or_povm_of_another_size(call):
 _MOMENT_WEIGHTS = (lambda t: 1.0, lambda t: t, lambda t: t * t, lambda t: np.exp(1j * t))
 
 
+def test_periodic_round_builds_its_harmonic_rows_once(monkeypatch):
+    calls = []
+    build = est._periodic_harmonics
+
+    def counting(prior, N):
+        calls.append(N)
+        return build(prior, N)
+
+    monkeypatch.setattr(est, "_periodic_harmonics", counting)
+    bayes_round(wrapped_gaussian_prior(0.4, 0.3), probes.sine_coefficients(3), qft_povm(3))
+    assert calls == [3]
+    calls.clear()
+    est.holevo_outcome_probabilities(3, wrapped_gaussian_prior(0.4, 0.3))
+    assert calls == []
+
+
+def test_subspace_operator_matches_index_matrices():
+    # psi_n psi_m* h_{n-m} through an explicit (N+1)^2 index matrix, with
+    # leading axes on the harmonics
+    rng = np.random.default_rng(5)
+    for N in (1, 4, 11):
+        coeffs = rng.normal(size=N + 1) + 1j * rng.normal(size=N + 1)
+        probe = probes.SubspaceState(N, coeffs / np.linalg.norm(coeffs))
+        rows = rng.normal(size=(2, 3, 2 * N + 1)) + 1j * rng.normal(size=(2, 3, 2 * N + 1))
+        n = np.arange(N + 1)
+        want = np.outer(probe.coeffs, probe.coeffs.conj()) * rows[..., n[:, None] - n + N]
+        np.testing.assert_array_equal(est._on_subspace(probe, rows), want)
+        np.testing.assert_array_equal(est._on_subspace(probe, rows[1, ::2]), want[1, ::2])
+
+
 @pytest.mark.parametrize("prior", [
     *(wrapped_gaussian_prior(sigma, theta0) for sigma in (0.1, 0.3, 1.0, math.pi)
       for theta0 in (0.0, 0.2)),
@@ -499,8 +529,9 @@ _MOMENT_WEIGHTS = (lambda t: 1.0, lambda t: t, lambda t: t * t, lambda t: np.exp
 ], ids=lambda prior: f"{prior.kind}-{prior.sigma:.3g}-{prior.theta0:g}")
 def test_harmonic_moments_match_adaptive_quadrature(prior):
     for N in (1, 3, 10):
-        (mass, centred), centre = est._periodic_harmonics(prior, N)
-        moments = np.vstack([est._harmonic_moments(prior, N), np.exp(1j * centre) * (mass + centred)])
+        mass, first, second, centred = est._harmonic_moments(prior, N)
+        centre = est._periodic_harmonics(prior, N)[1]
+        moments = np.vstack([mass, first, second, np.exp(1j * centre) * (mass + centred)])
         assert moments.shape == (4, 2 * N + 1)
         for row, weight in enumerate(_MOMENT_WEIGHTS):
             for col, k in enumerate(range(-N, N + 1)):
@@ -517,7 +548,7 @@ def test_flat_prior_moments_match_gauss_legendre(N):
     want = est._gauss_legendre_converged(
         flat_prior().pdf,
         lambda thetas, w: np.stack([thetas * w, thetas**2 * w]) @ np.exp(-1j * np.outer(thetas, k)))
-    np.testing.assert_allclose(est._harmonic_moments(flat_prior(), N)[1:], want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(est._harmonic_moments(flat_prior(), N)[1:3], want, rtol=0, atol=1e-12)
 
 
 def test_phase_commands_leave_scipy_unloaded():
@@ -648,6 +679,76 @@ def test_node_window_keeps_the_sums_bit_for_bit(N):
     for sigma in TAU_GRID:
         assert est._classical_parallel_sums(N, sigma) == (
             reference.classical_parallel_sums_by_all_nodes(N, sigma)), sigma
+
+
+GRID_NS = (1, 2, 3, 8, 40, 64, est.CLASSICAL_PARALLEL_N_CAP)
+
+
+@pytest.mark.parametrize("N", GRID_NS)
+@pytest.mark.parametrize("block", [est._GRID_BLOCK, 1, 700])
+def test_width_grid_matches_one_width_calls(N, block, monkeypatch):
+    # block=1 gives every width a block of its own; 700 cuts blocks of a few
+    # widths at small N, so segments meet at block edges in every layout
+    monkeypatch.setattr(est, "_GRID_BLOCK", block)
+    grid = est._classical_parallel_sums(N, TAU_GRID)
+    single = np.array([est._classical_parallel_sums(N, float(sigma)) for sigma in TAU_GRID])
+    assert grid.shape == TAU_GRID.shape
+    np.testing.assert_allclose(grid, single, rtol=1e-13, atol=0)
+    assert np.argmin(grid / TAU_GRID**2) == np.argmin(single / TAU_GRID**2)
+    np.testing.assert_array_equal(est._classical_parallel_sums(N, TAU_GRID.reshape(6, 10)),
+                                  grid.reshape(6, 10))
+
+
+@pytest.mark.parametrize("N, least", [(2, 2), (est.CLASSICAL_PARALLEL_N_CAP, 10)])
+def test_width_grid_blocks_stay_under_the_budget(N, least, monkeypatch):
+    # a block's arrays hold its nodes times N + 1 outcomes plus each node's
+    # weight terms: its Gaussian images, or 3 Fourier terms from pi on
+    blocks = []
+    run_block = est._classical_block_sums
+
+    def recording(N, sigma, M, first, counts, images):
+        # the image sums and the Fourier series never share a block
+        assert np.all(sigma >= math.pi) or np.all(sigma < math.pi)
+        terms = 3 if sigma[0] >= math.pi else 2 * images + 1
+        blocks.append((len(sigma), int(np.sum(counts * (N + 1 + terms)))))
+        return run_block(N, sigma, M, first, counts, images)
+
+    monkeypatch.setattr(est, "_classical_block_sums", recording)
+    est._classical_parallel_sums(N, TAU_GRID)
+    assert sum(widths for widths, _ in blocks) == len(TAU_GRID)
+    assert len(blocks) >= least
+    assert all(size <= est._GRID_BLOCK for widths, size in blocks if widths > 1)
+
+
+@pytest.mark.parametrize("sigma", TAU_GRID[TAU_GRID >= math.pi])
+def test_fourier_weights_match_image_sums(sigma):
+    # w1 sums signed image terms, so its rounding scales with sum |x| g, not
+    # with w1 itself, which falls to 1e-84 of that at sigma = 20
+    for N in (1, 40, est.CLASSICAL_PARALLEL_N_CAP):
+        M, first, last = est._node_window(N, sigma)
+        theta = (2 * math.pi / M) * np.arange(first, last + 1)
+        w0, w1 = est._fourier_weights(theta, sigma)
+        want0, want1, scale1 = reference.wrapped_weights_by_images(theta, sigma)
+        np.testing.assert_allclose(w0, want0, rtol=1e-14, atol=0)
+        assert np.all(np.abs(w1 - want1) <= 1e-14 * scale1)
+
+
+@pytest.mark.parametrize("N", [1, 2, 7, 40, est.CLASSICAL_PARALLEL_N_CAP])
+def test_outcome_law_equals_the_xlogy_route(N):
+    # the rule's own nodes, and one node where sin^2 of the half-angle is
+    # exactly 0: theta = -pi / 2 on an M = 8 rule
+    M, first, last = est._node_window(N, 0.7)
+    theta = np.append((2 * math.pi / M) * np.arange(first, last + 1), (2 * math.pi / 8) * -2)
+    half = theta / 2 + math.pi / 4
+    plus, minus = np.sin(half) ** 2, np.cos(half) ** 2
+    assert plus[-1] == 0.0
+    np.testing.assert_array_equal(est._outcome_law(N, plus, minus),
+                                  reference.outcome_law_by_xlogy(N, plus, minus))
+    # either probability exactly 0 or 1
+    edge = np.array([0.0, 1.0, 0.25])
+    law = est._outcome_law(N, edge, 1 - edge)
+    np.testing.assert_array_equal(law, reference.outcome_law_by_xlogy(N, edge, 1 - edge))
+    assert law[0, N] == 1.0 and law[1, 0] == 1.0
 
 
 def _run_fresh(code: str) -> str:
@@ -920,7 +1021,7 @@ def test_convergence_is_relative_to_the_value():
 
 def test_narrow_rule_wraps_past_pi():
     sigma = 1e-3
-    mass, mean, second = est._harmonic_moments(wrapped_gaussian_prior(sigma, 3.1), 0)[:, 0]
+    mass, mean, second = est._harmonic_moments(wrapped_gaussian_prior(sigma, 3.1), 0)[:3, 0]
     assert mass == pytest.approx(1.0, abs=1e-12)
     assert mean == pytest.approx(3.1, abs=1e-12)
     assert second == pytest.approx(3.1**2 + sigma**2, abs=1e-12)
@@ -928,7 +1029,7 @@ def test_narrow_rule_wraps_past_pi():
     # E theta = 0 and E theta^2 = E (pi - |x|)^2 = pi^2 - 2 sigma sqrt(2 pi) + sigma^2.
     # Offsets near +-pi carry ulp(2 pi) ~ 9e-16 of rounding, which moves the
     # density by up to 1e-14 / sigma relative in the tails
-    mass, mean, second = est._harmonic_moments(wrapped_gaussian_prior(sigma, math.pi), 0)[:, 0]
+    mass, mean, second = est._harmonic_moments(wrapped_gaussian_prior(sigma, math.pi), 0)[:3, 0]
     assert mass == pytest.approx(1.0, abs=1e-12)
     assert mean == pytest.approx(0.0, abs=1e-12)
     assert second == pytest.approx(math.pi**2 - 2 * sigma * math.sqrt(2 * math.pi) + sigma**2,
