@@ -137,13 +137,30 @@ def _gauss_legendre_converged(pdf, evaluate, tol: float = 1e-12,
 # ---------------------------------------------------------------------------
 # Priors
 
+def _image_count(sigma: float) -> int:
+    """Images kept on each side of a Gaussian image sum of width sigma: q up
+    to n with 2 pi n >= 40 sigma + pi.  For an offset x with |x| <= 2 pi, as
+    between two points of [-pi, pi], the next image lies farther than
+    40 sigma from 0, and its term e^{-800} underflows to exactly zero."""
+    return math.ceil((40 * sigma + math.pi) / (2 * math.pi))
+
+
+def _gaussian_images(x: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """The images x + 2 pi q, |q| <= _image_count(sigma), of offsets x on a
+    new last axis, and their Gaussian terms e^{-(x + 2 pi q)^2 / 2 sigma^2}."""
+    n = _image_count(sigma)
+    images = x[..., None] + 2 * math.pi * np.arange(-n, n + 1)
+    return images, np.exp(-0.5 * (images / sigma) ** 2)
+
+
 @dataclass(frozen=True)
 class Prior:
     """Gaussian / wrapped-Gaussian / flat prior with mean theta0 and width sigma.
 
     The wrapped density lives on [-pi, pi]; its image terms are centred on
-    theta0 reduced into [-pi, pi], kept while |2 pi q| <= pi + 10 sigma, and
-    the truncated sum is renormalized by its closed-form integral.
+    theta0 reduced into [-pi, pi], kept as far as any can be nonzero
+    (_gaussian_images), and the truncated sum is renormalized by its
+    closed-form integral.
     """
 
     kind: str
@@ -157,21 +174,11 @@ class Prior:
         if self.kind != "flat" and not self.sigma > 0:
             raise EstimateError("sigma must be positive")
         if self.kind == "wrapped_gaussian":
-            # the images of [-pi, pi] tile [-L, L] - centre, L = (2 q_max + 1) pi
-            edge = (2 * self._q_max() + 1) * math.pi
+            # the images of [-pi, pi] tile [-L, L] - centre, L = (2 n + 1) pi
+            edge = (2 * _image_count(self.sigma) + 1) * math.pi
             centre, scale = math.remainder(self.theta0, 2 * math.pi), math.sqrt(2) * self.sigma
             object.__setattr__(self, "_norm", 0.5 * (math.erf((edge - centre) / scale)
                                                      + math.erf((edge + centre) / scale)))
-
-    def _q_max(self) -> int:
-        return math.ceil((math.pi + 10 * self.sigma) / (2 * math.pi))
-
-    def _images(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Offsets theta - centre + 2 pi q of the kept images q, on a new last
-        axis, and their Gaussian terms e^{-offset^2 / 2 sigma^2}."""
-        images = 2 * math.pi * np.arange(-self._q_max(), self._q_max() + 1)
-        offsets = theta[..., None] - math.remainder(self.theta0, 2 * math.pi) + images
-        return offsets, np.exp(-offsets**2 / (2 * self.sigma**2))
 
     def pdf(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -179,7 +186,8 @@ class Prior:
             return np.exp(-((theta - self.theta0) ** 2) / (2 * self.sigma**2)) / (
                 math.sqrt(2 * math.pi) * self.sigma)
         if self.kind == "wrapped_gaussian":
-            return self._images(theta)[1].sum(axis=-1) / (
+            centre = math.remainder(self.theta0, 2 * math.pi)
+            return _gaussian_images(theta - centre, self.sigma)[1].sum(axis=-1) / (
                 math.sqrt(2 * math.pi) * self.sigma) / self._norm
         return np.full_like(theta, 1.0 / (2 * math.pi))
 
@@ -208,10 +216,11 @@ class Prior:
             return 1.0 / self.sigma**2
         if self.kind == "flat":
             return 0.0
+        centre = math.remainder(self.theta0, 2 * math.pi)
 
         def evaluate(thetas, w):
             # the score d log p / d theta in closed form over the image terms
-            offsets, g = self._images(thetas)
+            offsets, g = _gaussian_images(thetas - centre, self.sigma)
             p = g.sum(axis=1)
             live = p > 0
             score = (offsets * g).sum(axis=1)[live] / (self.sigma**2 * p[live])
@@ -471,13 +480,22 @@ def product_probs_fn(N: int, theta_ref: float = 0.0):
 # ---------------------------------------------------------------------------
 # Bayesian machinery
 
+@functools.lru_cache(maxsize=64)
+def _row_columns(N: int) -> np.ndarray:
+    """The rows k = -N..N and -k^2 / 2, as floats; read-only because shared."""
+    k = np.arange(-N, N + 1.0)
+    rows = np.stack([k, -0.5 * k**2])
+    rows.setflags(write=False)
+    return rows
+
+
 def _gaussian_row(sigma, theta0: float, N: int) -> np.ndarray:
     """The Gaussian characteristic row e^{-i k theta0 - k^2 sigma^2 / 2},
-    k = -N..N at column k + N.  sigma is one width or an array of widths;
-    the result has shape sigma.shape + (2N + 1,)."""
-    k = np.arange(-N, N + 1)
-    s2 = np.square(np.asarray(sigma, dtype=float))[..., None]
-    return np.exp(-1j * k * theta0 - k**2 * s2 / 2.0)
+    k = -N..N at column k + N, as exp(sigma^2 (x) (-k^2 / 2) - i theta0 k).
+    sigma is one width or an array of widths; the result has shape
+    sigma.shape + (2N + 1,)."""
+    k, half_square = _row_columns(N)
+    return np.exp(np.multiply.outer(np.square(sigma), half_square) - 1j * theta0 * k)
 
 
 def _periodic_harmonics(prior: Prior, N: int) -> tuple[np.ndarray, float]:
@@ -520,10 +538,9 @@ def _gaussian_harmonics(sigma, theta0: float, N: int) -> np.ndarray:
     Gaussian prior of mean theta0: the characteristic row and
     (theta0 - i k sigma^2) times it.  sigma is one width or an array of
     widths; the result has shape sigma.shape + (2, 2N + 1), column k + N."""
-    k = np.arange(-N, N + 1)
-    s2 = np.square(np.asarray(sigma, dtype=float))[..., None]
+    k, _ = _row_columns(N)
     char = _gaussian_row(sigma, theta0, N)
-    return np.stack([char, (theta0 - 1j * k * s2) * char], axis=-2)
+    return np.stack([char, (theta0 - 1j * k * np.square(sigma)[..., None]) * char], axis=-2)
 
 
 def _harmonic_moments(prior: Prior, N: int) -> np.ndarray:
@@ -759,12 +776,6 @@ def _node_window(N: int, sigma: float) -> tuple[int, int, int]:
     return M, -reach, min(reach, M - 1 - M // 2)
 
 
-def _image_count(sigma: float) -> int:
-    """Images summed on each side of a node for a width below pi: up to
-    40 sigma + pi, past which every term underflows to zero."""
-    return math.ceil((40 * sigma + math.pi) / (2 * math.pi))
-
-
 def _fourier_weights(theta: np.ndarray, sigma) -> tuple[np.ndarray, np.ndarray]:
     """The wrapped weights w0 = sum_k g(theta + 2 pi k) and
     w1 = sum_k (theta + 2 pi k) g(theta + 2 pi k), g(x) = e^{-x^2 / 2 sigma^2},
@@ -794,12 +805,12 @@ def _classical_parallel_sums(N: int, sigma):
     sum_k (theta + 2 pi k) g(theta + 2 pi k), whose Fourier coefficients
     decay as e^{-j^2 sigma^2 / 2}: from width pi on, three terms of that
     series give the weights (_fourier_weights), and below pi the Gaussian
-    images up to 40 sigma + pi do (_image_count).  The trapezoid rule on
-    M = N + 2 + ceil(12 / sigma) equispaced nodes is then exact up to
-    aliasing below e^{-72}.  P is built from log-binomials and the half-angle
-    squares (1 +- sin theta)/2 = sin^2, cos^2(theta/2 + pi/4) (_outcome_law),
-    so every term is a positive float64 and nothing cancels before the final
-    subtraction.
+    images do, every one whose term can be nonzero (_gaussian_images).  The
+    trapezoid rule on M = N + 2 + ceil(12 / sigma) equispaced nodes is then
+    exact up to aliasing below e^{-72}.  P is built from log-binomials and
+    the half-angle squares (1 +- sin theta)/2 = sin^2, cos^2(theta/2 + pi/4)
+    (_outcome_law), so every term is a positive float64 and nothing cancels
+    before the final subtraction.
 
     Only the nodes within 14 sigma of 0 are built, all M of them once
     14 sigma >= pi (_node_window).  Below that, every image of a node
@@ -820,9 +831,7 @@ def _classical_parallel_sums(N: int, sigma):
     if sigma >= math.pi:
         w0, w1 = _fourier_weights(theta, sigma)
     else:
-        n = _image_count(sigma)
-        unwrapped = theta[:, None] + 2 * math.pi * np.arange(-n, n + 1)
-        g = np.exp(-0.5 * (unwrapped / sigma) ** 2)
+        unwrapped, g = _gaussian_images(theta, sigma)
         w0, w1 = g.sum(axis=1), (unwrapped * g).sum(axis=1)
     live = w0 >= _NODE_FLOOR * w0.max()
     half = theta[live] / 2 + math.pi / 4
@@ -928,17 +937,13 @@ def mse_limit_curve(sigmas) -> np.ndarray:
 
     The limiting posterior is a delta comb at 2 pi k weighted by the prior;
     V_min = N sum_k e^{-(2 pi k)^2 / 2 sigma^2} (2 pi k)^2 with the
-    normalization N over the same comb.  Terms are kept while
-    2 pi k <= 10 sigma + 2 pi.
+    normalization N over the same comb, the Gaussian images of 0
+    (_gaussian_images).
     """
     out = []
     for sigma in np.atleast_1d(np.asarray(sigmas, dtype=float)):
-        k_max = math.ceil((10 * sigma + 2 * math.pi) / (2 * math.pi))
-        k = np.arange(1, k_max + 1)
-        w = np.exp(-((2 * math.pi * k) ** 2) / (2 * sigma**2))
-        norm = 1.0 + 2.0 * float(np.sum(w))
-        vmin = 2.0 * float(np.sum(w * (2 * math.pi * k) ** 2)) / norm
-        out.append(vmin / sigma**2)
+        comb, w = _gaussian_images(np.float64(0.0), sigma)
+        out.append(float(np.sum(w * comb**2)) / float(np.sum(w)) / sigma**2)
     return np.array(out)
 
 

@@ -1,6 +1,8 @@
-"""Dense state vectors, the gate and circuit data that `compress` and `probes`
-build, and the dense gate kernel the tests use as their oracle.  Adaptive
-measurement is an `mbqc` pattern, not a circuit.
+"""Dense state vectors and the gate and circuit data that `compress` and
+`probes` build.  No code here applies a gate: `compress` pushes bit rows
+through its permutation gates, `mbqc` sweeps its patterns, and the dense gate
+kernel that the tests use as their oracle lives in `tests/reference.py`.
+Adaptive measurement is an `mbqc` pattern, not a circuit.
 
 Conventions, fixed once for the whole package:
 
@@ -9,7 +11,7 @@ Conventions, fixed once for the whole package:
 * Rotation gates use ``R_P(phi) = exp(+i phi P / 2)``, so
   ``Ry(phi) = [[cos(phi/2), sin(phi/2)], [-sin(phi/2), cos(phi/2)]]``.
 
-States are immutable; every operation returns a fresh ``StateVector``.
+States are immutable.
 """
 
 from __future__ import annotations
@@ -24,14 +26,6 @@ MAX_QUBITS = 24
 #: Branch weights below this are treated as exactly zero.  All shipped
 #: patterns have branch probabilities >= 2**-20, far above it.
 NULL_PROB = 1e-24
-
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-_SWAP = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-)
 
 
 class SimulationError(Exception):
@@ -105,8 +99,9 @@ def product_state(single_qubit_states: list[np.ndarray]) -> StateVector:
 
 @dataclass(frozen=True)
 class Gate:
-    """A unitary from the fixed gate set, acting on `targets`, optionally
-    conditioned on `controls` matching `polarity` (1 = |1>-control)."""
+    """A unitary from the fixed gate set X, Y, Z, H, SWAP, RX, RY, RZ (by a
+    finite `angle`) and PHASE (by two `phases`), acting on `targets`,
+    optionally conditioned on `controls` matching `polarity` (1 = |1>-control)."""
 
     kind: str
     targets: tuple[int, ...]
@@ -116,6 +111,8 @@ class Gate:
     phases: tuple[float, float] | None = None  # PHASE: diag(e^{i a0}, e^{i a1})
 
     def __post_init__(self):
+        if self.kind not in ("X", "Y", "Z", "H", "SWAP", "RX", "RY", "RZ", "PHASE"):
+            raise SimulationError(f"unknown gate kind {self.kind!r}")
         if set(self.targets) & set(self.controls):
             raise SimulationError(f"gate {self.kind}: targets and controls overlap")
         if len(set(self.targets)) != len(self.targets) or len(set(self.controls)) != len(self.controls):
@@ -124,43 +121,19 @@ class Gate:
             raise SimulationError(f"gate {self.kind}: polarity mask length mismatch")
         if len(self.targets) != (2 if self.kind == "SWAP" else 1):
             raise SimulationError(f"gate {self.kind}: wrong target count {len(self.targets)}")
+        if self.kind in ("RX", "RY", "RZ") and not (
+                self.angle is not None and math.isfinite(self.angle)):
+            raise SimulationError(f"gate {self.kind}: needs a finite angle, got {self.angle!r}")
+        if self.kind == "PHASE" and (self.phases is None or len(self.phases) != 2):
+            raise SimulationError(f"gate PHASE: needs two phases, got {self.phases!r}")
 
     @property
     def qubits(self) -> tuple[int, ...]:
         return self.targets + self.controls
 
-    def base_matrix(self) -> np.ndarray:
-        """Unitary applied on the target factors (controls handled separately)."""
-        kind = self.kind
-        if kind == "X":
-            return _X
-        if kind == "Y":
-            return _Y
-        if kind == "Z":
-            return _Z
-        if kind == "H":
-            return _H
-        if kind in ("RX", "RY", "RZ"):
-            c, s = math.cos(self.angle / 2), math.sin(self.angle / 2)
-            if kind == "RX":
-                return np.array([[c, 1j * s], [1j * s, c]])
-            if kind == "RY":
-                return np.array([[c, s], [-s, c]], dtype=complex)
-            return np.array([[np.exp(1j * self.angle / 2), 0], [0, np.exp(-1j * self.angle / 2)]])
-        if kind == "PHASE":
-            a0, a1 = self.phases
-            return np.array([[np.exp(1j * a0), 0], [0, np.exp(1j * a1)]])
-        if kind == "SWAP":
-            return _SWAP
-        raise SimulationError(f"unknown gate kind {kind!r}")
-
 
 def x(q: int) -> Gate:
     return Gate("X", (q,))
-
-
-def y(q: int) -> Gate:
-    return Gate("Y", (q,))
 
 
 def z(q: int) -> Gate:
@@ -236,109 +209,6 @@ class Circuit:
             for q in op.qubits:
                 if not 0 <= q < self.n_qubits:
                     raise SimulationError(f"qubit index {q} out of range for {self.n_qubits} qubits")
-
-
-# ---------------------------------------------------------------------------
-# Application
-
-#: Amplitudes per block in the kernel's two-part updates.  Blocks this small
-#: keep the temporaries in cache and let the allocator reuse them; whole-part
-#: temporaries at 17+ qubits cost a fresh page fault per 4 KiB.
-_BLOCK = 2**14
-
-
-def _blocks(zero: np.ndarray, one: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Matching views of two equally shaped parts, split along their leading
-    axes into blocks of about _BLOCK amplitudes."""
-    lead, size = 0, zero.size
-    while size > _BLOCK and lead < zero.ndim - 1:
-        size //= zero.shape[lead]
-        lead += 1
-    if lead == 0:
-        return [(zero, one)]
-    return [(zero[i], one[i]) for i in np.ndindex(zero.shape[:lead])]
-
-
-def _apply_inplace(work: np.ndarray, gate: Gate) -> None:
-    """Apply `gate` to `work` in place.
-
-    `work` has one length-2 axis per qubit, in qubit order, optionally
-    followed by batch axes that the gate leaves alone.  The controls are
-    fixed by indexing, so each branch touches only the controlled slice:
-    X-family gates and SWAP exchange two of its parts, diagonal gates scale
-    them, and only H, Y, RX and RY mix two parts with a dense 2x2 update.
-    """
-    index = [slice(None)] * work.ndim
-    for c, p in zip(gate.controls, gate.polarity):
-        index[c] = p
-    kind = gate.kind
-    if kind == "SWAP":
-        # the |01> and |10> parts play the roles of X's target-0 and
-        # target-1 parts; the Ellipsis keeps a fully indexed part a 0-d
-        # view, not a copy
-        a, b = gate.targets
-        index[a], index[b] = 0, 1
-        zero = work[(*index, ...)]
-        index[a], index[b] = 1, 0
-        one = work[(*index, ...)]
-    else:
-        (t,) = gate.targets
-        index[t] = 0
-        zero = work[(*index, ...)]
-        index[t] = 1
-        one = work[(*index, ...)]
-    if kind in ("X", "SWAP"):
-        for z, o in _blocks(zero, one):
-            kept = z.copy()
-            z[...] = o
-            o[...] = kept
-    elif kind in ("Z", "RZ", "PHASE"):
-        mat = gate.base_matrix()
-        for part, factor in ((zero, mat[0, 0]), (one, mat[1, 1])):
-            if factor != 1:
-                part *= factor
-    else:
-        (m00, m01), (m10, m11) = gate.base_matrix()
-        for z, o in _blocks(zero, one):
-            kept = z.copy()
-            z *= m00
-            z += m01 * o
-            o *= m11
-            o += m10 * kept
-
-
-def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    """Transform the state by the gate's unitary; norm is preserved."""
-    for q in gate.qubits:
-        if not 0 <= q < state.n_qubits:
-            raise SimulationError(f"qubit index {q} out of range for {state.n_qubits} qubits")
-    work = state.amps.reshape((2,) * state.n_qubits).copy()
-    _apply_inplace(work, gate)
-    return StateVector(state.n_qubits, work.reshape(-1))
-
-
-def run_circuit(circuit: Circuit, initial: StateVector) -> StateVector:
-    """Apply the circuit's gates in order to a copy of `initial`."""
-    if initial.n_qubits != circuit.n_qubits:
-        raise SimulationError("initial state size does not match circuit")
-    n = circuit.n_qubits
-    work = initial.amps.reshape((2,) * n).copy()
-    for op in circuit.ops:
-        _apply_inplace(work, op)
-    return StateVector(n, work.reshape(-1))
-
-
-def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Full 2**n unitary of a circuit (n <= 12)."""
-    n = circuit.n_qubits
-    if n > 12:
-        raise SimulationError("circuit_unitary supports at most 12 qubits")
-    dim = 2**n
-    # basis column k rides along the trailing batch axis
-    cols = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
-    for op in circuit.ops:
-        _apply_inplace(cols, op)
-    return cols.reshape(dim, dim)
 
 
 def fidelity_up_to_global_phase(a: StateVector, b: StateVector) -> float:

@@ -12,13 +12,18 @@
 * The Holevo round by node quadrature: the outcome law evaluated node by
   node and integrated against the prior, where the package contracts the
   probe's autocorrelation with the prior's closed-form harmonics.
+* The dense gate kernel: each `simcore.Gate` applied to all 2^n amplitudes
+  in place, by exchanging, scaling or mixing the two parts its target
+  splits the state into (`apply_gate`, `run_circuit`, `circuit_unitary`).
+  It is the oracle for everything circuit-shaped; the package itself
+  applies no gate.
 * The projection of one qubit onto an assigned outcome, in place and as a
   fresh state, and the qubit drop that follows it.
 * The whole cluster state of a graph: every vertex in |+> or its injected
-  state, then one CZ per edge through `simcore.run_circuit`, for the
-  stepwise branch walker that the pattern sweep is pinned against.
+  state, then one CZ per edge through `run_circuit`, for the stepwise
+  branch walker that the pattern sweep is pinned against.
 * The compressor run densely: the 2^n-amplitude embedding through every
-  gate of `simcore.run_circuit`, then one qubit drop per non-output wire.
+  gate by `run_circuit`, then one qubit drop per non-output wire.
 * The QFT-readout variance through two dense DFT products on Gamma and eta
   written out in closed form.
 * Each POVM effect as a dense (N+1)^2 matrix F_k^+ F_k, and through it the
@@ -68,11 +73,11 @@ from clustersense.simcore import (
     MAX_QUBITS,
     NULL_PROB,
     Circuit,
+    Gate,
     SimulationError,
     StateVector,
     cz,
     product_state,
-    run_circuit,
 )
 
 # ---------------------------------------------------------------------------
@@ -347,6 +352,129 @@ def traces_dense(probe: SubspaceState, harmonics: np.ndarray, povm: Povm) -> np.
     """Tr(E_k psi psi^+ o h) for each effect and each row h of `harmonics`,
     each row's operator psi_n psi_m* h_{n-m} built as an (N+1)^2 matrix."""
     return np.einsum("kij,...ji->...k", dense_effects(povm), _on_subspace(probe, harmonics))
+
+
+# ---------------------------------------------------------------------------
+# The dense gate kernel
+
+_H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+_SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
+
+
+def base_matrix(gate: Gate) -> np.ndarray:
+    """Unitary applied on the gate's target factors (controls handled
+    separately); the gate's constructor has checked its kind and parameters."""
+    kind = gate.kind
+    fixed = {"X": _X, "Y": _Y, "Z": _Z, "H": _H, "SWAP": _SWAP}
+    if kind in fixed:
+        return fixed[kind]
+    if kind == "PHASE":
+        a0, a1 = gate.phases
+        return np.array([[np.exp(1j * a0), 0], [0, np.exp(1j * a1)]])
+    c, s = math.cos(gate.angle / 2), math.sin(gate.angle / 2)
+    if kind == "RX":
+        return np.array([[c, 1j * s], [1j * s, c]])
+    if kind == "RY":
+        return np.array([[c, s], [-s, c]], dtype=complex)
+    return np.array([[np.exp(1j * gate.angle / 2), 0], [0, np.exp(-1j * gate.angle / 2)]])
+
+
+#: Amplitudes per block in the kernel's two-part updates.  Blocks this small
+#: keep the temporaries in cache and let the allocator reuse them; whole-part
+#: temporaries at 17+ qubits cost a fresh page fault per 4 KiB.
+_BLOCK = 2**14
+
+
+def _blocks(zero: np.ndarray, one: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Matching views of two equally shaped parts, split along their leading
+    axes into blocks of about _BLOCK amplitudes."""
+    lead, size = 0, zero.size
+    while size > _BLOCK and lead < zero.ndim - 1:
+        size //= zero.shape[lead]
+        lead += 1
+    if lead == 0:
+        return [(zero, one)]
+    return [(zero[i], one[i]) for i in np.ndindex(zero.shape[:lead])]
+
+
+def _apply_inplace(work: np.ndarray, gate: Gate) -> None:
+    """Apply `gate` to `work` in place.
+
+    `work` has one length-2 axis per qubit, in qubit order, optionally
+    followed by batch axes that the gate leaves alone.  The controls are
+    fixed by indexing, so each branch touches only the controlled slice:
+    X-family gates and SWAP exchange two of its parts, diagonal gates scale
+    them, and only H, Y, RX and RY mix two parts with a dense 2x2 update.
+    """
+    index = [slice(None)] * work.ndim
+    for c, p in zip(gate.controls, gate.polarity):
+        index[c] = p
+    kind = gate.kind
+    if kind == "SWAP":
+        # the |01> and |10> parts play the roles of X's target-0 and
+        # target-1 parts; the Ellipsis keeps a fully indexed part a 0-d
+        # view, not a copy
+        a, b = gate.targets
+        index[a], index[b] = 0, 1
+        zero = work[(*index, ...)]
+        index[a], index[b] = 1, 0
+        one = work[(*index, ...)]
+    else:
+        (t,) = gate.targets
+        index[t] = 0
+        zero = work[(*index, ...)]
+        index[t] = 1
+        one = work[(*index, ...)]
+    if kind in ("X", "SWAP"):
+        for z, o in _blocks(zero, one):
+            kept = z.copy()
+            z[...] = o
+            o[...] = kept
+    elif kind in ("Z", "RZ", "PHASE"):
+        mat = base_matrix(gate)
+        for part, factor in ((zero, mat[0, 0]), (one, mat[1, 1])):
+            if factor != 1:
+                part *= factor
+    else:
+        (m00, m01), (m10, m11) = base_matrix(gate)
+        for z, o in _blocks(zero, one):
+            kept = z.copy()
+            z *= m00
+            z += m01 * o
+            o *= m11
+            o += m10 * kept
+
+
+def apply_gate(state: StateVector, gate: Gate) -> StateVector:
+    """Transform the state by the gate's unitary; norm is preserved."""
+    return run_circuit(Circuit(state.n_qubits, [gate]), state)
+
+
+def run_circuit(circuit: Circuit, initial: StateVector) -> StateVector:
+    """Apply the circuit's gates in order to a copy of `initial`."""
+    if initial.n_qubits != circuit.n_qubits:
+        raise SimulationError("initial state size does not match circuit")
+    n = circuit.n_qubits
+    work = initial.amps.reshape((2,) * n).copy()
+    for op in circuit.ops:
+        _apply_inplace(work, op)
+    return StateVector(n, work.reshape(-1))
+
+
+def circuit_unitary(circuit: Circuit) -> np.ndarray:
+    """Full 2**n unitary of a circuit (n <= 12)."""
+    n = circuit.n_qubits
+    if n > 12:
+        raise SimulationError("circuit_unitary supports at most 12 qubits")
+    dim = 2**n
+    # basis column k rides along the trailing batch axis
+    cols = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
+    for op in circuit.ops:
+        _apply_inplace(cols, op)
+    return cols.reshape(dim, dim)
 
 
 # ---------------------------------------------------------------------------

@@ -122,7 +122,7 @@ def test_criterion_07_compression_correctness():
             state = probes.unary_basis_state(n, N)
             full = np.zeros(2**layout.n_qubits, dtype=complex)
             full[np.arange(2**N) << (layout.n_qubits - N)] = state.amps
-            out = simcore.run_circuit(circuit, simcore.StateVector(layout.n_qubits, full))
+            out = reference.run_circuit(circuit, simcore.StateVector(layout.n_qubits, full))
             psi = out.amps.reshape((2,) * layout.n_qubits)
             index = tuple(slice(None) if w in keep else 0 for w in range(layout.n_qubits))
             worst_clean = min(worst_clean, float(np.sum(np.abs(psi[index]) ** 2)))

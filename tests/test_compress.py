@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from reference import compress_statevector_dense
+from reference import circuit_unitary, compress_statevector_dense, run_circuit
 
 from clustersense import compress, probes, simcore
 from clustersense.compress import (
@@ -54,7 +54,7 @@ def _embed_on_unary(N: int, layout, unary_bits: str) -> simcore.StateVector:
 def test_first_step_adds_one():
     layout = make_layout(4)
     step = build_step(1, layout)
-    out = simcore.run_circuit(step, _embed_on_unary(4, layout, "1000"))
+    out = run_circuit(step, _embed_on_unary(4, layout, "1000"))
     # u_1 consumed; after the shift the binary value 1 sits on the new wires
     _, binary, _ = layout.step_wires[1]
     index = int(np.argmax(np.abs(out.amps)))
@@ -70,7 +70,7 @@ def test_first_step_on_zero_is_identity():
     layout = make_layout(4)
     step = build_step(1, layout)
     initial = _embed_on_unary(4, layout, "0000")
-    out = simcore.run_circuit(step, initial)
+    out = run_circuit(step, initial)
     assert simcore.fidelity_up_to_global_phase(out, initial) >= 1 - 1e-12
 
 
@@ -99,7 +99,7 @@ def test_ancillas_return_to_zero_with_probability_one():
         state = probes.unary_basis_state(n, N)
         full = np.zeros(2**layout.n_qubits, dtype=complex)
         full[np.arange(2**N) << (layout.n_qubits - N)] = state.amps
-        out = simcore.run_circuit(circuit, simcore.StateVector(layout.n_qubits, full))
+        out = run_circuit(circuit, simcore.StateVector(layout.n_qubits, full))
         psi = out.amps.reshape((2,) * layout.n_qubits)
         index = tuple(slice(None) if w in keep else 0 for w in range(layout.n_qubits))
         clean_weight = float(np.sum(np.abs(psi[index]) ** 2))
@@ -155,12 +155,12 @@ def test_sine_state_compression():
 
 
 def test_qft_single_qubit_is_hadamard():
-    unitary = simcore.circuit_unitary(build_qft(1))
+    unitary = circuit_unitary(build_qft(1))
     np.testing.assert_allclose(unitary, np.array([[1, 1], [1, -1]]) / math.sqrt(2), atol=1e-14)
 
 
 def test_qft_zero_column_is_uniform():
-    out = simcore.run_circuit(build_qft(2), simcore.zero_state(2))
+    out = run_circuit(build_qft(2), simcore.zero_state(2))
     np.testing.assert_allclose(out.amps, [0.5] * 4, atol=1e-14)
 
 
@@ -168,7 +168,7 @@ def test_qft_zero_column_is_uniform():
 def test_qft_matches_dft_matrix(lam):
     dim = 2**lam
     dft = np.exp(2j * math.pi * np.outer(np.arange(dim), np.arange(dim)) / dim) / math.sqrt(dim)
-    unitary = simcore.circuit_unitary(build_qft(lam))
+    unitary = circuit_unitary(build_qft(lam))
     np.testing.assert_allclose(unitary, dft, atol=1e-10)
 
 

@@ -733,6 +733,22 @@ def test_fourier_weights_match_image_sums(sigma):
         assert np.all(np.abs(w1 - want1) <= 1e-14 * scale1)
 
 
+def test_next_gaussian_image_underflows_to_zero(monkeypatch):
+    # one more image on each side, at the classical rule's nodes and at
+    # wrapped-prior offsets theta - centre across [-pi, pi], adds only exact
+    # zeros: the terms are compared, as adding zeros can regroup a sum
+    thetas = np.linspace(-math.pi, math.pi, 2001)
+    image_count = est._image_count
+    monkeypatch.setattr(est, "_image_count", lambda sigma: image_count(sigma) + 1)
+    for sigma in TAU_GRID:
+        offsets = [thetas - math.remainder(theta0, 2 * math.pi) for theta0 in (0.0, 1.0, -3.0, 7.0)]
+        for N in (1, 40, est.CLASSICAL_PARALLEL_N_CAP):
+            M, first, last = est._node_window(N, sigma)
+            offsets.append((2 * math.pi / M) * np.arange(first, last + 1))
+        for x in offsets:
+            assert np.all(est._gaussian_images(x, sigma)[1][:, [0, -1]] == 0.0), sigma
+
+
 @pytest.mark.parametrize("N", [1, 2, 7, 40, est.CLASSICAL_PARALLEL_N_CAP])
 def test_outcome_law_equals_the_xlogy_route(N):
     # the rule's own nodes, and one node where sin^2 of the half-angle is

