@@ -56,13 +56,16 @@ def _write_csv(header: list[str], rows, out: str | None) -> None:
 
 
 def _parse_widths(text: str, flag: str) -> list[float]:
-    """Comma-separated prior widths; each must be positive and finite."""
+    """Comma-separated prior widths; each must be positive, with a square
+    and an inverse square that are finite and nonzero in float64."""
     try:
         values = [float(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise UsageError(f"{flag}: {exc}") from None
-    if not values or not all(0 < v < math.inf for v in values):
-        raise UsageError(f"{flag} needs positive finite widths, got {text!r}")
+    if not values or not all(v > 0 and 0 < v * v < math.inf and 1 / (v * v) < math.inf
+                             for v in values):
+        raise UsageError(f"{flag} needs positive widths whose square and inverse square "
+                         f"are finite and nonzero, got {text!r}")
     return values
 
 
@@ -166,18 +169,19 @@ def cmd_bayes_phase(args) -> int:
 # ---------------------------------------------------------------------------
 # Bayesian frequency estimation
 
-def _freq_cell(cell) -> tuple:
-    N, delta = cell
-    quantum = estimate.optimize_tau(N, delta, probes.sine_coefficients(N), None)
+def _freq_cell(N: int) -> tuple:
+    quantum = estimate.optimize_tau(N, probes.sine_coefficients(N), None)
     classical = estimate.optimize_tau_classical(N)
-    return (N, delta, quantum.tau, 1.0 / quantum.vbar, classical.tau, 1.0 / classical.vbar)
+    return (quantum.tau, 1.0 / quantum.vbar, classical.tau, 1.0 / classical.vbar)
 
 
 def cmd_bayes_freq(args) -> int:
     deltas = _parse_widths(args.delta, "--delta") if args.delta else [1.0]
     ns = _classical_n_grid(args)
-    cells = [(N, delta) for delta in deltas for N in ns]
-    rows = _pool_map(_freq_cell, cells, args.jobs)
+    # times in units of 1 / delta and MSEs in units of delta^2 do not depend
+    # on delta: each N is computed once, and delta only labels its rows
+    cells = list(_pool_map(_freq_cell, ns, args.jobs))
+    rows = ((N, delta, *cell) for delta in deltas for N, cell in zip(ns, cells))
     _write_csv(["N", "delta", "tau_quantum", "delta2_over_V_quantum",
                 "tau_classical", "delta2_over_V_classical"], rows, args.out)
     return 0

@@ -42,15 +42,14 @@ def binary_width(N: int) -> int:
 class CompressorLayout:
     """Wire assignments for an N-bit compressor.
 
-    `unary` holds the input wires for u_1..u_N; the accumulator and its
-    carries start on the wires after them (`step_wires[0]`).  Each block ends
-    with swaps, so the accumulator moves, and `final_binary` gives the wires
+    Wires 0..N-1 hold the inputs u_1..u_N; the accumulator and its carries
+    start on the wires after them (`step_wires[0]`).  Each block ends with
+    swaps, so the accumulator moves, and `final_binary` gives the wires
     holding bits b_0 (LSB) .. b_{lambda-1} (MSB) after all N blocks.
     """
 
     N: int
     lam: int
-    unary: tuple[int, ...]
     final_binary: tuple[int, ...]
     step_wires: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]
     step_slices: tuple[tuple[int, int], ...] = ()
@@ -67,7 +66,6 @@ def make_layout(N: int) -> CompressorLayout:
     if N < 1:
         raise CompressError("N must be >= 1")
     lam = binary_width(N)
-    unary = tuple(range(N))
     binary = list(range(N, N + lam))
     carry = list(range(N + lam, N + 2 * lam - 1))
     steps = []
@@ -80,7 +78,6 @@ def make_layout(N: int) -> CompressorLayout:
     return CompressorLayout(
         N=N,
         lam=lam,
-        unary=unary,
         final_binary=tuple(binary),
         step_wires=tuple(steps),
     )

@@ -35,7 +35,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -155,30 +155,27 @@ def _gaussian_images(x: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarra
 
 @dataclass(frozen=True)
 class Prior:
-    """Gaussian / wrapped-Gaussian / flat prior with mean theta0 and width sigma.
+    """Gaussian / wrapped-Gaussian / flat prior with a finite mean theta0 and
+    a positive finite width sigma (a flat prior ignores sigma).
 
     The wrapped density lives on [-pi, pi]; its image terms are centred on
-    theta0 reduced into [-pi, pi], kept as far as any can be nonzero
-    (_gaussian_images), and the truncated sum is renormalized by its
-    closed-form integral.
+    theta0 reduced into [-pi, pi] and kept as far as any can be nonzero
+    (_gaussian_images).  They cover 40 sigma + pi on each side of the
+    centre, so the mass left out is below erfc(28) and the closed-form
+    integral of the sum is 1.0 in float64: it needs no renormalization.
     """
 
     kind: str
     theta0: float = 0.0
     sigma: float = 0.0
-    _norm: float = field(default=1.0, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("gaussian", "wrapped_gaussian", "flat"):
             raise EstimateError(f"unknown prior kind {self.kind!r}")
-        if self.kind != "flat" and not self.sigma > 0:
-            raise EstimateError("sigma must be positive")
-        if self.kind == "wrapped_gaussian":
-            # the images of [-pi, pi] tile [-L, L] - centre, L = (2 n + 1) pi
-            edge = (2 * _image_count(self.sigma) + 1) * math.pi
-            centre, scale = math.remainder(self.theta0, 2 * math.pi), math.sqrt(2) * self.sigma
-            object.__setattr__(self, "_norm", 0.5 * (math.erf((edge - centre) / scale)
-                                                     + math.erf((edge + centre) / scale)))
+        if not math.isfinite(self.theta0):
+            raise EstimateError(f"the prior mean must be finite, got {self.theta0}")
+        if self.kind != "flat" and not 0 < self.sigma < math.inf:
+            raise EstimateError(f"sigma must be positive and finite, got {self.sigma}")
 
     def pdf(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -188,7 +185,7 @@ class Prior:
         if self.kind == "wrapped_gaussian":
             centre = math.remainder(self.theta0, 2 * math.pi)
             return _gaussian_images(theta - centre, self.sigma)[1].sum(axis=-1) / (
-                math.sqrt(2 * math.pi) * self.sigma) / self._norm
+                math.sqrt(2 * math.pi) * self.sigma)
         return np.full_like(theta, 1.0 / (2 * math.pi))
 
     def rule_intervals(self) -> tuple[tuple[float, float], ...]:
@@ -219,12 +216,12 @@ class Prior:
         centre = math.remainder(self.theta0, 2 * math.pi)
 
         def evaluate(thetas, w):
-            # the score d log p / d theta in closed form over the image terms
+            # the score d log p / d theta in closed form over the image terms;
+            # every node lies within pi of an image centre, or within 12 sigma
+            # on a narrow prior's rule, so each image sum is at least e^-72
             offsets, g = _gaussian_images(thetas - centre, self.sigma)
-            p = g.sum(axis=1)
-            live = p > 0
-            score = (offsets * g).sum(axis=1)[live] / (self.sigma**2 * p[live])
-            return float(np.sum(w[live] * score**2))
+            score = (offsets * g).sum(axis=1) / (self.sigma**2 * g.sum(axis=1))
+            return float(np.sum(w * score**2))
 
         return _gauss_legendre_converged(self.pdf, evaluate, tol=1e-8,
                                          intervals=self.rule_intervals())
@@ -670,8 +667,11 @@ def qft_phase_variance(N: int, sigma: float, theta0: float = 0.0,
     Same quantity as bayes_round with qft_povm, but p_k = f_k^+ Gamma f_k and
     g_k = f_k^+ eta f_k come from the probe's autocorrelation times the
     Gaussian harmonics and one FFT (_fourier_traces): O(N^2) for the
-    autocorrelation, and no (N+1)^2 matrix is built.
+    autocorrelation, and no (N+1)^2 matrix is built.  The width must be
+    positive and finite, and the mean finite.
     """
+    if not (0 < sigma < math.inf and math.isfinite(theta0)):
+        raise EstimateError(f"need 0 < sigma < inf and a finite theta0, got {sigma}, {theta0}")
     return float(_gaussian_mse(N, sigma, theta0, probe, None))
 
 
@@ -984,12 +984,12 @@ def noisy_local_equivalence_check(N: int, sigma: float, probe: SubspaceState,
 # ---------------------------------------------------------------------------
 # Frequency estimation
 
-def frequency_round(N: int, delta: float, tau, probe: SubspaceState,
-                    povm: Povm | None):
-    """Average posterior frequency MSE, in units of delta^2: the phase MSE
-    at prior width tau = t delta over tau^2, in which delta cancels.  tau is
-    one interrogation time (a float is returned) or an array of them (an
-    array of the same shape, from one call of _gaussian_mse)."""
+def frequency_round(N: int, tau, probe: SubspaceState, povm: Povm | None):
+    """Average posterior frequency MSE, in units of delta^2 for a frequency
+    prior of width delta: the phase MSE at prior width tau = t delta over
+    tau^2, in which delta cancels, so it is no input.  tau is one
+    interrogation time (a float is returned) or an array of them (an array
+    of the same shape, from one call of _gaussian_mse)."""
     tau = np.asarray(tau, dtype=float)
     if not np.all(tau > 0):
         raise EstimateError("tau must be positive")
@@ -999,8 +999,11 @@ def frequency_round(N: int, delta: float, tau, probe: SubspaceState,
 
 @dataclass(frozen=True)
 class TauOptimum:
+    """The best interrogation time tau = t delta in units of 1 / delta, the
+    frequency MSE vbar there in units of delta^2, and whether tau ends the grid."""
+
     tau: float
-    vbar: float  # in units of delta^2
+    vbar: float
     boundary: bool
 
 
@@ -1024,12 +1027,13 @@ def _optimize_objective(objective, grid: np.ndarray) -> TauOptimum:
     return TauOptimum(float(tau), float(val), boundary=False)
 
 
-def optimize_tau(N: int, delta: float, probe: SubspaceState, povm: Povm | None) -> TauOptimum:
-    """Best interrogation time: coarse log grid in [1e-3, 20] followed by
+def optimize_tau(N: int, probe: SubspaceState, povm: Povm | None) -> TauOptimum:
+    """Best interrogation time in units of 1 / delta, which holds for every
+    frequency prior width delta: coarse log grid in [1e-3, 20] followed by
     golden-section refinement around the best grid point (the objective is
     observed to be unimodal, but the grid guards against surprises).
     povm=None is the (N+1)-point Fourier readout."""
-    return _optimize_objective(lambda tau: frequency_round(N, delta, tau, probe, povm), TAU_GRID)
+    return _optimize_objective(lambda tau: frequency_round(N, tau, probe, povm), TAU_GRID)
 
 
 def optimize_tau_classical(N: int) -> TauOptimum:

@@ -328,42 +328,26 @@ def _corrected(pattern: MeasurementPattern, psi: np.ndarray, bits: np.ndarray,
     return psi.transpose(out_axes + [len(out_axes)])
 
 
-def _sweep(pattern: MeasurementPattern, injected: dict[int, np.ndarray] | None,
-           assignment: tuple[int, ...] | None = None,
-           cutoff: float = simcore.NULL_PROB) -> tuple[np.ndarray, np.ndarray]:
-    """Every kept outcome branch of `pattern` at once: the chunks of
-    `_sweep_chunks` joined along the branch axis.  The exhaustive sweep
-    costs the sum over levels of 2**(live width + depth) amplitude
-    operations, run in chunks of at most _CHUNK_AMPS amplitudes.
-
-    Returns the corrected branch states, with the output axes in
-    `pattern.outputs` order followed by the branch axis, and the
-    probability of each branch.
-    """
-    chunks = [(np.empty((2,) * len(pattern.outputs) + (0,), dtype=complex), np.empty(0))]
-    chunks += _sweep_chunks(pattern, injected, assignment, cutoff)
-    states, probs = zip(*chunks)
-    return np.concatenate(states, axis=-1), np.concatenate(probs)
-
-
 def run_pattern(pattern: MeasurementPattern, outcome_assignment: tuple[int, ...],
                 injected: dict[int, np.ndarray] | None = None) -> tuple[StateVector, float]:
-    """Execute one outcome branch and return the corrected output state.
+    """Execute one outcome branch and return the corrected output state and
+    the branch probability.
 
     Measured qubits are removed, so the result lives on the output vertices
-    in `pattern.outputs` order.  Zero-probability branches return a flagged
-    null state.
+    in `pattern.outputs` order.  The branch is a sweep by `_sweep_chunks`
+    with every outcome fixed: it keeps one column, so it arrives as one
+    chunk, or as none when an outcome has probability below
+    simcore.NULL_PROB, and such a null branch returns a flagged null state.
     """
     if len(outcome_assignment) != pattern.n_measured:
         raise PatternError(f"expected {pattern.n_measured} outcomes")
     for bit in outcome_assignment:
         if bit not in (0, 1):
             raise simcore.SimulationError(f"outcome must be a bit, got {bit!r}")
-    branches, probs = _sweep(pattern, injected, outcome_assignment)
     k = len(pattern.outputs)
-    if not probs.size:
-        return StateVector.null(k), 0.0
-    return StateVector(k, branches[..., 0].reshape(-1)), float(probs[0])
+    for states, probs in _sweep_chunks(pattern, injected, outcome_assignment):
+        return StateVector(k, states[..., 0].reshape(-1)), float(probs[0])
+    return StateVector.null(k), 0.0
 
 
 @dataclass(frozen=True)

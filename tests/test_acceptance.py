@@ -92,7 +92,7 @@ def test_criterion_06_frequency_scaling_exponents():
     for n in ns:
         povm = est.qft_povm(n)
         probe = probes.sine_coefficients(n)
-        quantum_gains.append(1.0 / est.optimize_tau(n, 1.0, probe, povm).vbar)
+        quantum_gains.append(1.0 / est.optimize_tau(n, probe, povm).vbar)
         classical_gains.append(1.0 / est.optimize_tau_classical(n).vbar)
     fit_q = float(np.polyfit(np.log(ns), np.log(quantum_gains), 1)[0])
     fit_c = float(np.polyfit(np.log(ns), np.log(classical_gains), 1)[0])

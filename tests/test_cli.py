@@ -84,6 +84,27 @@ def test_bayes_freq_row(capsys):
     assert float(row[3]) > float(row[5]) > 1.0
 
 
+def test_bayes_freq_computes_each_n_once_and_labels_rows_by_delta(monkeypatch, capsys):
+    calls = []
+    for name in ("optimize_tau", "optimize_tau_classical"):
+        def counted(N, *args, name=name, search=getattr(cli.estimate, name)):
+            calls.append((name, N))
+            return search(N, *args)
+
+        monkeypatch.setattr(cli.estimate, name, counted)
+    code, out = run_cli(["bayes-freq", "--delta", "0.1,1,10", "--n-max", "6"], capsys)
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    blocks = [rows[i:i + 6] for i in range(0, 18, 6)]
+    assert len(rows) == 18
+    for delta, block in zip(["0.1", "1", "10"], blocks):
+        assert [row[1] for row in block] == [delta] * 6
+        assert [row[:1] + row[2:] for row in block] == [row[:1] + row[2:] for row in blocks[0]]
+    # one search of each kind per N, not one per N and delta
+    assert sorted(calls) == [(name, N) for name in ("optimize_tau", "optimize_tau_classical")
+                             for N in range(1, 7)]
+
+
 def test_compress_verify_passes(capsys):
     code, out = run_cli(["compress-verify", "3"], capsys)
     assert code == 0
@@ -140,6 +161,14 @@ def test_usage_error_exit_code():
     ["mbqc-verify", "teleport", "--seed", "-1"],
     ["compress-verify", "3", "--seed", "-5"],
     ["local", "--jobs", "-2"],
+    ["bayes-phase", "--theta0", "nan", "--n-max", "3"],
+    ["bayes-phase", "--theta0", "inf", "--n-max", "3"],
+    ["holevo", "--theta0", "inf", "--n-max", "3"],
+    ["holevo", "--theta0", "nan", "--n-max", "3"],
+    ["bayes-phase", "--sigma", "1e-300", "--n-max", "3"],
+    ["holevo", "--sigma", "1e300", "--n-max", "3"],
+    ["mse-limit", "--sigma", "1e300"],
+    ["bayes-freq", "--delta", "1e-160", "--n-max", "3"],
 ])
 def test_out_of_range_arguments_exit_with_usage_code(argv, tmp_path, capsys):
     out = tmp_path / "out.csv"

@@ -469,7 +469,11 @@ def test_flat_prior_round_matches_node_oracle(N):
 def test_wrapped_prior_mean_outside_pi_is_reduced():
     far, reduced = 100.0, math.remainder(100.0, 2 * math.pi)
     prior = wrapped_gaussian_prior(0.5, far)
-    assert prior._norm == pytest.approx(1.0, abs=1e-12)
+    thetas = np.linspace(-math.pi, math.pi, 1001)
+    np.testing.assert_array_equal(prior.pdf(thetas),
+                                  wrapped_gaussian_prior(0.5, reduced).pdf(thetas))
+    total = reference._quad(lambda t: float(prior.pdf(t)), -math.pi, math.pi)
+    assert total == pytest.approx(1.0, abs=1e-10)
     assert holevo_bayes_round(3, prior) == pytest.approx(
         holevo_bayes_round(3, wrapped_gaussian_prior(0.5, reduced)), rel=1e-12, abs=1e-12)
 
@@ -478,7 +482,7 @@ def test_wrapped_prior_mean_outside_pi_is_reduced():
     lambda: qft_phase_variance(5, 0.5, probe=probes.sine_coefficients(3)),
     lambda: holevo_bayes_round(5, wrapped_gaussian_prior(0.5), probe=probes.sine_coefficients(3)),
     lambda: holevo_bayes_round(3, wrapped_gaussian_prior(0.5), povm=qft_povm(4)),
-    lambda: frequency_round(3, 1.0, 0.5, probes.sine_coefficients(3), qft_povm(4)),
+    lambda: frequency_round(3, 0.5, probes.sine_coefficients(3), qft_povm(4)),
     lambda: est.holevo_outcome_probabilities(5, wrapped_gaussian_prior(0.5),
                                              probes.sine_coefficients(3)),
     lambda: bayes_round(gaussian_prior(0.5), probes.sine_coefficients(3), qft_povm(4)),
@@ -832,19 +836,12 @@ def test_dephased_fisher_matches_central_differences():
 # ---------------------------------------------------------------------------
 # frequency estimation
 
-def test_frequency_round_is_scale_free_in_delta():
-    probe = probes.sine_coefficients(3)
-    povm = qft_povm(3)
-    values = [frequency_round(3, delta, 0.7, probe, povm) for delta in (0.1, 1.0, 10.0)]
-    assert max(values) - min(values) < 1e-12
-
-
 def test_frequency_round_equals_phase_at_matched_width():
     for N in (2, 5):
         probe = probes.sine_coefficients(N)
         povm = qft_povm(N)
         for width in (0.3, 0.8):
-            freq = frequency_round(N, 1.0, width, probe, povm)
+            freq = frequency_round(N, width, probe, povm)
             phase = bayes_round(gaussian_prior(width), probe, povm).avg_posterior_variance
             assert freq == pytest.approx(phase / width**2, rel=1e-12)
 
@@ -853,16 +850,16 @@ def test_frequency_round_equals_phase_at_matched_width():
 def test_fourier_frequency_route_matches_qft_povm(N):
     probe = probes.sine_coefficients(N)
     povm = qft_povm(N)
-    fast = [frequency_round(N, 1.0, tau, probe, None) for tau in TAU_GRID]
-    dense = [frequency_round(N, 1.0, tau, probe, povm) for tau in TAU_GRID]
+    fast = [frequency_round(N, tau, probe, None) for tau in TAU_GRID]
+    dense = [frequency_round(N, tau, probe, povm) for tau in TAU_GRID]
     np.testing.assert_allclose(fast, dense, rtol=1e-12, atol=0)
 
 
 def test_frequency_round_requires_positive_tau():
     with pytest.raises(EstimateError):
-        frequency_round(2, 1.0, 0.0, probes.sine_coefficients(2), qft_povm(2))
+        frequency_round(2, 0.0, probes.sine_coefficients(2), qft_povm(2))
     with pytest.raises(EstimateError):
-        frequency_round(2, 1.0, np.array([0.5, -0.1]), probes.sine_coefficients(2), None)
+        frequency_round(2, np.array([0.5, -0.1]), probes.sine_coefficients(2), None)
 
 
 @pytest.mark.parametrize("N", [1, 2, 8, 40])
@@ -878,8 +875,8 @@ def test_width_grid_in_one_call_matches_single_widths(N):
             assert all(np.ndim(v) == 0 for v in single)
             np.testing.assert_allclose(batch, single, rtol=1e-15, atol=0)
     grid = TAU_GRID.reshape(6, 10)
-    np.testing.assert_array_equal(frequency_round(N, 1.0, grid, probe, None),
-                                  frequency_round(N, 1.0, TAU_GRID, probe, None).reshape(6, 10))
+    np.testing.assert_array_equal(frequency_round(N, grid, probe, None),
+                                  frequency_round(N, TAU_GRID, probe, None).reshape(6, 10))
 
 
 @pytest.mark.parametrize("N", [1, 4, 40])
@@ -887,8 +884,8 @@ def test_tau_search_matches_the_width_loop(N):
     probe = probes.sine_coefficients(N)
     for povm in (None, qft_povm(N)):
         loop = reference.optimize_by_width_loop(
-            lambda tau: frequency_round(N, 1.0, tau, probe, povm), TAU_GRID)
-        assert optimize_tau(N, 1.0, probe, povm) == loop
+            lambda tau: frequency_round(N, tau, probe, povm), TAU_GRID)
+        assert optimize_tau(N, probe, povm) == loop
         # the Fourier readout of one qubit is best at the shortest time
         assert loop.boundary == (N == 1)
     loop = reference.optimize_by_width_loop(
@@ -911,9 +908,9 @@ def test_optimize_tau_quantum_beats_fixed_tau():
     N = 6
     probe = probes.sine_coefficients(N)
     povm = qft_povm(N)
-    optimum = optimize_tau(N, 1.0, probe, povm)
+    optimum = optimize_tau(N, probe, povm)
     assert not optimum.boundary
-    assert optimum.vbar <= frequency_round(N, 1.0, 1.0, probe, povm) + 1e-12
+    assert optimum.vbar <= frequency_round(N, 1.0, probe, povm) + 1e-12
     assert optimum.vbar <= 1.0
 
 
@@ -1082,6 +1079,10 @@ def test_prior_validation():
         est.Prior("gaussian", 0.0, 0.0)
     with pytest.raises(EstimateError):
         est.Prior("triangle", 0.0, 1.0)
+    with pytest.raises(EstimateError):
+        est.Prior("wrapped_gaussian", math.inf, 0.5)
+    with pytest.raises(EstimateError):
+        est.Prior("gaussian", 0.0, math.inf)
 
 
 def test_flat_prior_gamma_is_diagonal():

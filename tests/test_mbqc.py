@@ -276,10 +276,20 @@ _NEAR_NULL_BRANCH = (
 )
 
 
+def _joined_sweep(pattern: MeasurementPattern, injected: dict[int, np.ndarray] | None,
+                  cutoff: float = simcore.NULL_PROB) -> tuple[np.ndarray, np.ndarray]:
+    """Every kept branch of `pattern`: the chunks of `_sweep_chunks` joined
+    along the branch axis, which is empty when no branch is kept."""
+    chunks = [(np.empty((2,) * len(pattern.outputs) + (0,), dtype=complex), np.empty(0))]
+    chunks += mbqc._sweep_chunks(pattern, injected, cutoff=cutoff)
+    states, probs = zip(*chunks)
+    return np.concatenate(states, axis=-1), np.concatenate(probs)
+
+
 def _assert_sweep_matches_reference(pattern: MeasurementPattern,
                                     injected: dict[int, np.ndarray] | None, target: StateVector):
     reference = list(_reference_branches(pattern, injected, target))
-    states, probs = mbqc._sweep(pattern, injected)
+    states, probs = _joined_sweep(pattern, injected)
     k = len(pattern.outputs)
     assert states.shape == (2,) * k + (len(reference),)
     fids = []
@@ -294,7 +304,7 @@ def _assert_sweep_matches_reference(pattern: MeasurementPattern,
     tol = 1e-10
     cutoff = mbqc.verdict_cutoff(tol)
     kept = list(_reference_branches(pattern, injected, target, cutoff))
-    states, probs = mbqc._sweep(pattern, injected, cutoff=cutoff)
+    states, probs = _joined_sweep(pattern, injected, cutoff)
     assert len(probs) == len(kept)
     fids = [simcore.fidelity_up_to_global_phase(StateVector(k, states[..., b].reshape(-1)), target)
             for b in range(len(kept))]
