@@ -25,9 +25,10 @@ such as the Gaussian rows of a whole grid of widths, is one call.  The
 optimal-parallel classical strategy has an outcome law that is a
 trigonometric polynomial of degree N, so a periodic trapezoid rule against
 the wrapped Gaussian integrates it exactly in float64, with every summed
-term positive.  Its node weights are Gaussian image sums below width pi and
-three Fourier terms from pi on, and a grid of widths is one call, run in
-blocks of bounded size.
+term positive.  Its node weights, like the wrapped prior's density and
+score, are wrapped Gaussian sums from one helper (_wrapped_sums): image
+sums below width pi, three Fourier terms from pi on.  A grid of widths is
+one call, run in blocks of bounded size.
 """
 
 from __future__ import annotations
@@ -153,16 +154,42 @@ def _gaussian_images(x: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarra
     return images, np.exp(-0.5 * (images / sigma) ** 2)
 
 
+#: From this width on, wrapped Gaussian sums come from their Fourier series.
+_FOURIER_WIDTH = math.pi
+
+
+def _fourier_decay(sigma) -> tuple[np.ndarray, np.ndarray]:
+    """j = 1, 2, 3 and e^{-j^2 sigma^2 / 2} on a new last axis of sigma."""
+    j = np.arange(1, 4)
+    return j, np.exp(-0.5 * np.multiply.outer(sigma, j) ** 2)
+
+
+def _wrapped_sums(x, sigma) -> tuple[np.ndarray, np.ndarray]:
+    """w0 = sum_q g(x + 2 pi q) and w1 = sum_q (x + 2 pi q) g(x + 2 pi q),
+    g(y) = e^{-y^2 / 2 sigma^2}, at offsets x: below _FOURIER_WIDTH over
+    every image that can be nonzero (_gaussian_images), from it on as
+    w0 = (sigma / sqrt(2 pi)) (1 + 2 sum_j e^{-j^2 sigma^2 / 2} cos j x) and
+    w1 = -sigma^2 dw0/dx to j = 3, past which e^{-8 pi^2} = 5e-35 of the sum
+    is left out.  sigma is one width, or from _FOURIER_WIDTH on one per x."""
+    if getattr(sigma, "ndim", 0) == 0 and sigma < _FOURIER_WIDTH:  # np.ndim takes ~1 us
+        images, g = _gaussian_images(x, sigma)
+        return g.sum(axis=-1), (images * g).sum(axis=-1)
+    j, decay = _fourier_decay(sigma)
+    phase = np.multiply.outer(x, j)
+    norm = np.divide(sigma, math.sqrt(2 * math.pi))
+    w0 = norm * (1 + 2 * np.sum(decay * np.cos(phase), axis=-1))
+    w1 = norm * np.square(sigma) * 2 * np.sum(j * decay * np.sin(phase), axis=-1)
+    return w0, w1
+
+
 @dataclass(frozen=True)
 class Prior:
     """Gaussian / wrapped-Gaussian / flat prior with a finite mean theta0 and
     a positive finite width sigma (a flat prior ignores sigma).
 
-    The wrapped density lives on [-pi, pi]; its image terms are centred on
-    theta0 reduced into [-pi, pi] and kept as far as any can be nonzero
-    (_gaussian_images).  They cover 40 sigma + pi on each side of the
-    centre, so the mass left out is below erfc(28) and the closed-form
-    integral of the sum is 1.0 in float64: it needs no renormalization.
+    The wrapped density lives on [-pi, pi]: the sum w0 of _wrapped_sums
+    about theta0 reduced into [-pi, pi], over sqrt(2 pi) sigma.  It
+    integrates to 1.0 in float64 and needs no renormalization.
     """
 
     kind: str
@@ -184,7 +211,7 @@ class Prior:
                 math.sqrt(2 * math.pi) * self.sigma)
         if self.kind == "wrapped_gaussian":
             centre = math.remainder(self.theta0, 2 * math.pi)
-            return _gaussian_images(theta - centre, self.sigma)[1].sum(axis=-1) / (
+            return _wrapped_sums(theta - centre, self.sigma)[0] / (
                 math.sqrt(2 * math.pi) * self.sigma)
         return np.full_like(theta, 1.0 / (2 * math.pi))
 
@@ -216,12 +243,11 @@ class Prior:
         centre = math.remainder(self.theta0, 2 * math.pi)
 
         def evaluate(thetas, w):
-            # the score d log p / d theta in closed form over the image terms;
-            # every node lies within pi of an image centre, or within 12 sigma
-            # on a narrow prior's rule, so each image sum is at least e^-72
-            offsets, g = _gaussian_images(thetas - centre, self.sigma)
-            score = (offsets * g).sum(axis=1) / (self.sigma**2 * g.sum(axis=1))
-            return float(np.sum(w * score**2))
+            # the score -d log p / d theta = w1 / (sigma^2 w0); every node lies
+            # within pi of an image centre, or within 12 sigma on a narrow
+            # prior's rule, so w0 is at least e^-72
+            w0, w1 = _wrapped_sums(thetas - centre, self.sigma)
+            return float(np.sum(w * (w1 / (self.sigma**2 * w0)) ** 2))
 
         return _gauss_legendre_converged(self.pdf, evaluate, tol=1e-8,
                                          intervals=self.rule_intervals())
@@ -531,29 +557,32 @@ def _mass_row(prior: Prior, N: int) -> tuple[np.ndarray, float]:
 
 
 def _gaussian_harmonics(sigma, theta0: float, N: int) -> np.ndarray:
-    """int p(theta) {1, theta} e^{-i k theta} dtheta, k = -N..N, for a
-    Gaussian prior of mean theta0: the characteristic row and
-    (theta0 - i k sigma^2) times it.  sigma is one width or an array of
-    widths; the result has shape sigma.shape + (2, 2N + 1), column k + N."""
+    """int p(theta) {1, theta - theta0} e^{-i k theta} dtheta, k = -N..N, for
+    a Gaussian prior of mean theta0 (reduced into [-pi, pi], so the phases
+    keep their digits): the characteristic row and -i k sigma^2 times it.
+    sigma is one width or an array of widths; the result has shape
+    sigma.shape + (2, 2N + 1), column k + N."""
     k, _ = _row_columns(N)
-    char = _gaussian_row(sigma, theta0, N)
-    return np.stack([char, (theta0 - 1j * k * np.square(sigma)[..., None]) * char], axis=-2)
+    char = _gaussian_row(sigma, math.remainder(theta0, 2 * math.pi), N)
+    return np.stack([char, -1j * k * np.square(sigma)[..., None] * char], axis=-2)
 
 
 def _harmonic_moments(prior: Prior, N: int) -> np.ndarray:
     """int p(theta) {1, theta, theta^2} e^{-i k theta} dtheta for k = -N..N
-    as a (3, 2N + 1) array, column k + N: closed forms in the Gaussian
-    characteristic function for a Gaussian prior; otherwise the 1 row from
-    _periodic_harmonics and, for a flat prior, the theta and theta^2 rows
-    i (-1)^k / k and 2 (-1)^k / k^2 (0 and pi^2 / 3 at k = 0), for a
-    wrapped prior integrated over [-pi, pi].  A wrapped or flat prior adds
-    the centred phasor row of _periodic_harmonics as a fourth row, so that
-    a round builds those rows once."""
+    and a centred row, as a (4, 2N + 1) array, column k + N: closed forms
+    in the Gaussian characteristic function for a Gaussian prior with its
+    mean reduced into [-pi, pi], as periodic priors are, the centred row its
+    first moment about that mean (_gaussian_harmonics); otherwise the 1 row
+    from _periodic_harmonics and, for a flat prior, the theta and theta^2
+    rows i (-1)^k / k and 2 (-1)^k / k^2 (0 and pi^2 / 3 at k = 0), for a
+    wrapped prior integrated over [-pi, pi], with the centred phasor row of
+    _periodic_harmonics, so that a round builds those rows once."""
     k = np.arange(-N, N + 1)
     if prior.kind == "gaussian":
-        s2, t0 = prior.sigma**2, prior.theta0
-        char, first = _gaussian_harmonics(prior.sigma, t0, N)
-        return np.stack([char, first, (s2 + t0**2 - 2j * t0 * k * s2 - k**2 * s2**2) * char])
+        s2, t0 = prior.sigma**2, math.remainder(prior.theta0, 2 * math.pi)
+        char, centred = _gaussian_harmonics(prior.sigma, t0, N)
+        return np.stack([char, t0 * char + centred,
+                         (s2 + t0**2 - 2j * t0 * k * s2 - k**2 * s2**2) * char, centred])
     if prior.kind == "flat":
         off = k != 0
         first = np.zeros(2 * N + 1, dtype=complex)
@@ -578,7 +607,10 @@ def gamma_eta(prior: Prior, probe: SubspaceState) -> tuple[np.ndarray, np.ndarra
     and eta_nm = (theta0 - i (n-m) sigma^2) Gamma_nm.  The rounds themselves
     never build these matrices; they contract the harmonics directly.
     """
-    return tuple(_on_subspace(probe, _harmonic_moments(prior, probe.N)[:2]))
+    gamma, eta = _on_subspace(probe, _harmonic_moments(prior, probe.N)[:2])
+    if prior.kind == "gaussian":  # its rows take the mean reduced into [-pi, pi]
+        eta = eta + (prior.theta0 - math.remainder(prior.theta0, 2 * math.pi)) * gamma
+    return gamma, eta
 
 
 @dataclass(frozen=True, eq=False)
@@ -600,17 +632,17 @@ def bayes_round(prior: Prior, probe: SubspaceState, povm: Povm) -> EstimationRes
     must act on the probe's N + 1 dimensions.
 
     For Gaussian priors the average variance uses the exact simplification
-    sigma^2 - sum_m gamma_m^2 / Tr(E_m Gamma); outcomes with probability
-    below 1e-14 carry zero weight and are skipped.  Wrapped and flat priors
-    also get Holevo variances, from the centred phasor row of
-    _periodic_harmonics as in holevo_bayes_round, so they keep their digits
-    at narrow widths.
+    sigma^2 - sum_m gamma_m^2 / Tr(E_m Gamma), gamma_m the trace of the
+    centred row of _harmonic_moments; outcomes with probability below 1e-14
+    carry zero weight and are skipped.  Wrapped and flat priors also get
+    Holevo variances, from the centred phasor row of _periodic_harmonics as
+    in holevo_bayes_round, so they keep their digits at narrow widths.
     """
     _checked_probe(probe.N, probe, povm)
     if prior.kind == "gaussian" and prior.sigma > 1.0:
         warnings.warn("MSE phase results are unreliable for sigma > 1", MSEValidityWarning)
-    # Tr(E_m X) for X = Gamma, eta, Omega = int theta^2 p rho dtheta and, for
-    # a periodic prior, the centred phasor moment
+    # Tr(E_m X) for X = Gamma, eta, Omega = int theta^2 p rho dtheta and the
+    # centred moment: the first about the mean, or the phasor's
     traces = _traces(probe, _harmonic_moments(prior, probe.N), povm)
     probs, firsts, seconds = traces[:3].real
 
@@ -620,8 +652,9 @@ def bayes_round(prior: Prior, probe: SubspaceState, povm: Povm) -> EstimationRes
     estimates[live] = firsts[live] / probs[live]
     variances[live] = seconds[live] / probs[live] - estimates[live] ** 2
 
-    if prior.kind == "gaussian":
-        avg = prior.sigma**2 - float(_information(probs, firsts - prior.theta0 * probs))
+    if prior.kind == "gaussian":  # its rows take the mean reduced into [-pi, pi]
+        estimates += prior.theta0 - math.remainder(prior.theta0, 2 * math.pi)
+        avg = prior.sigma**2 - float(_information(probs, traces[3].real))
         return EstimationResult(povm.labels, probs, estimates, variances, avg)
 
     avg = float(np.sum(probs[live] * variances[live]))
@@ -646,8 +679,9 @@ def _checked_probe(N: int, probe: SubspaceState | None, povm: Povm | None) -> Su
 def _gaussian_mse(N: int, sigma, theta0: float, probe: SubspaceState | None,
                   povm: Povm | None) -> np.ndarray:
     """Average posterior MSE of one round under a Gaussian prior:
-    sigma^2 - sum_k (g_k - theta0 p_k)^2 / p_k with p_k = Tr(E_k Gamma) and
-    g_k = Tr(E_k eta); povm=None is the (N+1)-point Fourier readout.
+    sigma^2 - sum_k g_k^2 / p_k with p_k = Tr(E_k Gamma) and g_k the trace
+    of the first moment about the mean (_gaussian_harmonics); povm=None is
+    the (N+1)-point Fourier readout.
 
     sigma is one width or an array of widths, and the result has its shape.
     Only the 1 and theta harmonic rows are formed, and the traces of every
@@ -657,7 +691,7 @@ def _gaussian_mse(N: int, sigma, theta0: float, probe: SubspaceState | None,
     probe = _checked_probe(N, probe, povm)
     traces = _traces(probe, _gaussian_harmonics(sigma, theta0, N), povm).real
     p, g = traces[..., 0, :], traces[..., 1, :]
-    return np.square(np.asarray(sigma, dtype=float)) - _information(p, g - theta0 * p)
+    return np.square(np.asarray(sigma, dtype=float)) - _information(p, g)
 
 
 def qft_phase_variance(N: int, sigma: float, theta0: float = 0.0,
@@ -776,23 +810,6 @@ def _node_window(N: int, sigma: float) -> tuple[int, int, int]:
     return M, -reach, min(reach, M - 1 - M // 2)
 
 
-def _fourier_weights(theta: np.ndarray, sigma) -> tuple[np.ndarray, np.ndarray]:
-    """The wrapped weights w0 = sum_k g(theta + 2 pi k) and
-    w1 = sum_k (theta + 2 pi k) g(theta + 2 pi k), g(x) = e^{-x^2 / 2 sigma^2},
-    at the nodes theta of widths sigma >= pi (one width, or one per node),
-    from their Fourier series: w0 = (sigma / sqrt(2 pi)) (1 + 2 sum_j
-    e^{-j^2 sigma^2 / 2} cos j theta) and w1 = -sigma^2 dw0/dtheta, both
-    stopped at j = 3.  The first term left out is below e^{-8 pi^2}, 5e-35
-    of the sum, where the images would number up to 257 per node."""
-    j = np.arange(1, 4)
-    decay = np.exp(-0.5 * np.multiply.outer(sigma, j) ** 2)
-    phase = np.multiply.outer(theta, j)
-    norm = np.divide(sigma, math.sqrt(2 * math.pi))
-    w0 = norm * (1 + 2 * np.sum(decay * np.cos(phase), axis=-1))
-    w1 = norm * np.square(sigma) * 2 * np.sum(j * decay * np.sin(phase), axis=-1)
-    return w0, w1
-
-
 def _classical_parallel_sums(N: int, sigma):
     """sigma^2 - sum_m gamma_m^2 / p_m for the parallel classical strategy,
     for one width (a float is returned) or an array of widths (an array of
@@ -803,12 +820,10 @@ def _classical_parallel_sums(N: int, sigma):
     trigonometric polynomial of degree N.  So p_m and gamma_m are integrals
     over one period against the wrapped weights sum_k g(theta + 2 pi k) and
     sum_k (theta + 2 pi k) g(theta + 2 pi k), whose Fourier coefficients
-    decay as e^{-j^2 sigma^2 / 2}: from width pi on, three terms of that
-    series give the weights (_fourier_weights), and below pi the Gaussian
-    images do, every one whose term can be nonzero (_gaussian_images).  The
-    trapezoid rule on M = N + 2 + ceil(12 / sigma) equispaced nodes is then
-    exact up to aliasing below e^{-72}.  P is built from log-binomials and
-    the half-angle squares (1 +- sin theta)/2 = sin^2, cos^2(theta/2 + pi/4)
+    decay as e^{-j^2 sigma^2 / 2} (_wrapped_sums).  The trapezoid rule on
+    M = N + 2 + ceil(12 / sigma) equispaced nodes is then exact up to
+    aliasing below e^{-72}.  P is built from log-binomials and the
+    half-angle squares (1 +- sin theta)/2 = sin^2, cos^2(theta/2 + pi/4)
     (_outcome_law), so every term is a positive float64 and nothing cancels
     before the final subtraction.
 
@@ -828,11 +843,7 @@ def _classical_parallel_sums(N: int, sigma):
         return _classical_grid_sums(N, np.asarray(sigma, dtype=float))
     M, first, last = _node_window(N, sigma)
     theta = (2 * math.pi / M) * np.arange(first, last + 1)
-    if sigma >= math.pi:
-        w0, w1 = _fourier_weights(theta, sigma)
-    else:
-        unwrapped, g = _gaussian_images(theta, sigma)
-        w0, w1 = g.sum(axis=1), (unwrapped * g).sum(axis=1)
+    w0, w1 = _wrapped_sums(theta, sigma)
     live = w0 >= _NODE_FLOOR * w0.max()
     half = theta[live] / 2 + math.pi / 4
     P = _outcome_law(N, np.sin(half) ** 2, np.cos(half) ** 2)
@@ -847,14 +858,14 @@ def _classical_parallel_sums(N: int, sigma):
 
 def _classical_grid_sums(N: int, sigmas: np.ndarray) -> np.ndarray:
     """_classical_parallel_sums over an array of widths, in blocks of
-    consecutive widths that stay on one side of pi (image sums or Fourier
-    series).  A block takes widths while its nodes times (N + 1 outcomes +
-    the terms of each node's weights) stay within _GRID_BLOCK; only a width
-    that alone passes it runs in a block that does."""
+    consecutive widths that stay on one side of _FOURIER_WIDTH (image sums
+    or Fourier series).  A block takes widths while its nodes times (N + 1
+    outcomes + the terms of each node's weights) stay within _GRID_BLOCK;
+    only a width that alone passes it runs in a block that does."""
     flat = sigmas.ravel()
     M, first, last, images = np.array([(*_node_window(N, s), _image_count(s)) for s in flat]).T
     counts = last - first + 1
-    wide = flat >= math.pi
+    wide = flat >= _FOURIER_WIDTH
     size = counts * (N + 1 + np.where(wide, 3, 2 * images + 1))
     blocks, lo, total = [], 0, 0
     for i in range(flat.size):
@@ -871,16 +882,16 @@ def _classical_grid_sums(N: int, sigmas: np.ndarray) -> np.ndarray:
 
 def _classical_block_sums(N: int, sigma: np.ndarray, M: np.ndarray, first: np.ndarray,
                           counts: np.ndarray, images: np.ndarray) -> np.ndarray:
-    """The one-width sums for a block of widths, all below pi or all at
-    least pi: their nodes laid end to end, counts[i] of them for width i,
-    with each width's sums taken over its own segment.  Below pi each node
-    sums its width's 2 images[i] + 1 Gaussian images, laid end to end in
-    turn.  A node under the floor keeps its place with zero weight."""
+    """The one-width sums for a block of widths, all below _FOURIER_WIDTH
+    or all from it on: their nodes laid end to end, counts[i] of them for
+    width i, with each width's sums taken over its own segment.  Below it
+    each node sums its width's 2 images[i] + 1 Gaussian images, laid end to
+    end in turn.  A node under the floor keeps its place with zero weight."""
     seg = np.repeat(np.arange(len(sigma)), counts)
     start = np.cumsum(counts) - counts
     theta = (2 * math.pi / M)[seg] * (np.arange(len(seg)) - start[seg] + first[seg])
-    if sigma[0] >= math.pi:
-        w0, w1 = _fourier_weights(theta, sigma[seg])
+    if sigma[0] >= _FOURIER_WIDTH:
+        w0, w1 = _wrapped_sums(theta, sigma[seg])
     else:
         terms = 2 * images[seg] + 1
         head = np.cumsum(terms) - terms
@@ -938,12 +949,19 @@ def mse_limit_curve(sigmas) -> np.ndarray:
     The limiting posterior is a delta comb at 2 pi k weighted by the prior;
     V_min = N sum_k e^{-(2 pi k)^2 / 2 sigma^2} (2 pi k)^2 with the
     normalization N over the same comb, the Gaussian images of 0
-    (_gaussian_images).
+    (_gaussian_images), or from _FOURIER_WIDTH on V_min / sigma^2 =
+    1 - 2 sigma^2 sum_j j^2 e^{-j^2 sigma^2 / 2} / (1 + 2 sum_j e^{-j^2 sigma^2 / 2})
+    (_fourier_decay), which forms no sigma^4 to overflow.
     """
     out = []
     for sigma in np.atleast_1d(np.asarray(sigmas, dtype=float)):
-        comb, w = _gaussian_images(np.float64(0.0), sigma)
-        out.append(float(np.sum(w * comb**2)) / float(np.sum(w)) / sigma**2)
+        if sigma < _FOURIER_WIDTH:
+            comb, w = _gaussian_images(np.float64(0.0), sigma)
+            out.append(float(np.sum(w * comb**2)) / float(np.sum(w)) / sigma**2)
+            continue
+        with np.errstate(over="ignore"):  # (j sigma)^2 = inf past 1.3e154: e^-inf = 0
+            j, decay = _fourier_decay(sigma)
+        out.append(1 - 2 * float(np.sum(j**2 * decay)) * sigma**2 / (1 + 2 * float(np.sum(decay))))
     return np.array(out)
 
 

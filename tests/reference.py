@@ -38,6 +38,9 @@
   one column of each outer product in place of the np.where.
 * The interrogation-time search as a loop of one objective call per width,
   where the package evaluates the whole grid in one call.
+* The Fisher information of a wide wrapped prior from its Fourier series
+  written out term by term and integrated in mpmath, where the package
+  takes the score from three Fourier terms on Gauss-Legendre nodes.
 
 None of these is on a production path; they are slow and kept for their
 independence.
@@ -192,6 +195,23 @@ def wrapped_weights_by_images(theta: np.ndarray, sigma: float):
     unwrapped = theta[:, None] + 2 * math.pi * np.arange(-n_images, n_images + 1)
     g = np.exp(-0.5 * (unwrapped / sigma) ** 2)
     return g.sum(axis=1), (unwrapped * g).sum(axis=1), (np.abs(unwrapped) * g).sum(axis=1)
+
+
+def wrapped_prior_fisher_by_series(sigma: float, terms: int) -> float:
+    """I(p) = int p'^2 / p over [-pi, pi] for the wrapped Gaussian
+    p = (1 + 2 sum_j e^{-j^2 sigma^2 / 2} cos j theta) / 2 pi, its Fourier
+    series written out to j = terms, by mpmath quadrature at 30 digits.
+    The terms are summed one by one: mpmath.nsum misjudges a series whose
+    terms fall near e^-200."""
+    with mpmath.workdps(30):
+        decay = [mpmath.exp(-mpmath.mpf(j * sigma) ** 2 / 2) for j in range(1, terms + 1)]
+
+        def integrand(t):
+            p = 1 + 2 * sum(d * mpmath.cos(j * t) for j, d in enumerate(decay, 1))
+            dp = -2 * sum(j * d * mpmath.sin(j * t) for j, d in enumerate(decay, 1))
+            return dp**2 / p
+
+        return float(mpmath.quad(integrand, [-mpmath.pi, 0, mpmath.pi]) / (2 * mpmath.pi))
 
 
 def classical_parallel_sums_by_all_nodes(N: int, sigma: float,

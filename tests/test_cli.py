@@ -242,11 +242,15 @@ def test_unknown_flag_is_reported_by_the_parser_that_received_it(argv, usage, le
 @pytest.mark.parametrize("argv", [
     ["holevo", "--theta0", "100", "--n-max", "3"],
     ["holevo", "--sigma", "0.001", "--n-max", "2"],
+    ["mse-limit", "--sigma", "1e100"],
+    ["bayes-phase", "--theta0", "1e300", "--sigma", "0.5", "--n-max", "3"],
 ])
 def test_in_range_arguments_exit_zero(argv, tmp_path):
+    # every cell of these commands is a positive, finite number
     out = tmp_path / "out.csv"
     assert cli.main(argv + ["--out", str(out)]) == 0
-    assert "nan" not in out.read_text()
+    cells = [float(cell) for line in out.read_text().split()[1:] for cell in line.split(",")]
+    assert all(0 < cell < math.inf for cell in cells)
 
 
 def test_numerical_failure_exits_one(monkeypatch, tmp_path, capsys):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -317,6 +318,32 @@ def test_diagonal_fft_route_matches_dense_reference(theta0):
                 fast = qft_phase_variance(N, sigma, theta0, probe)
                 dense = reference.qft_phase_variance_dense(N, sigma, theta0, probe)
                 assert fast == pytest.approx(dense, rel=1e-12, abs=1e-12 * sigma**2)
+
+
+@pytest.mark.parametrize("theta0", [10.0, 1e3, 1e6, 1e9, 1e300, -1e300])
+def test_gaussian_rounds_keep_their_digits_at_large_means(theta0):
+    # the outcome law is 2 pi-periodic in theta, so a Gaussian prior's MSE
+    # sees its mean only through theta0 reduced into [-pi, pi], and its
+    # estimates move with the mean
+    reduced = math.remainder(theta0, 2 * math.pi)
+    for N in (1, 2, 10, 50, 200):
+        for sigma in (0.1, 0.5, 1.0):
+            value = qft_phase_variance(N, sigma, theta0)
+            assert value == pytest.approx(qft_phase_variance(N, sigma, reduced), rel=1e-13, abs=0)
+            assert 0 < value <= sigma**2
+    probe, povm = probes.sine_coefficients(3), qft_povm(3)
+    far, near = (bayes_round(gaussian_prior(0.5, t), probe, povm) for t in (theta0, reduced))
+    assert far.avg_posterior_variance == pytest.approx(near.avg_posterior_variance, rel=1e-13)
+    live = near.probs > est.PROB_FLOOR
+    np.testing.assert_allclose(far.estimates[live], near.estimates[live] + (theta0 - reduced),
+                               rtol=1e-13, atol=0)
+    np.testing.assert_allclose(far.posterior_variances[live], near.posterior_variances[live],
+                               rtol=1e-13, atol=0)
+    gamma, eta = gamma_eta(gaussian_prior(0.5, theta0), probe)
+    near_gamma, near_eta = gamma_eta(gaussian_prior(0.5, reduced), probe)
+    np.testing.assert_allclose(gamma, near_gamma, rtol=1e-13, atol=1e-15)
+    np.testing.assert_allclose(eta, near_eta + (theta0 - reduced) * near_gamma, rtol=1e-13,
+                               atol=1e-15 * abs(theta0))
 
 
 def test_mse_warning_for_wide_priors():
@@ -727,14 +754,43 @@ def test_width_grid_blocks_stay_under_the_budget(N, least, monkeypatch):
 @pytest.mark.parametrize("sigma", TAU_GRID[TAU_GRID >= math.pi])
 def test_fourier_weights_match_image_sums(sigma):
     # w1 sums signed image terms, so its rounding scales with sum |x| g, not
-    # with w1 itself, which falls to 1e-84 of that at sigma = 20
+    # with w1 itself, which falls to 1e-84 of that at sigma = 20; at the
+    # classical rule's nodes and at wrapped-prior offsets theta - centre
+    # across [-pi, pi], for one width and for one width per offset
+    thetas = np.linspace(-math.pi, math.pi, 2001)
+    offsets = [thetas - math.remainder(theta0, 2 * math.pi) for theta0 in (0.0, 1.0, -3.0, 7.0)]
     for N in (1, 40, est.CLASSICAL_PARALLEL_N_CAP):
         M, first, last = est._node_window(N, sigma)
-        theta = (2 * math.pi / M) * np.arange(first, last + 1)
-        w0, w1 = est._fourier_weights(theta, sigma)
-        want0, want1, scale1 = reference.wrapped_weights_by_images(theta, sigma)
-        np.testing.assert_allclose(w0, want0, rtol=1e-14, atol=0)
-        assert np.all(np.abs(w1 - want1) <= 1e-14 * scale1)
+        offsets.append((2 * math.pi / M) * np.arange(first, last + 1))
+    for x in offsets:
+        want0, want1, scale1 = reference.wrapped_weights_by_images(x, sigma)
+        for width in (sigma, np.full(len(x), sigma)):
+            w0, w1 = est._wrapped_sums(x, width)
+            np.testing.assert_allclose(w0, want0, rtol=1e-14, atol=0)
+            assert np.all(np.abs(w1 - want1) <= 1e-14 * scale1)
+    # the wrapped prior's density is the same sum over its norm
+    for theta0 in (0.0, 1.0, -3.0, 7.0):
+        want = reference.wrapped_weights_by_images(thetas - math.remainder(theta0, 2 * math.pi),
+                                                   sigma)[0] / (math.sqrt(2 * math.pi) * sigma)
+        np.testing.assert_allclose(wrapped_gaussian_prior(sigma, theta0).pdf(thetas), want,
+                                   rtol=1e-14, atol=0)
+
+
+def test_wrapped_prior_fisher_information_over_the_width_grid():
+    # the Fourier score of wide priors has no image terms to cancel, so every
+    # width of TAU_GRID resolves: narrow ones against 1/sigma^2 (the images
+    # change it by less than 1e-15 relative), wide ones against the prior's Fourier
+    # series in mpmath, and from 7 on against 2 e^{-sigma^2}, which is exact
+    # to e^{-sigma^2} relative
+    for sigma in map(float, TAU_GRID):
+        if sigma < 0.35:
+            want = 1 / sigma**2
+        elif sigma < 7:
+            want = reference.wrapped_prior_fisher_by_series(sigma, max(10, math.ceil(12 / sigma)))
+        else:
+            want = 2 * math.exp(-sigma**2)
+        got = wrapped_gaussian_prior(sigma, 0.4).fisher_information()
+        assert got == pytest.approx(want, rel=5e-14, abs=0), sigma
 
 
 def test_next_gaussian_image_underflows_to_zero(monkeypatch):
@@ -806,6 +862,10 @@ def test_mse_limit_curve():
     grid = np.linspace(math.pi / 2, 5 * math.pi / 4, 200)
     curve = mse_limit_curve(grid)
     assert np.any(curve < 0.5) and np.any(curve > 0.5)
+    # the Fourier form forms no sigma^4, up to the widest width the CLI takes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert mse_limit_curve([1e100, 1.3e154]).tolist() == [1.0, 1.0]
 
 
 # ---------------------------------------------------------------------------
