@@ -39,9 +39,13 @@ def _fmt(value) -> str:
 
 def _write_csv(header: list[str], rows, out: str | None) -> None:
     """Write rows as they arrive (rows may be a lazy iterable), so large
-    grids stream instead of accumulating.  If a row fails, `out` is removed
-    rather than left holding part of the table."""
-    sink = open(out, "w") if out else sys.stdout
+    grids stream instead of accumulating.  An `out` that cannot be opened is
+    a usage error, reported before the first row is computed.  If a row
+    fails, `out` is removed rather than left holding part of the table."""
+    try:
+        sink = open(out, "w") if out else sys.stdout
+    except OSError as exc:
+        raise UsageError(f"--out: {exc}") from None
     try:
         sink.write(",".join(header) + "\n")
         for row in rows:
@@ -88,7 +92,7 @@ def _rng(seed: int) -> np.random.Generator:
 
 def _n_grid(n_min: int, n_max: int, n_step: int) -> list[int]:
     """Dense up to 20, then every 5th value, unless an explicit step is given;
-    the endpoint is always included."""
+    the endpoint is always included, so the grid is never empty."""
     if not 1 <= n_min <= n_max:
         raise UsageError(f"need 1 <= --n-min <= --n-max, got {n_min} and {n_max}")
     if n_step < 0:
@@ -98,7 +102,7 @@ def _n_grid(n_min: int, n_max: int, n_step: int) -> list[int]:
     else:
         dense = list(range(n_min, min(n_max, 20) + 1))
         grid = dense + [n for n in range(25, n_max + 1, 5) if n >= n_min]
-    if grid and grid[-1] != n_max:
+    if grid[-1:] != [n_max]:
         grid.append(n_max)
     return grid
 
@@ -114,14 +118,19 @@ def _classical_n_grid(args) -> list[int]:
 
 
 def _pool_map(func, cells: list, jobs: int):
-    """Ordered results; lazy and serial for one worker, else at most one worker per cell."""
+    """Ordered results, computed as they are read: serially, or by at most one worker per cell."""
     if jobs < 1:
         raise UsageError(f"--jobs needs a positive worker count, got {jobs}")
     workers = min(jobs, len(cells))
     if workers <= 1:
         return (func(cell) for cell in cells)
+    return _pooled(func, cells, workers)
+
+
+def _pooled(func, cells: list, workers: int):
+    """_pool_map's process pool, started when the first result is read."""
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, cells))
+        yield from pool.map(func, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +167,9 @@ def _phase_block(cell) -> list[tuple]:
 def cmd_bayes_phase(args) -> int:
     sigmas = _parse_widths(args.sigma, "--sigma") if args.sigma else [k / 10 for k in range(1, 11)]
     ns = _classical_n_grid(args)
+    for sigma in sigmas:  # the library checks the mean and each width before the header
+        estimate.gaussian_prior(sigma, args.theta0)
+        estimate.classical_parallel_curve([], sigma)
     cells = [(sigma, ns, args.theta0) for sigma in sigmas]
     blocks = _pool_map(_phase_block, cells, args.jobs)
     rows = (row for block in blocks for row in block)
@@ -178,12 +190,17 @@ def _freq_cell(N: int) -> tuple:
 def cmd_bayes_freq(args) -> int:
     deltas = _parse_widths(args.delta, "--delta") if args.delta else [1.0]
     ns = _classical_n_grid(args)
-    # times in units of 1 / delta and MSEs in units of delta^2 do not depend
-    # on delta: each N is computed once, and delta only labels its rows
-    cells = list(_pool_map(_freq_cell, ns, args.jobs))
-    rows = ((N, delta, *cell) for delta in deltas for N, cell in zip(ns, cells))
+    cells = _pool_map(_freq_cell, ns, args.jobs)
+
+    def rows():
+        # times in units of 1 / delta and MSEs in units of delta^2 do not
+        # depend on delta: each N is computed once, and delta only labels its rows
+        computed = list(cells)
+        for delta in deltas:
+            yield from ((N, delta, *cell) for N, cell in zip(ns, computed))
+
     _write_csv(["N", "delta", "tau_quantum", "delta2_over_V_quantum",
-                "tau_classical", "delta2_over_V_classical"], rows, args.out)
+                "tau_classical", "delta2_over_V_classical"], rows(), args.out)
     return 0
 
 
@@ -195,8 +212,7 @@ def cmd_mse_limit(args) -> int:
         sigmas = _parse_widths(args.sigma, "--sigma")
     else:
         sigmas = [round(0.05 * k, 10) for k in range(1, 81)]
-    values = estimate.mse_limit_curve(sigmas)
-    rows = list(zip(sigmas, values))
+    rows = ((sigma, estimate.mse_limit_curve(sigma)[0]) for sigma in sigmas)
     _write_csv(["sigma", "vmin_over_prior_variance"], rows, args.out)
     return 0
 
@@ -205,16 +221,16 @@ def cmd_mse_limit(args) -> int:
 # Holevo phase variance (wrapped prior)
 
 def _holevo_block(cell) -> list[tuple]:
-    sigma, ns, theta0 = cell
-    prior = estimate.wrapped_gaussian_prior(sigma, theta0)
-    return [(N, sigma, 1.0 / estimate.holevo_bayes_round(N, prior)) for N in ns]
+    prior, ns = cell
+    return [(N, prior.sigma, 1.0 / estimate.holevo_bayes_round(N, prior)) for N in ns]
 
 
 def cmd_holevo(args) -> int:
     sigmas = (_parse_widths(args.sigma, "--sigma") if args.sigma
               else [k * math.pi / 8 for k in range(1, 9)])
     ns = _n_grid(args.n_min, args.n_max, args.n_step)
-    cells = [(sigma, ns, args.theta0) for sigma in sigmas]
+    # each cell's prior checks its mean and width before the header is written
+    cells = [(estimate.wrapped_gaussian_prior(sigma, args.theta0), ns) for sigma in sigmas]
     blocks = _pool_map(_holevo_block, cells, args.jobs)
     rows = (row for block in blocks for row in block)
     _write_csv(["N", "sigma", "inv_Vphi_post"], rows, args.out)

@@ -188,8 +188,8 @@ class Prior:
     a positive finite width sigma (a flat prior ignores sigma).
 
     The wrapped density lives on [-pi, pi]: the sum w0 of _wrapped_sums
-    about theta0 reduced into [-pi, pi], over sqrt(2 pi) sigma.  It
-    integrates to 1.0 in float64 and needs no renormalization.
+    about the centre, over sqrt(2 pi) sigma.  It integrates to 1.0 in
+    float64 and needs no renormalization.
     """
 
     kind: str
@@ -204,14 +204,19 @@ class Prior:
         if self.kind != "flat" and not 0 < self.sigma < math.inf:
             raise EstimateError(f"sigma must be positive and finite, got {self.sigma}")
 
+    @property
+    def centre(self) -> float:
+        """theta0 reduced into [-pi, pi], about which the prior's rows and
+        images are built; 0.0 for a flat prior, whose rows are taken about 0."""
+        return 0.0 if self.kind == "flat" else math.remainder(self.theta0, 2 * math.pi)
+
     def pdf(self, theta):
         theta = np.asarray(theta, dtype=float)
         if self.kind == "gaussian":
             return np.exp(-((theta - self.theta0) ** 2) / (2 * self.sigma**2)) / (
                 math.sqrt(2 * math.pi) * self.sigma)
         if self.kind == "wrapped_gaussian":
-            centre = math.remainder(self.theta0, 2 * math.pi)
-            return _wrapped_sums(theta - centre, self.sigma)[0] / (
+            return _wrapped_sums(theta - self.centre, self.sigma)[0] / (
                 math.sqrt(2 * math.pi) * self.sigma)
         return np.full_like(theta, 1.0 / (2 * math.pi))
 
@@ -221,18 +226,12 @@ class Prior:
         mass outside is below e^-72), cut in two where it wraps past +-pi."""
         if self.kind != "wrapped_gaussian" or 12 * self.sigma >= math.pi:
             return ((-math.pi, math.pi),)
-        centre, half = math.remainder(self.theta0, 2 * math.pi), 12 * self.sigma
-        lo, hi = centre - half, centre + half
+        lo, hi = self.centre - 12 * self.sigma, self.centre + 12 * self.sigma
         if hi > math.pi:
             return ((lo, math.pi), (-math.pi, hi - 2 * math.pi))
         if lo < -math.pi:
             return ((lo + 2 * math.pi, math.pi), (-math.pi, hi))
         return ((lo, hi),)
-
-    def support(self) -> tuple[float, float]:
-        if self.kind == "gaussian":
-            return self.theta0 - 10 * self.sigma, self.theta0 + 10 * self.sigma
-        return -math.pi, math.pi
 
     def fisher_information(self) -> float:
         """I(p) = E[(d log p / d theta)^2]; 1/sigma^2 for a Gaussian."""
@@ -240,13 +239,12 @@ class Prior:
             return 1.0 / self.sigma**2
         if self.kind == "flat":
             return 0.0
-        centre = math.remainder(self.theta0, 2 * math.pi)
 
         def evaluate(thetas, w):
             # the score -d log p / d theta = w1 / (sigma^2 w0); every node lies
             # within pi of an image centre, or within 12 sigma on a narrow
             # prior's rule, so w0 is at least e^-72
-            w0, w1 = _wrapped_sums(thetas - centre, self.sigma)
+            w0, w1 = _wrapped_sums(thetas - self.centre, self.sigma)
             return float(np.sum(w * (w1 / (self.sigma**2 * w0)) ** 2))
 
         return _gauss_legendre_converged(self.pdf, evaluate, tol=1e-8,
@@ -521,13 +519,13 @@ def _gaussian_row(sigma, theta0: float, N: int) -> np.ndarray:
     return np.exp(np.multiply.outer(np.square(sigma), half_square) - 1j * theta0 * k)
 
 
-def _periodic_harmonics(prior: Prior, N: int) -> tuple[np.ndarray, float]:
+def _periodic_harmonics(prior: Prior, N: int) -> np.ndarray:
     """Rows h_d = int p(theta) e^{-i d theta} dtheta and the centred phasor
-    harmonics c_d = int p(theta) (e^{i (theta - t0)} - 1) e^{-i d theta} dtheta,
-    d = -N..N, as a (2, 2N + 1) array with column d + N, and the centre t0.
+    harmonics c_d = int p(theta) (e^{i (theta - t0)} - 1) e^{-i d theta} dtheta
+    about t0 = prior.centre, d = -N..N, as a (2, 2N + 1) array with column
+    d + N.
 
-    Gaussian and wrapped priors: t0 is the mean reduced into [-pi, pi], as
-    Prior centres its images, h_d = e^{-i d t0 - d^2 sigma^2 / 2} and
+    Gaussian and wrapped priors: h_d = e^{-i d t0 - d^2 sigma^2 / 2} and
     c_d = e^{-i d t0} (e^{-(d-1)^2 sigma^2 / 2} - e^{-d^2 sigma^2 / 2}), formed
     through expm1 so that it keeps its digits at small sigma.  At integer d
     the wrapped law's harmonics are its parent Gaussian's characteristic
@@ -535,25 +533,24 @@ def _periodic_harmonics(prior: Prior, N: int) -> tuple[np.ndarray, float]:
     through that function, so both give these rows.  A flat prior gives
     h_d = delta_{d,0} and c_d = delta_{d,1} - delta_{d,0} about t0 = 0.
     """
-    mass, t0 = _mass_row(prior, N)
+    mass, t0 = _mass_row(prior, N), prior.centre
     d = np.arange(-N, N + 1)
     if prior.kind == "flat":
-        return np.stack([mass, (d == 1) - mass]), t0
+        return np.stack([mass, (d == 1) - mass])
     s2 = prior.sigma**2
     # e^{-(d-1)^2 s2/2} - e^{-d^2 s2/2} as the larger term times expm1 of their
     # log ratio -|2d - 1| s2 / 2, so that nothing overflows
     x = (2 * d - 1) * s2 / 2.0
     centred = (-np.sign(x) * np.exp(-1j * d * t0 - np.minimum(d**2, (d - 1) ** 2) * s2 / 2.0)
                * np.expm1(-np.abs(x)))
-    return np.stack([mass, centred]), t0
+    return np.stack([mass, centred])
 
 
-def _mass_row(prior: Prior, N: int) -> tuple[np.ndarray, float]:
-    """The row h of _periodic_harmonics alone, and the centre t0."""
+def _mass_row(prior: Prior, N: int) -> np.ndarray:
+    """The row h of _periodic_harmonics alone."""
     if prior.kind == "flat":
-        return (np.arange(-N, N + 1) == 0).astype(complex), 0.0
-    t0 = math.remainder(prior.theta0, 2 * math.pi)
-    return _gaussian_row(prior.sigma, t0, N), t0
+        return (np.arange(-N, N + 1) == 0).astype(complex)
+    return _gaussian_row(prior.sigma, prior.centre, N)
 
 
 def _gaussian_harmonics(sigma, theta0: float, N: int) -> np.ndarray:
@@ -579,7 +576,7 @@ def _harmonic_moments(prior: Prior, N: int) -> np.ndarray:
     _periodic_harmonics, so that a round builds those rows once."""
     k = np.arange(-N, N + 1)
     if prior.kind == "gaussian":
-        s2, t0 = prior.sigma**2, math.remainder(prior.theta0, 2 * math.pi)
+        s2, t0 = prior.sigma**2, prior.centre
         char, centred = _gaussian_harmonics(prior.sigma, t0, N)
         return np.stack([char, t0 * char + centred,
                          (s2 + t0**2 - 2j * t0 * k * s2 - k**2 * s2**2) * char, centred])
@@ -595,7 +592,7 @@ def _harmonic_moments(prior: Prior, N: int) -> np.ndarray:
 
         first, second = _gauss_legendre_converged(prior.pdf, evaluate,
                                                   intervals=prior.rule_intervals())
-    (mass, centred), _ = _periodic_harmonics(prior, N)
+    mass, centred = _periodic_harmonics(prior, N)
     return np.stack([mass, first, second, centred])
 
 
@@ -609,7 +606,7 @@ def gamma_eta(prior: Prior, probe: SubspaceState) -> tuple[np.ndarray, np.ndarra
     """
     gamma, eta = _on_subspace(probe, _harmonic_moments(prior, probe.N)[:2])
     if prior.kind == "gaussian":  # its rows take the mean reduced into [-pi, pi]
-        eta = eta + (prior.theta0 - math.remainder(prior.theta0, 2 * math.pi)) * gamma
+        eta = eta + (prior.theta0 - prior.centre) * gamma
     return gamma, eta
 
 
@@ -653,7 +650,7 @@ def bayes_round(prior: Prior, probe: SubspaceState, povm: Povm) -> EstimationRes
     variances[live] = seconds[live] / probs[live] - estimates[live] ** 2
 
     if prior.kind == "gaussian":  # its rows take the mean reduced into [-pi, pi]
-        estimates += prior.theta0 - math.remainder(prior.theta0, 2 * math.pi)
+        estimates += prior.theta0 - prior.centre
         avg = prior.sigma**2 - float(_information(probs, traces[3].real))
         return EstimationResult(povm.labels, probs, estimates, variances, avg)
 
@@ -751,7 +748,7 @@ def holevo_bayes_round(N: int, prior: Prior, probe: SubspaceState | None = None,
     is the sine state with the Fourier-basis measurement (one FFT).
     """
     probe = _checked_probe(N, probe, povm)
-    p, centred = _traces(probe, _periodic_harmonics(prior, N)[0], povm)
+    p, centred = _traces(probe, _periodic_harmonics(prior, N), povm)
     live = p.real > PROB_FLOOR
     return float(np.sum(_weighted_holevo(p[live].real, centred[live])))
 
@@ -772,7 +769,7 @@ def holevo_outcome_probabilities(N: int, prior: Prior,
     """Unconditional QFT outcome distribution p(k) under a periodic prior,
     from its closed-form harmonics."""
     probe = _checked_probe(N, probe, None)
-    return _fourier_traces(probe, _mass_row(prior, N)[0]).real
+    return _fourier_traces(probe, _mass_row(prior, N)).real
 
 
 # ---------------------------------------------------------------------------

@@ -74,12 +74,6 @@ class AngleSpec:
     sign_deps: tuple[int, ...] = ()
     flip: bool = False
 
-    def resolve(self, outcomes: dict[int, int]) -> float:
-        parity = bool(self.flip)
-        for v in self.sign_deps:
-            parity ^= bool(outcomes[v])
-        return -self.base if parity else self.base
-
 
 @dataclass(frozen=True)
 class CorrectionFactor:
@@ -93,12 +87,6 @@ class CorrectionFactor:
     def __post_init__(self):
         if self.kind not in ("X", "Z", "H"):
             raise PatternError(f"correction factor kind {self.kind!r}")
-
-    def fires(self, outcomes: dict[int, int]) -> bool:
-        parity = bool(self.flip)
-        for v in self.deps:
-            parity ^= bool(outcomes[v])
-        return parity
 
 
 @dataclass(frozen=True)
@@ -146,7 +134,9 @@ def _parity(bits: np.ndarray, deps: tuple[int, ...], flip: bool) -> np.ndarray:
 def verdict_cutoff(tol: float) -> float:
     """Smallest conditional outcome probability whose branch fidelity is
     resolved to `tol`: (LEVEL_ROUNDING / tol)**2, and never below
-    simcore.NULL_PROB."""
+    simcore.NULL_PROB.  A tol at or below LEVEL_ROUNDING resolves no branch and is refused."""
+    if not tol > LEVEL_ROUNDING:
+        raise PatternError(f"tol {tol:g} must exceed the sweep's rounding bound {LEVEL_ROUNDING:g}")
     return max(simcore.NULL_PROB, (LEVEL_ROUNDING / tol) ** 2)
 
 
@@ -234,7 +224,6 @@ def _sweep_chunks(pattern: MeasurementPattern, injected: dict[int, np.ndarray] |
     """
     levels, out_axes = plan or _plan(pattern)
     kets = {v: np.asarray(ket, dtype=complex) for v, ket in (injected or {}).items()}
-    plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
     n = pattern.graph.n_vertices
     # per pending chunk: its next level, state, per-branch outcome bits of
     # every vertex, and branch probabilities
@@ -257,7 +246,7 @@ def _sweep_chunks(pattern: MeasurementPattern, injected: dict[int, np.ndarray] |
             stack.append((depth, psi[..., :half], bits[:half], probs[:half]))
             continue
         for vertex, nbr_axes in level.joins:
-            ket = kets.get(vertex, plus)
+            ket = kets.get(vertex, _KETP)
             grown = np.empty(psi.shape[:-1] + (2,) + psi.shape[-1:], dtype=complex)
             np.multiply(psi, ket[0], out=grown[..., 0, :])
             one = grown[..., 1, :]
@@ -558,7 +547,7 @@ class _PatternBuilder:
         v = self.n_vertices
         self.n_vertices += 1
         if attach_to is not None:
-            self.edges.add((min(attach_to, v), max(attach_to, v)))
+            self.edges.add((attach_to, v))
         return v
 
     def measure(self, vertex: int, spec: AngleSpec) -> None:
@@ -664,7 +653,7 @@ def sine_pattern(N: int) -> MeasurementPattern:
         # vertical edge to the previous wire = the logical CZ of the cascade;
         # each side picks up a Z with the partner's X parity
         prev = carriers[-1]
-        builder.edges.add((min(prev.vertex, pre.vertex), max(prev.vertex, pre.vertex)))
+        builder.edges.add((prev.vertex, pre.vertex))
         carriers[-1] = _Carrier(prev.vertex, prev.x_deps, _xor(prev.z_deps, pre.x_deps), prev.has_h)
         pre = _Carrier(pre.vertex, pre.x_deps, _xor(pre.z_deps, prev.x_deps), False)
         # post-rotation completes C[G(phi)] (target starts in |0>)

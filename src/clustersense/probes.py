@@ -117,13 +117,18 @@ def build_prep_circuit(schedule: AngleSchedule) -> Circuit:
     return Circuit(schedule.N, ops)
 
 
+def _unary_index(N: int, n):
+    """Basis index 2^N - 2^(N-n) of |n>_un = |1>^n |0>^(N-n), for one n or an array of them."""
+    return 2**N - 2 ** (N - n)
+
+
 def unary_basis_state(n: int, N: int) -> StateVector:
     """|n>_un = |1>^n |0>^(N-n)."""
     if not 0 <= n <= N:
         raise ProbeError(f"unary value {n} outside [0, {N}]")
     if N > simcore.MAX_QUBITS:
         raise ProbeError(f"N={N} exceeds the dense-simulation cap {simcore.MAX_QUBITS}")
-    return simcore.basis_state("1" * n + "0" * (N - n))
+    return simcore.basis_state(_unary_index(N, n), N)
 
 
 def unary_embedding(psi: SubspaceState) -> StateVector:
@@ -131,25 +136,17 @@ def unary_embedding(psi: SubspaceState) -> StateVector:
     if psi.N > simcore.MAX_QUBITS:
         raise ProbeError(f"N={psi.N} exceeds the dense-simulation cap {simcore.MAX_QUBITS}")
     amps = np.zeros(2**psi.N, dtype=complex)
-    for n in range(psi.N + 1):
-        index = int("1" * n + "0" * (psi.N - n), 2) if psi.N else 0
-        amps[index] = psi.coeffs[n]
+    amps[_unary_index(psi.N, np.arange(psi.N + 1))] = psi.coeffs
     return StateVector(psi.N, amps)
 
 
 def subspace_from_statevector(state: StateVector) -> SubspaceState:
     """Read off the unary-subspace coefficients; errors if weight leaks outside."""
-    N = state.n_qubits
-    coeffs = np.empty(N + 1, dtype=complex)
-    weight = 0.0
-    for n in range(N + 1):
-        index = int("1" * n + "0" * (N - n), 2) if N else 0
-        coeffs[n] = state.amps[index]
-        weight += abs(coeffs[n]) ** 2
+    coeffs = state.amps[_unary_index(state.n_qubits, np.arange(state.n_qubits + 1))]
+    weight = float(np.vdot(coeffs, coeffs).real)
     if abs(weight - 1.0) > 1e-10:
         raise ProbeError(f"state has weight {1 - weight:.3e} outside the unary subspace")
-    coeffs /= math.sqrt(weight)
-    return SubspaceState(N, coeffs)
+    return SubspaceState(state.n_qubits, coeffs / math.sqrt(weight))
 
 
 def ghz_state(N: int) -> StateVector:

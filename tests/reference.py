@@ -5,10 +5,11 @@
   moments E[sin^s theta] and E[theta sin^s theta], and the two nested
   alternating binomial sums cancel far beyond double precision, so the
   integer part is exact and only the transcendental part is rounded.
-* Adaptive quadrature (scipy.integrate.quad), and with it integrals of
-  p(m|theta) against the prior, for the Bayesian rounds and for the
-  classical strategy; the package itself integrates priors by fixed
-  Gauss-Legendre rules.
+* Adaptive quadrature (scipy.integrate.quad) over the prior's support
+  (+-10 sigma about a Gaussian prior's mean, [-pi, pi] otherwise), and
+  with it integrals of p(m|theta) against the prior, for the Bayesian
+  rounds and for the classical strategy; the package itself integrates
+  priors by fixed Gauss-Legendre rules.
 * The Holevo round by node quadrature: the outcome law evaluated node by
   node and integrated against the prior, where the package contracts the
   probe's autocorrelation with the prior's closed-form harmonics.
@@ -97,6 +98,14 @@ def _quad_complex(f, a: float, b: float, rtol: float = 1e-9) -> complex:
     re = _quad(lambda t: f(t).real, a, b, rtol)
     im = _quad(lambda t: f(t).imag, a, b, rtol)
     return re + 1j * im
+
+
+def support(prior: Prior) -> tuple[float, float]:
+    """The quadrature range of a prior: +-10 sigma about a Gaussian prior's
+    mean, [-pi, pi] for a wrapped or flat one."""
+    if prior.kind == "gaussian":
+        return prior.theta0 - 10 * prior.sigma, prior.theta0 + 10 * prior.sigma
+    return -math.pi, math.pi
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +247,7 @@ def classical_parallel_variance_quadrature(N: int, sigma: float, theta0: float =
     """Quadrature oracle for the parallel classical strategy (any theta0)."""
     probs_fn = product_probs_fn(N, theta_ref=theta0)
     prior = gaussian_prior(sigma, theta0)
-    lo, hi = prior.support()
+    lo, hi = support(prior)
     subtract = 0.0
     for m in range(N + 1):
         def weighted(t, power, m=m):
@@ -260,7 +269,7 @@ def bayes_variance_quadrature(prior: Prior, probe: SubspaceState, povm: Povm,
     """Average posterior variance by direct integration of p(m|theta) against
     the prior — the independent oracle for the closed-form route."""
     probs_fn = probe_probs_fn(probe, povm)
-    lo, hi = prior.support()
+    lo, hi = support(prior)
     n_out = len(povm.labels)
     p = np.empty(n_out)
     first = np.empty(n_out)

@@ -214,7 +214,7 @@ def test_criterion_11_closed_forms_vs_quadrature():
         for sigma in (0.1, 0.5, 1.0):
             prior = est.gaussian_prior(sigma, theta0=0.2)
             gamma, eta = est.gamma_eta(prior, probe)
-            lo, hi = prior.support()
+            lo, hi = reference.support(prior)
             for kappa in range(-N, N + 1):
                 char = reference._quad_complex(
                     lambda t: float(prior.pdf(t)) * np.exp(-1j * kappa * t), lo, hi)

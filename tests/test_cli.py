@@ -27,6 +27,36 @@ def test_local_values(capsys):
         assert float(row[1]) == pytest.approx(float(row[2]), rel=1e-8)
 
 
+@pytest.mark.parametrize("n_min, n_max, n_step, grid", [
+    (21, 23, 0, [23]),
+    (21, 24, 0, [24]),
+    (21, 22, 0, [22]),
+    (256, 256, 0, [256]),
+    (21, 26, 0, [25, 26]),
+    (1, 8, 0, list(range(1, 9))),
+    (1, 64, 0, list(range(1, 21)) + list(range(25, 61, 5)) + [64]),
+    (1, 100, 0, list(range(1, 21)) + list(range(25, 101, 5))),
+    (1, 200, 0, list(range(1, 21)) + list(range(25, 201, 5))),
+    (200, 256, 56, [200, 256]),
+    (3, 10, 4, [3, 7, 10]),
+])
+def test_n_grid_ends_on_n_max_and_is_never_empty(n_min, n_max, n_step, grid):
+    assert cli._n_grid(n_min, n_max, n_step) == grid
+
+
+@pytest.mark.parametrize("argv, ns", [
+    (["holevo", "--n-min", "21", "--n-max", "23", "--sigma", "0.5"], ["23"]),
+    (["holevo", "--n-min", "21", "--n-max", "26", "--sigma", "0.5"], ["25", "26"]),
+    (["bayes-phase", "--n-min", "21", "--n-max", "24", "--sigma", "0.5"], ["24"]),
+    (["bayes-freq", "--n-min", "21", "--n-max", "22"], ["22"]),
+    (["bayes-freq", "--n-min", "256", "--n-max", "256"], ["256"]),
+])
+def test_range_without_a_multiple_of_five_writes_n_max(argv, ns, capsys):
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    assert [line.split(",")[0] for line in out.split()[1:]] == ns
+
+
 def test_csv_output_is_deterministic(tmp_path, capsys):
     args = ["bayes-phase", "--sigma", "0.5", "--n-min", "1", "--n-max", "6", "--n-step", "1"]
     paths = []
@@ -169,16 +199,49 @@ def test_usage_error_exit_code():
     ["holevo", "--sigma", "1e300", "--n-max", "3"],
     ["mse-limit", "--sigma", "1e300"],
     ["bayes-freq", "--delta", "1e-160", "--n-max", "3"],
+    ["holevo", "--theta0", "inf"],
+    ["bayes-phase", "--sigma", "30", "--n-max", "3"],
+    ["mbqc-verify", "teleport", "--tol", "1e-300"],
+    ["mbqc-verify", "teleport", "--tol", "1e-16"],
 ])
 def test_out_of_range_arguments_exit_with_usage_code(argv, tmp_path, capsys):
+    # neither stdout nor an --out file gets as much as the CSV header
     out = tmp_path / "out.csv"
-    if argv[0] not in ("compress-verify", "mbqc-verify"):
-        argv = argv + ["--out", str(out)]
+    sinks = [[]] if argv[0] in ("compress-verify", "mbqc-verify") else [[], ["--out", str(out)]]
+    for sink in sinks:
+        assert cli.main(argv + sink) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+#: A library call that each CSV command makes for every row.
+ROW_CALLS = {"local": "fisher_information", "bayes-phase": "qft_phase_variance",
+             "bayes-freq": "optimize_tau", "holevo": "holevo_bayes_round",
+             "mse-limit": "mse_limit_curve"}
+
+
+@pytest.mark.parametrize("command", list(ROW_CALLS))
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("where", ["missing/x.csv", "."])
+def test_out_that_cannot_be_opened_is_a_usage_error_before_any_row(command, jobs, where, tmp_path,
+                                                                   monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(cli.estimate, ROW_CALLS[command], never)
+    argv = [command, "--out", str(tmp_path / where)]
+    if command != "mse-limit":
+        argv += ["--n-max", "3", "--jobs", jobs]
+    if command in ("bayes-phase", "holevo"):
+        argv += ["--sigma", "0.3,0.5"]
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
+    assert captured.err.startswith(f"clustersense {command}: error: --out: ")
     assert len(captured.err.strip().splitlines()) == 1
-    assert not out.exists()
+    assert not (tmp_path / "missing").exists()
 
 
 #: The options each command accepts, beside -h.

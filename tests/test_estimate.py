@@ -493,6 +493,24 @@ def test_flat_prior_round_matches_node_oracle(N):
                                rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("theta0, want", [
+    (7.0, 7.0 - 2 * math.pi),
+    (-7.0, 2 * math.pi - 7.0),
+    (1e300, math.remainder(1e300, 2 * math.pi)),
+    (math.pi, math.pi),
+    (-math.pi, -math.pi),
+])
+def test_prior_centre_is_the_mean_reduced_into_pi(theta0, want):
+    for prior in (gaussian_prior(0.5, theta0), wrapped_gaussian_prior(0.5, theta0)):
+        assert prior.centre == want
+        assert -math.pi <= prior.centre <= math.pi
+
+
+def test_flat_prior_centre_is_zero_whatever_its_mean():
+    assert est.Prior("flat", 1.0).centre == 0.0
+    assert flat_prior().centre == 0.0
+
+
 def test_wrapped_prior_mean_outside_pi_is_reduced():
     far, reduced = 100.0, math.remainder(100.0, 2 * math.pi)
     prior = wrapped_gaussian_prior(0.5, far)
@@ -561,8 +579,7 @@ def test_subspace_operator_matches_index_matrices():
 def test_harmonic_moments_match_adaptive_quadrature(prior):
     for N in (1, 3, 10):
         mass, first, second, centred = est._harmonic_moments(prior, N)
-        centre = est._periodic_harmonics(prior, N)[1]
-        moments = np.vstack([mass, first, second, np.exp(1j * centre) * (mass + centred)])
+        moments = np.vstack([mass, first, second, np.exp(1j * prior.centre) * (mass + centred)])
         assert moments.shape == (4, 2 * N + 1)
         for row, weight in enumerate(_MOMENT_WEIGHTS):
             for col, k in enumerate(range(-N, N + 1)):

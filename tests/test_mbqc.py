@@ -35,11 +35,18 @@ from clustersense.simcore import StateVector
 _CORRECTION_GATES = {"X": simcore.x, "Z": simcore.z, "H": simcore.h}
 
 
+def _odd(deps: tuple[int, ...], flip: bool, outcomes: dict[int, int]) -> bool:
+    """Parity of the outcomes of the `deps` vertices, xor `flip`, read from
+    the walker's outcome dict: an adapted angle flips sign, and a correction
+    factor fires, where it is odd."""
+    return (sum(outcomes[v] for v in deps) + flip) % 2 == 1
+
+
 def _apply_corrections(state: StateVector, pattern: MeasurementPattern,
                        outcomes: dict[int, int], axis_of: dict[int, int]) -> StateVector:
     for out in pattern.outputs:
         for factor in pattern.corrections.get(out, ()):
-            if factor.fires(outcomes):
+            if _odd(factor.deps, factor.flip, outcomes):
                 state = apply_gate(state, _CORRECTION_GATES[factor.kind](axis_of[out]))
     return state
 
@@ -70,7 +77,7 @@ def _reference_branches(pattern: MeasurementPattern, injected: dict[int, np.ndar
             return
         vertex, spec = pattern.measurements[depth]
         axis = axis_of[vertex]
-        angle = spec.resolve(outcomes)
+        angle = -spec.base if _odd(spec.sign_deps, spec.flip, outcomes) else spec.base
         rotated = apply_gate(state, simcore.rz(axis, angle))
         rotated = apply_gate(rotated, simcore.h(axis))
         for bit in (0, 1):
@@ -420,6 +427,15 @@ def test_sine_pattern_branches_past_the_dense_cap(N):
         assert simcore.fidelity_up_to_global_phase(out, target) >= 1 - 1e-10
         # every outcome of a pattern with flow is a fair coin
         assert prob == pytest.approx(2.0 ** -pattern.n_measured, rel=1e-9)
+
+
+@pytest.mark.parametrize("tol", [1e-15, 1e-16, 1e-300, 0.0, math.nan])
+def test_tolerance_at_or_below_the_rounding_bound_is_refused(tol):
+    # (1e-15 / tol)^2 would prune every branch, or overflow below about 1e-169
+    with pytest.raises(PatternError, match="rounding bound"):
+        verify_pattern(teleport_pattern(0.3), teleport_unitary(0.3), tol=tol)
+    # just above the bound the sweep still resolves the shipped pattern
+    assert verify_pattern(teleport_pattern(0.3), teleport_unitary(0.3), tol=1e-14).passed
 
 
 def test_near_null_branch_does_not_decide_the_verdict():
