@@ -74,12 +74,15 @@ def _parse_widths(text: str, flag: str) -> list[float]:
 
 
 def _tolerance(tol: float, default: float) -> float:
-    """The --tol value: 0 keeps the command's default, otherwise it must be
-    positive and finite."""
+    """The --tol value of both verify commands: 0 keeps the command's
+    default, otherwise it must be finite and above mbqc.LEVEL_ROUNDING.  A
+    fidelity carries rounding of about 1e-16, so a tolerance at or below
+    that bound would report mismatches that rounding alone makes."""
     if tol == 0:
         return default
-    if not 0 < tol < math.inf:
-        raise UsageError(f"--tol needs a positive finite value (0 for the default), got {tol}")
+    if not mbqc.LEVEL_ROUNDING < tol < math.inf:
+        raise UsageError(f"--tol needs a finite value above the rounding bound "
+                         f"{mbqc.LEVEL_ROUNDING:g} (0 for the default), got {tol}")
     return tol
 
 
@@ -138,7 +141,11 @@ def _pooled(func, cells: list, workers: int):
 
 def _local_row(N: int) -> tuple:
     theta = math.pi / (3 * N)  # keeps sin(N theta) away from zero
-    fi = estimate.fisher_information(estimate.parity_probs_fn(N), theta)
+    p_even, p_odd, _ = estimate.parity_strategy(N, theta)
+    # p(even) = cos^2(N theta / 2) has the exact slope -(N/2) sin(N theta);
+    # p(odd) has the opposite one
+    slope = -N / 2 * math.sin(N * theta)
+    fi = slope**2 / p_even + slope**2 / p_odd
     qfi_ghz = estimate.qfi_pure(probes.ghz_subspace(N))
     qfi_product = N * estimate.qfi_statevector(simcore.plus_state(1))
     return (N, fi, qfi_ghz, qfi_product)

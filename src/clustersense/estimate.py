@@ -698,11 +698,10 @@ def qft_phase_variance(N: int, sigma: float, theta0: float = 0.0,
     Same quantity as bayes_round with qft_povm, but p_k = f_k^+ Gamma f_k and
     g_k = f_k^+ eta f_k come from the probe's autocorrelation times the
     Gaussian harmonics and one FFT (_fourier_traces): O(N^2) for the
-    autocorrelation, and no (N+1)^2 matrix is built.  The width must be
-    positive and finite, and the mean finite.
+    autocorrelation, and no (N+1)^2 matrix is built.  The width and the
+    mean are checked by the Gaussian prior they make.
     """
-    if not (0 < sigma < math.inf and math.isfinite(theta0)):
-        raise EstimateError(f"need 0 < sigma < inf and a finite theta0, got {sigma}, {theta0}")
+    gaussian_prior(sigma, theta0)
     return float(_gaussian_mse(N, sigma, theta0, probe, None))
 
 

@@ -13,12 +13,13 @@ outputs agree with a target state or unitary.  The full cluster is never
 built: a vertex joins the state, in |+> with its CZs to live neighbours,
 just before it or a neighbour is measured, so the live width is the
 pattern's cut width and not its vertex count.  All branches of one
-measurement level share one array with a trailing branch axis; measuring a
-vertex removes its axis and doubles the branches, so the sweep costs the
-sum over levels of 2**(live width + depth) amplitude operations, run in
-chunks of the branch axis that keep every array under _CHUNK_AMPS
-amplitudes.  A single branch (`run_pattern`) is the same sweep with one
-column.
+measurement level, for every input case, share one array with a trailing
+branch axis; measuring a vertex removes its axis and doubles the branches,
+so the sweep costs the sum over levels of 2**(live width + depth)
+amplitude operations, run in chunks of the branch axis that keep every
+array under _CHUNK_AMPS amplitudes, in one workspace taken per sweep.  The
+corrections fire as a per-branch Pauli frame.  A single branch
+(`run_pattern`) is the same sweep with one column.
 
 Renormalizing an outcome of conditional probability p scales its rounding by
 1/sqrt(p), so verification at tolerance `tol` prunes the outcomes below
@@ -123,12 +124,60 @@ class MeasurementPattern:
         return len(self.measurements)
 
 
-def _parity(bits: np.ndarray, deps: tuple[int, ...], flip: bool) -> np.ndarray:
-    """Per-branch parity of the outcomes of the `deps` vertices, xor `flip`."""
-    parity = np.full(len(bits), bool(flip))
-    for v in deps:
-        parity ^= bits[:, v]
-    return parity
+class _Parities:
+    """The outcome parities a sweep reads, packed as bits per branch column.
+
+    Bit r of a column's words is the parity of the outcomes of one
+    dependency list, an adapted angle's `sign_deps` or a correction factor's
+    `deps`: measuring vertex v flips, on the columns that read 1, every bit
+    whose list holds v, so reading a parity is reading a bit.  A vertex
+    listed twice flips its bit twice.  A row after the bits holds each
+    column's input case, which no flip touches.
+    """
+
+    def __init__(self, pattern: MeasurementPattern):
+        deps_lists = [spec.sign_deps for _, spec in pattern.measurements if spec.base]
+        deps_lists += [factor.deps for word in pattern.corrections.values() for factor in word]
+        self._bit: dict[tuple[int, ...], int] = {}
+        masks = {v: 0 for v, _ in pattern.measurements}
+        for deps in deps_lists:
+            if deps and deps not in self._bit:
+                self._bit[deps] = bit = len(self._bit)
+                for v in deps:
+                    masks[v] ^= 1 << bit
+        self.rows = -(-len(self._bit) // 64) + 1
+        words = np.zeros((len(masks), self.rows), dtype=np.uint64)
+        for r in range(self.rows - 1):
+            words[:, r] = [mask >> 64 * r & 2**64 - 1 for mask in masks.values()]
+        #: per measured vertex, the words its outcome 1 flips
+        self.flips = dict(zip(masks, words.view(np.int64)[:, :, None]))
+
+    def read(self, words: np.ndarray, deps: tuple[int, ...], flip: bool) -> np.ndarray:
+        """Per-column parity, 0 or 1, of the outcomes of the `deps` vertices, xor `flip`."""
+        if not deps:
+            return np.full(words.shape[1], int(flip), dtype=np.int64)
+        bit = self._bit[deps]
+        parity = words[bit // 64] >> bit % 64 & 1
+        return parity ^ 1 if flip else parity
+
+
+@dataclass(frozen=True)
+class _Columns:
+    """Per branch column of a sweep chunk: its probability, and its words
+    of `_Parities`, the last of them its input case."""
+
+    probs: np.ndarray
+    words: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.probs)
+
+    def __getitem__(self, index) -> _Columns:
+        return _Columns(self.probs[index], self.words[:, index])
+
+    @property
+    def cases(self) -> np.ndarray:
+        return self.words[-1]
 
 
 def verdict_cutoff(tol: float) -> float:
@@ -143,6 +192,52 @@ def verdict_cutoff(tol: float) -> float:
 #: Largest array, in amplitudes, that one sweep level writes: a level whose
 #: result would be larger runs its branch axis in halves, depth-first.
 _CHUNK_AMPS = 2**15
+
+
+class _Workspace:
+    """The arrays a sweep writes its levels into: one block, taken once per
+    sweep and carved into slots, so that levels and chunks take no fresh
+    pages.
+
+    Slot d holds what the level at depth d - 1 writes.  A pending half of a
+    branch axis is a view of its depth's slot, and only the level above
+    writes that slot again, after both halves are done.  Slot -1 holds the
+    state a level's joins make before it measures, and slot -2 the scratch
+    of one half that the corrections use.
+    """
+
+    def __init__(self, sizes: dict[int, int]):
+        block = np.empty(sum(sizes.values()), dtype=complex)
+        self._slots = {}
+        offset = 0
+        for slot, size in sizes.items():
+            self._slots[slot] = block[offset:offset + size]
+            offset += size
+
+    def array(self, slot: int, shape: tuple[int, ...]) -> np.ndarray:
+        return self._slots[slot][:math.prod(shape)].reshape(shape)
+
+
+def _slot_sizes(levels: list[_Level], n_cases: int, n_outcomes: int) -> dict[int, int]:
+    """Amplitudes each workspace slot needs.  A level's chunk holds every
+    column of its depth, or, when its result would exceed _CHUNK_AMPS
+    amplitudes, as many as fit, one at least."""
+    sizes = {-1: 0, -2: 0}
+    columns = n_cases
+    for depth, level in enumerate(levels):
+        if level.axis is None:
+            per_column = 2**level.width
+        else:
+            per_column = 2**level.width // 2 * n_outcomes
+        chunk = min(columns, max(1, _CHUNK_AMPS // per_column))
+        if level.joins:
+            sizes[-1] = max(sizes[-1], 2**level.width * chunk)
+        if level.axis is None:
+            sizes[-2] = 2**level.width // 2 * chunk
+        else:
+            sizes[depth + 1] = per_column * chunk
+            columns *= n_outcomes
+    return sizes
 
 
 @dataclass(frozen=True)
@@ -197,124 +292,240 @@ def _plan(pattern: MeasurementPattern) -> tuple[list[_Level], list[int]]:
     return levels, [live.index(v) for v in pattern.outputs]
 
 
-def _sweep_chunks(pattern: MeasurementPattern, injected: dict[int, np.ndarray] | None,
+def _on_axes(factor: np.ndarray, axes: tuple[int, ...], ndim: int) -> np.ndarray:
+    """`factor`, one axis per entry of the increasing `axes`, spread over
+    `ndim` axes with size 1 on the others."""
+    shape = [1] * ndim
+    for axis, size in zip(axes, factor.shape):
+        shape[axis] = size
+    return factor.reshape(shape)
+
+
+def _halves(axis: int) -> tuple[tuple, tuple]:
+    """Indices of the 0 and 1 halves of `axis`."""
+    return (slice(None),) * axis + (0,), (slice(None),) * axis + (1,)
+
+
+class _Step:
+    """One level of `_plan`, readied for a sweep with the injected vertices
+    `injected`.
+
+    The joins multiply the state by `weights`, over the level's live axes
+    and a branch axis of size 1: each joining vertex's |+> on its new axis
+    (1 for an injected vertex, whose ket goes in per case), and -1 where it
+    and a live neighbour both read 1, its CZs.  A measurement at a nonzero
+    angle reads the parity of its sign dependencies and looks up, per
+    parity, the relative phase e^{-i angle} of the one half and the common
+    phase e^{i angle/2}.
+    """
+
+    def __init__(self, level: _Level, measurement: tuple[int, AngleSpec] | None,
+                 parities: _Parities, injected):
+        self.level = level
+        ndim = level.width + 1
+        first = level.width - len(level.joins)
+        self.weights = 1.0
+        self.injected = []
+        for axis, (vertex, nbr_axes) in enumerate(level.joins, start=first):
+            if vertex in injected:
+                self.injected.append((axis, vertex))
+            else:
+                self.weights = self.weights * _on_axes(_KETP, (axis,), ndim)
+            for nbr in nbr_axes:
+                self.weights = self.weights * _on_axes(_CZ, (nbr, axis), ndim)
+        if measurement is None:
+            return
+        vertex, spec = measurement
+        self.halves = _halves(level.axis)
+        self.flips = parities.flips[vertex]
+        self.phases = None
+        if spec.base:
+            self.sign = spec.sign_deps, spec.flip
+            # rows: angle base and -base; columns: e^{-i angle}, e^{i angle/2}
+            self.phases = np.exp(np.array([[-1j, 0.5j], [1j, -0.5j]]) * spec.base)
+
+
+def _sweep_chunks(pattern: MeasurementPattern, cases: list[dict[int, np.ndarray]],
                   assignment: tuple[int, ...] | None = None,
                   cutoff: float = simcore.NULL_PROB,
                   plan: tuple[list[_Level], list[int]] | None = None):
-    """Run every outcome branch of `pattern`, one measurement level at a time,
-    and yield the corrected branch states in chunks.
+    """Run every outcome branch of `pattern` for every input case, one
+    measurement level at a time, and yield the corrected branch states in
+    chunks.
 
-    The state is a (2,)*m + (B,) array: one axis per live vertex, then a
-    branch axis whose column b is the branch whose outcome bits, in
-    measurement order, spell b big-endian.  A level adds its joining
-    vertices in |+> (or their injected kets), each with a sign flip on the
-    half where it and a live neighbour both read 1 (the CZ), then rotates
-    the measured axis by each branch's adapted angle and writes both
-    outcomes (or only the one `assignment` fixes) into one new array without
-    that axis, so B doubles; branches whose outcome had conditional
-    probability below `cutoff` are dropped.  The byproduct corrections fire
-    per column at the end.
+    Each case maps vertices to the kets injected there, the same vertices in
+    every case.  The state is a (2,)*m + (B,) array: one axis per live
+    vertex, then a branch axis whose columns run over the cases and, within
+    a case, over the branches whose outcome bits, in measurement order,
+    spell the column big-endian.  A level multiplies its joining vertices in
+    by one factor (see `_Step`), then rotates the measured axis by each
+    column's adapted angle and writes both outcomes (or only the one
+    `assignment` fixes) into one array without that axis, so B doubles;
+    branches whose outcome had conditional probability below `cutoff` are
+    dropped.  The byproduct corrections fire per column at the end.
 
     A level whose result would exceed _CHUNK_AMPS amplitudes runs the two
     halves of the branch axis one after the other, depth-first, so chunks
-    arrive in branch order.  Each yield is (states, probs): the chunk's
-    corrected states, output axes in `pattern.outputs` order followed by
-    the branch axis, and the probability of each branch.  `plan` is
-    `_plan(pattern)` when the caller has it already.
+    arrive in branch order.  Each yield is (states, probs, cases): the
+    chunk's corrected states, output axes in `pattern.outputs` order
+    followed by the branch axis, and each column's probability and case.
+    The states may be a view of the sweep's workspace, good until the next
+    chunk is asked for.  `plan` is `_plan(pattern)` when the caller has it
+    already.
     """
     levels, out_axes = plan or _plan(pattern)
-    kets = {v: np.asarray(ket, dtype=complex) for v, ket in (injected or {}).items()}
-    n = pattern.graph.n_vertices
-    # per pending chunk: its next level, state, per-branch outcome bits of
-    # every vertex, and branch probabilities
-    stack = [(0, np.ones(1, dtype=complex), np.zeros((1, n), dtype=bool), np.ones(1))]
+    parities = _Parities(pattern)
+    kets = {v: np.array([np.asarray(case[v], dtype=complex).reshape(2) for case in cases])
+            for v in (cases[0] if cases else ())}
+    measurements = list(pattern.measurements) + [None]
+    steps = [_Step(level, measurement, parities, kets)
+             for level, measurement in zip(levels, measurements)]
+    workspace = _Workspace(_slot_sizes(levels, len(cases), 2 if assignment is None else 1))
+    n = len(cases)
+    words = np.zeros((parities.rows, n), dtype=np.int64)
+    words[-1] = np.arange(n)
+    stack = [(0, np.ones(n, dtype=complex), _Columns(np.ones(n), words))]
     while stack:
-        depth, psi, bits, probs = stack.pop()
-        if depth == len(levels):
-            yield _corrected(pattern, psi, bits, out_axes), probs
+        depth, psi, cols = stack.pop()
+        if depth == len(steps):
+            yield (_corrected(pattern, parities, psi, cols.words, out_axes, workspace), cols.probs,
+                   cols.cases)
             continue
-        level = levels[depth]
-        size = 2**level.width * len(probs)
-        if level.axis is not None:
+        step = steps[depth]
+        size = 2**step.level.width * len(cols)
+        if step.level.axis is not None:
             outcomes = (0, 1) if assignment is None else (assignment[depth],)
             size = size // 2 * len(outcomes)
-        if len(probs) > 1 and size > _CHUNK_AMPS:
+        if len(cols) > 1 and size > _CHUNK_AMPS:
             # the halves are views of disjoint columns, so a level may
             # write into one of them in place without touching the other
-            half = len(probs) // 2
-            stack.append((depth, psi[..., half:], bits[half:], probs[half:]))
-            stack.append((depth, psi[..., :half], bits[:half], probs[:half]))
+            half = len(cols) // 2
+            stack.append((depth, psi[..., half:], cols[half:]))
+            stack.append((depth, psi[..., :half], cols[:half]))
             continue
-        for vertex, nbr_axes in level.joins:
-            ket = kets.get(vertex, _KETP)
-            grown = np.empty(psi.shape[:-1] + (2,) + psi.shape[-1:], dtype=complex)
-            np.multiply(psi, ket[0], out=grown[..., 0, :])
-            one = grown[..., 1, :]
-            np.multiply(psi, ket[1], out=one)
-            for axis in nbr_axes:
-                flip = one[(slice(None),) * axis + (1,)]
-                np.negative(flip, out=flip)
-            psi = grown
-        if level.axis is not None:
-            psi, bits, probs = _measure(psi, bits, probs, level.axis, pattern.measurements[depth],
-                                        outcomes, cutoff)
-            if not len(probs):
+        if step.level.joins:
+            psi = _join(psi, cols, step, kets,
+                        workspace.array(-1, (2,) * step.level.width + (len(cols),)))
+        if step.level.axis is not None:
+            out = workspace.array(depth + 1,
+                                  (2,) * (step.level.width - 1) + (len(cols), len(outcomes)))
+            psi, cols = _measure(psi, cols, step, outcomes, parities, cutoff, out)
+            if not len(cols):
                 continue
-        stack.append((depth + 1, psi, bits, probs))
+        stack.append((depth + 1, psi, cols))
 
 
-def _measure(psi: np.ndarray, bits: np.ndarray, probs: np.ndarray, axis: int,
-             measurement: tuple[int, AngleSpec], outcomes: tuple[int, ...], cutoff: float):
-    """Measure the vertex on `axis` on every branch: the state without that
-    axis and with len(outcomes) columns per branch, and the grown bits and
-    probabilities, less the branches whose outcome fell below `cutoff`."""
-    vertex, spec = measurement
-    zero, one = np.moveaxis(psi, axis, 0)  # views of the two halves
-    # Rz(phi) = diag(e^{i phi/2}, e^{-i phi/2}), then H without its 1/sqrt2:
-    # halving the squared norms instead keeps the probabilities unbiased
-    if spec.base:
-        angle = np.where(_parity(bits, spec.sign_deps, spec.flip), -spec.base, spec.base)
-        phase = np.exp(0.5j * angle)
-        zero *= phase
-        one *= phase.conj()
-    rotated = np.empty(zero.shape + (len(outcomes),), dtype=complex)
+def _join(psi: np.ndarray, cols: _Columns, step: _Step, kets: dict[int, np.ndarray],
+          out: np.ndarray) -> np.ndarray:
+    """The state with the level's joining vertices appended, written to `out`."""
+    weights = step.weights
+    for axis, vertex in step.injected:
+        ndim = step.level.width + 1
+        weights = weights * _on_axes(kets[vertex][cols.cases].T, (axis, ndim - 1), ndim)
+    grown = psi.reshape(psi.shape[:-1] + (1,) * len(step.level.joins) + psi.shape[-1:])
+    return np.multiply(grown, weights, out=out)
+
+
+def _measure(psi: np.ndarray, cols: _Columns, step: _Step, outcomes: tuple[int, ...],
+             parities: _Parities, cutoff: float, out: np.ndarray) -> tuple[np.ndarray, _Columns]:
+    """Measure the step's vertex on every column: the state without its
+    axis and with len(outcomes) columns per column, written to `out`, and
+    the grown columns, less those whose outcome fell below `cutoff`."""
+    zero, one = psi[step.halves[0]], psi[step.halves[1]]
+    # Rz(angle) = e^{i angle/2} diag(1, e^{-i angle}), then H without its
+    # 1/sqrt2: the relative phase goes on the one half, and the common phase
+    # joins the 1/sqrt(2p) that scales each outcome state
+    common = 1.0
+    if step.phases is not None:
+        phases = step.phases.take(parities.read(cols.words, *step.sign), axis=0)
+        np.multiply(one, phases[:, 0], out=one)
+        common = phases[:, 1:]
+    n = len(outcomes)
     for k, bit in enumerate(outcomes):
-        (np.subtract if bit else np.add)(zero, one, out=rotated[..., k])
-    psi = rotated.reshape(zero.shape[:-1] + (-1,))
-    flat = psi.reshape(-1, psi.shape[-1])
-    p = (np.einsum("kb,kb->b", flat.real, flat.real)
-         + np.einsum("kb,kb->b", flat.imag, flat.imag)) / 2
-    bits = np.repeat(bits, len(outcomes), axis=0)
+        (np.subtract if bit else np.add)(zero, one, out=out[..., k])
+    psi = out.reshape(zero.shape[:-1] + (-1,))
+    floats = psi.reshape(-1, psi.shape[-1]).view(float)  # re, im of each column side by side
+    squares = np.einsum("kb,kb->b", floats, floats).reshape(-1, n, 2)
+    norms = squares[..., 0] + squares[..., 1]  # 2p, per parent column and outcome
+    words = np.repeat(cols.words, n, axis=1)
     for k, bit in enumerate(outcomes):
-        bits[k::len(outcomes), vertex] = bit
-    probs = np.repeat(probs, len(outcomes))
-    keep = p >= cutoff
-    if not keep.all():
-        psi, p, bits, probs = psi[..., keep], p[keep], bits[keep], probs[keep]
-    psi /= np.sqrt(2 * p)
-    return psi, bits, probs * p
+        if bit:
+            words[:, k::n] ^= step.flips
+    grown = _Columns((cols.probs[:, None] * (norms / 2)).reshape(-1), words)
+    # an outcome below the cutoff is dropped: clamped, its scale stays finite
+    scale = (common * (1 / np.sqrt(np.maximum(norms, 2 * cutoff)))).reshape(-1)
+    if norms.min(initial=np.inf) < 2 * cutoff:
+        keep = (norms >= 2 * cutoff).reshape(-1)
+        psi, grown, scale = psi.compress(keep, axis=-1), grown[keep], scale[keep]
+    psi *= scale
+    return psi, grown
 
 
-def _corrected(pattern: MeasurementPattern, psi: np.ndarray, bits: np.ndarray,
-               out_axes: list[int]) -> np.ndarray:
-    """Fire each output's correction word per branch column, then order the
-    output axes as `pattern.outputs`, the branch axis last."""
+def _corrected(pattern: MeasurementPattern, parities: _Parities, psi: np.ndarray,
+               words: np.ndarray, out_axes: list[int], workspace: _Workspace) -> np.ndarray:
+    """Fire each output's correction word per branch column, in place, then
+    order the output axes as `pattern.outputs`, the branch axis last.
+
+    The X and Z factors between two H factors fold into one Pauli frame per
+    column: X^a Z^z = (-1)^(a z) Z^z X^a moves each X ahead of the Zs
+    gathered so far, so the run is Z^z X^x times a sign.  X swaps the two
+    halves of the output's axis, Z is one +-1 multiply of the one half, and
+    the signs of every output are one +-1 multiply of the state at the end.
+    """
+    sign = None
     for out, axis in zip(pattern.outputs, out_axes):
-        zero, one = np.moveaxis(psi, axis, 0)
+        halves = _halves(axis)
+        zero, one = psi[halves[0]], psi[halves[1]]
+        scratch = workspace.array(-2, zero.shape)
+        x = z = None
         for factor in pattern.corrections.get(out, ()):
-            fires = _parity(bits, factor.deps, factor.flip)
-            if factor.kind == "Z":
-                np.negative(one, out=one, where=fires)
-            elif factor.kind == "X":
-                kept = zero.copy()
-                np.copyto(zero, one, where=fires)
-                np.copyto(one, kept, where=fires)
+            fires = parities.read(words, factor.deps, factor.flip)
+            if factor.kind == "X":
+                if z is not None:
+                    sign = fires & z if sign is None else sign ^ (fires & z)
+                x = fires if x is None else x ^ fires
+            elif factor.kind == "Z":
+                z = fires if z is None else z ^ fires
             else:
-                kept = zero / math.sqrt(2)
-                np.divide(one, math.sqrt(2), out=one, where=fires)
-                np.add(kept, one, out=zero, where=fires)
-                np.subtract(kept, one, out=one, where=fires)
+                _pauli(zero, one, x, z, scratch)
+                _hadamard(psi, halves, fires, scratch)
+                x = z = None
+        _pauli(zero, one, x, z, scratch)
+    if sign is not None:
+        psi *= _SIGNS.take(sign)
     return psi.transpose(out_axes + [len(out_axes)])
+
+
+def _pauli(zero: np.ndarray, one: np.ndarray, x: np.ndarray | None, z: np.ndarray | None,
+           scratch: np.ndarray) -> None:
+    """Z^z X^x on one output, per branch column, in place on its two halves."""
+    if x is not None:
+        # swap the halves where x, bit for bit and without a masked write:
+        # their xor, cleared where x is 0, flips both
+        a, b, d = zero.view(np.int64), one.view(np.int64), scratch.view(np.int64)
+        np.bitwise_xor(a, b, out=d)
+        np.bitwise_and(d, np.repeat(-x, 2), out=d)
+        np.bitwise_xor(a, d, out=a)
+        np.bitwise_xor(b, d, out=b)
+    if z is not None:
+        np.multiply(one, _SIGNS.take(z), out=one)
+
+
+def _hadamard(psi: np.ndarray, halves: tuple[tuple, tuple], fires: np.ndarray,
+              scratch: np.ndarray) -> None:
+    """H on the axis of `halves` in the columns where it `fires`, in place,
+    with the arithmetic zero/sqrt2 +- one/sqrt2; `scratch` has the shape of
+    a half."""
+    rotated = psi if fires.all() else psi.copy()
+    zero, one = rotated[halves[0]], rotated[halves[1]]
+    # dividing the float views gives the complex quotients, without
+    # numpy's complex division
+    kept = np.divide(zero.view(float), math.sqrt(2), out=scratch.view(float)).view(complex)
+    np.divide(one.view(float), math.sqrt(2), out=one.view(float))
+    np.add(kept, one, out=zero)
+    np.subtract(kept, one, out=one)
+    if rotated is not psi:
+        np.copyto(psi, rotated, where=fires.astype(bool))
 
 
 def run_pattern(pattern: MeasurementPattern, outcome_assignment: tuple[int, ...],
@@ -334,8 +545,8 @@ def run_pattern(pattern: MeasurementPattern, outcome_assignment: tuple[int, ...]
         if bit not in (0, 1):
             raise simcore.SimulationError(f"outcome must be a bit, got {bit!r}")
     k = len(pattern.outputs)
-    for states, probs in _sweep_chunks(pattern, injected, outcome_assignment):
-        return StateVector(k, states[..., 0].reshape(-1)), float(probs[0])
+    for states, probs, _ in _sweep_chunks(pattern, [injected or {}], outcome_assignment):
+        return StateVector(k, states[..., 0].flatten()), float(probs[0])
     return StateVector.null(k), 0.0
 
 
@@ -366,50 +577,56 @@ def verify_pattern(pattern: MeasurementPattern,
     `target` is either the expected output StateVector (for patterns without
     inputs) or a unitary matrix on the input qubits, in which case a fiducial
     set of product input states is driven through the pattern (a supplied
-    `input_states` list overrides the default fiducials).
+    `input_states` list overrides the default fiducials).  All input cases
+    run in one sweep.
 
     Branches whose fidelity would rest on rounding (see `verdict_cutoff`)
     are pruned and counted in `pruned`; their weight stays out of
-    `probability_sum`, which must still be within 1e-10 of 1.
+    `probability_sum`, which must still be within 1e-10 of 1 in every case.
     """
     if pattern.n_measured > BRANCH_ENUM_CAP:
         raise PatternError(
             f"{pattern.n_measured} measured vertices exceed the 2**{BRANCH_ENUM_CAP} enumeration cap")
 
-    cases: list[tuple[dict[int, np.ndarray] | None, StateVector]] = []
     if isinstance(target, StateVector):
-        cases.append((None, target))
+        cases, expected = [{}], [target]
     else:
         unitary = np.asarray(target, dtype=complex)
         k = len(pattern.inputs)
         if unitary.shape != (2**k, 2**k):
             raise PatternError(f"target unitary shape {unitary.shape} does not match {k} inputs")
-        for combo in input_states if input_states is not None else _fiducial_inputs(k):
-            injected = dict(zip(pattern.inputs, combo))
-            in_state = simcore.product_state(list(combo))
-            out = unitary @ in_state.amps
-            cases.append((injected, StateVector(k, out)))
+        combos = input_states if input_states is not None else _fiducial_inputs(k)
+        cases = [dict(zip(pattern.inputs, combo)) for combo in combos]
+        expected = [StateVector(k, unitary @ simcore.product_state(list(combo)).amps)
+                    for combo in combos]
 
     n_out = len(pattern.outputs)
     plan = _plan(pattern)
+    for state in expected:
+        if state.n_qubits != n_out:
+            raise PatternError(f"target has {state.n_qubits} qubits, the pattern {n_out} outputs")
+    cutoff = verdict_cutoff(tol)
+    bras = np.array([state.amps.conj() for state in expected]).reshape((len(cases),) + (2,) * n_out)
+    # contracting the output axes in the order the sweep holds them needs no copy
+    order = [int(j) for j in np.argsort(plan[1])]
     min_fid = 1.0
+    totals = [0.0] * len(cases)
+    kept = [0] * len(cases)
+    for states, probs, case in _sweep_chunks(pattern, cases, cutoff=cutoff, plan=plan):
+        # a chunk's columns run over the cases in order
+        bounds = np.searchsorted(case, np.arange(len(cases) + 1))
+        for c, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            if lo < hi:
+                overlaps = np.tensordot(bras[c], states[..., lo:hi], axes=(order, order))
+                min_fid = min(min_fid, float(np.abs(overlaps).min()))
+                totals[c] += float(probs[lo:hi].sum())
+                kept[c] += int(hi - lo)
     worst_total = 1.0
-    branches = 2**pattern.n_measured
-    pruned = 0
-    for injected, expected in cases:
-        if expected.n_qubits != n_out:
-            raise PatternError(f"target has {expected.n_qubits} qubits, the pattern {n_out} outputs")
-        bra = expected.amps.conj().reshape((2,) * n_out)
-        kept, total = 0, 0.0
-        for states, probs in _sweep_chunks(pattern, injected, cutoff=verdict_cutoff(tol), plan=plan):
-            overlaps = np.einsum(states, list(range(n_out + 1)), bra, list(range(n_out)), [n_out])
-            min_fid = min(min_fid, float(np.abs(overlaps).min(initial=1.0)))
-            total += float(probs.sum())
-            kept += len(probs)
-        branches = min(branches, kept)
-        pruned += 2**pattern.n_measured - kept
+    for total in totals:
         if abs(total - 1.0) >= abs(worst_total - 1.0):
-            worst_total = total
+            worst_total = float(total)
+    branches = min(kept, default=2**pattern.n_measured)
+    pruned = sum(2**pattern.n_measured - k for k in kept)
     passed = (min_fid >= 1.0 - tol) and (abs(worst_total - 1.0) <= 1e-10)
     return VerifyReport(pattern.graph.n_vertices, branches, min_fid, worst_total, passed, pruned)
 
@@ -418,6 +635,10 @@ _KET0 = np.array([1.0, 0.0], dtype=complex)
 _KET1 = np.array([0.0, 1.0], dtype=complex)
 _KETP = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
 _KETIP = np.array([1.0, 1.0j], dtype=complex) / math.sqrt(2)
+#: CZ on two axes: -1 where both read 1
+_CZ = np.array([[1, 1], [1, -1]], dtype=complex)
+#: (-1)**bit, indexed by the bit
+_SIGNS = np.array([1, -1], dtype=complex)
 
 
 def _fiducial_inputs(k: int) -> list[list[np.ndarray]]:

@@ -27,6 +27,22 @@ def test_local_values(capsys):
         assert float(row[1]) == pytest.approx(float(row[2]), rel=1e-8)
 
 
+@pytest.mark.parametrize("N", [1, 2, 3, 7, 8, 64, 1000, 12345, 99999, 100000])
+def test_local_parity_column_is_n_squared_to_a_few_ulp(N):
+    # the abstract's claim for the parity strategy, which the exact slope
+    # keeps at every N; a central difference drifts by (N * step)^2 / 3
+    assert cli._local_row(N)[1] == pytest.approx(N**2, rel=4 * np.finfo(float).eps, abs=0)
+
+
+def test_verify_tolerances_share_one_floor():
+    # the rule lives in _tolerance: both verify commands refuse the same values
+    assert cli._tolerance(0.0, 1e-10) == 1e-10
+    assert cli._tolerance(2e-15, 1e-10) == 2e-15
+    for tol in (1e-15, 1e-16, 1e-300, -1.0, math.inf, math.nan):
+        with pytest.raises(cli.UsageError, match="rounding bound"):
+            cli._tolerance(tol, 1e-10)
+
+
 @pytest.mark.parametrize("n_min, n_max, n_step, grid", [
     (21, 23, 0, [23]),
     (21, 24, 0, [24]),
@@ -203,6 +219,10 @@ def test_usage_error_exit_code():
     ["bayes-phase", "--sigma", "30", "--n-max", "3"],
     ["mbqc-verify", "teleport", "--tol", "1e-300"],
     ["mbqc-verify", "teleport", "--tol", "1e-16"],
+    ["compress-verify", "3", "--tol", "1e-16"],
+    ["compress-verify", "3", "--tol", "1e-15"],
+    ["compress-verify", "3", "--tol", "1e-300"],
+    ["compress-verify", "3", "--tol", "inf"],
 ])
 def test_out_of_range_arguments_exit_with_usage_code(argv, tmp_path, capsys):
     # neither stdout nor an --out file gets as much as the CSV header
@@ -217,7 +237,7 @@ def test_out_of_range_arguments_exit_with_usage_code(argv, tmp_path, capsys):
 
 
 #: A library call that each CSV command makes for every row.
-ROW_CALLS = {"local": "fisher_information", "bayes-phase": "qft_phase_variance",
+ROW_CALLS = {"local": "parity_strategy", "bayes-phase": "qft_phase_variance",
              "bayes-freq": "optimize_tau", "holevo": "holevo_bayes_round",
              "mse-limit": "mse_limit_curve"}
 

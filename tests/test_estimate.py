@@ -538,6 +538,18 @@ def test_round_rejects_a_probe_or_povm_of_another_size(call):
         call()
 
 
+@pytest.mark.parametrize("sigma, theta0", [
+    (0.0, 0.0), (-0.5, 0.0), (math.inf, 0.0), (math.nan, 0.0), (0.5, math.nan), (0.5, -math.inf),
+])
+def test_qft_round_refuses_a_prior_with_the_priors_own_message(sigma, theta0):
+    # Prior.__post_init__ is the one home of the Gaussian width and mean rule
+    with pytest.raises(EstimateError) as from_prior:
+        gaussian_prior(sigma, theta0)
+    with pytest.raises(EstimateError) as from_round:
+        qft_phase_variance(4, sigma, theta0)
+    assert str(from_round.value) == str(from_prior.value)
+
+
 _MOMENT_WEIGHTS = (lambda t: 1.0, lambda t: t, lambda t: t * t, lambda t: np.exp(1j * t))
 
 

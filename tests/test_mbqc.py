@@ -59,12 +59,12 @@ def _reorder_outputs(state: StateVector, pattern: MeasurementPattern,
     return StateVector(state.n_qubits, np.ascontiguousarray(psi).reshape(-1))
 
 
-def _reference_branches(pattern: MeasurementPattern, injected: dict[int, np.ndarray] | None,
-                        target_state: StateVector, cutoff: float = simcore.NULL_PROB):
+def _reference_leaves(pattern: MeasurementPattern, injected: dict[int, np.ndarray] | None,
+                      cutoff: float = simcore.NULL_PROB):
     """Depth-first sweep over all outcome branches, sharing prefix states.
 
     An outcome of conditional probability below `cutoff` ends its branch.
-    Yields (min fidelity vs target, branch probability) per leaf.
+    Yields (corrected output state, branch probability) per leaf.
     """
     root = cluster_state(pattern.graph, injected)
 
@@ -72,8 +72,7 @@ def _reference_branches(pattern: MeasurementPattern, injected: dict[int, np.ndar
                 prob: float, depth: int):
         if depth == pattern.n_measured:
             corrected = _apply_corrections(state, pattern, outcomes, axis_of)
-            corrected = _reorder_outputs(corrected, pattern, axis_of)
-            yield simcore.fidelity_up_to_global_phase(corrected, target_state), prob
+            yield _reorder_outputs(corrected, pattern, axis_of), prob
             return
         vertex, spec = pattern.measurements[depth]
         axis = axis_of[vertex]
@@ -90,6 +89,14 @@ def _reference_branches(pattern: MeasurementPattern, injected: dict[int, np.ndar
 
     axis_of = {v: v for v in range(pattern.graph.n_vertices)}
     yield from recurse(root, axis_of, {}, 1.0, 0)
+
+
+def _reference_branches(pattern: MeasurementPattern, injected: dict[int, np.ndarray] | None,
+                        target_state: StateVector, cutoff: float = simcore.NULL_PROB):
+    """(fidelity with the target, branch probability) of each leaf of
+    `_reference_leaves`."""
+    for state, prob in _reference_leaves(pattern, injected, cutoff):
+        yield simcore.fidelity_up_to_global_phase(state, target_state), prob
 
 
 def _verdict(fids, probs, tol: float) -> bool:
@@ -286,9 +293,11 @@ _NEAR_NULL_BRANCH = (
 def _joined_sweep(pattern: MeasurementPattern, injected: dict[int, np.ndarray] | None,
                   cutoff: float = simcore.NULL_PROB) -> tuple[np.ndarray, np.ndarray]:
     """Every kept branch of `pattern`: the chunks of `_sweep_chunks` joined
-    along the branch axis, which is empty when no branch is kept."""
+    along the branch axis, which is empty when no branch is kept.  A chunk
+    may be a view of the sweep's workspace, so each is copied as it comes."""
     chunks = [(np.empty((2,) * len(pattern.outputs) + (0,), dtype=complex), np.empty(0))]
-    chunks += mbqc._sweep_chunks(pattern, injected, cutoff=cutoff)
+    chunks += [(states.copy(), probs)
+               for states, probs, _ in mbqc._sweep_chunks(pattern, [injected or {}], cutoff=cutoff)]
     states, probs = zip(*chunks)
     return np.concatenate(states, axis=-1), np.concatenate(probs)
 
@@ -370,7 +379,7 @@ def _ghz_wrong_when_s1_is_0() -> MeasurementPattern:
 def test_chunked_sweep_matches_stepwise_reference(case, monkeypatch):
     monkeypatch.setattr(mbqc, "_CHUNK_AMPS", 2)
     pattern, injected, target = case
-    assert len(list(mbqc._sweep_chunks(pattern, injected))) > 1
+    assert len(list(mbqc._sweep_chunks(pattern, [injected or {}]))) > 1
     _assert_sweep_matches_reference(pattern, injected, target)
 
 
@@ -389,6 +398,93 @@ def test_chunked_verification_matches_one_chunk(pattern, target, inputs, tol, mo
         whole.branches, whole.pruned, whole.passed)
     assert chunked.min_fidelity == pytest.approx(whole.min_fidelity, abs=1e-12)
     assert chunked.probability_sum == pytest.approx(whole.probability_sum, abs=1e-12)
+
+
+# Correction words on which the sweep's Pauli frame is pinned to the walker
+# state by state, global phase included: a word's X and Z factors in both
+# orders (Z before X folds into a sign), H with and without dependencies, and
+# dependency lists in which a vertex cancels.
+_WORDS = {
+    "X-then-Z": (CorrectionFactor("X", (0, 2)), CorrectionFactor("Z", (1,))),
+    "Z-then-X": (CorrectionFactor("Z", (1,)), CorrectionFactor("X", (0, 2))),
+    "X-Z-X": (CorrectionFactor("X", (0,)), CorrectionFactor("Z", (1, 2)),
+              CorrectionFactor("X", (2,), flip=True)),
+    "conditional-H": (CorrectionFactor("X", (0,)), CorrectionFactor("H", (1,)),
+                      CorrectionFactor("Z", (2,))),
+    "H-between": (CorrectionFactor("Z", (0,)), CorrectionFactor("H", flip=True),
+                  CorrectionFactor("X", (1,))),
+    "repeated-deps": (CorrectionFactor("X", (1, 1)), CorrectionFactor("Z", (0, 2, 0))),
+}
+
+
+def _forked_wire(word: tuple[CorrectionFactor, ...]) -> MeasurementPattern:
+    """A wire 0-1-2-3 with vertex 4 hanging off 1: input 0, adapted angles
+    on 0, 1 and 2, and outputs 4 and 3, in that order.  `word` corrects 3,
+    and X^s1 then Z^s2 correct 4, so that no sign the word's frame gets
+    wrong can cancel against the same sign on the other output."""
+    return MeasurementPattern(
+        Graph(5, frozenset({(0, 1), (1, 2), (2, 3), (1, 4)})), (0,),
+        ((0, AngleSpec(0.4)), (1, AngleSpec(-1.1, (0,))), (2, AngleSpec(0.8, (1,), flip=True))),
+        (4, 3), {3: word, 4: (CorrectionFactor("X", (1,)), CorrectionFactor("Z", (2,)))})
+
+
+@pytest.mark.parametrize("chunk", [2**15, 2], ids=["one-chunk", "chunked"])
+@pytest.mark.parametrize("word", _WORDS.values(), ids=_WORDS)
+def test_correction_words_match_the_walker_state_by_state(word, chunk, monkeypatch):
+    monkeypatch.setattr(mbqc, "_CHUNK_AMPS", chunk)
+    pattern = _forked_wire(word)
+    injected = {0: _random_state(np.random.default_rng(5), 1)}
+    reference = list(_reference_leaves(pattern, injected))
+    states, probs = _joined_sweep(pattern, injected)
+    assert states.shape == (2, 2, len(reference)) and len(reference) == 8
+    for b, (state, prob) in enumerate(reference):
+        # the sweep's Rz, H and Pauli frame are the walker's gates, so the
+        # states agree as vectors and not only up to a phase
+        np.testing.assert_allclose(states[..., b].reshape(-1), state.amps, rtol=0, atol=1e-13)
+        assert probs[b] == pytest.approx(prob, abs=1e-13)
+
+
+def _two_inputs_with_conditional_h() -> MeasurementPattern:
+    return MeasurementPattern(
+        Graph(5, frozenset({(0, 2), (1, 2), (2, 3), (1, 4)})), (0, 1),
+        ((0, AngleSpec(0.7)), (1, AngleSpec(-0.3, (0,))), (2, AngleSpec(1.2, (1,), flip=True))),
+        (3, 4),
+        {3: (CorrectionFactor("X", (2,)), CorrectionFactor("Z", (0, 1)), CorrectionFactor("H", (1,))),
+         4: (CorrectionFactor("Z", (2,)), CorrectionFactor("X", (1,)))})
+
+
+@pytest.mark.parametrize("chunk", [2**15, 2], ids=["one-chunk", "chunked"])
+@pytest.mark.parametrize("pattern, unitary", [
+    (cnot_pattern(), mbqc.CNOT_MATRIX),
+    (y_rotation_pattern(0.9), mbqc.ry_matrix(0.9)),
+    # no unitary is right for it: a failing verdict, aggregated over cases
+    (_two_inputs_with_conditional_h(), np.eye(4)),
+], ids=["cnot", "yrot", "two-inputs"])
+def test_batched_cases_match_one_sweep_per_case(pattern, unitary, chunk, monkeypatch):
+    monkeypatch.setattr(mbqc, "_CHUNK_AMPS", chunk)
+    combos = mbqc._fiducial_inputs(len(pattern.inputs))
+    cases = [dict(zip(pattern.inputs, combo)) for combo in combos]
+    batched = [(states.copy(), probs, case) for states, probs, case in mbqc._sweep_chunks(pattern, cases)]
+    states = np.concatenate([part for part, _, _ in batched], axis=-1)
+    probs = np.concatenate([part for _, part, _ in batched])
+    case_of = np.concatenate([part for _, _, part in batched])
+    start = 0
+    for c, case in enumerate(cases):
+        alone, alone_probs = _joined_sweep(pattern, case)
+        stop = start + alone.shape[-1]
+        assert (case_of[start:stop] == c).all()
+        np.testing.assert_allclose(states[..., start:stop], alone, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(probs[start:stop], alone_probs, rtol=0, atol=1e-15)
+        start = stop
+    assert start == len(probs)
+    report = verify_pattern(pattern, unitary)
+    per_case = [verify_pattern(pattern, unitary, [combo]) for combo in combos]
+    assert report.branches == min(r.branches for r in per_case)
+    assert report.pruned == sum(r.pruned for r in per_case)
+    assert report.min_fidelity == pytest.approx(min(r.min_fidelity for r in per_case), abs=1e-15)
+    worst = max((r.probability_sum for r in per_case), key=lambda total: abs(total - 1.0))
+    assert report.probability_sum == pytest.approx(worst, abs=1e-15)
+    assert report.passed == all(r.passed for r in per_case)
 
 
 def test_live_width_not_vertex_count_meets_the_cap():
