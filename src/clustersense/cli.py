@@ -13,7 +13,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -120,22 +119,6 @@ def _classical_n_grid(args) -> list[int]:
     return ns
 
 
-def _pool_map(func, cells: list, jobs: int):
-    """Ordered results, computed as they are read: serially, or by at most one worker per cell."""
-    if jobs < 1:
-        raise UsageError(f"--jobs needs a positive worker count, got {jobs}")
-    workers = min(jobs, len(cells))
-    if workers <= 1:
-        return (func(cell) for cell in cells)
-    return _pooled(func, cells, workers)
-
-
-def _pooled(func, cells: list, workers: int):
-    """_pool_map's process pool, started when the first result is read."""
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(func, cells)
-
-
 # ---------------------------------------------------------------------------
 # local estimation
 
@@ -152,7 +135,7 @@ def _local_row(N: int) -> tuple:
 
 
 def cmd_local(args) -> int:
-    rows = _pool_map(_local_row, _n_grid(args.n_min, args.n_max, 1), args.jobs)
+    rows = (_local_row(N) for N in _n_grid(args.n_min, args.n_max, 1))
     _write_csv(["N", "fi_ghz_parity", "qfi_ghz", "qfi_product"], rows, args.out)
     return 0
 
@@ -160,15 +143,12 @@ def cmd_local(args) -> int:
 # ---------------------------------------------------------------------------
 # Bayesian phase estimation
 
-def _phase_block(cell) -> list[tuple]:
-    sigma, ns, theta0 = cell
+def _phase_rows(sigma: float, ns: list[int], theta0: float):
     classical = estimate.classical_parallel_curve(ns, sigma)
-    rows = []
     for N, v_classical in zip(ns, classical):
         v_quantum = estimate.qft_phase_variance(N, sigma, theta0)
         bound = estimate.van_trees_bound(N, sigma)
-        rows.append((N, sigma, 1.0 / v_quantum, 1.0 / v_classical, 1.0 / bound))
-    return rows
+        yield (N, sigma, 1.0 / v_quantum, 1.0 / v_classical, 1.0 / bound)
 
 
 def cmd_bayes_phase(args) -> int:
@@ -177,9 +157,7 @@ def cmd_bayes_phase(args) -> int:
     for sigma in sigmas:  # the library checks the mean and each width before the header
         estimate.gaussian_prior(sigma, args.theta0)
         estimate.classical_parallel_curve([], sigma)
-    cells = [(sigma, ns, args.theta0) for sigma in sigmas]
-    blocks = _pool_map(_phase_block, cells, args.jobs)
-    rows = (row for block in blocks for row in block)
+    rows = (row for sigma in sigmas for row in _phase_rows(sigma, ns, args.theta0))
     _write_csv(["N", "sigma", "inv_V_quantum", "inv_V_classical_parallel", "inv_V_bound"],
                rows, args.out)
     return 0
@@ -197,12 +175,11 @@ def _freq_cell(N: int) -> tuple:
 def cmd_bayes_freq(args) -> int:
     deltas = _parse_widths(args.delta, "--delta") if args.delta else [1.0]
     ns = _classical_n_grid(args)
-    cells = _pool_map(_freq_cell, ns, args.jobs)
 
     def rows():
         # times in units of 1 / delta and MSEs in units of delta^2 do not
         # depend on delta: each N is computed once, and delta only labels its rows
-        computed = list(cells)
+        computed = [_freq_cell(N) for N in ns]
         for delta in deltas:
             yield from ((N, delta, *cell) for N, cell in zip(ns, computed))
 
@@ -227,19 +204,14 @@ def cmd_mse_limit(args) -> int:
 # ---------------------------------------------------------------------------
 # Holevo phase variance (wrapped prior)
 
-def _holevo_block(cell) -> list[tuple]:
-    prior, ns = cell
-    return [(N, prior.sigma, 1.0 / estimate.holevo_bayes_round(N, prior)) for N in ns]
-
-
 def cmd_holevo(args) -> int:
     sigmas = (_parse_widths(args.sigma, "--sigma") if args.sigma
               else [k * math.pi / 8 for k in range(1, 9)])
     ns = _n_grid(args.n_min, args.n_max, args.n_step)
-    # each cell's prior checks its mean and width before the header is written
-    cells = [(estimate.wrapped_gaussian_prior(sigma, args.theta0), ns) for sigma in sigmas]
-    blocks = _pool_map(_holevo_block, cells, args.jobs)
-    rows = (row for block in blocks for row in block)
+    # each prior checks its mean and width before the header is written
+    priors = [estimate.wrapped_gaussian_prior(sigma, args.theta0) for sigma in sigmas]
+    rows = ((N, prior.sigma, 1.0 / estimate.holevo_bayes_round(N, prior))
+            for prior in priors for N in ns)
     _write_csv(["N", "sigma", "inv_Vphi_post"], rows, args.out)
     return 0
 
@@ -251,6 +223,7 @@ def cmd_compress_verify(args) -> int:
     N = args.N
     tol = _tolerance(args.tol, 1e-10)
     rng = _rng(args.seed)
+    probes.check_dense_width(N)  # before the resource line: a usage error prints nothing
     circuit, layout = compress.build_compressor(N)
     report = compress.count_resources(circuit, layout.step_slices)
     print(f"compressor N={N}: lambda={layout.lam}, qubits={layout.n_qubits}, "
@@ -289,8 +262,14 @@ def cmd_compress_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # Pattern verification
 
-def _verify_named_pattern(name: str, N: int, seed: int, tol: float) -> list[mbqc.VerifyReport]:
+def _verify_named_pattern(name: str, N: int | None, seed: int, tol: float
+                          ) -> list[mbqc.VerifyReport]:
+    """The reports of one named pattern; only `ghz` and `sine` read N (3 when not given)."""
     rng = _rng(seed)
+    if name in ("ghz", "sine"):
+        N = 3 if N is None else N
+    elif N is not None:
+        raise UsageError(f"pattern {name!r} takes no N, got {N}")
     if name == "teleport":
         angles = [0.0, math.pi / 2] + list(rng.uniform(-math.pi, math.pi, size=3))
         return [mbqc.verify_pattern(mbqc.teleport_pattern(phi), mbqc.teleport_unitary(phi), tol=tol)
@@ -337,7 +316,7 @@ _OPTIONS = {
     "--out": {"type": str, "default": ""},
     "--tol": {"type": float, "default": 0.0,
               "help": "tolerance override (0 keeps per-command defaults)"},
-    "--jobs": {"type": int, "default": 1},
+    "--jobs": {"type": int, "default": 1, "help": "1 only: runs are serial"},
     "--seed": {"type": int, "default": 0, "help": "seed for the randomized verification inputs"},
 }
 _GRID = ("--n-min", "--n-max", "--n-step")
@@ -373,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("mbqc-verify", "branch-exhaustive measurement-pattern checks", cmd_mbqc_verify,
                 ("--tol", "--seed"))
     p.add_argument("pattern", choices=["teleport", "yrot", "cnot", "ghz", "sine"])
-    p.add_argument("N", type=int, nargs="?", default=3)
+    p.add_argument("N", type=int, nargs="?")
 
     return parser
 
@@ -390,6 +369,10 @@ def main(argv=None) -> int:
             parser.error(f"unrecognized arguments: {' '.join(argv[:ahead])}")
         args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
+        # every command runs serially in this process; --jobs stays, at its
+        # one value, only while the benchmark still passes it
+        if getattr(args, "jobs", 1) != 1:
+            raise UsageError(f"--jobs takes only 1, since runs are serial, got {args.jobs}")
         return args.func(args)
     except estimate.QuadratureError as exc:
         print(f"clustersense {args.command}: error: {exc}", file=sys.stderr)

@@ -122,19 +122,23 @@ def _unary_index(N: int, n):
     return 2**N - 2 ** (N - n)
 
 
+def check_dense_width(N: int) -> None:
+    """An N-qubit unary state must fit the dense simulator."""
+    if N > simcore.MAX_QUBITS:
+        raise ProbeError(f"N={N} exceeds the dense-simulation cap {simcore.MAX_QUBITS}")
+
+
 def unary_basis_state(n: int, N: int) -> StateVector:
     """|n>_un = |1>^n |0>^(N-n)."""
     if not 0 <= n <= N:
         raise ProbeError(f"unary value {n} outside [0, {N}]")
-    if N > simcore.MAX_QUBITS:
-        raise ProbeError(f"N={N} exceeds the dense-simulation cap {simcore.MAX_QUBITS}")
+    check_dense_width(N)
     return simcore.basis_state(_unary_index(N, n), N)
 
 
 def unary_embedding(psi: SubspaceState) -> StateVector:
     """Full N-qubit state sum_n psi_n |n>_un."""
-    if psi.N > simcore.MAX_QUBITS:
-        raise ProbeError(f"N={psi.N} exceeds the dense-simulation cap {simcore.MAX_QUBITS}")
+    check_dense_width(psi.N)
     amps = np.zeros(2**psi.N, dtype=complex)
     amps[_unary_index(psi.N, np.arange(psi.N + 1))] = psi.coeffs
     return StateVector(psi.N, amps)
