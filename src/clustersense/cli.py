@@ -10,6 +10,7 @@ CSV cells are formatted with 12 significant digits ('%.12g', NaN spelled
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -328,28 +329,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cluster-state metrology: estimation curves and verification suites.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # handlers are looked up when the parser is built, so module-level wrappers run
-    def command(name, help, func, options, **defaults):
+    def command(name, help, options, **defaults):
         p = sub.add_parser(name, help=help)
         for flag in options:
             p.add_argument(flag, **_OPTIONS[flag])
-        p.set_defaults(func=func, parser=p, **defaults)
+        p.set_defaults(parser=p, **defaults)
         return p
 
-    command("local", "GHZ/parity Fisher information vs qubit number", cmd_local,
+    command("local", "GHZ/parity Fisher information vs qubit number",
             ("--n-min", "--n-max", "--out", "--jobs"), n_max=8)
-    command("bayes-phase", "Gaussian-prior phase estimation curves", cmd_bayes_phase,
+    command("bayes-phase", "Gaussian-prior phase estimation curves",
             (*_GRID, "--sigma", "--theta0", "--out", "--jobs"), n_max=200)
     command("bayes-freq", "frequency estimation with optimized interrogation time",
-            cmd_bayes_freq, (*_GRID, "--delta", "--out", "--jobs"), n_max=64)
-    command("mse-limit", "minimal posterior MSE vs prior width", cmd_mse_limit,
-            ("--sigma", "--out"))
-    command("holevo", "wrapped-prior Holevo phase variance curves", cmd_holevo,
+            (*_GRID, "--delta", "--out", "--jobs"), n_max=64)
+    command("mse-limit", "minimal posterior MSE vs prior width", ("--sigma", "--out"))
+    command("holevo", "wrapped-prior Holevo phase variance curves",
             (*_GRID, "--sigma", "--theta0", "--out", "--jobs"), n_max=100)
-    p = command("compress-verify", "unary-to-binary compressor checks", cmd_compress_verify,
-                ("--tol", "--seed"))
+    p = command("compress-verify", "unary-to-binary compressor checks", ("--tol", "--seed"))
     p.add_argument("N", type=int)
-    p = command("mbqc-verify", "branch-exhaustive measurement-pattern checks", cmd_mbqc_verify,
+    p = command("mbqc-verify", "branch-exhaustive measurement-pattern checks",
                 ("--tol", "--seed"))
     p.add_argument("pattern", choices=["teleport", "yrot", "cnot", "ghz", "sine"])
     p.add_argument("N", type=int, nargs="?")
@@ -357,9 +355,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of main, built on its first call in a process (1-2 ms);
+    parsing leaves it unchanged, so every later call reuses it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
+    parser = _parser()
     args, extra = parser.parse_known_args(argv)
     if extra:
         # the top-level parser takes no option but -h, so whatever precedes
@@ -373,7 +378,9 @@ def main(argv=None) -> int:
         # one value, only while the benchmark still passes it
         if getattr(args, "jobs", 1) != 1:
             raise UsageError(f"--jobs takes only 1, since runs are serial, got {args.jobs}")
-        return args.func(args)
+        # the command's handler is looked up as it runs, so a wrapper set on
+        # this module after the parser was built is the one called
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except estimate.QuadratureError as exc:
         print(f"clustersense {args.command}: error: {exc}", file=sys.stderr)
         return 1

@@ -19,8 +19,8 @@ sigma only when narrower than pi / 12.  A measurement is a Povm, each effect
 stored through its factor as E_k = F_k^+ F_k, or None for the (N+1)-point
 Fourier readout.  Either way the traces start from one autocorrelation:
 of the probe, folded mod N+1 and taken through one FFT for the Fourier
-readout (_fourier_traces), or of the probe weighted by each factor row for
-a Povm (_traces), so no (N+1)^2 matrix is built.  A stack of harmonic rows,
+readout, or of the probe weighted by each factor row for a Povm
+(_contract), so no (N+1)^2 matrix is built.  A stack of harmonic rows,
 such as the Gaussian rows of a whole grid of widths, is one call.  The
 optimal-parallel classical strategy has an outcome law that is a
 trigonometric polynomial of degree N, so a periodic trapezoid rule against
@@ -146,12 +146,29 @@ def _image_count(sigma: float) -> int:
     return math.ceil((40 * sigma + math.pi) / (2 * math.pi))
 
 
+#: Gaussian terms e^t with t below this are exactly 0, never a subnormal.
+#: np.exp takes a slow path from about here down (about 100x its normal
+#: cost for a subnormal result, 20x for 0).  Such a term lies below half an
+#: ulp of the weight of every node the classical rule keeps (_NODE_FLOOR),
+#: so those weights are the unfloored sums bit for bit.
+_EXP_FLOOR = -708.0
+
+
+def _gaussian_terms(images: np.ndarray, sigma) -> np.ndarray:
+    """e^{-images^2 / 2 sigma^2}, 0 wherever the exponent is below
+    _EXP_FLOOR; sigma is one width or one per image."""
+    t = -0.5 * (images / sigma) ** 2
+    t[t < _EXP_FLOOR] = -np.inf  # e^-inf is exactly 0 by exp's fast path
+    return np.exp(t, out=t)
+
+
 def _gaussian_images(x: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     """The images x + 2 pi q, |q| <= _image_count(sigma), of offsets x on a
-    new last axis, and their Gaussian terms e^{-(x + 2 pi q)^2 / 2 sigma^2}."""
+    new last axis, and their Gaussian terms e^{-(x + 2 pi q)^2 / 2 sigma^2}
+    (_gaussian_terms)."""
     n = _image_count(sigma)
     images = x[..., None] + 2 * math.pi * np.arange(-n, n + 1)
-    return images, np.exp(-0.5 * (images / sigma) ** 2)
+    return images, _gaussian_terms(images, sigma)
 
 
 #: From this width on, wrapped Gaussian sums come from their Fourier series.
@@ -164,20 +181,24 @@ def _fourier_decay(sigma) -> tuple[np.ndarray, np.ndarray]:
     return j, np.exp(-0.5 * np.multiply.outer(sigma, j) ** 2)
 
 
-def _wrapped_sums(x, sigma) -> tuple[np.ndarray, np.ndarray]:
+def _wrapped_sums(x, sigma, first_moment: bool = True) -> tuple[np.ndarray, ...]:
     """w0 = sum_q g(x + 2 pi q) and w1 = sum_q (x + 2 pi q) g(x + 2 pi q),
     g(y) = e^{-y^2 / 2 sigma^2}, at offsets x: below _FOURIER_WIDTH over
     every image that can be nonzero (_gaussian_images), from it on as
     w0 = (sigma / sqrt(2 pi)) (1 + 2 sum_j e^{-j^2 sigma^2 / 2} cos j x) and
     w1 = -sigma^2 dw0/dx to j = 3, past which e^{-8 pi^2} = 5e-35 of the sum
-    is left out.  sigma is one width, or from _FOURIER_WIDTH on one per x."""
+    is left out.  sigma is one width, or from _FOURIER_WIDTH on one per x.
+    With first_moment=False only (w0,) is formed."""
     if getattr(sigma, "ndim", 0) == 0 and sigma < _FOURIER_WIDTH:  # np.ndim takes ~1 us
         images, g = _gaussian_images(x, sigma)
-        return g.sum(axis=-1), (images * g).sum(axis=-1)
+        w0 = g.sum(axis=-1)
+        return (w0, (images * g).sum(axis=-1)) if first_moment else (w0,)
     j, decay = _fourier_decay(sigma)
     phase = np.multiply.outer(x, j)
     norm = np.divide(sigma, math.sqrt(2 * math.pi))
     w0 = norm * (1 + 2 * np.sum(decay * np.cos(phase), axis=-1))
+    if not first_moment:
+        return (w0,)
     w1 = norm * np.square(sigma) * 2 * np.sum(j * decay * np.sin(phase), axis=-1)
     return w0, w1
 
@@ -216,7 +237,7 @@ class Prior:
             return np.exp(-((theta - self.theta0) ** 2) / (2 * self.sigma**2)) / (
                 math.sqrt(2 * math.pi) * self.sigma)
         if self.kind == "wrapped_gaussian":
-            return _wrapped_sums(theta - self.centre, self.sigma)[0] / (
+            return _wrapped_sums(theta - self.centre, self.sigma, first_moment=False)[0] / (
                 math.sqrt(2 * math.pi) * self.sigma)
         return np.full_like(theta, 1.0 / (2 * math.pi))
 
@@ -240,15 +261,20 @@ class Prior:
         if self.kind == "flat":
             return 0.0
 
-        def evaluate(thetas, w):
-            # the score -d log p / d theta = w1 / (sigma^2 w0); every node lies
-            # within pi of an image centre, or within 12 sigma on a narrow
-            # prior's rule, so w0 is at least e^-72
-            w0, w1 = _wrapped_sums(thetas - self.centre, self.sigma)
-            return float(np.sum(w * (w1 / (self.sigma**2 * w0)) ** 2))
+        scores = []
 
-        return _gauss_legendre_converged(self.pdf, evaluate, tol=1e-8,
-                                         intervals=self.rule_intervals())
+        def density(thetas):
+            # one pair of sums per order gives the density and the score
+            # -d log p / d theta = w1 / (sigma^2 w0); every node lies within
+            # pi of an image centre, or within 12 sigma on a narrow prior's
+            # rule, so w0 is at least e^-72
+            w0, w1 = _wrapped_sums(thetas - self.centre, self.sigma)
+            scores.append(w1 / (self.sigma**2 * w0))
+            return w0 / (math.sqrt(2 * math.pi) * self.sigma)
+
+        return _gauss_legendre_converged(
+            density, lambda thetas, w: float(np.sum(w * scores.pop() ** 2)), tol=1e-8,
+            intervals=self.rule_intervals())
 
 
 def gaussian_prior(sigma: float, theta0: float = 0.0) -> Prior:
@@ -347,18 +373,34 @@ def _autocorrelation(u: np.ndarray) -> np.ndarray:
     return np.reshape(rows, u.shape[:-1] + (2 * u.shape[-1] - 1,))
 
 
-def _fourier_traces(probe: SubspaceState, harmonics: np.ndarray) -> np.ndarray:
-    """Tr(E_k psi psi^+ o h) for the N+1 Fourier effects E_k = f_k f_k^+ and
-    each row h of `harmonics` (d = -N..N on the last axis), complex, so a
-    non-Hermitian row such as the centred phasor row needs no split.
+def _readout_kernel(probe: SubspaceState, povm: Povm | None) -> np.ndarray:
+    """What the traces of a readout need of the probe (_contract): the
+    probe's autocorrelation a_d, shape (2N + 1,), for the Fourier readout
+    (povm=None), or B_kd, shape (K, 2N + 1), for a Povm."""
+    if povm is None:
+        return _autocorrelation(probe.coeffs)
+    return _autocorrelation(povm.factors * probe.coeffs).sum(axis=1)
 
-    f_k^+ A f_k sums A_nm e^{-2 pi i (n-m) k / (N+1)} / (N+1), and the
-    entries of psi psi^+ o h on the diagonal n - m = d sum to a_d h_d, with
-    a_d the probe's autocorrelation: fold a_d h_d mod N+1 and take one FFT,
-    with no (N+1)^2 matrix.
+
+def _contract(kernel: np.ndarray, harmonics: np.ndarray) -> np.ndarray:
+    """Tr(E_k psi psi^+ o h) for each effect of the readout whose kernel is
+    `kernel` (_readout_kernel) and each row h of `harmonics` (d = -N..N on
+    the last axis, leading axes kept), complex, so a non-Hermitian row such
+    as the centred phasor row needs no split.
+
+    Fourier readout: f_k^+ A f_k sums A_nm e^{-2 pi i (n-m) k / (N+1)} / (N+1),
+    and the entries of psi psi^+ o h on the diagonal n - m = d sum to a_d h_d:
+    fold a_d h_d mod N+1 and take one FFT.  Povm: with
+    E_k = sum_r F_kr^+ F_kr the trace is sum_d h_d B_kd, where B_kd sums over
+    r the autocorrelation of the probe weighted by the factor row,
+    u_n = F_krn psi_n, so every row costs the product h B^T, and a stack of
+    rows is a stack of such products, each computed as if alone.  Neither
+    builds an (N+1)^2 matrix.
     """
-    N = probe.N
-    terms = _autocorrelation(probe.coeffs) * harmonics
+    if kernel.ndim == 2:
+        return harmonics @ kernel.T
+    N = len(kernel) // 2
+    terms = kernel * harmonics
     folded = terms[..., N:].copy()
     folded[..., 1:] += terms[..., :N]  # d = -N..-1 lands on d + N + 1
     return np.fft.fft(folded, axis=-1) / (N + 1)
@@ -366,19 +408,8 @@ def _fourier_traces(probe: SubspaceState, harmonics: np.ndarray) -> np.ndarray:
 
 def _traces(probe: SubspaceState, harmonics: np.ndarray, povm: Povm | None) -> np.ndarray:
     """Tr(E_k psi psi^+ o h) for each effect of `povm` and each row h of
-    `harmonics` (d = -N..N on the last axis, leading axes kept), complex;
-    povm=None is the (N+1)-point Fourier readout.
-
-    With E_k = sum_r F_kr^+ F_kr the trace is sum_d h_d B_kd, where B_kd
-    sums over r the autocorrelation of the probe weighted by the factor row,
-    u_n = F_krn psi_n: the same kernel as the Fourier readout's, with no
-    (N+1)^2 matrix.  Every row then costs the product h B^T, and a stack of
-    rows is a stack of such products, each computed as if alone.
-    """
-    if povm is None:
-        return _fourier_traces(probe, harmonics)
-    folded = _autocorrelation(povm.factors * probe.coeffs).sum(axis=1)
-    return harmonics @ folded.T
+    `harmonics` (_contract); povm=None is the (N+1)-point Fourier readout."""
+    return _contract(_readout_kernel(probe, povm), harmonics)
 
 
 def _information(p: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -502,21 +533,30 @@ def product_probs_fn(N: int, theta_ref: float = 0.0):
 # Bayesian machinery
 
 @functools.lru_cache(maxsize=64)
-def _row_columns(N: int) -> np.ndarray:
-    """The rows k = -N..N and -k^2 / 2, as floats; read-only because shared."""
+def _row_columns(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows k = -N..N and -k^2 / 2, as floats, and -i k; read-only
+    because shared."""
     k = np.arange(-N, N + 1.0)
-    rows = np.stack([k, -0.5 * k**2])
-    rows.setflags(write=False)
+    rows = (k, -0.5 * k**2, -1j * k)
+    for row in rows:
+        row.setflags(write=False)
     return rows
 
 
-def _gaussian_row(sigma, theta0: float, N: int) -> np.ndarray:
+def _index_rows(theta0: float, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What the Gaussian rows about theta0 take of k = -N..N, whatever the
+    width: -k^2 / 2, the phase i theta0 k and the slope -i k."""
+    k, half_square, slope = _row_columns(N)
+    return half_square, 1j * theta0 * k, slope
+
+
+def _gaussian_row(sigma, rows, out=None) -> np.ndarray:
     """The Gaussian characteristic row e^{-i k theta0 - k^2 sigma^2 / 2},
-    k = -N..N at column k + N, as exp(sigma^2 (x) (-k^2 / 2) - i theta0 k).
-    sigma is one width or an array of widths; the result has shape
-    sigma.shape + (2N + 1,)."""
-    k, half_square = _row_columns(N)
-    return np.exp(np.multiply.outer(np.square(sigma), half_square) - 1j * theta0 * k)
+    k = -N..N at column k + N, as exp(sigma^2 (x) (-k^2 / 2) - i theta0 k)
+    from the _index_rows of theta0.  sigma is one width or an array of
+    widths; the result has shape sigma.shape + (2N + 1,)."""
+    half_square, phase, _ = rows
+    return np.exp(np.multiply.outer(np.square(sigma), half_square) - phase, out=out)
 
 
 def _periodic_harmonics(prior: Prior, N: int) -> np.ndarray:
@@ -550,18 +590,22 @@ def _mass_row(prior: Prior, N: int) -> np.ndarray:
     """The row h of _periodic_harmonics alone."""
     if prior.kind == "flat":
         return (np.arange(-N, N + 1) == 0).astype(complex)
-    return _gaussian_row(prior.sigma, prior.centre, N)
+    return _gaussian_row(prior.sigma, _index_rows(prior.centre, N))
 
 
-def _gaussian_harmonics(sigma, theta0: float, N: int) -> np.ndarray:
+def _gaussian_harmonics(sigma, rows) -> np.ndarray:
     """int p(theta) {1, theta - theta0} e^{-i k theta} dtheta, k = -N..N, for
-    a Gaussian prior of mean theta0 (reduced into [-pi, pi], so the phases
-    keep their digits): the characteristic row and -i k sigma^2 times it.
-    sigma is one width or an array of widths; the result has shape
-    sigma.shape + (2, 2N + 1), column k + N."""
-    k, _ = _row_columns(N)
-    char = _gaussian_row(sigma, math.remainder(theta0, 2 * math.pi), N)
-    return np.stack([char, -1j * k * np.square(sigma)[..., None] * char], axis=-2)
+    a Gaussian prior of mean theta0, from the _index_rows of theta0 (reduced
+    into [-pi, pi] by the caller, so the phases keep their digits): the
+    characteristic row and -i k sigma^2 times it.  sigma is one width or an
+    array of widths; the result has shape sigma.shape + (2, 2N + 1), column
+    k + N."""
+    half_square, _, slope = rows
+    s2 = np.square(sigma)
+    out = np.empty(np.shape(s2) + (2, len(half_square)), dtype=complex)
+    char = _gaussian_row(sigma, rows, out=out[..., 0, :])
+    np.multiply(slope * s2[..., None], char, out=out[..., 1, :])
+    return out
 
 
 def _harmonic_moments(prior: Prior, N: int) -> np.ndarray:
@@ -577,7 +621,7 @@ def _harmonic_moments(prior: Prior, N: int) -> np.ndarray:
     k = np.arange(-N, N + 1)
     if prior.kind == "gaussian":
         s2, t0 = prior.sigma**2, prior.centre
-        char, centred = _gaussian_harmonics(prior.sigma, t0, N)
+        char, centred = _gaussian_harmonics(prior.sigma, _index_rows(t0, N))
         return np.stack([char, t0 * char + centred,
                          (s2 + t0**2 - 2j * t0 * k * s2 - k**2 * s2**2) * char, centred])
     if prior.kind == "flat":
@@ -673,22 +717,29 @@ def _checked_probe(N: int, probe: SubspaceState | None, povm: Povm | None) -> Su
     return probe
 
 
-def _gaussian_mse(N: int, sigma, theta0: float, probe: SubspaceState | None,
-                  povm: Povm | None) -> np.ndarray:
-    """Average posterior MSE of one round under a Gaussian prior:
-    sigma^2 - sum_k g_k^2 / p_k with p_k = Tr(E_k Gamma) and g_k the trace
-    of the first moment about the mean (_gaussian_harmonics); povm=None is
-    the (N+1)-point Fourier readout.
+def _gaussian_round(N: int, probe: SubspaceState | None, povm: Povm | None,
+                    theta0: float = 0.0):
+    """sigma -> the average posterior MSE of one round under a Gaussian prior
+    of mean theta0 and width sigma: sigma^2 - sum_k g_k^2 / p_k with
+    p_k = Tr(E_k Gamma) and g_k the trace of the first moment about the mean
+    (_gaussian_harmonics); povm=None is the (N+1)-point Fourier readout.
 
-    sigma is one width or an array of widths, and the result has its shape.
-    Only the 1 and theta harmonic rows are formed, and the traces of every
-    width are taken in one call (_traces keeps leading axes), so a grid of
-    widths costs one kernel call and a single width runs the same kernel.
+    What no width changes is built once, for every call of the returned
+    function: the checked probe, its readout kernel (_readout_kernel) and
+    the index rows.  A call forms only the 1 and theta harmonic rows of its
+    widths and their traces.  sigma is one width or an array of widths, and
+    the result has its shape: the traces of every width are taken in one
+    kernel call (_contract keeps leading axes), and a single width runs the
+    same kernel.
     """
-    probe = _checked_probe(N, probe, povm)
-    traces = _traces(probe, _gaussian_harmonics(sigma, theta0, N), povm).real
-    p, g = traces[..., 0, :], traces[..., 1, :]
-    return np.square(np.asarray(sigma, dtype=float)) - _information(p, g)
+    kernel = _readout_kernel(_checked_probe(N, probe, povm), povm)
+    rows = _index_rows(math.remainder(theta0, 2 * math.pi), N)
+
+    def mse(sigma):
+        traces = _contract(kernel, _gaussian_harmonics(sigma, rows)).real
+        return np.square(sigma) - _information(traces[..., 0, :], traces[..., 1, :])
+
+    return mse
 
 
 def qft_phase_variance(N: int, sigma: float, theta0: float = 0.0,
@@ -697,12 +748,12 @@ def qft_phase_variance(N: int, sigma: float, theta0: float = 0.0,
 
     Same quantity as bayes_round with qft_povm, but p_k = f_k^+ Gamma f_k and
     g_k = f_k^+ eta f_k come from the probe's autocorrelation times the
-    Gaussian harmonics and one FFT (_fourier_traces): O(N^2) for the
+    Gaussian harmonics and one FFT (_contract): O(N^2) for the
     autocorrelation, and no (N+1)^2 matrix is built.  The width and the
     mean are checked by the Gaussian prior they make.
     """
     gaussian_prior(sigma, theta0)
-    return float(_gaussian_mse(N, sigma, theta0, probe, None))
+    return float(_gaussian_round(N, probe, None, theta0)(sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -768,7 +819,7 @@ def holevo_outcome_probabilities(N: int, prior: Prior,
     """Unconditional QFT outcome distribution p(k) under a periodic prior,
     from its closed-form harmonics."""
     probe = _checked_probe(N, probe, None)
-    return _fourier_traces(probe, _mass_row(prior, N)).real
+    return _traces(probe, _mass_row(prior, N), None).real
 
 
 # ---------------------------------------------------------------------------
@@ -806,10 +857,15 @@ def _node_window(N: int, sigma: float) -> tuple[int, int, int]:
     return M, -reach, min(reach, M - 1 - M // 2)
 
 
-def _classical_parallel_sums(N: int, sigma):
-    """sigma^2 - sum_m gamma_m^2 / p_m for the parallel classical strategy,
-    for one width (a float is returned) or an array of widths (an array of
-    the same shape).
+#: The node laws a classical round keeps: golden section's later calls
+#: share one rule, or alternate between two where ceil(12 / sigma) steps.
+_RULES_KEPT = 2
+
+
+def _classical_round(N: int):
+    """sigma -> sigma^2 - sum_m gamma_m^2 / p_m for the parallel classical
+    strategy, for one width (a float is returned) or an array of widths (an
+    array of the same shape).
 
     With the basis aligned at theta0 the outcome law of N |+> qubits is
     P(m|theta) = C(N, m) ((1 + sin theta)/2)^(N-m) ((1 - sin theta)/2)^m, a
@@ -831,25 +887,47 @@ def _classical_parallel_sums(N: int, sigma):
     nodes, so the kept set, its order and the sums are those of the rule on
     all M nodes, at about 53 nodes in place of 12,042 at sigma = 1e-3.
 
+    The nodes and their law depend on the rule (M, first, last) alone, not
+    on sigma, so the returned function keeps those of the last _RULES_KEPT
+    rules it used: a later call of golden section on the same rule forms
+    only the weights.  The weight falls with |theta| on [-pi, pi], so the
+    floor keeps one run of nodes about 0, taken as a slice of the kept law,
+    whose rows are those of a law built on the kept nodes alone.
+
     An array of widths runs in blocks (_classical_block_sums) and agrees
     with the one-width path to rounding; a single width keeps its own lean
     path, which golden section calls one width at a time.
     """
-    if np.ndim(sigma):
-        return _classical_grid_sums(N, np.asarray(sigma, dtype=float))
-    M, first, last = _node_window(N, sigma)
-    theta = (2 * math.pi / M) * np.arange(first, last + 1)
-    w0, w1 = _wrapped_sums(theta, sigma)
-    live = w0 >= _NODE_FLOOR * w0.max()
-    half = theta[live] / 2 + math.pi / 4
-    P = _outcome_law(N, np.sin(half) ** 2, np.cos(half) ** 2)
-    scale = math.sqrt(2 * math.pi) / (M * sigma)  # node spacing times the Gaussian's norm
-    p = scale * (w0[live] @ P)
-    gamma = scale * (w1[live] @ P)
-    # an outcome whose weight underflows to 0 would add gamma_m^2 / p_m, which
-    # Cauchy-Schwarz bounds by int theta^2 g P(m|theta): it underflows too
-    seen = p > 0
-    return sigma**2 - float(np.sum(gamma[seen] ** 2 / p[seen]))
+    laws = {}
+
+    def sums(sigma):
+        if np.ndim(sigma):
+            return _classical_grid_sums(N, np.asarray(sigma, dtype=float))
+        rule = M, first, last = _node_window(N, sigma)
+        if rule not in laws:
+            if len(laws) == _RULES_KEPT:
+                del laws[next(iter(laws))]
+            theta = (2 * math.pi / M) * np.arange(first, last + 1)
+            half = theta / 2 + math.pi / 4
+            laws[rule] = theta, _outcome_law(N, np.sin(half) ** 2, np.cos(half) ** 2)
+        theta, P = laws[rule]
+        w0, w1 = _wrapped_sums(theta, sigma)
+        live = np.flatnonzero(w0 >= _NODE_FLOOR * w0.max())
+        kept = slice(live[0], live[-1] + 1)
+        scale = math.sqrt(2 * math.pi) / (M * sigma)  # node spacing times the Gaussian's norm
+        p = scale * (w0[kept] @ P[kept])
+        gamma = scale * (w1[kept] @ P[kept])
+        # an outcome whose weight underflows to 0 would add gamma_m^2 / p_m, which
+        # Cauchy-Schwarz bounds by int theta^2 g P(m|theta): it underflows too
+        seen = p > 0
+        return sigma**2 - float(np.sum(gamma[seen] ** 2 / p[seen]))
+
+    return sums
+
+
+def _classical_parallel_sums(N: int, sigma):
+    """One call of _classical_round."""
+    return _classical_round(N)(sigma)
 
 
 def _classical_grid_sums(N: int, sigmas: np.ndarray) -> np.ndarray:
@@ -893,7 +971,7 @@ def _classical_block_sums(N: int, sigma: np.ndarray, M: np.ndarray, first: np.nd
         head = np.cumsum(terms) - terms
         node = np.repeat(np.arange(len(seg)), terms)
         x = theta[node] + 2 * math.pi * (np.arange(len(node)) - head[node] - images[seg][node])
-        g = np.exp(-0.5 * (x / sigma[seg][node]) ** 2)
+        g = _gaussian_terms(x, sigma[seg][node])
         w0, w1 = np.add.reduceat(g, head), np.add.reduceat(x * g, head)
     live = w0 >= _NODE_FLOOR * np.maximum.reduceat(w0, start)[seg]
     half = theta / 2 + math.pi / 4
@@ -931,7 +1009,7 @@ def classical_parallel_variance(N: int, sigma: float) -> float:
 
     The outcome weights and first moments are integrated by a periodic
     trapezoid rule that is exact for this trigonometric-polynomial outcome
-    law (see _classical_parallel_sums).  The derivation absorbs theta0, so
+    law (see _classical_round).  The derivation absorbs theta0, so
     the result does not depend on the prior mean.
     """
     if not 0 < sigma <= 1.5:
@@ -967,7 +1045,7 @@ def mse_limit_curve(sigmas) -> np.ndarray:
 def dephased_rho(probe: SubspaceState, sigma: float, theta: float) -> np.ndarray:
     """Probe after Gaussian parallel dephasing of width sigma, then encoding:
     psi psi^+ o h for the Gaussian row h_d = e^{-i d theta - d^2 sigma^2 / 2}."""
-    return _on_subspace(probe, _gaussian_row(sigma, theta, probe.N))
+    return _on_subspace(probe, _gaussian_row(sigma, _index_rows(theta, probe.N)))
 
 
 def dephased_fisher_information(probe: SubspaceState, povm: Povm, sigma: float,
@@ -976,7 +1054,7 @@ def dephased_fisher_information(probe: SubspaceState, povm: Povm, sigma: float,
     rho is psi psi^+ o h with h the Gaussian row of dephased_rho, and
     d rho / d theta is psi psi^+ o (-i d h)."""
     d = np.arange(-probe.N, probe.N + 1)
-    h = _gaussian_row(sigma, theta, probe.N)
+    h = _gaussian_row(sigma, _index_rows(theta, probe.N))
     return float(_information(*_traces(probe, np.stack([h, -1j * d * h]), povm).real))
 
 
@@ -998,17 +1076,31 @@ def noisy_local_equivalence_check(N: int, sigma: float, probe: SubspaceState,
 # ---------------------------------------------------------------------------
 # Frequency estimation
 
+def _frequency_objective(N: int, probe: SubspaceState, povm: Povm | None):
+    """tau -> the average posterior frequency MSE in units of delta^2 for a
+    frequency prior of width delta: the phase MSE at prior width
+    tau = t delta over tau^2, in which delta cancels, so it is no input.
+    The round is prepared once (_gaussian_round), so a search calls only
+    what depends on tau.  tau is one interrogation time (a float is
+    returned) or an array of them (an array of the same shape, from one
+    kernel call)."""
+    mse = _gaussian_round(N, probe, povm)
+
+    def vbar(tau):
+        value = mse(tau) / np.square(tau)
+        return float(value) if np.ndim(value) == 0 else value
+
+    return vbar
+
+
 def frequency_round(N: int, tau, probe: SubspaceState, povm: Povm | None):
-    """Average posterior frequency MSE, in units of delta^2 for a frequency
-    prior of width delta: the phase MSE at prior width tau = t delta over
-    tau^2, in which delta cancels, so it is no input.  tau is one
-    interrogation time (a float is returned) or an array of them (an array
-    of the same shape, from one call of _gaussian_mse)."""
+    """The frequency objective of optimize_tau (_frequency_objective) at
+    one interrogation time or an array of them, each of which must be
+    positive."""
     tau = np.asarray(tau, dtype=float)
     if not np.all(tau > 0):
         raise EstimateError("tau must be positive")
-    vbar = _gaussian_mse(N, tau, 0.0, probe, povm) / np.square(tau)
-    return float(vbar) if vbar.ndim == 0 else vbar
+    return _frequency_objective(N, probe, povm)(tau)
 
 
 @dataclass(frozen=True)
@@ -1047,14 +1139,15 @@ def optimize_tau(N: int, probe: SubspaceState, povm: Povm | None) -> TauOptimum:
     golden-section refinement around the best grid point (the objective is
     observed to be unimodal, but the grid guards against surprises).
     povm=None is the (N+1)-point Fourier readout."""
-    return _optimize_objective(lambda tau: frequency_round(N, tau, probe, povm), TAU_GRID)
+    return _optimize_objective(_frequency_objective(N, probe, povm), TAU_GRID)
 
 
 def optimize_tau_classical(N: int) -> TauOptimum:
     """Interrogation-time optimum of the parallel classical strategy; the
     frequency objective (in delta^2 units) is the phase variance at width
-    tau divided by tau^2.  The whole TAU_GRID is one _classical_parallel_sums
-    call, in blocks of widths; golden section then calls its one-width path."""
+    tau divided by tau^2.  One _classical_round serves the search: the whole
+    TAU_GRID is one call, in blocks of widths, and golden section then calls
+    its one-width path, which reuses the node laws of the rules it repeats."""
     _check_classical_n(N)
-    return _optimize_objective(lambda tau: _classical_parallel_sums(N, tau) / np.square(tau),
-                               TAU_GRID)
+    sums = _classical_round(N)
+    return _optimize_objective(lambda tau: sums(tau) / np.square(tau), TAU_GRID)

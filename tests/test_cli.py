@@ -1,5 +1,9 @@
 import argparse
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -380,3 +384,48 @@ def test_jobs_flag_preserves_output(argv, tmp_path):
     assert cli.main(argv + ["--out", str(default)]) == 0
     assert cli.main(argv + ["--jobs", "1", "--out", str(one)]) == 0
     assert default.read_bytes() == one.read_bytes()
+
+
+def test_commands_in_one_process_match_fresh_processes(monkeypatch, tmp_path):
+    # main builds its parser once per process; bayes-freq, bayes-phase and
+    # bayes-freq again, run back to back, write what fresh processes write
+    builds = []
+    build = cli.build_parser
+
+    def counting():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    src = str(Path(cli.__file__).parents[1])
+    fresh = {}
+    for k, argv in enumerate([["bayes-freq", "--n-max", "8"], ["bayes-phase", "--n-max", "10"],
+                              ["bayes-freq", "--n-max", "8"]]):
+        out = tmp_path / f"{k}.csv"
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        if argv[0] not in fresh:
+            fresh[argv[0]] = subprocess.run(
+                [sys.executable, "-m", "clustersense.cli", *argv], capture_output=True, check=True,
+                env={**os.environ, "PYTHONPATH": src}).stdout
+        assert out.read_bytes() == fresh[argv[0]]
+    assert builds == [1]
+
+
+def test_wrapper_set_after_the_first_call_is_invoked(monkeypatch, capsys):
+    # the handler is looked up as the command runs, not when the parser was built
+    argv = ["bayes-freq", "--n-max", "2"]
+    assert run_cli(argv, capsys)[0] == 0
+    calls = []
+    handler = cli.cmd_bayes_freq
+
+    def wrapped(args):
+        calls.append(args.command)
+        return handler(args)
+
+    monkeypatch.setattr(cli, "cmd_bayes_freq", wrapped)
+    first = run_cli(argv, capsys)
+    assert calls == ["bayes-freq"]
+    monkeypatch.undo()
+    assert first == run_cli(argv, capsys)
+    assert calls == ["bayes-freq"]

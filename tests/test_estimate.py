@@ -302,7 +302,7 @@ def test_folded_effects_match_dense_traces(N):
                                    np.einsum("kij,ji->k", reference.dense_effects(povm), rho).real,
                                    rtol=0, atol=1e-13)
     np.testing.assert_allclose(est._traces(probe, rows, qft)[..., :N + 1],
-                               est._fourier_traces(probe, rows), rtol=0, atol=1e-13)
+                               est._traces(probe, rows, None), rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("theta0", [0.0, 0.3])
@@ -822,6 +822,26 @@ def test_wrapped_prior_fisher_information_over_the_width_grid():
         assert got == pytest.approx(want, rel=5e-14, abs=0), sigma
 
 
+def test_wrapped_fisher_information_sums_once_per_order(monkeypatch):
+    sums, orders = [], []
+    wrapped, rule = est._wrapped_sums, est._gauss_legendre_on
+
+    def counting_sums(x, sigma, first_moment=True):
+        sums.append(first_moment)
+        return wrapped(x, sigma, first_moment)
+
+    def counting_orders(order, intervals):
+        orders.append(order)
+        return rule(order, intervals)
+
+    monkeypatch.setattr(est, "_wrapped_sums", counting_sums)
+    monkeypatch.setattr(est, "_gauss_legendre_on", counting_orders)
+    for sigma in (0.01, 1.0, 5.0, 20.0):
+        wrapped_gaussian_prior(sigma, 0.4).fisher_information()
+    assert len(orders) >= 8
+    assert sums == [True] * len(orders)
+
+
 def test_next_gaussian_image_underflows_to_zero(monkeypatch):
     # one more image on each side, at the classical rule's nodes and at
     # wrapped-prior offsets theta - centre across [-pi, pi], adds only exact
@@ -836,6 +856,56 @@ def test_next_gaussian_image_underflows_to_zero(monkeypatch):
             offsets.append((2 * math.pi / M) * np.arange(first, last + 1))
         for x in offsets:
             assert np.all(est._gaussian_images(x, sigma)[1][:, [0, -1]] == 0.0), sigma
+
+
+def test_gaussian_terms_below_the_floor_are_exactly_zero():
+    # exponents from 0 down past exp's subnormal results (-708.4 to -745.1)
+    # and its underflow: from the floor up each term is np.exp's, below it
+    # exactly 0, never a subnormal or the smallest normal
+    images = np.linspace(0.0, 45.0, 100_001)
+    exponent = -0.5 * images**2
+    terms = est._gaussian_terms(images, 1.0)
+    above = exponent >= est._EXP_FLOOR
+    assert 0 < np.sum(above) < len(images)
+    np.testing.assert_array_equal(terms[above], np.exp(exponent[above]))
+    assert np.all(terms[above] >= np.finfo(float).tiny)
+    assert np.all(terms[~above] == 0.0)
+
+
+@pytest.mark.parametrize("N", [1, 40, est.CLASSICAL_PARALLEL_N_CAP])
+def test_floored_image_sums_match_the_unfloored_route_on_kept_nodes(N):
+    # a floored term lies below half an ulp of the weight of every node that
+    # _NODE_FLOOR keeps, so there the sums are the unfloored route's bit for bit
+    for sigma in TAU_GRID[TAU_GRID < math.pi]:
+        M, first, last = est._node_window(N, sigma)
+        theta = (2 * math.pi / M) * np.arange(first, last + 1)
+        w0, w1 = est._wrapped_sums(theta, sigma)
+        want0, want1, _ = reference.wrapped_weights_by_images(theta, sigma)
+        kept = want0 >= est._NODE_FLOOR * want0.max()
+        np.testing.assert_array_equal(w0[kept], want0[kept])
+        np.testing.assert_array_equal(w1[kept], want1[kept])
+
+
+def test_classical_round_keeps_the_laws_of_its_last_two_rules(monkeypatch):
+    builds = []
+    law = est._outcome_law
+
+    def counting(N, plus, minus):
+        builds.append(len(plus))
+        return law(N, plus, minus)
+
+    monkeypatch.setattr(est, "_outcome_law", counting)
+    sums = est._classical_round(1)
+    # at N = 1 these widths alternate between the rules M = 16 and M = 15
+    values = [sums(sigma) for sigma in (0.99, 1.01, 0.995, 1.005)]
+    assert len(builds) == 2
+    sums(0.5)  # a third rule: the oldest law goes
+    sums(1.01)
+    assert len(builds) == 3
+    assert sums(0.99) == values[0]
+    assert len(builds) == 4
+    monkeypatch.undo()
+    assert values == [est._classical_parallel_sums(1, sigma) for sigma in (0.99, 1.01, 0.995, 1.005)]
 
 
 @pytest.mark.parametrize("N", [1, 2, 7, 40, est.CLASSICAL_PARALLEL_N_CAP])
@@ -953,14 +1023,15 @@ def test_frequency_round_requires_positive_tau():
 
 @pytest.mark.parametrize("N", [1, 2, 8, 40])
 def test_width_grid_in_one_call_matches_single_widths(N):
-    # one _gaussian_mse call over TAU_GRID against one call per width, for
+    # one _gaussian_round call over TAU_GRID against one call per width, for
     # the Fourier readout and the explicit qft_povm, off and on theta0 = 0
     probe = probes.sine_coefficients(N)
     for povm in (None, qft_povm(N)):
         for theta0 in (0.0, 0.7):
-            batch = est._gaussian_mse(N, TAU_GRID, theta0, probe, povm)
+            mse = est._gaussian_round(N, probe, povm, theta0)
+            batch = mse(TAU_GRID)
             assert batch.shape == TAU_GRID.shape
-            single = [est._gaussian_mse(N, float(sigma), theta0, probe, povm) for sigma in TAU_GRID]
+            single = [mse(float(sigma)) for sigma in TAU_GRID]
             assert all(np.ndim(v) == 0 for v in single)
             np.testing.assert_allclose(batch, single, rtol=1e-15, atol=0)
     grid = TAU_GRID.reshape(6, 10)
@@ -981,6 +1052,42 @@ def test_tau_search_matches_the_width_loop(N):
         lambda tau: est.classical_parallel_curve([N], tau)[0] / tau**2, TAU_GRID)
     assert optimize_tau_classical(N) == loop
     assert not loop.boundary
+
+
+def _visited(monkeypatch, search) -> list[tuple[float, float]]:
+    """(tau, objective value) at every time golden section visits in search()."""
+    visited = []
+    golden = est.golden_section_minimize
+
+    def recording(f, a, b, tol=1e-6):
+        def seen(tau):
+            value = f(tau)
+            visited.append((tau, value))
+            return value
+
+        return golden(seen, a, b, tol)
+
+    monkeypatch.setattr(est, "golden_section_minimize", recording)
+    search()
+    monkeypatch.undo()
+    return visited
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 40, 64, est.CLASSICAL_PARALLEL_N_CAP])
+def test_prepared_searches_match_one_shot_calls(N, monkeypatch):
+    # a search prepares its objective once and keeps what tau does not change
+    # (the probe's autocorrelation or the POVM's fold, the node laws): at every
+    # time golden section visits, its value is a fresh one-shot call's
+    probe = probes.sine_coefficients(N)
+    for povm in (None, qft_povm(N)):
+        visited = _visited(monkeypatch, lambda: optimize_tau(N, probe, povm))
+        assert len(visited) > 20 or N == 1  # one qubit's optimum ends the grid
+        for tau, value in visited:
+            assert value == frequency_round(N, tau, probe, povm), tau
+    visited = _visited(monkeypatch, lambda: optimize_tau_classical(N))
+    assert len(visited) > 20
+    for tau, value in visited:
+        assert value == est._classical_parallel_sums(N, tau) / np.square(tau), tau
 
 
 def test_grid_point_beats_a_refinement_that_misses_it():
