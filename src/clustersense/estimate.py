@@ -857,11 +857,6 @@ def _node_window(N: int, sigma: float) -> tuple[int, int, int]:
     return M, -reach, min(reach, M - 1 - M // 2)
 
 
-#: The node laws a classical round keeps: golden section's later calls
-#: share one rule, or alternate between two where ceil(12 / sigma) steps.
-_RULES_KEPT = 2
-
-
 def _classical_round(N: int):
     """sigma -> sigma^2 - sum_m gamma_m^2 / p_m for the parallel classical
     strategy, for one width (a float is returned) or an array of widths (an
@@ -888,11 +883,12 @@ def _classical_round(N: int):
     all M nodes, at about 53 nodes in place of 12,042 at sigma = 1e-3.
 
     The nodes and their law depend on the rule (M, first, last) alone, not
-    on sigma, so the returned function keeps those of the last _RULES_KEPT
-    rules it used: a later call of golden section on the same rule forms
-    only the weights.  The weight falls with |theta| on [-pi, pi], so the
-    floor keeps one run of nodes about 0, taken as a slice of the kept law,
-    whose rows are those of a law built on the kept nodes alone.
+    on sigma, so the returned function keeps those of every rule it used:
+    a later call of golden section on the same rule forms only the weights.
+    A search visits 2 to 4 rules, and they go when it returns.  The weight
+    falls with |theta| on [-pi, pi], so the floor keeps one run of nodes
+    about 0, taken as a slice of the kept law, whose rows are those of a law
+    built on the kept nodes alone.
 
     An array of widths runs in blocks (_classical_block_sums) and agrees
     with the one-width path to rounding; a single width keeps its own lean
@@ -905,8 +901,6 @@ def _classical_round(N: int):
             return _classical_grid_sums(N, np.asarray(sigma, dtype=float))
         rule = M, first, last = _node_window(N, sigma)
         if rule not in laws:
-            if len(laws) == _RULES_KEPT:
-                del laws[next(iter(laws))]
             theta = (2 * math.pi / M) * np.arange(first, last + 1)
             half = theta / 2 + math.pi / 4
             laws[rule] = theta, _outcome_law(N, np.sin(half) ** 2, np.cos(half) ** 2)
@@ -925,13 +919,8 @@ def _classical_round(N: int):
     return sums
 
 
-def _classical_parallel_sums(N: int, sigma):
-    """One call of _classical_round."""
-    return _classical_round(N)(sigma)
-
-
 def _classical_grid_sums(N: int, sigmas: np.ndarray) -> np.ndarray:
-    """_classical_parallel_sums over an array of widths, in blocks of
+    """_classical_round's sums over an array of widths, in blocks of
     consecutive widths that stay on one side of _FOURIER_WIDTH (image sums
     or Fourier series).  A block takes widths while its nodes times (N + 1
     outcomes + the terms of each node's weights) stay within _GRID_BLOCK;
@@ -1000,7 +989,7 @@ def classical_parallel_curve(Ns, sigma: float) -> list[float]:
     Ns = list(Ns)
     for N in Ns:
         _check_classical_n(N)
-    return [_classical_parallel_sums(N, sigma) for N in Ns]
+    return [_classical_round(N)(sigma) for N in Ns]
 
 
 def classical_parallel_variance(N: int, sigma: float) -> float:

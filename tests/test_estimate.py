@@ -727,7 +727,7 @@ def test_periodic_rule_matches_mpmath_sums(sigma, monkeypatch):
 
 def test_node_pruning_does_not_move_the_sums():
     cases = ((40, 1e-3), (40, 0.1), (est.CLASSICAL_PARALLEL_N_CAP, 0.5), (64, 20.0))
-    pruned = [est._classical_parallel_sums(N, sigma) for N, sigma in cases]
+    pruned = [est._classical_round(N)(sigma) for N, sigma in cases]
     every_node = [reference.classical_parallel_sums_by_all_nodes(N, sigma, node_floor=0.0)
                   for N, sigma in cases]
     np.testing.assert_allclose(pruned, every_node, rtol=1e-13, atol=0)
@@ -737,7 +737,7 @@ def test_node_pruning_does_not_move_the_sums():
 def test_node_window_keeps_the_sums_bit_for_bit(N):
     # the nodes past 14 sigma are never built; the floor would drop them all
     for sigma in TAU_GRID:
-        assert est._classical_parallel_sums(N, sigma) == (
+        assert est._classical_round(N)(sigma) == (
             reference.classical_parallel_sums_by_all_nodes(N, sigma)), sigma
 
 
@@ -750,12 +750,12 @@ def test_width_grid_matches_one_width_calls(N, block, monkeypatch):
     # block=1 gives every width a block of its own; 700 cuts blocks of a few
     # widths at small N, so segments meet at block edges in every layout
     monkeypatch.setattr(est, "_GRID_BLOCK", block)
-    grid = est._classical_parallel_sums(N, TAU_GRID)
-    single = np.array([est._classical_parallel_sums(N, float(sigma)) for sigma in TAU_GRID])
+    grid = est._classical_round(N)(TAU_GRID)
+    single = np.array([est._classical_round(N)(float(sigma)) for sigma in TAU_GRID])
     assert grid.shape == TAU_GRID.shape
     np.testing.assert_allclose(grid, single, rtol=1e-13, atol=0)
     assert np.argmin(grid / TAU_GRID**2) == np.argmin(single / TAU_GRID**2)
-    np.testing.assert_array_equal(est._classical_parallel_sums(N, TAU_GRID.reshape(6, 10)),
+    np.testing.assert_array_equal(est._classical_round(N)(TAU_GRID.reshape(6, 10)),
                                   grid.reshape(6, 10))
 
 
@@ -774,7 +774,7 @@ def test_width_grid_blocks_stay_under_the_budget(N, least, monkeypatch):
         return run_block(N, sigma, M, first, counts, images)
 
     monkeypatch.setattr(est, "_classical_block_sums", recording)
-    est._classical_parallel_sums(N, TAU_GRID)
+    est._classical_round(N)(TAU_GRID)
     assert sum(widths for widths, _ in blocks) == len(TAU_GRID)
     assert len(blocks) >= least
     assert all(size <= est._GRID_BLOCK for widths, size in blocks if widths > 1)
@@ -886,7 +886,7 @@ def test_floored_image_sums_match_the_unfloored_route_on_kept_nodes(N):
         np.testing.assert_array_equal(w1[kept], want1[kept])
 
 
-def test_classical_round_keeps_the_laws_of_its_last_two_rules(monkeypatch):
+def test_classical_round_builds_each_rules_law_once(monkeypatch):
     builds = []
     law = est._outcome_law
 
@@ -897,15 +897,11 @@ def test_classical_round_keeps_the_laws_of_its_last_two_rules(monkeypatch):
     monkeypatch.setattr(est, "_outcome_law", counting)
     sums = est._classical_round(1)
     # at N = 1 these widths alternate between the rules M = 16 and M = 15
-    values = [sums(sigma) for sigma in (0.99, 1.01, 0.995, 1.005)]
-    assert len(builds) == 2
-    sums(0.5)  # a third rule: the oldest law goes
-    sums(1.01)
+    widths = (0.99, 1.01, 0.995, 1.005, 0.5, 1.01, 0.99)
+    values = [sums(sigma) for sigma in widths]
     assert len(builds) == 3
-    assert sums(0.99) == values[0]
-    assert len(builds) == 4
     monkeypatch.undo()
-    assert values == [est._classical_parallel_sums(1, sigma) for sigma in (0.99, 1.01, 0.995, 1.005)]
+    assert values == [est._classical_round(1)(sigma) for sigma in widths]
 
 
 @pytest.mark.parametrize("N", [1, 2, 7, 40, est.CLASSICAL_PARALLEL_N_CAP])
@@ -1087,7 +1083,7 @@ def test_prepared_searches_match_one_shot_calls(N, monkeypatch):
     visited = _visited(monkeypatch, lambda: optimize_tau_classical(N))
     assert len(visited) > 20
     for tau, value in visited:
-        assert value == est._classical_parallel_sums(N, tau) / np.square(tau), tau
+        assert value == est._classical_round(N)(tau) / np.square(tau), tau
 
 
 def test_grid_point_beats_a_refinement_that_misses_it():
