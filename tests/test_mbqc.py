@@ -17,7 +17,6 @@ from clustersense.mbqc import (
     cnot_pattern,
     ghz_pattern,
     path_graph,
-    pattern_to_text,
     run_pattern,
     sine_pattern,
     teleport_pattern,
@@ -633,6 +632,25 @@ def test_bare_cluster_qfi_is_linear():
     for N in range(2, 11):
         state = cluster_state(path_graph(N))
         assert estimate.qfi_statevector(state) == pytest.approx(N, abs=1e-9)
+
+
+def _deps_str(deps: tuple[int, ...], flip: bool) -> str:
+    parts = ",".join(str(d) for d in deps) if deps else "-"
+    return f"{parts}^1" if flip else parts
+
+
+def pattern_to_text(pattern: MeasurementPattern) -> str:
+    """A pattern written line by line, for the golden-file tests below."""
+    lines = [f"vertices {pattern.graph.n_vertices}"]
+    lines += [f"edge {a} {b}" for a, b in sorted(pattern.graph.edges)]
+    lines += [f"input {v}" for v in pattern.inputs]
+    for v, spec in pattern.measurements:
+        lines.append(f"measure {v} base={spec.base!r} sign={_deps_str(spec.sign_deps, spec.flip)}")
+    for v in pattern.outputs:
+        word = ";".join(f"{f.kind}:{_deps_str(f.deps, f.flip)}"
+                        for f in pattern.corrections.get(v, ()))
+        lines.append(f"output {v} correct={word or '-'}")
+    return "\n".join(lines) + "\n"
 
 
 def test_pattern_serialization_golden():

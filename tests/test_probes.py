@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference import run_circuit
 
-from clustersense import probes, simcore
+from clustersense import simcore
 from clustersense.probes import (
     AngleSchedule,
     ProbeError,
@@ -175,8 +175,3 @@ def test_unary_basis_states():
     np.testing.assert_allclose(unary_basis_state(0, 3).amps[0], 1.0)
     with pytest.raises(ProbeError):
         unary_basis_state(4, 3)
-
-
-def test_subspace_from_statevector_rejects_leakage():
-    with pytest.raises(ProbeError):
-        probes.subspace_from_statevector(simcore.plus_state(2))
