@@ -45,8 +45,9 @@ PURPOSES = {
     "compress.build_qft": "ROADMAP direction 7: the QFT readout circuit of the pipeline",
     "compress.unary_images": "README 'Compressor resources': the exact check of the "
                              "compressor past the dense cap, and its timing column",
-    "estimate.dephased_rho": "README `estimate` row: the probe after Gaussian dephasing and "
-                             "encoding, whose Fisher information dephased_fisher_information takes",
+    "estimate.dephased_rho": "README `estimate` row: the dense probe state after Gaussian "
+                             "dephasing and encoding; only tests build it, as the dense state "
+                             "that checks dephased_fisher_information and the outcome laws",
     "estimate.flat_prior": "README `estimate` row: the flat prior",
     "estimate.frequency_round": "README `estimate` row: the frequency objective used once; "
                                 "timed by perfbench/tracing.py",
