@@ -64,25 +64,66 @@ class MSEValidityWarning(UserWarning):
 # ---------------------------------------------------------------------------
 # Numerics helpers
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 
-def golden_section_minimize(f, a: float, b: float, tol: float = 1e-6) -> tuple[float, float]:
-    """Locate the minimum of a unimodal f on [a, b] to within tol."""
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
+def _brent_minimize(f, a: float, b: float, tol: float = 1e-6) -> tuple[float, float]:
+    """The least value of f seen on (a, b), and where, by Brent's method in
+    its bounded form (R. P. Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 5): each step fits a parabola through the three
+    best points so far, and takes a golden-section step instead when the
+    parabola's minimum leaves the bracket or moves more than half the step
+    before last.  It stops once the bracket is within 2 (sqrt(eps) |x| +
+    tol / 3) of the best point x.  f is never called at a or b."""
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise EstimateError(f"the bracket must be finite with a < b, got ({a}, {b})")
+    if not 0.0 < tol < math.inf:
+        raise EstimateError(f"tol must be positive and finite, got {tol}")
+    # x is the best point, w the second best and v the previous w
+    x = w = v = a + _GOLDEN * (b - a)
+    fx = fw = fv = f(x)
+    step = before_last = 0.0
+    while True:
+        middle = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(x) + tol / 3.0
+        if abs(x - middle) <= 2.0 * tol1 - 0.5 * (b - a):
+            return x, fx
+        golden = True
+        if abs(before_last) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            limit, before_last = before_last, step
+            if abs(p) < abs(0.5 * q * limit) and q * (a - x) < p < q * (b - x):
+                golden = False
+                step = p / q
+                if min(x + step - a, b - x - step) < 2.0 * tol1:
+                    step = tol1 if middle >= x else -tol1
+        if golden:
+            before_last = (a if x >= middle else b) - x
+            step = _GOLDEN * before_last
+        u = x + (step if abs(step) >= tol1 else math.copysign(tol1, step))
+        fu = f(u)
+        if fu <= fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    x = (a + b) / 2
-    return x, f(x)
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 @functools.lru_cache(maxsize=8)
@@ -844,7 +885,8 @@ def _classical_round(N: int):
 
     The nodes and their law depend on the rule (M, first, last) alone, not
     on sigma, so the returned function keeps those of every rule it used:
-    a later call of golden section on the same rule forms only the weights.
+    a later call of the tau refinement on the same rule forms only the
+    weights.
     A search visits 2 to 4 rules, and they go when it returns.  The weight
     falls with |theta| on [-pi, pi], so the floor keeps one run of nodes
     about 0, taken as a slice of the kept law, whose rows are those of a law
@@ -852,7 +894,7 @@ def _classical_round(N: int):
 
     An array of widths runs in blocks (_classical_block_sums) and agrees
     with the one-width path to rounding; a single width keeps its own lean
-    path, which golden section calls one width at a time.
+    path, which the tau refinement calls one width at a time.
     """
     laws = {}
 
@@ -1065,17 +1107,17 @@ TAU_GRID = np.geomspace(1e-3, 20.0, 60)
 
 
 def _optimize_objective(objective, grid: np.ndarray) -> TauOptimum:
-    """Minimum of objective over `grid`, refined by golden section between
-    the neighbours of the best grid point.  objective maps an array of
-    interrogation times to the array of its values: the whole grid is one
-    call, and the refinement calls the same objective on one time at a
-    time.  An optimum at either end of the grid is returned as a boundary."""
+    """Minimum of objective over `grid`, refined by Brent's method
+    (_brent_minimize) between the neighbours of the best grid point.
+    objective maps an array of interrogation times to the array of its
+    values: the whole grid is one call, and the refinement calls the same
+    objective on one time at a time.  An optimum at either end of the grid
+    is returned as a boundary."""
     values = objective(grid)
     best = int(np.argmin(values))
     if best == 0 or best == len(grid) - 1:
         return TauOptimum(float(grid[best]), float(values[best]), boundary=True)
-    tau, val = golden_section_minimize(objective, float(grid[best - 1]), float(grid[best + 1]),
-                                       tol=1e-6)
+    tau, val = _brent_minimize(objective, float(grid[best - 1]), float(grid[best + 1]), tol=1e-6)
     if val > values[best]:
         tau, val = grid[best], values[best]
     return TauOptimum(float(tau), float(val), boundary=False)
@@ -1084,7 +1126,7 @@ def _optimize_objective(objective, grid: np.ndarray) -> TauOptimum:
 def optimize_tau(N: int, probe: SubspaceState, povm: Povm | None) -> TauOptimum:
     """Best interrogation time in units of 1 / delta, which holds for every
     frequency prior width delta: coarse log grid in [1e-3, 20] followed by
-    golden-section refinement around the best grid point (the objective is
+    Brent's parabolic refinement around the best grid point (the objective is
     observed to be unimodal, but the grid guards against surprises).
     povm=None is the (N+1)-point Fourier readout."""
     return _optimize_objective(_frequency_objective(N, probe, povm), TAU_GRID)
@@ -1094,7 +1136,7 @@ def optimize_tau_classical(N: int) -> TauOptimum:
     """Interrogation-time optimum of the parallel classical strategy; the
     frequency objective (in delta^2 units) is the phase variance at width
     tau divided by tau^2.  One _classical_round serves the search: the whole
-    TAU_GRID is one call, in blocks of widths, and golden section then calls
+    TAU_GRID is one call, in blocks of widths, and the refinement then calls
     its one-width path, which reuses the node laws of the rules it repeats."""
     _check_classical_n(N)
     sums = _classical_round(N)

@@ -44,7 +44,9 @@
   the prior's mean, sums wide priors by their Fourier series and zeroes
   one column of each outer product in place of the np.where.
 * The interrogation-time search as a loop of one objective call per width,
-  where the package evaluates the whole grid in one call.
+  where the package evaluates the whole grid in one call; and its
+  refinement by golden section, which shrinks the bracket by a fixed ratio
+  per call, where the package fits parabolas by Brent's method.
 * The Fisher information of a wide wrapped prior from its Fourier series
   written out term by term and integrated in mpmath, where the package
   takes the score from three Fourier terms on Gauss-Legendre nodes.
@@ -70,9 +72,9 @@ from clustersense.estimate import (
     Prior,
     QuadratureError,
     TauOptimum,
+    _brent_minimize,
     _gauss_legendre_converged,
     gaussian_prior,
-    golden_section_minimize,
     parity_strategy,
 )
 from clustersense.mbqc import Graph, PatternError
@@ -676,16 +678,37 @@ def qft_phase_variance_dense(N: int, sigma: float, theta0: float = 0.0,
 # ---------------------------------------------------------------------------
 # Interrogation-time search, one width at a time
 
-def optimize_by_width_loop(objective, grid: np.ndarray) -> TauOptimum:
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_section_minimize(f, a: float, b: float, tol: float = 1e-6) -> tuple[float, float]:
+    """Locate the minimum of a unimodal f on [a, b] to within tol."""
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = f(d)
+    x = (a + b) / 2
+    return x, f(x)
+
+
+def optimize_by_width_loop(objective, grid: np.ndarray, minimize=_brent_minimize) -> TauOptimum:
     """The best of objective(tau) over `grid`, one call per width, refined
-    by golden section between the neighbours of the best grid point; an
-    optimum at either end of the grid is a boundary."""
+    by `minimize` (the package's Brent search, or golden_section_minimize)
+    between the neighbours of the best grid point; an optimum at either
+    end of the grid is a boundary."""
     values = [objective(tau) for tau in grid]
     best = int(np.argmin(values))
     if best == 0 or best == len(grid) - 1:
         return TauOptimum(float(grid[best]), float(values[best]), boundary=True)
-    tau, val = golden_section_minimize(objective, float(grid[best - 1]), float(grid[best + 1]),
-                                       tol=1e-6)
+    tau, val = minimize(objective, float(grid[best - 1]), float(grid[best + 1]), tol=1e-6)
     if val > values[best]:
         tau, val = grid[best], values[best]
     return TauOptimum(float(tau), float(val), boundary=False)

@@ -26,7 +26,6 @@ from clustersense.estimate import (
     frequency_round,
     gamma_eta,
     gaussian_prior,
-    golden_section_minimize,
     holevo_bayes_round,
     holevo_variance,
     mse_limit_curve,
@@ -1092,9 +1091,9 @@ def test_tau_search_matches_the_width_loop(N):
 
 
 def _visited(monkeypatch, search) -> list[tuple[float, float]]:
-    """(tau, objective value) at every time golden section visits in search()."""
+    """(tau, objective value) at every time the refinement visits in search()."""
     visited = []
-    golden = est.golden_section_minimize
+    brent = est._brent_minimize
 
     def recording(f, a, b, tol=1e-6):
         def seen(tau):
@@ -1102,9 +1101,9 @@ def _visited(monkeypatch, search) -> list[tuple[float, float]]:
             visited.append((tau, value))
             return value
 
-        return golden(seen, a, b, tol)
+        return brent(seen, a, b, tol)
 
-    monkeypatch.setattr(est, "golden_section_minimize", recording)
+    monkeypatch.setattr(est, "_brent_minimize", recording)
     search()
     monkeypatch.undo()
     return visited
@@ -1114,21 +1113,21 @@ def _visited(monkeypatch, search) -> list[tuple[float, float]]:
 def test_prepared_searches_match_one_shot_calls(N, monkeypatch):
     # a search prepares its objective once and keeps what tau does not change
     # (the probe's autocorrelation or the POVM's fold, the node laws): at every
-    # time golden section visits, its value is a fresh one-shot call's
+    # time the refinement visits, its value is a fresh one-shot call's
     probe = probes.sine_coefficients(N)
     for povm in (None, qft_povm(N)):
         visited = _visited(monkeypatch, lambda: optimize_tau(N, probe, povm))
-        assert len(visited) > 20 or N == 1  # one qubit's optimum ends the grid
+        assert 3 <= len(visited) <= 15 or N == 1  # one qubit's optimum ends the grid
         for tau, value in visited:
             assert value == frequency_round(N, tau, probe, povm), tau
     visited = _visited(monkeypatch, lambda: optimize_tau_classical(N))
-    assert len(visited) > 20
+    assert 3 <= len(visited) <= 15
     for tau, value in visited:
         assert value == est._classical_round(N)(tau) / np.square(tau), tau
 
 
 def test_grid_point_beats_a_refinement_that_misses_it():
-    # a dip on one grid point only: golden section never lands on it again
+    # a dip on one grid point only: the refinement never lands on it again
     def spike(tau):
         return np.where(tau == TAU_GRID[30], 0.0, 1.0)
 
@@ -1156,9 +1155,92 @@ def test_optimize_tau_classical_single_qubit():
 
 
 def test_golden_section_minimize():
-    x, fx = golden_section_minimize(lambda t: (t - 1.3) ** 2 + 2.0, 0.0, 4.0, tol=1e-8)
+    x, fx = reference.golden_section_minimize(lambda t: (t - 1.3) ** 2 + 2.0, 0.0, 4.0, tol=1e-8)
     assert x == pytest.approx(1.3, abs=1e-6)
     assert fx == pytest.approx(2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("f, x_min", [
+    (lambda t: (t - 1.3) ** 2 + 2.0, 1.3),
+    (lambda t: abs(t - 1.3) + 2.0, 1.3),  # no parabola fits a kink
+    (lambda t: math.cosh(3.0 * (t - 0.2)) + 1.0, 0.2),
+    (lambda t: 2.0 - t, 4.0),  # the least value lies at an end
+])
+def test_brent_minimize(f, x_min):
+    x, fx = est._brent_minimize(f, 0.0, 4.0, tol=1e-8)
+    assert 0.0 < x < 4.0
+    # within the stopping rule's 2 (sqrt(eps) |x| + tol / 3)
+    assert x == pytest.approx(x_min, abs=2 * (est._SQRT_EPS * x_min + 1e-8 / 3))
+    assert fx == f(x)
+
+
+@pytest.mark.parametrize("a, b, tol", [
+    (0.0, 4.0, 0.0), (0.0, 4.0, -1e-6), (0.0, 4.0, math.nan), (0.0, 4.0, math.inf),
+    (4.0, 0.0, 1e-6), (1.0, 1.0, 1e-6), (math.nan, 4.0, 1e-6), (0.0, math.inf, 1e-6),
+    (-math.inf, 4.0, 1e-6),
+])
+def test_brent_minimize_refuses_a_bracket_or_tolerance_it_cannot_use(a, b, tol):
+    # refused before f is called: a search that never stops fails on the
+    # 1,001st call instead of hanging, and one that returns the midpoint
+    # without searching fails on the missing error
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        if len(calls) > 1000:
+            raise RuntimeError("no search needs 1,000 calls")
+        return (t - 1.3) ** 2
+
+    with pytest.raises(EstimateError):
+        est._brent_minimize(f, a, b, tol=tol)
+    assert calls == []
+
+
+_SEARCH_NS = [*range(1, 21), *range(25, 61, 5), 64, 100, 200, est.CLASSICAL_PARALLEL_N_CAP]
+
+
+@pytest.mark.parametrize("N", _SEARCH_NS)
+def test_brent_search_matches_golden_section(N):
+    # the refinement against its slow reference, from the same grid and
+    # bracket: tau within the search tolerance, vbar within 1e-10
+    def golden(objective):
+        return reference.optimize_by_width_loop(objective, TAU_GRID,
+                                                minimize=reference.golden_section_minimize)
+
+    probe = probes.sine_coefficients(N)
+    cases = [(optimize_tau(N, probe, povm), golden(est._frequency_objective(N, probe, povm)))
+             for povm in (None, qft_povm(N)) if povm is None or N <= 64]
+    sums = est._classical_round(N)
+    cases.append((optimize_tau_classical(N), golden(lambda tau: sums(tau) / tau**2)))
+    for brent, slow in cases:
+        assert brent.boundary == slow.boundary
+        assert abs(brent.tau - slow.tau) <= 1e-6
+        assert abs(brent.vbar - slow.vbar) <= 1e-10 * slow.vbar
+
+
+def test_refinement_calls_the_objective_at_most_15_times(monkeypatch):
+    # N = 64, the north star's layer rows: one grid call, then one-width
+    # calls of the refinement only (golden section made 29)
+    calls = []
+
+    def counted(objective):
+        def wrapped(tau):
+            calls.append(np.ndim(tau))
+            return objective(tau)
+
+        return wrapped
+
+    quantum, classical = est._frequency_objective, est._classical_round
+    monkeypatch.setattr(est, "_frequency_objective", lambda *a: counted(quantum(*a)))
+    monkeypatch.setattr(est, "_classical_round", lambda N: counted(classical(N)))
+    probe = probes.sine_coefficients(64)
+    for search in (lambda: optimize_tau(64, probe, None),
+                   lambda: optimize_tau(64, probe, qft_povm(64)),
+                   lambda: optimize_tau_classical(64)):
+        calls.clear()
+        assert not search().boundary
+        assert calls[0] == 1 and calls.count(1) == 1
+        assert 3 <= len(calls) - 1 <= 15, len(calls) - 1
 
 
 # ---------------------------------------------------------------------------
