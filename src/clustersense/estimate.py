@@ -23,12 +23,15 @@ readout, or of the probe weighted by each factor row for a Povm
 (_contract), so no (N+1)^2 matrix is built.  A stack of harmonic rows,
 such as the Gaussian rows of a whole grid of widths, is one call.  The
 optimal-parallel classical strategy has an outcome law that is a
-trigonometric polynomial of degree N, so a periodic trapezoid rule against
-the wrapped Gaussian integrates it exactly in float64, with every summed
-term positive.  Its node weights, like the wrapped prior's density and
-score, are wrapped Gaussian sums from one helper (_wrapped_sums): image
-sums below width pi, three Fourier terms from pi on.  A grid of widths is
-one call, run in blocks of bounded size.
+trigonometric polynomial of degree N, so its Fourier coefficients, taken by
+one FFT of the law on a power-of-two number of nodes above 2N, are a
+readout kernel like a Povm's (_classical_kernel), and the classical tau
+search is the quantum one's objective over that kernel.  One width at a
+time, as bayes-phase's column takes it, a periodic trapezoid rule against
+the wrapped Gaussian integrates the law exactly in float64, with every
+summed term positive.  Its node weights, like the wrapped prior's density
+and score, are wrapped Gaussian sums from one helper (_wrapped_sums): image
+sums below width pi, three Fourier terms from pi on.
 """
 
 from __future__ import annotations
@@ -724,23 +727,22 @@ def _checked_probe(N: int, probe: SubspaceState | None, povm: Povm | None) -> Su
     return probe
 
 
-def _gaussian_round(N: int, probe: SubspaceState | None, povm: Povm | None,
-                    theta0: float = 0.0):
+def _gaussian_round(kernel: np.ndarray, theta0: float = 0.0):
     """sigma -> the average posterior MSE of one round under a Gaussian prior
     of mean theta0 and width sigma: sigma^2 - sum_k g_k^2 / p_k with
     p_k = Tr(E_k Gamma) and g_k the trace of the first moment about the mean
-    (_gaussian_harmonics); povm=None is the (N+1)-point Fourier readout.
+    (_gaussian_harmonics), for the readout whose kernel is `kernel`: a
+    probe's (_readout_kernel) or the parallel classical strategy's
+    (_classical_kernel).
 
     What no width changes is built once, for every call of the returned
-    function: the checked probe, its readout kernel (_readout_kernel) and
-    the index rows.  A call forms only the 1 and theta harmonic rows of its
-    widths and their traces.  sigma is one width or an array of widths, and
-    the result has its shape: the traces of every width are taken in one
-    kernel call (_contract keeps leading axes), and a single width runs the
-    same kernel.
+    function: the kernel, by the caller, and the index rows.  A call forms
+    only the 1 and theta harmonic rows of its widths and their traces.
+    sigma is one width or an array of widths, and the result has its shape:
+    the traces of every width are taken in one kernel call (_contract keeps
+    leading axes), and a single width runs the same kernel.
     """
-    kernel = _readout_kernel(_checked_probe(N, probe, povm), povm)
-    rows = _index_rows(math.remainder(theta0, 2 * math.pi), N)
+    rows = _index_rows(math.remainder(theta0, 2 * math.pi), kernel.shape[-1] // 2)
 
     def mse(sigma):
         traces = _contract(kernel, _gaussian_harmonics(sigma, rows)).real
@@ -760,7 +762,8 @@ def qft_phase_variance(N: int, sigma: float, theta0: float = 0.0,
     mean are checked by the Gaussian prior they make.
     """
     gaussian_prior(sigma, theta0)
-    return float(_gaussian_round(N, probe, None, theta0)(sigma))
+    return float(_gaussian_round(_readout_kernel(_checked_probe(N, probe, None), None),
+                                 theta0)(sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -843,10 +846,6 @@ def van_trees_bound(N: int, sigma: float) -> float:
 #: largest one are dropped: what they would add lies far below float64
 #: rounding, and at narrow priors they are most of the M nodes.
 _NODE_FLOOR = 1e-40
-#: A grid of widths runs in blocks of consecutive widths whose arrays hold at
-#: most this many float64 entries, 256 KiB, unless one width alone needs
-#: more (_classical_grid_sums).
-_GRID_BLOCK = 2**15
 
 
 def _node_window(N: int, sigma: float) -> tuple[int, int, int]:
@@ -858,10 +857,11 @@ def _node_window(N: int, sigma: float) -> tuple[int, int, int]:
     return M, -reach, min(reach, M - 1 - M // 2)
 
 
-def _classical_round(N: int):
-    """sigma -> sigma^2 - sum_m gamma_m^2 / p_m for the parallel classical
-    strategy, for one width (a float is returned) or an array of widths (an
-    array of the same shape).
+def _classical_round(N: int, sigma: float) -> float:
+    """sigma^2 - sum_m gamma_m^2 / p_m for the parallel classical strategy
+    at one width, by a periodic trapezoid rule: the column of
+    classical_parallel_curve, and the independent reference of the kernel
+    that the tau search runs on (_classical_kernel).
 
     With the basis aligned at theta0 the outcome law of N |+> qubits is
     P(m|theta) = C(N, m) ((1 + sin theta)/2)^(N-m) ((1 - sin theta)/2)^m, a
@@ -879,98 +879,43 @@ def _classical_round(N: int):
     14 sigma >= pi (_node_window).  Below that, every image of a node
     farther out lies farther than 14 sigma from 0 as well, so its wrapped
     weight is under 5 e^{-98} < _NODE_FLOOR times that of the node at 0 (at
-    least 1): the floor would drop it.  The floor still picks the kept
-    nodes, so the kept set, its order and the sums are those of the rule on
-    all M nodes, at about 53 nodes in place of 12,042 at sigma = 1e-3.
-
-    The nodes and their law depend on the rule (M, first, last) alone, not
-    on sigma, so the returned function keeps those of every rule it used:
-    a later call of the tau refinement on the same rule forms only the
-    weights.
-    A search visits 2 to 4 rules, and they go when it returns.  The weight
-    falls with |theta| on [-pi, pi], so the floor keeps one run of nodes
-    about 0, taken as a slice of the kept law, whose rows are those of a law
-    built on the kept nodes alone.
-
-    An array of widths runs in blocks (_classical_block_sums) and agrees
-    with the one-width path to rounding; a single width keeps its own lean
-    path, which the tau refinement calls one width at a time.
+    least 1): the floor would drop it.  The weight falls with |theta| on
+    [-pi, pi], so the floor keeps one run of nodes about 0, and the law is
+    built on that run alone.  The kept set, its order and the sums are those
+    of the rule on all M nodes, at about 53 nodes in place of 12,042 at
+    sigma = 1e-3.
     """
-    laws = {}
-
-    def sums(sigma):
-        if np.ndim(sigma):
-            return _classical_grid_sums(N, np.asarray(sigma, dtype=float))
-        rule = M, first, last = _node_window(N, sigma)
-        if rule not in laws:
-            theta = (2 * math.pi / M) * np.arange(first, last + 1)
-            half = theta / 2 + math.pi / 4
-            laws[rule] = theta, _outcome_law(N, np.sin(half) ** 2, np.cos(half) ** 2)
-        theta, P = laws[rule]
-        w0, w1 = _wrapped_sums(theta, sigma)
-        live = np.flatnonzero(w0 >= _NODE_FLOOR * w0.max())
-        kept = slice(live[0], live[-1] + 1)
-        scale = math.sqrt(2 * math.pi) / (M * sigma)  # node spacing times the Gaussian's norm
-        p = scale * (w0[kept] @ P[kept])
-        gamma = scale * (w1[kept] @ P[kept])
-        # an outcome whose weight underflows to 0 would add gamma_m^2 / p_m, which
-        # Cauchy-Schwarz bounds by int theta^2 g P(m|theta): it underflows too
-        seen = p > 0
-        return sigma**2 - float(np.sum(gamma[seen] ** 2 / p[seen]))
-
-    return sums
-
-
-def _classical_grid_sums(N: int, sigmas: np.ndarray) -> np.ndarray:
-    """_classical_round's sums over an array of widths, in blocks of
-    consecutive widths that stay on one side of _FOURIER_WIDTH (image sums
-    or Fourier series).  A block takes widths while its nodes times (N + 1
-    outcomes + the terms of each node's weights) stay within _GRID_BLOCK;
-    only a width that alone passes it runs in a block that does."""
-    flat = sigmas.ravel()
-    M, first, last, images = np.array([(*_node_window(N, s), _image_count(s)) for s in flat]).T
-    counts = last - first + 1
-    wide = flat >= _FOURIER_WIDTH
-    size = counts * (N + 1 + np.where(wide, 3, 2 * images + 1))
-    blocks, lo, total = [], 0, 0
-    for i in range(flat.size):
-        if i > lo and (wide[i] != wide[lo] or total + size[i] > _GRID_BLOCK):
-            blocks.append(slice(lo, i))
-            lo, total = i, 0
-        total += size[i]
-    blocks.append(slice(lo, flat.size))
-    out = np.empty(flat.size)
-    for b in blocks:
-        out[b] = _classical_block_sums(N, flat[b], M[b], first[b], counts[b], images[b])
-    return out.reshape(sigmas.shape)
-
-
-def _classical_block_sums(N: int, sigma: np.ndarray, M: np.ndarray, first: np.ndarray,
-                          counts: np.ndarray, images: np.ndarray) -> np.ndarray:
-    """The one-width sums for a block of widths, all below _FOURIER_WIDTH
-    or all from it on: their nodes laid end to end, counts[i] of them for
-    width i, with each width's sums taken over its own segment.  Below it
-    each node sums its width's 2 images[i] + 1 Gaussian images, laid end to
-    end in turn.  A node under the floor keeps its place with zero weight."""
-    seg = np.repeat(np.arange(len(sigma)), counts)
-    start = np.cumsum(counts) - counts
-    theta = (2 * math.pi / M)[seg] * (np.arange(len(seg)) - start[seg] + first[seg])
-    if sigma[0] >= _FOURIER_WIDTH:
-        w0, w1 = _wrapped_sums(theta, sigma[seg])
-    else:
-        terms = 2 * images[seg] + 1
-        head = np.cumsum(terms) - terms
-        node = np.repeat(np.arange(len(seg)), terms)
-        x = theta[node] + 2 * math.pi * (np.arange(len(node)) - head[node] - images[seg][node])
-        g = _gaussian_terms(x, sigma[seg][node])
-        w0, w1 = np.add.reduceat(g, head), np.add.reduceat(x * g, head)
-    live = w0 >= _NODE_FLOOR * np.maximum.reduceat(w0, start)[seg]
-    half = theta / 2 + math.pi / 4
+    M, first, last = _node_window(N, sigma)
+    theta = (2 * math.pi / M) * np.arange(first, last + 1)
+    w0, w1 = _wrapped_sums(theta, sigma)
+    live = np.flatnonzero(w0 >= _NODE_FLOOR * w0.max())
+    kept = slice(live[0], live[-1] + 1)
+    half = theta[kept] / 2 + math.pi / 4
     P = _outcome_law(N, np.sin(half) ** 2, np.cos(half) ** 2)
-    weights = np.where(live, np.stack([w0, w1]), 0.0)
-    sums = np.array([weights[:, a:b] @ P[a:b] for a, b in zip(start, start + counts)])
-    p, gamma = ((math.sqrt(2 * math.pi) / (M * sigma))[:, None, None] * sums).transpose(1, 0, 2)
-    return sigma**2 - np.divide(gamma**2, p, out=np.zeros_like(p), where=p > 0).sum(axis=1)
+    scale = math.sqrt(2 * math.pi) / (M * sigma)  # node spacing times the Gaussian's norm
+    p = scale * (w0[kept] @ P)
+    gamma = scale * (w1[kept] @ P)
+    # an outcome whose weight underflows to 0 would add gamma_m^2 / p_m, which
+    # Cauchy-Schwarz bounds by int theta^2 g P(m|theta): it underflows too
+    seen = p > 0
+    return sigma**2 - float(np.sum(gamma[seen] ** 2 / p[seen]))
+
+
+def _classical_kernel(N: int) -> np.ndarray:
+    """The readout kernel B_md of the parallel classical strategy (_contract),
+    shape (N + 1, 2N + 1) with column d + N: P(m|theta) =
+    sum_d B_md e^{-i d theta} for the outcome law of _classical_round, a
+    trigonometric polynomial of degree N.  Sampled on L equispaced nodes
+    2 pi j / L of the period, L > 2N, the law's rfft over the nodes is
+    L B_{m,-q} at q = 0..N with no alias, and B_{m,d} = B_{m,-d}* since the
+    law is real: exact up to rounding.  L is the least power of two above
+    2N, where the FFT is fast at every N.  The rows of d are laid out
+    first, so the product h B^T of every width reads B^T in order."""
+    L = 1 << (2 * N).bit_length()
+    half = (math.pi / L) * np.arange(L) + math.pi / 4
+    law = _outcome_law(N, np.sin(half) ** 2, np.cos(half) ** 2)
+    coeffs = np.fft.rfft(law, axis=0)[:N + 1] / L  # row q holds B_{m,-q}
+    return np.concatenate([coeffs[:0:-1], coeffs.conj()]).T
 
 
 def _check_classical_n(N: int) -> None:
@@ -991,7 +936,7 @@ def classical_parallel_curve(Ns, sigma: float) -> list[float]:
     Ns = list(Ns)
     for N in Ns:
         _check_classical_n(N)
-    return [_classical_round(N)(sigma) for N in Ns]
+    return [_classical_round(N, sigma) for N in Ns]
 
 
 def classical_parallel_variance(N: int, sigma: float) -> float:
@@ -1067,15 +1012,15 @@ def noisy_local_equivalence_check(N: int, sigma: float, probe: SubspaceState,
 # ---------------------------------------------------------------------------
 # Frequency estimation
 
-def _frequency_objective(N: int, probe: SubspaceState, povm: Povm | None):
+def _frequency_objective(kernel: np.ndarray):
     """tau -> the average posterior frequency MSE in units of delta^2 for a
-    frequency prior of width delta: the phase MSE at prior width
-    tau = t delta over tau^2, in which delta cancels, so it is no input.
-    The round is prepared once (_gaussian_round), so a search calls only
-    what depends on tau.  tau is one interrogation time (a float is
-    returned) or an array of them (an array of the same shape, from one
-    kernel call)."""
-    mse = _gaussian_round(N, probe, povm)
+    frequency prior of width delta and the readout whose kernel is `kernel`
+    (_gaussian_round): the phase MSE at prior width tau = t delta over
+    tau^2, in which delta cancels, so it is no input.  The round is prepared
+    once, so a search calls only what depends on tau.  tau is one
+    interrogation time (a float is returned) or an array of them (an array
+    of the same shape, from one kernel call)."""
+    mse = _gaussian_round(kernel)
 
     def vbar(tau):
         value = mse(tau) / np.square(tau)
@@ -1090,7 +1035,7 @@ def frequency_round(N: int, tau, probe: SubspaceState, povm: Povm | None):
     positive and finite."""
     tau = np.asarray(tau, dtype=float)
     _check_width(tau, "tau")
-    return _frequency_objective(N, probe, povm)(tau)
+    return _frequency_objective(_readout_kernel(_checked_probe(N, probe, povm), povm))(tau)
 
 
 @dataclass(frozen=True)
@@ -1129,15 +1074,16 @@ def optimize_tau(N: int, probe: SubspaceState, povm: Povm | None) -> TauOptimum:
     Brent's parabolic refinement around the best grid point (the objective is
     observed to be unimodal, but the grid guards against surprises).
     povm=None is the (N+1)-point Fourier readout."""
-    return _optimize_objective(_frequency_objective(N, probe, povm), TAU_GRID)
+    kernel = _readout_kernel(_checked_probe(N, probe, povm), povm)
+    return _optimize_objective(_frequency_objective(kernel), TAU_GRID)
 
 
 def optimize_tau_classical(N: int) -> TauOptimum:
     """Interrogation-time optimum of the parallel classical strategy; the
     frequency objective (in delta^2 units) is the phase variance at width
-    tau divided by tau^2.  One _classical_round serves the search: the whole
-    TAU_GRID is one call, in blocks of widths, and the refinement then calls
-    its one-width path, which reuses the node laws of the rules it repeats."""
+    tau divided by tau^2.  It is optimize_tau's objective over the
+    strategy's readout kernel (_classical_kernel), built once per search:
+    the whole TAU_GRID is one small matrix product, and each call of the
+    refinement one more."""
     _check_classical_n(N)
-    sums = _classical_round(N)
-    return _optimize_objective(lambda tau: sums(tau) / np.square(tau), TAU_GRID)
+    return _optimize_objective(_frequency_objective(_classical_kernel(N)), TAU_GRID)

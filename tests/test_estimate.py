@@ -746,8 +746,9 @@ def test_classical_curve_range_checks():
 
 
 #: N up to the cap, and widths that span TAU_GRID, where optimize_tau_classical
-#: evaluates the classical curve.
+#: evaluates the classical strategy: the trapezoid and the kernel are pinned here.
 PIN_NS = (1, 2, 8, 40, 64, 200, est.CLASSICAL_PARALLEL_N_CAP)
+PIN_SIGMAS = (1e-3, 0.01, 0.1, 0.5, 1.0, 1.5, 5.0, 20.0)
 _MP_BINOMIAL = mpmath.binomial
 
 
@@ -756,19 +757,49 @@ def _mp_binomial_at(n: int, k: int, prec: int):
     return _MP_BINOMIAL(n, k)
 
 
-@pytest.mark.parametrize("sigma", [1e-3, 0.01, 0.1, 0.5, 1.0, 1.5, 5.0, 20.0])
-def test_periodic_rule_matches_mpmath_sums(sigma, monkeypatch):
+@functools.lru_cache(maxsize=None)
+def _mpmath_curve(sigma: float) -> tuple[float, ...]:
+    """The mpmath sums over PIN_NS at one width, once per session: the
+    trapezoid and the kernel are both pinned to them."""
     # the oracle's binomials depend only on (n, k) and the working precision,
-    # which PIN_NS fixes for every width, so the grid shares them
-    monkeypatch.setattr(mpmath, "binomial", lambda n, k: _mp_binomial_at(n, k, mpmath.mp.prec))
+    # which PIN_NS fixes for every width, so the widths share them
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mpmath, "binomial", lambda n, k: _mp_binomial_at(n, k, mpmath.mp.prec))
+        return tuple(reference.classical_parallel_curve(PIN_NS, sigma))
+
+
+@pytest.mark.parametrize("sigma", PIN_SIGMAS)
+def test_periodic_rule_matches_mpmath_sums(sigma):
     fast = est.classical_parallel_curve(PIN_NS, sigma)
-    exact = reference.classical_parallel_curve(PIN_NS, sigma)
-    np.testing.assert_allclose(fast, exact, rtol=1e-10, atol=0)
+    np.testing.assert_allclose(fast, _mpmath_curve(sigma), rtol=1e-10, atol=0)
+
+
+# the kernel's worst cells against the trapezoid lie near sigma = 0.1-0.15 at
+# N = 200 and 256
+@pytest.mark.parametrize("sigma", sorted(PIN_SIGMAS + (0.13,)))
+def test_classical_kernel_matches_mpmath_sums(sigma):
+    fast = [float(est._gaussian_round(est._classical_kernel(N))(sigma)) for N in PIN_NS]
+    np.testing.assert_allclose(fast, _mpmath_curve(sigma), rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 8, 40, 64, 200, est.CLASSICAL_PARALLEL_N_CAP])
+def test_classical_kernel_sums_to_the_xlogy_law(N):
+    # off the FFT's nodes, sum_d B_md e^{-i d theta} is the binomial law of
+    # the independent route: an alias at d = +-N (too few nodes), a
+    # half-angle without its pi / 4, or B_{m,d} read as B_{m,-d}, which
+    # mirrors the law to P(m|-theta) and leaves every MSE unchanged, fail
+    theta = np.linspace(-math.pi, math.pi, 201) + 0.1
+    half = theta / 2 + math.pi / 4
+    want = reference.outcome_law_by_xlogy(N, np.sin(half) ** 2, np.cos(half) ** 2)
+    phases = np.exp(-1j * np.outer(theta, np.arange(-N, N + 1)))
+    law = phases @ est._classical_kernel(N).T
+    np.testing.assert_allclose(law.real, want, rtol=0, atol=1e-13)
+    assert np.max(np.abs(law.imag)) <= 1e-13
 
 
 def test_node_pruning_does_not_move_the_sums():
     cases = ((40, 1e-3), (40, 0.1), (est.CLASSICAL_PARALLEL_N_CAP, 0.5), (64, 20.0))
-    pruned = [est._classical_round(N)(sigma) for N, sigma in cases]
+    pruned = [est._classical_round(N, sigma) for N, sigma in cases]
     every_node = [reference.classical_parallel_sums_by_all_nodes(N, sigma, node_floor=0.0)
                   for N, sigma in cases]
     np.testing.assert_allclose(pruned, every_node, rtol=1e-13, atol=0)
@@ -778,7 +809,7 @@ def test_node_pruning_does_not_move_the_sums():
 def test_node_window_keeps_the_sums_bit_for_bit(N):
     # the nodes past 14 sigma are never built; the floor would drop them all
     for sigma in TAU_GRID:
-        assert est._classical_round(N)(sigma) == (
+        assert est._classical_round(N, sigma) == (
             reference.classical_parallel_sums_by_all_nodes(N, sigma)), sigma
 
 
@@ -786,39 +817,13 @@ GRID_NS = (1, 2, 3, 8, 40, 64, est.CLASSICAL_PARALLEL_N_CAP)
 
 
 @pytest.mark.parametrize("N", GRID_NS)
-@pytest.mark.parametrize("block", [est._GRID_BLOCK, 1, 700])
-def test_width_grid_matches_one_width_calls(N, block, monkeypatch):
-    # block=1 gives every width a block of its own; 700 cuts blocks of a few
-    # widths at small N, so segments meet at block edges in every layout
-    monkeypatch.setattr(est, "_GRID_BLOCK", block)
-    grid = est._classical_round(N)(TAU_GRID)
-    single = np.array([est._classical_round(N)(float(sigma)) for sigma in TAU_GRID])
-    assert grid.shape == TAU_GRID.shape
-    np.testing.assert_allclose(grid, single, rtol=1e-13, atol=0)
-    assert np.argmin(grid / TAU_GRID**2) == np.argmin(single / TAU_GRID**2)
-    np.testing.assert_array_equal(est._classical_round(N)(TAU_GRID.reshape(6, 10)),
-                                  grid.reshape(6, 10))
-
-
-@pytest.mark.parametrize("N, least", [(2, 2), (est.CLASSICAL_PARALLEL_N_CAP, 10)])
-def test_width_grid_blocks_stay_under_the_budget(N, least, monkeypatch):
-    # a block's arrays hold its nodes times N + 1 outcomes plus each node's
-    # weight terms: its Gaussian images, or 3 Fourier terms from pi on
-    blocks = []
-    run_block = est._classical_block_sums
-
-    def recording(N, sigma, M, first, counts, images):
-        # the image sums and the Fourier series never share a block
-        assert np.all(sigma >= math.pi) or np.all(sigma < math.pi)
-        terms = 3 if sigma[0] >= math.pi else 2 * images + 1
-        blocks.append((len(sigma), int(np.sum(counts * (N + 1 + terms)))))
-        return run_block(N, sigma, M, first, counts, images)
-
-    monkeypatch.setattr(est, "_classical_block_sums", recording)
-    est._classical_round(N)(TAU_GRID)
-    assert sum(widths for widths, _ in blocks) == len(TAU_GRID)
-    assert len(blocks) >= least
-    assert all(size <= est._GRID_BLOCK for widths, size in blocks if widths > 1)
+def test_classical_kernel_objective_matches_the_all_nodes_trapezoid(N):
+    # the tau search's objective over the whole grid in one call, against
+    # the trapezoid on every node, one width at a time
+    objective = est._frequency_objective(est._classical_kernel(N))(TAU_GRID)
+    trapezoid = [reference.classical_parallel_sums_by_all_nodes(N, sigma) / sigma**2
+                 for sigma in TAU_GRID]
+    np.testing.assert_allclose(objective, trapezoid, rtol=1e-10, atol=0)
 
 
 @pytest.mark.parametrize("sigma", TAU_GRID[TAU_GRID >= math.pi])
@@ -925,24 +930,6 @@ def test_floored_image_sums_match_the_unfloored_route_on_kept_nodes(N):
         kept = want0 >= est._NODE_FLOOR * want0.max()
         np.testing.assert_array_equal(w0[kept], want0[kept])
         np.testing.assert_array_equal(w1[kept], want1[kept])
-
-
-def test_classical_round_builds_each_rules_law_once(monkeypatch):
-    builds = []
-    law = est._outcome_law
-
-    def counting(N, plus, minus):
-        builds.append(len(plus))
-        return law(N, plus, minus)
-
-    monkeypatch.setattr(est, "_outcome_law", counting)
-    sums = est._classical_round(1)
-    # at N = 1 these widths alternate between the rules M = 16 and M = 15
-    widths = (0.99, 1.01, 0.995, 1.005, 0.5, 1.01, 0.99)
-    values = [sums(sigma) for sigma in widths]
-    assert len(builds) == 3
-    monkeypatch.undo()
-    assert values == [est._classical_round(1)(sigma) for sigma in widths]
 
 
 @pytest.mark.parametrize("N", [1, 2, 7, 40, est.CLASSICAL_PARALLEL_N_CAP])
@@ -1064,7 +1051,7 @@ def test_width_grid_in_one_call_matches_single_widths(N):
     probe = probes.sine_coefficients(N)
     for povm in (None, qft_povm(N)):
         for theta0 in (0.0, 0.7):
-            mse = est._gaussian_round(N, probe, povm, theta0)
+            mse = est._gaussian_round(est._readout_kernel(probe, povm), theta0)
             batch = mse(TAU_GRID)
             assert batch.shape == TAU_GRID.shape
             single = [mse(float(sigma)) for sigma in TAU_GRID]
@@ -1085,7 +1072,7 @@ def test_tau_search_matches_the_width_loop(N):
         # the Fourier readout of one qubit is best at the shortest time
         assert loop.boundary == (N == 1)
     loop = reference.optimize_by_width_loop(
-        lambda tau: est.classical_parallel_curve([N], tau)[0] / tau**2, TAU_GRID)
+        est._frequency_objective(est._classical_kernel(N)), TAU_GRID)
     assert optimize_tau_classical(N) == loop
     assert not loop.boundary
 
@@ -1112,8 +1099,8 @@ def _visited(monkeypatch, search) -> list[tuple[float, float]]:
 @pytest.mark.parametrize("N", [1, 2, 3, 40, 64, est.CLASSICAL_PARALLEL_N_CAP])
 def test_prepared_searches_match_one_shot_calls(N, monkeypatch):
     # a search prepares its objective once and keeps what tau does not change
-    # (the probe's autocorrelation or the POVM's fold, the node laws): at every
-    # time the refinement visits, its value is a fresh one-shot call's
+    # (the probe's autocorrelation, the POVM's fold or the classical kernel):
+    # at every time the refinement visits, its value is a fresh one-shot call's
     probe = probes.sine_coefficients(N)
     for povm in (None, qft_povm(N)):
         visited = _visited(monkeypatch, lambda: optimize_tau(N, probe, povm))
@@ -1123,7 +1110,7 @@ def test_prepared_searches_match_one_shot_calls(N, monkeypatch):
     visited = _visited(monkeypatch, lambda: optimize_tau_classical(N))
     assert 3 <= len(visited) <= 15
     for tau, value in visited:
-        assert value == est._classical_round(N)(tau) / np.square(tau), tau
+        assert value == est._frequency_objective(est._classical_kernel(N))(tau), tau
 
 
 def test_grid_point_beats_a_refinement_that_misses_it():
@@ -1208,10 +1195,11 @@ def test_brent_search_matches_golden_section(N):
                                                 minimize=reference.golden_section_minimize)
 
     probe = probes.sine_coefficients(N)
-    cases = [(optimize_tau(N, probe, povm), golden(est._frequency_objective(N, probe, povm)))
+    cases = [(optimize_tau(N, probe, povm),
+              golden(est._frequency_objective(est._readout_kernel(probe, povm))))
              for povm in (None, qft_povm(N)) if povm is None or N <= 64]
-    sums = est._classical_round(N)
-    cases.append((optimize_tau_classical(N), golden(lambda tau: sums(tau) / tau**2)))
+    cases.append((optimize_tau_classical(N),
+                  golden(est._frequency_objective(est._classical_kernel(N)))))
     for brent, slow in cases:
         assert brent.boundary == slow.boundary
         assert abs(brent.tau - slow.tau) <= 1e-6
@@ -1230,9 +1218,9 @@ def test_refinement_calls_the_objective_at_most_15_times(monkeypatch):
 
         return wrapped
 
-    quantum, classical = est._frequency_objective, est._classical_round
-    monkeypatch.setattr(est, "_frequency_objective", lambda *a: counted(quantum(*a)))
-    monkeypatch.setattr(est, "_classical_round", lambda N: counted(classical(N)))
+    # every search, the classical one too, builds its objective here
+    objective = est._frequency_objective
+    monkeypatch.setattr(est, "_frequency_objective", lambda kernel: counted(objective(kernel)))
     probe = probes.sine_coefficients(64)
     for search in (lambda: optimize_tau(64, probe, None),
                    lambda: optimize_tau(64, probe, qft_povm(64)),

@@ -1,11 +1,12 @@
-"""Every public function and class of clustersense is called, or says why not.
+"""Every public function, class and method of clustersense is called, or says why not.
 
-A public top-level name (no leading underscore) of a clustersense module
-passes when `ast` finds it, as a name or an attribute, somewhere in `src/`
-outside its own definition, in `perfbench/worker.py` or in
-`tests/test_acceptance.py`.  Docstrings and comments do not count: `ast`
-sees no names in them.  Any other public name needs an entry in PURPOSES
-that names the ROADMAP direction or README row it serves.
+A public top-level name (no leading underscore) of a clustersense module,
+or a public method or property of a public class, passes when `ast` finds
+it, as a name or an attribute, somewhere in `src/` outside its own
+definition, in `perfbench/worker.py` or in `tests/test_acceptance.py`.
+Docstrings and comments do not count: `ast` sees no names in them.  Any
+other public name needs an entry in PURPOSES that names the ROADMAP
+direction or README row it serves.
 
 PURPOSES stands in for per-module `__all__` lists.  An `__all__` would be a
 second list of each module's names, kept in sync by hand beside the code
@@ -20,6 +21,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import types
 from pathlib import Path
 
 import clustersense
@@ -55,6 +57,13 @@ PURPOSES = {
                                              "unconditional Fourier-readout law p(k)",
     "estimate.holevo_variance": "README `estimate` row: the Holevo variance of a prior, a "
                                 "density or samples",
+    "estimate.Povm.outcome_probabilities": "README `estimate` row: Tr(E_k rho) on a dense "
+                                           "state; tests take it as the dense route that the "
+                                           "traces and the dephased Fisher information are "
+                                           "checked against",
+    "estimate.Prior.fisher_information": "ROADMAP direction 14: the Fisher information of a "
+                                         "prior, which no command reaches; that direction "
+                                         "retires it with the adaptive quadrature",
     "probes.amplitudes_from_angles": "README `probes` row: the angle-to-amplitude half of the "
                                      "inversion",
     "probes.build_prep_circuit": "README `probes` row: the controlled-Y cascade that prepares "
@@ -62,49 +71,81 @@ PURPOSES = {
     "simcore.cz": "README `simcore` row: the CZ of the gate set, which builds the cluster "
                   "states of ROADMAP direction 9's compiled patterns",
     "simcore.zero_state": "README `simcore` row: the all-zero dense state vector",
+    "simcore.StateVector.is_null": "README `simcore` row: the flag of the null state that a "
+                                   "zero-probability branch returns; tests read it on "
+                                   "run_pattern's null branch",
 }
 
 
-def _public_names() -> dict[str, str]:
-    """'module.name' -> module name, for every function and class that a
-    clustersense module defines under a public name."""
-    names = {}
-    for info in pkgutil.iter_modules(clustersense.__path__):
-        module = importlib.import_module(f"clustersense.{info.name}")
-        for name, obj in vars(module).items():
-            if (not name.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
-                    and obj.__module__ == module.__name__):
-                names[f"{info.name}.{name}"] = info.name
-    return names
+def _members(module: types.ModuleType) -> dict[str, tuple[str, ...]]:
+    """'name' or 'Class.member' -> the path of its definition, for every
+    function and class that `module` defines under a public name, and every
+    public method and property that such a class defines itself."""
+    members = {}
+    for name, obj in vars(module).items():
+        if (name.startswith("_") or not (inspect.isfunction(obj) or inspect.isclass(obj))
+                or obj.__module__ != module.__name__):
+            continue
+        members[name] = (name,)
+        if inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                if not attr.startswith("_") and (
+                        inspect.isfunction(member)
+                        or isinstance(member, (property, classmethod, staticmethod))):
+                    members[f"{name}.{attr}"] = (name, attr)
+    return members
 
 
-def _referenced(tree: ast.AST, skip: str | None = None) -> set[str]:
-    """Every identifier used as a name or an attribute in `tree`, leaving out
-    the body of the top-level definition called `skip`."""
-    body = [node for node in getattr(tree, "body", [])
-            if not (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == skip)]
-    found = set()
-    for node in (n for top in body for n in ast.walk(top)):
-        if isinstance(node, ast.Name):
-            found.add(node.id)
+def _uses(tree: ast.AST) -> dict[str, set[tuple[str, ...]]]:
+    """Each identifier used as a name or an attribute in `tree` -> the paths
+    (the names of the enclosing functions and classes) of the places it is
+    used in."""
+    uses: dict[str, set[tuple[str, ...]]] = {}
+
+    def visit(node: ast.AST, path: tuple[str, ...]) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            path += (node.name,)
+        elif isinstance(node, ast.Name):
+            uses.setdefault(node.id, set()).add(path)
         elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
-    return found
+            uses.setdefault(node.attr, set()).add(path)
+        for child in ast.iter_child_nodes(node):
+            visit(child, path)
+
+    visit(tree, ())
+    return uses
+
+
+def _used_outside(uses: dict[str, set[tuple[str, ...]]], name: str,
+                  skip: tuple[str, ...] = ()) -> bool:
+    """Whether `name` is used anywhere but inside the definition at `skip`."""
+    return any(not skip or path[:len(skip)] != skip for path in uses.get(name, ()))
+
+
+def _uncalled_in(modules: dict[str, types.ModuleType], trees: dict[str, ast.AST],
+                 outside: set[str]) -> set[str]:
+    """The public names and members of `modules` that no tree (by module
+    stem) uses outside their own definition and that `outside` lacks."""
+    uses = {stem: _uses(tree) for stem, tree in trees.items()}
+    uncalled = set()
+    for home, module in modules.items():
+        for qualified, path in _members(module).items():
+            name = path[-1]
+            if name in outside:
+                continue
+            if not any(_used_outside(found, name, path if stem == home else ())
+                       for stem, found in uses.items()):
+                uncalled.add(f"{home}.{qualified}")
+    return uncalled
 
 
 def _uncalled() -> set[str]:
-    """The public names that no caller references."""
+    """The public names and members that no caller references."""
+    modules = {info.name: importlib.import_module(f"clustersense.{info.name}")
+               for info in pkgutil.iter_modules(clustersense.__path__)}
     trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
-    outside = set().union(*(_referenced(ast.parse(path.read_text())) for path in CALLERS))
-    uncalled = set()
-    for qualified, home in _public_names().items():
-        name = qualified.split(".", 1)[1]
-        if name in outside:
-            continue
-        if not any(name in _referenced(tree, name if stem == home else None)
-                   for stem, tree in trees.items()):
-            uncalled.add(qualified)
-    return uncalled
+    outside = set().union(*(_uses(ast.parse(path.read_text())) for path in CALLERS))
+    return _uncalled_in(modules, trees, outside)
 
 
 def test_every_public_name_has_a_caller_or_a_purpose():
@@ -116,8 +157,28 @@ def test_every_public_name_has_a_caller_or_a_purpose():
 
 def test_a_definition_does_not_call_itself():
     # a name used only inside its own definition has no caller
-    tree = ast.parse("def orphan(n):\n    return orphan(n - 1) if n else 0\n"
-                     "def used():\n    return 1\n"
-                     "value = used()\n")
-    assert "orphan" not in _referenced(tree, "orphan")
-    assert "used" in _referenced(tree, "used")
+    uses = _uses(ast.parse("def orphan(n):\n    return orphan(n - 1) if n else 0\n"
+                           "def used():\n    return 1\n"
+                           "value = used()\n"))
+    assert not _used_outside(uses, "orphan", ("orphan",))
+    assert _used_outside(uses, "used", ("used",))
+
+
+def test_an_uncalled_method_is_flagged():
+    # a method that only its own body calls is flagged under its class; a
+    # property that another definition reads is not, nor is the class
+    source = ("class Box:\n"
+              "    def orphan(self):\n"
+              "        return self.orphan()\n"
+              "    @property\n"
+              "    def size(self):\n"
+              "        return 1\n"
+              "def measure(box: Box):\n"
+              "    return box.size\n")
+    module = types.ModuleType("box")
+    exec(compile(source, "box.py", "exec"), vars(module))
+    assert _uncalled_in({"box": module}, {"box": ast.parse(source)}, set()) == {
+        "box.Box.orphan", "box.measure"}
+    # the same method read from outside the package has a caller
+    assert _uncalled_in({"box": module}, {"box": ast.parse(source)}, {"orphan"}) == {
+        "box.measure"}
