@@ -817,6 +817,26 @@ GRID_NS = (1, 2, 3, 8, 40, 64, est.CLASSICAL_PARALLEL_N_CAP)
 
 
 @pytest.mark.parametrize("N", GRID_NS)
+@pytest.mark.parametrize("block", [1 << 15, 1, 700])
+def test_width_grid_matches_one_width_calls(N, block):
+    # the kernel's MSE over the grid, in calls of at most `block` harmonic
+    # cells (2N + 1 for each of a width's two rows, one width at the least):
+    # 1 gives every width a call of its own, 700 calls of 50 widths at N = 3
+    # down to 2 at N = 64 and 1 at N = 256, 1 << 15 the whole grid below
+    # N = 256 and two calls at it; so calls meet in every layout, and no
+    # width's value depends on which widths share its call
+    mse = est._gaussian_round(est._classical_kernel(N))
+    per_call = max(1, block // (2 * (2 * N + 1)))
+    grid = np.concatenate([mse(TAU_GRID[i:i + per_call])
+                           for i in range(0, len(TAU_GRID), per_call)])
+    single = np.array([mse(float(sigma)) for sigma in TAU_GRID])
+    assert grid.shape == TAU_GRID.shape
+    np.testing.assert_allclose(grid, single, rtol=1e-13, atol=0)
+    assert np.argmin(grid / TAU_GRID**2) == np.argmin(single / TAU_GRID**2)
+    np.testing.assert_array_equal(mse(TAU_GRID.reshape(6, 10)), mse(TAU_GRID).reshape(6, 10))
+
+
+@pytest.mark.parametrize("N", GRID_NS)
 def test_classical_kernel_objective_matches_the_all_nodes_trapezoid(N):
     # the tau search's objective over the whole grid in one call, against
     # the trapezoid on every node, one width at a time
