@@ -20,11 +20,13 @@ stored through its factor as E_k = F_k^+ F_k, or None for the (N+1)-point
 Fourier readout.  Either way the traces start from one autocorrelation:
 of the probe, folded mod N+1 and taken through one FFT for the Fourier
 readout, or of the probe weighted by each factor row for a Povm
-(_contract), so no (N+1)^2 matrix is built.  A stack of harmonic rows,
-such as the Gaussian rows of a whole grid of widths, is one call.  The
-optimal-parallel classical strategy has an outcome law that is a
-trigonometric polynomial of degree N, so its Fourier coefficients, taken by
-one FFT of the law on a power-of-two number of nodes above 2N, are a
+(_contract), so no (N+1)^2 matrix is built.  The kernel of every readout
+is Hermitian in d, and so are a Gaussian prior's rows, so the tau
+searches take each kernel's d >= 0 half as two real matrices
+(_gaussian_round), and each width of a grid costs one real row and one
+product.  The optimal-parallel classical strategy has an outcome law that
+is a trigonometric polynomial of degree N, so its Fourier coefficients,
+taken by one FFT of the law on a 5-smooth number of nodes above 2N, are a
 readout kernel like a Povm's (_classical_kernel), and the classical tau
 search is the quantum one's objective over that kernel.  One width at a
 time, as bayes-phase's column takes it, a periodic trapezoid rule against
@@ -434,6 +436,25 @@ def _readout_kernel(probe: SubspaceState, povm: Povm | None) -> np.ndarray:
     return _autocorrelation(povm.factors * probe.coeffs).sum(axis=1)
 
 
+def _half_kernel(probe: SubspaceState, povm: Povm | None) -> np.ndarray:
+    """The readout's kernel K_kd at d = 0..N, shape (K, N + 1), such that
+    Tr(E_k psi psi^+ o h) = sum_{d=-N..N} h_d K_kd with K_{k,-d} = K_kd*
+    (_gaussian_round): the d >= 0 columns of B_kd for a Povm, and for the
+    Fourier readout the fold and FFT of _contract as a matrix,
+    a_d e^{-2 pi i d k / (N+1)} / (N+1), its phases gathered from the N + 1
+    roots of unity at d k mod N + 1 and laid out d first, as the
+    classical kernel is, for _gaussian_round's transposed reads."""
+    kernel, N = _readout_kernel(probe, povm), probe.N
+    if povm is not None:
+        return kernel[:, N:]
+    n = np.arange(N + 1, dtype=np.int32)  # int32, whose remainder runs faster
+    powers = np.outer(n, n)
+    powers %= N + 1
+    half = (np.exp((-2j * math.pi / (N + 1)) * n) / (N + 1))[powers]
+    half *= kernel[N:, None]
+    return half.T
+
+
 def _contract(kernel: np.ndarray, harmonics: np.ndarray) -> np.ndarray:
     """Tr(E_k psi psi^+ o h) for each effect of the readout whose kernel is
     `kernel` (_readout_kernel) and each row h of `harmonics` (d = -N..N on
@@ -520,12 +541,16 @@ def _log_binomials(N: int) -> np.ndarray:
     return out
 
 
-def _outcome_law(N: int, plus, minus) -> np.ndarray:
+def _outcome_law(N: int, plus, minus, floored: bool = False) -> np.ndarray:
     """C(N, m) plus^(N-m) minus^m for m = 0..N on a new last axis, one row
     per entry of the single-qubit probabilities plus and minus, as the
     exponential of log C(N, m) + (N - m) log plus + m log minus.  The two
     products are outer products whose m = N and m = 0 columns are set to 0,
-    so a vanishing probability raised to the power 0 gives 1."""
+    so a vanishing probability raised to the power 0 gives 1.  With
+    floored=True an exponent below _EXP_FLOOR gives exactly 0 in place of a
+    subnormal, off exp's slow path: _classical_kernel takes it so, and its
+    entries are those over the unfloored law bit for bit.  _classical_round
+    keeps the unfloored law, subnormal entries and all."""
     m = np.arange(N + 1.0)  # float, so the outer products run no casting loop
     with np.errstate(divide="ignore", invalid="ignore"):
         law = np.multiply.outer(np.log(plus), N - m)
@@ -536,6 +561,8 @@ def _outcome_law(N: int, plus, minus) -> np.ndarray:
     # than the arithmetic at N = 200
     law += _log_binomials(N)
     law += second
+    if floored:
+        law[law < _EXP_FLOOR] = -np.inf  # exactly 0, by exp's fast path (_gaussian_terms)
     return np.exp(law, out=law)
 
 
@@ -727,26 +754,43 @@ def _checked_probe(N: int, probe: SubspaceState | None, povm: Povm | None) -> Su
     return probe
 
 
-def _gaussian_round(kernel: np.ndarray, theta0: float = 0.0):
+def _gaussian_round(half: np.ndarray, theta0: float = 0.0):
     """sigma -> the average posterior MSE of one round under a Gaussian prior
     of mean theta0 and width sigma: sigma^2 - sum_k g_k^2 / p_k with
     p_k = Tr(E_k Gamma) and g_k the trace of the first moment about the mean
-    (_gaussian_harmonics), for the readout whose kernel is `kernel`: a
-    probe's (_readout_kernel) or the parallel classical strategy's
-    (_classical_kernel).
+    (_gaussian_harmonics), for the readout whose half-spectrum kernel is
+    `half`: K_kd at d = 0..N, shape (K, N + 1), a probe's (_half_kernel) or
+    the parallel classical strategy's (_classical_kernel).
 
-    What no width changes is built once, for every call of the returned
-    function: the kernel, by the caller, and the index rows.  A call forms
-    only the 1 and theta harmonic rows of its widths and their traces.
-    sigma is one width or an array of widths, and the result has its shape:
-    the traces of every width are taken in one kernel call (_contract keeps
-    leading axes), and a single width runs the same kernel.
+    Each kernel is Hermitian in d, K_{k,-d} = K_kd*, and so are the 1 row
+    e^{-i d theta0 - d^2 sigma^2 / 2} and the first-moment row, -i d sigma^2
+    times it, so the terms at d and -d of each trace are conjugates.  With
+    z_kd = K_kd e^{-i d theta0} and w = (1, 2, 2, ...),
+    p_k = sum_d e^{-d^2 sigma^2 / 2} w_d Re z_kd and
+    g_k = sigma^2 sum_d e^{-d^2 sigma^2 / 2} w_d d Im z_kd over d = 0..N.
+    The two real matrices w Re z and w d Im z are built once, side by side,
+    for every call of the returned function; a call forms one real row per
+    width and one product with them.  sigma is one width or an array of
+    widths, and the result has its shape: each width's row is a (1, N + 1)
+    matrix of its own in a stacked product, as a single width's is, so no
+    width's value depends on which widths share its call.
     """
-    rows = _index_rows(math.remainder(theta0, 2 * math.pi), kernel.shape[-1] // 2)
+    K, N = half.shape[0], half.shape[1] - 1
+    d = np.arange(N + 1.0)
+    w = np.full(N + 1, 2.0)
+    w[0] = 1.0
+    t0 = math.remainder(theta0, 2 * math.pi)
+    z = half * np.exp((-1j * t0) * d) if t0 else half  # every tau search runs at 0
+    sides = np.empty((N + 1, 2 * K))
+    np.multiply(z.real.T, w[:, None], out=sides[:, :K])
+    np.multiply(z.imag.T, (w * d)[:, None], out=sides[:, K:])
+    half_square = -0.5 * d**2
 
     def mse(sigma):
-        traces = _contract(kernel, _gaussian_harmonics(sigma, rows)).real
-        return np.square(sigma) - _information(traces[..., 0, :], traces[..., 1, :])
+        s2 = np.square(sigma)
+        rows = np.exp(np.multiply.outer(s2, half_square))[..., None, :]
+        traces = (rows @ sides)[..., 0, :]
+        return s2 - _information(traces[..., :K], s2[..., None] * traces[..., K:])
 
     return mse
 
@@ -758,12 +802,15 @@ def qft_phase_variance(N: int, sigma: float, theta0: float = 0.0,
     Same quantity as bayes_round with qft_povm, but p_k = f_k^+ Gamma f_k and
     g_k = f_k^+ eta f_k come from the probe's autocorrelation times the
     Gaussian harmonics and one FFT (_contract): O(N^2) for the
-    autocorrelation, and no (N+1)^2 matrix is built.  The width and the
-    mean are checked by the Gaussian prior they make.
+    autocorrelation, and no (N+1)^2 matrix is built, which at one width
+    beats the O(N^2) build of _gaussian_round's half-spectrum kernel.  The
+    width and the mean are checked by the Gaussian prior they make.
     """
     gaussian_prior(sigma, theta0)
-    return float(_gaussian_round(_readout_kernel(_checked_probe(N, probe, None), None),
-                                 theta0)(sigma))
+    kernel = _readout_kernel(_checked_probe(N, probe, None), None)
+    p, g = _contract(kernel, _gaussian_harmonics(
+        sigma, _index_rows(math.remainder(theta0, 2 * math.pi), N))).real
+    return float(np.square(sigma) - _information(p, g))
 
 
 # ---------------------------------------------------------------------------
@@ -901,21 +948,36 @@ def _classical_round(N: int, sigma: float) -> float:
     return sigma**2 - float(np.sum(gamma[seen] ** 2 / p[seen]))
 
 
+def _fft_length(n: int) -> int:
+    """The least 2^a 3^b 5^c >= n: numpy's FFT runs such a length in radix
+    2, 3 and 5 passes, and one is never far above n, unlike a power of two."""
+    length = n
+    while True:
+        rest = length
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return length
+        length += 1
+
+
 def _classical_kernel(N: int) -> np.ndarray:
-    """The readout kernel B_md of the parallel classical strategy (_contract),
-    shape (N + 1, 2N + 1) with column d + N: P(m|theta) =
-    sum_d B_md e^{-i d theta} for the outcome law of _classical_round, a
-    trigonometric polynomial of degree N.  Sampled on L equispaced nodes
+    """The half-spectrum readout kernel B_md of the parallel classical
+    strategy (_gaussian_round), shape (N + 1, N + 1) with column d = 0..N:
+    P(m|theta) = sum_{d=-N..N} B_md e^{-i d theta} for the outcome law of
+    _classical_round, a trigonometric polynomial of degree N, and
+    B_{m,-d} = B_md* since the law is real.  Sampled on L equispaced nodes
     2 pi j / L of the period, L > 2N, the law's rfft over the nodes is
-    L B_{m,-q} at q = 0..N with no alias, and B_{m,d} = B_{m,-d}* since the
-    law is real: exact up to rounding.  L is the least power of two above
-    2N, where the FFT is fast at every N.  The rows of d are laid out
-    first, so the product h B^T of every width reads B^T in order."""
-    L = 1 << (2 * N).bit_length()
+    L B_{m,-q} = L B_mq* at q = 0..N with no alias: exact up to rounding.
+    L is the least 2^a 3^b 5^c above 2N (_fft_length)."""
+    L = _fft_length(2 * N + 1)
     half = (math.pi / L) * np.arange(L) + math.pi / 4
-    law = _outcome_law(N, np.sin(half) ** 2, np.cos(half) ** 2)
-    coeffs = np.fft.rfft(law, axis=0)[:N + 1] / L  # row q holds B_{m,-q}
-    return np.concatenate([coeffs[:0:-1], coeffs.conj()]).T
+    law = _outcome_law(N, np.sin(half) ** 2, np.cos(half) ** 2, floored=True)
+    kernel = np.fft.rfft(law, axis=0)[:N + 1].T  # column q holds L B_{m,-q}
+    np.conjugate(kernel, out=kernel)
+    kernel /= L
+    return kernel
 
 
 def _check_classical_n(N: int) -> None:
@@ -1012,15 +1074,16 @@ def noisy_local_equivalence_check(N: int, sigma: float, probe: SubspaceState,
 # ---------------------------------------------------------------------------
 # Frequency estimation
 
-def _frequency_objective(kernel: np.ndarray):
+def _frequency_objective(half: np.ndarray):
     """tau -> the average posterior frequency MSE in units of delta^2 for a
-    frequency prior of width delta and the readout whose kernel is `kernel`
-    (_gaussian_round): the phase MSE at prior width tau = t delta over
-    tau^2, in which delta cancels, so it is no input.  The round is prepared
-    once, so a search calls only what depends on tau.  tau is one
-    interrogation time (a float is returned) or an array of them (an array
-    of the same shape, from one kernel call)."""
-    mse = _gaussian_round(kernel)
+    frequency prior of width delta and the readout whose half-spectrum
+    kernel is `half` (_gaussian_round at theta0 = 0): the phase MSE at prior
+    width tau = t delta over tau^2, in which delta cancels, so it is no
+    input.  The round is prepared once, so a search calls only what depends
+    on tau: one real row per time and one product.  tau is one interrogation
+    time (a float is returned) or an array of them (an array of the same
+    shape, each time's value that of a call of its own)."""
+    mse = _gaussian_round(half)
 
     def vbar(tau):
         value = mse(tau) / np.square(tau)
@@ -1035,7 +1098,7 @@ def frequency_round(N: int, tau, probe: SubspaceState, povm: Povm | None):
     positive and finite."""
     tau = np.asarray(tau, dtype=float)
     _check_width(tau, "tau")
-    return _frequency_objective(_readout_kernel(_checked_probe(N, probe, povm), povm))(tau)
+    return _frequency_objective(_half_kernel(_checked_probe(N, probe, povm), povm))(tau)
 
 
 @dataclass(frozen=True)
@@ -1074,16 +1137,16 @@ def optimize_tau(N: int, probe: SubspaceState, povm: Povm | None) -> TauOptimum:
     Brent's parabolic refinement around the best grid point (the objective is
     observed to be unimodal, but the grid guards against surprises).
     povm=None is the (N+1)-point Fourier readout."""
-    kernel = _readout_kernel(_checked_probe(N, probe, povm), povm)
-    return _optimize_objective(_frequency_objective(kernel), TAU_GRID)
+    half = _half_kernel(_checked_probe(N, probe, povm), povm)
+    return _optimize_objective(_frequency_objective(half), TAU_GRID)
 
 
 def optimize_tau_classical(N: int) -> TauOptimum:
     """Interrogation-time optimum of the parallel classical strategy; the
     frequency objective (in delta^2 units) is the phase variance at width
     tau divided by tau^2.  It is optimize_tau's objective over the
-    strategy's readout kernel (_classical_kernel), built once per search:
-    the whole TAU_GRID is one small matrix product, and each call of the
-    refinement one more."""
+    strategy's half-spectrum kernel (_classical_kernel), built once per
+    search: the whole TAU_GRID is one stacked real product, and each call of
+    the refinement one more."""
     _check_classical_n(N)
     return _optimize_objective(_frequency_objective(_classical_kernel(N)), TAU_GRID)

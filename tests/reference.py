@@ -43,6 +43,11 @@
   with np.where for 0 log 0, where the package builds only the nodes near
   the prior's mean, sums wide priors by their Fourier series and zeroes
   one column of each outer product in place of the np.where.
+* The Gaussian round over a readout kernel's full spectrum, d = -N..N:
+  complex traces against the complex Gaussian rows (the package's
+  `_contract` over `_gaussian_harmonics`), one width at a time, where the
+  interrogation-time searches take two real products over the kernel's
+  d >= 0 half.
 * The interrogation-time search as a loop of one objective call per width,
   where the package evaluates the whole grid in one call; and its
   refinement by golden section, which shrinks the bracket by a fixed ratio
@@ -73,7 +78,11 @@ from clustersense.estimate import (
     QuadratureError,
     TauOptimum,
     _brent_minimize,
+    _contract,
     _gauss_legendre_converged,
+    _gaussian_harmonics,
+    _index_rows,
+    _information,
     gaussian_prior,
     parity_strategy,
 )
@@ -712,3 +721,24 @@ def optimize_by_width_loop(objective, grid: np.ndarray, minimize=_brent_minimize
     if val > values[best]:
         tau, val = grid[best], values[best]
     return TauOptimum(float(tau), float(val), boundary=False)
+
+
+def full_kernel(half: np.ndarray) -> np.ndarray:
+    """A readout kernel over d = -N..N, column d + N, from its d >= 0 half
+    (_gaussian_round's form) by K_{k,-d} = K_kd*: the form _contract takes."""
+    return np.concatenate([half[:, :0:-1].conj(), half], axis=1)
+
+
+def gaussian_round_by_full_kernel(kernel: np.ndarray, theta0: float = 0.0):
+    """sigma -> sigma^2 - sum_k g_k^2 / p_k, one width at a time, from the
+    complex traces of `kernel` over d = -N..N against the Gaussian 1 and
+    first-moment rows (_contract over _gaussian_harmonics): the route the
+    half-spectrum round is pinned to.  kernel is a (K, 2N + 1) kernel, or a
+    probe's autocorrelation for the Fourier readout's fold and FFT."""
+    rows = _index_rows(math.remainder(theta0, 2 * math.pi), kernel.shape[-1] // 2)
+
+    def mse(sigma):
+        p, g = _contract(kernel, _gaussian_harmonics(sigma, rows)).real
+        return sigma**2 - float(_information(p, g))
+
+    return mse

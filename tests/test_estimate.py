@@ -792,7 +792,7 @@ def test_classical_kernel_sums_to_the_xlogy_law(N):
     half = theta / 2 + math.pi / 4
     want = reference.outcome_law_by_xlogy(N, np.sin(half) ** 2, np.cos(half) ** 2)
     phases = np.exp(-1j * np.outer(theta, np.arange(-N, N + 1)))
-    law = phases @ est._classical_kernel(N).T
+    law = phases @ reference.full_kernel(est._classical_kernel(N)).T
     np.testing.assert_allclose(law.real, want, rtol=0, atol=1e-13)
     assert np.max(np.abs(law.imag)) <= 1e-13
 
@@ -970,6 +970,23 @@ def test_outcome_law_equals_the_xlogy_route(N):
     assert law[0, N] == 1.0 and law[1, 0] == 1.0
 
 
+@pytest.mark.parametrize("N", [1, 2, 3, 8, 13, 40, 64, 100, 200, est.CLASSICAL_PARALLEL_N_CAP])
+def test_floored_law_keeps_the_classical_kernel_bit_for_bit(N, monkeypatch):
+    # the kernel's law sends exponents below _EXP_FLOOR to 0 in place of a
+    # subnormal: its entries are those of the kernel over the unfloored xlogy
+    # law bit for bit, and from N = 100 on its nodes do reach the floor
+    L = est._fft_length(2 * N + 1)
+    half = (math.pi / L) * np.arange(L) + math.pi / 4
+    plus, minus = np.sin(half) ** 2, np.cos(half) ** 2
+    zeroed = ((est._outcome_law(N, plus, minus, floored=True) == 0)
+              & (reference.outcome_law_by_xlogy(N, plus, minus) > 0))
+    assert np.any(zeroed) == (N >= 100)
+    kernel = est._classical_kernel(N)
+    monkeypatch.setattr(est, "_outcome_law", lambda N, plus, minus, floored:
+                        reference.outcome_law_by_xlogy(N, plus, minus))
+    np.testing.assert_array_equal(est._classical_kernel(N), kernel)
+
+
 def _run_fresh(code: str) -> str:
     """stdout of `code` run in a new interpreter on this source tree."""
     src = str(Path(clustersense.__file__).parents[1])
@@ -1055,6 +1072,10 @@ def test_fourier_frequency_route_matches_qft_povm(N):
     fast = [frequency_round(N, tau, probe, None) for tau in TAU_GRID]
     dense = [frequency_round(N, tau, probe, povm) for tau in TAU_GRID]
     np.testing.assert_allclose(fast, dense, rtol=1e-12, atol=0)
+    # outcome by outcome too: conjugated roots of unity only relabel k as -k,
+    # which leaves every MSE unchanged
+    np.testing.assert_allclose(est._half_kernel(probe, None),
+                               est._half_kernel(probe, povm)[:N + 1], rtol=0, atol=1e-15)
 
 
 def test_frequency_round_requires_positive_tau():
@@ -1071,7 +1092,7 @@ def test_width_grid_in_one_call_matches_single_widths(N):
     probe = probes.sine_coefficients(N)
     for povm in (None, qft_povm(N)):
         for theta0 in (0.0, 0.7):
-            mse = est._gaussian_round(est._readout_kernel(probe, povm), theta0)
+            mse = est._gaussian_round(est._half_kernel(probe, povm), theta0)
             batch = mse(TAU_GRID)
             assert batch.shape == TAU_GRID.shape
             single = [mse(float(sigma)) for sigma in TAU_GRID]
@@ -1080,6 +1101,52 @@ def test_width_grid_in_one_call_matches_single_widths(N):
     grid = TAU_GRID.reshape(6, 10)
     np.testing.assert_array_equal(frequency_round(N, grid, probe, None),
                                   frequency_round(N, TAU_GRID, probe, None).reshape(6, 10))
+
+
+HALF_NS = (1, 2, 3, 8, 40, 64, 200, est.CLASSICAL_PARALLEL_N_CAP)
+
+
+def _kernel_pairs(N: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(half-spectrum kernel, the kernel _contract takes) for every kind the
+    tau searches run on: the Fourier readout, a random rank-3 Povm and
+    qft_povm (to N = 64) on the sine probe and on a random complex probe,
+    whose autocorrelation has no mirror symmetry, and the classical kernel."""
+    rng = np.random.default_rng(N)
+    raw = rng.normal(size=N + 1) + 1j * rng.normal(size=N + 1)
+    pairs = []
+    for probe in (probes.sine_coefficients(N), probes.SubspaceState(N, raw / np.linalg.norm(raw))):
+        for povm in [None, _random_povm(N, 3, rng)] + ([qft_povm(N)] if N <= 64 else []):
+            pairs.append((est._half_kernel(probe, povm), est._readout_kernel(probe, povm)))
+    classical = est._classical_kernel(N)
+    return pairs + [(classical, reference.full_kernel(classical))]
+
+
+@pytest.mark.parametrize("N", HALF_NS)
+def test_half_spectrum_round_matches_the_complex_contraction(N):
+    # two real products over d = 0..N against the complex traces over
+    # d = -N..N, one width at a time; the MSE cancels to about 3e-12 of
+    # itself, so the routes are held to 1e-13 of sigma^2: weights 1 in place
+    # of 2, a dropped d or the phase of theta0 conjugated all fail
+    for half, full in _kernel_pairs(N):
+        assert half.shape[-1] == N + 1
+        for theta0 in (0.0, 0.7, 3.1):
+            fast = est._gaussian_round(half, theta0)(TAU_GRID)
+            slow = reference.gaussian_round_by_full_kernel(full, theta0)
+            gap = np.abs(fast - [slow(float(sigma)) for sigma in TAU_GRID])
+            assert np.all(gap <= 1e-13 * TAU_GRID**2), (theta0, np.max(gap / TAU_GRID**2))
+
+
+@pytest.mark.parametrize("N", HALF_NS)
+def test_half_spectrum_round_is_batch_invariant(N):
+    # each width's row is its own matrix in the stacked product, so its
+    # value is bit for bit that of a call of its own, in any order or shape
+    for half, _ in _kernel_pairs(N):
+        for theta0 in (0.0, 0.7):
+            mse = est._gaussian_round(half, theta0)
+            batch = mse(TAU_GRID)
+            np.testing.assert_array_equal(batch, [mse(float(sigma)) for sigma in TAU_GRID])
+            np.testing.assert_array_equal(mse(TAU_GRID[::-1]), batch[::-1])
+            np.testing.assert_array_equal(mse(TAU_GRID.reshape(6, 10)), batch.reshape(6, 10))
 
 
 @pytest.mark.parametrize("N", [1, 4, 40])
@@ -1216,7 +1283,7 @@ def test_brent_search_matches_golden_section(N):
 
     probe = probes.sine_coefficients(N)
     cases = [(optimize_tau(N, probe, povm),
-              golden(est._frequency_objective(est._readout_kernel(probe, povm))))
+              golden(est._frequency_objective(est._half_kernel(probe, povm))))
              for povm in (None, qft_povm(N)) if povm is None or N <= 64]
     cases.append((optimize_tau_classical(N),
                   golden(est._frequency_objective(est._classical_kernel(N)))))
