@@ -24,11 +24,12 @@ readout, or of the probe weighted by each factor row for a Povm
 is Hermitian in d, and so are a Gaussian prior's rows, so the tau
 searches take each kernel's d >= 0 half as two real matrices
 (_gaussian_round), and each width of a grid costs one real row and one
-product.  The optimal-parallel classical strategy has an outcome law that
-is a trigonometric polynomial of degree N, so its Fourier coefficients,
-taken by one FFT of the law on a 5-smooth number of nodes above 2N, are a
-readout kernel like a Povm's (_classical_kernel), and the classical tau
-search is the quantum one's objective over that kernel.  One width at a
+product; above N = 80 the Fourier readout's half takes two FFTs per width
+in place of a matrix.  The optimal-parallel classical strategy has an
+outcome law that is a trigonometric polynomial of degree N, so its Fourier
+coefficients, taken by one FFT of the law on a 5-smooth number of nodes
+above 2N, are a readout kernel like a Povm's (_classical_kernel), and the
+classical tau search is the quantum one's objective over that kernel.  One width at a
 time, as bayes-phase's column takes it, a periodic trapezoid rule against
 the wrapped Gaussian integrates the law exactly in float64, with every
 summed term positive.  Its node weights, like the wrapped prior's density
@@ -437,21 +438,26 @@ def _readout_kernel(probe: SubspaceState, povm: Povm | None) -> np.ndarray:
 
 
 def _half_kernel(probe: SubspaceState, povm: Povm | None) -> np.ndarray:
-    """The readout's kernel K_kd at d = 0..N, shape (K, N + 1), such that
-    Tr(E_k psi psi^+ o h) = sum_{d=-N..N} h_d K_kd with K_{k,-d} = K_kd*
-    (_gaussian_round): the d >= 0 columns of B_kd for a Povm, and for the
-    Fourier readout the fold and FFT of _contract as a matrix,
-    a_d e^{-2 pi i d k / (N+1)} / (N+1), its phases gathered from the N + 1
-    roots of unity at d k mod N + 1 and laid out d first, as the
+    """What the tau searches need of the readout (_gaussian_round): the
+    d >= 0 half of its _readout_kernel, with the rest given by
+    K_{k,-d} = K_kd*: a_d at d = 0..N, shape (N + 1,), for the Fourier
+    readout, or B_kd at d = 0..N, shape (K, N + 1), for a Povm."""
+    N = probe.N
+    return _readout_kernel(probe, povm)[..., N:]
+
+
+def _fourier_matrix(a: np.ndarray) -> np.ndarray:
+    """The Fourier readout's half-spectrum kernel as a matrix, shape
+    (N + 1, N + 1): a_d e^{-2 pi i d k / (N+1)} / (N+1) at row k, column d,
+    the fold and FFT of _contract at d = 0..N, its phases gathered from the
+    N + 1 roots of unity at d k mod N + 1 and laid out d first, as the
     classical kernel is, for _gaussian_round's transposed reads."""
-    kernel, N = _readout_kernel(probe, povm), probe.N
-    if povm is not None:
-        return kernel[:, N:]
-    n = np.arange(N + 1, dtype=np.int32)  # int32, whose remainder runs faster
+    N = len(a) - 1
+    n = np.arange(N + 1)
     powers = np.outer(n, n)
     powers %= N + 1
     half = (np.exp((-2j * math.pi / (N + 1)) * n) / (N + 1))[powers]
-    half *= kernel[N:, None]
+    half *= a[:, None]
     return half.T
 
 
@@ -541,16 +547,12 @@ def _log_binomials(N: int) -> np.ndarray:
     return out
 
 
-def _outcome_law(N: int, plus, minus, floored: bool = False) -> np.ndarray:
+def _outcome_law(N: int, plus, minus) -> np.ndarray:
     """C(N, m) plus^(N-m) minus^m for m = 0..N on a new last axis, one row
     per entry of the single-qubit probabilities plus and minus, as the
     exponential of log C(N, m) + (N - m) log plus + m log minus.  The two
     products are outer products whose m = N and m = 0 columns are set to 0,
-    so a vanishing probability raised to the power 0 gives 1.  With
-    floored=True an exponent below _EXP_FLOOR gives exactly 0 in place of a
-    subnormal, off exp's slow path: _classical_kernel takes it so, and its
-    entries are those over the unfloored law bit for bit.  _classical_round
-    keeps the unfloored law, subnormal entries and all."""
+    so a vanishing probability raised to the power 0 gives 1."""
     m = np.arange(N + 1.0)  # float, so the outer products run no casting loop
     with np.errstate(divide="ignore", invalid="ignore"):
         law = np.multiply.outer(np.log(plus), N - m)
@@ -561,8 +563,6 @@ def _outcome_law(N: int, plus, minus, floored: bool = False) -> np.ndarray:
     # than the arithmetic at N = 200
     law += _log_binomials(N)
     law += second
-    if floored:
-        law[law < _EXP_FLOOR] = -np.inf  # exactly 0, by exp's fast path (_gaussian_terms)
     return np.exp(law, out=law)
 
 
@@ -754,43 +754,69 @@ def _checked_probe(N: int, probe: SubspaceState | None, povm: Povm | None) -> Su
     return probe
 
 
-def _gaussian_round(half: np.ndarray, theta0: float = 0.0):
+#: Up to this N the tau searches take the Fourier readout as the matrix
+#: _fourier_matrix, whose O(N^2) build and products beat two FFTs per width
+#: there (0.18 against 0.28 ms a search at N = 40); above it they take the
+#: FFTs, in O(N) memory (1.0 against 2.6 ms at N = 256, 2.9 against 57 ms
+#: at N = 1024).  Between N = 60 and 130 either can win, by the factors of
+#: N + 1.
+_FOURIER_MATRIX_N = 80
+
+
+def _gaussian_round(half: np.ndarray):
     """sigma -> the average posterior MSE of one round under a Gaussian prior
-    of mean theta0 and width sigma: sigma^2 - sum_k g_k^2 / p_k with
-    p_k = Tr(E_k Gamma) and g_k the trace of the first moment about the mean
+    of mean 0 and width sigma: sigma^2 - sum_k g_k^2 / p_k with
+    p_k = Tr(E_k Gamma) and g_k the trace of the first moment
     (_gaussian_harmonics), for the readout whose half-spectrum kernel is
-    `half`: K_kd at d = 0..N, shape (K, N + 1), a probe's (_half_kernel) or
-    the parallel classical strategy's (_classical_kernel).
+    `half`: a probe's (_half_kernel) or the parallel classical strategy's
+    (_classical_kernel), K_kd at d = 0..N, shape (K, N + 1), or the Fourier
+    readout's a_d, shape (N + 1,).
 
     Each kernel is Hermitian in d, K_{k,-d} = K_kd*, and so are the 1 row
-    e^{-i d theta0 - d^2 sigma^2 / 2} and the first-moment row, -i d sigma^2
-    times it, so the terms at d and -d of each trace are conjugates.  With
-    z_kd = K_kd e^{-i d theta0} and w = (1, 2, 2, ...),
-    p_k = sum_d e^{-d^2 sigma^2 / 2} w_d Re z_kd and
-    g_k = sigma^2 sum_d e^{-d^2 sigma^2 / 2} w_d d Im z_kd over d = 0..N.
-    The two real matrices w Re z and w d Im z are built once, side by side,
+    e^{-d^2 sigma^2 / 2} and the first-moment row, -i d sigma^2 times it,
+    so the terms at d and -d of each trace are conjugates.  With
+    w = (1, 2, 2, ...), p_k = sum_d e^{-d^2 sigma^2 / 2} w_d Re K_kd and
+    g_k = sigma^2 sum_d e^{-d^2 sigma^2 / 2} w_d d Im K_kd over d = 0..N.
+    The two real matrices w Re K and w d Im K are built once, side by side,
     for every call of the returned function; a call forms one real row per
-    width and one product with them.  sigma is one width or an array of
-    widths, and the result has its shape: each width's row is a (1, N + 1)
-    matrix of its own in a stacked product, as a single width's is, so no
-    width's value depends on which widths share its call.
+    width and one product with them.  The Fourier readout above
+    _FOURIER_MATRIX_N builds no matrix: K_kd = a_d e^{-2 pi i d k / (N+1)}
+    / (N+1), so each width's sums are one length-(N + 1) FFT of
+    e^{-d^2 sigma^2 / 2} w_d a_d and one of d times it.  sigma is one width
+    or an array of widths, and the result has its shape: each width's row
+    is a product or a pair of FFTs of its own, as a single width's is, so
+    no width's value depends on which widths share its call.
     """
-    K, N = half.shape[0], half.shape[1] - 1
+    N = half.shape[-1] - 1
+    if half.ndim == 1 and N <= _FOURIER_MATRIX_N:
+        half = _fourier_matrix(half)
     d = np.arange(N + 1.0)
     w = np.full(N + 1, 2.0)
     w[0] = 1.0
-    t0 = math.remainder(theta0, 2 * math.pi)
-    z = half * np.exp((-1j * t0) * d) if t0 else half  # every tau search runs at 0
-    sides = np.empty((N + 1, 2 * K))
-    np.multiply(z.real.T, w[:, None], out=sides[:, :K])
-    np.multiply(z.imag.T, (w * d)[:, None], out=sides[:, K:])
+    if half.ndim == 1:
+        scaled = np.empty((2, N + 1), complex)
+        np.multiply(half, w / (N + 1), out=scaled[0])
+        np.multiply(scaled[0], d, out=scaled[1])
+
+        def traces(rows):
+            sums = np.fft.fft(rows * scaled, axis=-1)
+            return sums[..., 0, :].real, sums[..., 1, :].imag
+    else:
+        K = half.shape[0]
+        sides = np.empty((N + 1, 2 * K))
+        np.multiply(half.real.T, w[:, None], out=sides[:, :K])
+        np.multiply(half.imag.T, (w * d)[:, None], out=sides[:, K:])
+
+        def traces(rows):
+            sums = (rows @ sides)[..., 0, :]
+            return sums[..., :K], sums[..., K:]
+
     half_square = -0.5 * d**2
 
     def mse(sigma):
         s2 = np.square(sigma)
-        rows = np.exp(np.multiply.outer(s2, half_square))[..., None, :]
-        traces = (rows @ sides)[..., 0, :]
-        return s2 - _information(traces[..., :K], s2[..., None] * traces[..., K:])
+        p, g = traces(np.exp(np.multiply.outer(s2, half_square))[..., None, :])
+        return s2 - _information(p, s2[..., None] * g)
 
     return mse
 
@@ -802,9 +828,8 @@ def qft_phase_variance(N: int, sigma: float, theta0: float = 0.0,
     Same quantity as bayes_round with qft_povm, but p_k = f_k^+ Gamma f_k and
     g_k = f_k^+ eta f_k come from the probe's autocorrelation times the
     Gaussian harmonics and one FFT (_contract): O(N^2) for the
-    autocorrelation, and no (N+1)^2 matrix is built, which at one width
-    beats the O(N^2) build of _gaussian_round's half-spectrum kernel.  The
-    width and the mean are checked by the Gaussian prior they make.
+    autocorrelation, and no (N+1)^2 matrix is built.  The width and the
+    mean are checked by the Gaussian prior they make.
     """
     gaussian_prior(sigma, theta0)
     kernel = _readout_kernel(_checked_probe(N, probe, None), None)
@@ -973,7 +998,7 @@ def _classical_kernel(N: int) -> np.ndarray:
     L is the least 2^a 3^b 5^c above 2N (_fft_length)."""
     L = _fft_length(2 * N + 1)
     half = (math.pi / L) * np.arange(L) + math.pi / 4
-    law = _outcome_law(N, np.sin(half) ** 2, np.cos(half) ** 2, floored=True)
+    law = _outcome_law(N, np.sin(half) ** 2, np.cos(half) ** 2)
     kernel = np.fft.rfft(law, axis=0)[:N + 1].T  # column q holds L B_{m,-q}
     np.conjugate(kernel, out=kernel)
     kernel /= L
@@ -1077,10 +1102,10 @@ def noisy_local_equivalence_check(N: int, sigma: float, probe: SubspaceState,
 def _frequency_objective(half: np.ndarray):
     """tau -> the average posterior frequency MSE in units of delta^2 for a
     frequency prior of width delta and the readout whose half-spectrum
-    kernel is `half` (_gaussian_round at theta0 = 0): the phase MSE at prior
-    width tau = t delta over tau^2, in which delta cancels, so it is no
-    input.  The round is prepared once, so a search calls only what depends
-    on tau: one real row per time and one product.  tau is one interrogation
+    kernel is `half` (_gaussian_round): the phase MSE at prior width
+    tau = t delta over tau^2, in which delta cancels, so it is no input.
+    The round is prepared once, so a search calls only what depends on tau:
+    one real row per time and its product or FFTs.  tau is one interrogation
     time (a float is returned) or an array of them (an array of the same
     shape, each time's value that of a call of its own)."""
     mse = _gaussian_round(half)

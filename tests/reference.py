@@ -729,13 +729,14 @@ def full_kernel(half: np.ndarray) -> np.ndarray:
     return np.concatenate([half[:, :0:-1].conj(), half], axis=1)
 
 
-def gaussian_round_by_full_kernel(kernel: np.ndarray, theta0: float = 0.0):
+def gaussian_round_by_full_kernel(kernel: np.ndarray):
     """sigma -> sigma^2 - sum_k g_k^2 / p_k, one width at a time, from the
     complex traces of `kernel` over d = -N..N against the Gaussian 1 and
-    first-moment rows (_contract over _gaussian_harmonics): the route the
-    half-spectrum round is pinned to.  kernel is a (K, 2N + 1) kernel, or a
-    probe's autocorrelation for the Fourier readout's fold and FFT."""
-    rows = _index_rows(math.remainder(theta0, 2 * math.pi), kernel.shape[-1] // 2)
+    first-moment rows of mean 0 (_contract over _gaussian_harmonics): the
+    route the half-spectrum round is pinned to.  kernel is a (K, 2N + 1)
+    kernel, or a probe's autocorrelation for the Fourier readout's fold and
+    FFT."""
+    rows = _index_rows(0.0, kernel.shape[-1] // 2)
 
     def mse(sigma):
         p, g = _contract(kernel, _gaussian_harmonics(sigma, rows)).real

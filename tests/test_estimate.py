@@ -970,23 +970,6 @@ def test_outcome_law_equals_the_xlogy_route(N):
     assert law[0, N] == 1.0 and law[1, 0] == 1.0
 
 
-@pytest.mark.parametrize("N", [1, 2, 3, 8, 13, 40, 64, 100, 200, est.CLASSICAL_PARALLEL_N_CAP])
-def test_floored_law_keeps_the_classical_kernel_bit_for_bit(N, monkeypatch):
-    # the kernel's law sends exponents below _EXP_FLOOR to 0 in place of a
-    # subnormal: its entries are those of the kernel over the unfloored xlogy
-    # law bit for bit, and from N = 100 on its nodes do reach the floor
-    L = est._fft_length(2 * N + 1)
-    half = (math.pi / L) * np.arange(L) + math.pi / 4
-    plus, minus = np.sin(half) ** 2, np.cos(half) ** 2
-    zeroed = ((est._outcome_law(N, plus, minus, floored=True) == 0)
-              & (reference.outcome_law_by_xlogy(N, plus, minus) > 0))
-    assert np.any(zeroed) == (N >= 100)
-    kernel = est._classical_kernel(N)
-    monkeypatch.setattr(est, "_outcome_law", lambda N, plus, minus, floored:
-                        reference.outcome_law_by_xlogy(N, plus, minus))
-    np.testing.assert_array_equal(est._classical_kernel(N), kernel)
-
-
 def _run_fresh(code: str) -> str:
     """stdout of `code` run in a new interpreter on this source tree."""
     src = str(Path(clustersense.__file__).parents[1])
@@ -1074,7 +1057,7 @@ def test_fourier_frequency_route_matches_qft_povm(N):
     np.testing.assert_allclose(fast, dense, rtol=1e-12, atol=0)
     # outcome by outcome too: conjugated roots of unity only relabel k as -k,
     # which leaves every MSE unchanged
-    np.testing.assert_allclose(est._half_kernel(probe, None),
+    np.testing.assert_allclose(est._fourier_matrix(est._half_kernel(probe, None)),
                                est._half_kernel(probe, povm)[:N + 1], rtol=0, atol=1e-15)
 
 
@@ -1088,16 +1071,15 @@ def test_frequency_round_requires_positive_tau():
 @pytest.mark.parametrize("N", [1, 2, 8, 40])
 def test_width_grid_in_one_call_matches_single_widths(N):
     # one _gaussian_round call over TAU_GRID against one call per width, for
-    # the Fourier readout and the explicit qft_povm, off and on theta0 = 0
+    # the Fourier readout and the explicit qft_povm
     probe = probes.sine_coefficients(N)
     for povm in (None, qft_povm(N)):
-        for theta0 in (0.0, 0.7):
-            mse = est._gaussian_round(est._half_kernel(probe, povm), theta0)
-            batch = mse(TAU_GRID)
-            assert batch.shape == TAU_GRID.shape
-            single = [mse(float(sigma)) for sigma in TAU_GRID]
-            assert all(np.ndim(v) == 0 for v in single)
-            np.testing.assert_allclose(batch, single, rtol=1e-15, atol=0)
+        mse = est._gaussian_round(est._half_kernel(probe, povm))
+        batch = mse(TAU_GRID)
+        assert batch.shape == TAU_GRID.shape
+        single = [mse(float(sigma)) for sigma in TAU_GRID]
+        assert all(np.ndim(v) == 0 for v in single)
+        np.testing.assert_allclose(batch, single, rtol=1e-15, atol=0)
     grid = TAU_GRID.reshape(6, 10)
     np.testing.assert_array_equal(frequency_round(N, grid, probe, None),
                                   frequency_round(N, TAU_GRID, probe, None).reshape(6, 10))
@@ -1106,47 +1088,68 @@ def test_width_grid_in_one_call_matches_single_widths(N):
 HALF_NS = (1, 2, 3, 8, 40, 64, 200, est.CLASSICAL_PARALLEL_N_CAP)
 
 
-def _kernel_pairs(N: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(half-spectrum kernel, the kernel _contract takes) for every kind the
-    tau searches run on: the Fourier readout, a random rank-3 Povm and
-    qft_povm (to N = 64) on the sine probe and on a random complex probe,
-    whose autocorrelation has no mirror symmetry, and the classical kernel."""
+def _rounds(N: int) -> list[tuple[str, object, np.ndarray]]:
+    """(name, prepared _gaussian_round, the kernel _contract takes) for every
+    kind the tau searches run on: the Fourier readout by its matrix and by
+    its FFTs at every N, a random rank-3 Povm and qft_povm (to N = 64) on
+    the sine probe and on a random complex probe, whose autocorrelation has
+    no mirror symmetry, and the classical kernel."""
     rng = np.random.default_rng(N)
     raw = rng.normal(size=N + 1) + 1j * rng.normal(size=N + 1)
-    pairs = []
-    for probe in (probes.sine_coefficients(N), probes.SubspaceState(N, raw / np.linalg.norm(raw))):
-        for povm in [None, _random_povm(N, 3, rng)] + ([qft_povm(N)] if N <= 64 else []):
-            pairs.append((est._half_kernel(probe, povm), est._readout_kernel(probe, povm)))
+    rounds = []
+    for name, probe in (("sine", probes.sine_coefficients(N)),
+                        ("random", probes.SubspaceState(N, raw / np.linalg.norm(raw)))):
+        a = est._half_kernel(probe, None)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(est, "_FOURIER_MATRIX_N", -1)
+            rounds.append((f"{name} Fourier FFTs", est._gaussian_round(a),
+                           est._readout_kernel(probe, None)))
+        rounds.append((f"{name} Fourier matrix", est._gaussian_round(est._fourier_matrix(a)),
+                       est._readout_kernel(probe, None)))
+        for povm in [_random_povm(N, 3, rng)] + ([qft_povm(N)] if N <= 64 else []):
+            rounds.append((f"{name} {povm.factors.shape}", est._gaussian_round(
+                est._half_kernel(probe, povm)), est._readout_kernel(probe, povm)))
     classical = est._classical_kernel(N)
-    return pairs + [(classical, reference.full_kernel(classical))]
+    return rounds + [("classical", est._gaussian_round(classical), reference.full_kernel(classical))]
 
 
 @pytest.mark.parametrize("N", HALF_NS)
 def test_half_spectrum_round_matches_the_complex_contraction(N):
-    # two real products over d = 0..N against the complex traces over
-    # d = -N..N, one width at a time; the MSE cancels to about 3e-12 of
-    # itself, so the routes are held to 1e-13 of sigma^2: weights 1 in place
-    # of 2, a dropped d or the phase of theta0 conjugated all fail
-    for half, full in _kernel_pairs(N):
-        assert half.shape[-1] == N + 1
-        for theta0 in (0.0, 0.7, 3.1):
-            fast = est._gaussian_round(half, theta0)(TAU_GRID)
-            slow = reference.gaussian_round_by_full_kernel(full, theta0)
-            gap = np.abs(fast - [slow(float(sigma)) for sigma in TAU_GRID])
-            assert np.all(gap <= 1e-13 * TAU_GRID**2), (theta0, np.max(gap / TAU_GRID**2))
+    # two real products, or two FFTs, over d = 0..N against the complex
+    # traces over d = -N..N, one width at a time; the MSE cancels to about
+    # 3e-12 of itself, so the routes are held to 1e-13 of sigma^2: weights 1
+    # in place of 2 or a dropped d fails
+    for name, mse, full in _rounds(N):
+        fast = mse(TAU_GRID)
+        slow = reference.gaussian_round_by_full_kernel(full)
+        gap = np.abs(fast - [slow(float(sigma)) for sigma in TAU_GRID])
+        assert np.all(gap <= 1e-13 * TAU_GRID**2), (name, np.max(gap / TAU_GRID**2))
 
 
 @pytest.mark.parametrize("N", HALF_NS)
 def test_half_spectrum_round_is_batch_invariant(N):
-    # each width's row is its own matrix in the stacked product, so its
-    # value is bit for bit that of a call of its own, in any order or shape
-    for half, _ in _kernel_pairs(N):
-        for theta0 in (0.0, 0.7):
-            mse = est._gaussian_round(half, theta0)
-            batch = mse(TAU_GRID)
-            np.testing.assert_array_equal(batch, [mse(float(sigma)) for sigma in TAU_GRID])
-            np.testing.assert_array_equal(mse(TAU_GRID[::-1]), batch[::-1])
-            np.testing.assert_array_equal(mse(TAU_GRID.reshape(6, 10)), batch.reshape(6, 10))
+    # each width's row is its own matrix in the stacked product, or its own
+    # pair of FFTs, so its value is bit for bit that of a call of its own, in
+    # any order or shape
+    for name, mse, _ in _rounds(N):
+        batch = mse(TAU_GRID)
+        np.testing.assert_array_equal(batch, [mse(float(sigma)) for sigma in TAU_GRID], name)
+        np.testing.assert_array_equal(mse(TAU_GRID[::-1]), batch[::-1], name)
+        np.testing.assert_array_equal(mse(TAU_GRID.reshape(6, 10)), batch.reshape(6, 10), name)
+
+
+@pytest.mark.parametrize("N", [1, 40, est._FOURIER_MATRIX_N, est._FOURIER_MATRIX_N + 1, 256])
+def test_fourier_round_takes_the_matrix_up_to_its_crossover(N):
+    # the Fourier readout's round is the matrix's through _FOURIER_MATRIX_N,
+    # bit for bit, and the FFTs' above it, within the contraction's 1e-13
+    a = est._half_kernel(probes.sine_coefficients(N), None)
+    matrix = est._gaussian_round(est._fourier_matrix(a))(TAU_GRID)
+    chosen = est._gaussian_round(a)(TAU_GRID)
+    if N <= est._FOURIER_MATRIX_N:
+        np.testing.assert_array_equal(chosen, matrix)
+    else:
+        assert not np.array_equal(chosen, matrix)
+        assert np.all(np.abs(chosen - matrix) <= 1e-13 * TAU_GRID**2)
 
 
 @pytest.mark.parametrize("N", [1, 4, 40])
