@@ -1,8 +1,8 @@
 """Command-line front end: estimation-curve data as deterministic CSV, plus
 the compression and measurement-pattern verification suites.
 
-Exit codes: 0 on success, 1 on a verification failure or a numerical one (a
-quadrature that did not converge), 2 on usage errors.
+Exit codes: 0 on success, 1 on a verification failure, 2 on usage errors
+(any value a command or the library refuses).
 CSV cells are formatted with 12 significant digits ('%.12g', NaN spelled
 "nan"), so identical configurations produce byte-identical files.
 """
@@ -381,9 +381,6 @@ def main(argv=None) -> int:
         # the command's handler is looked up as it runs, so a wrapper set on
         # this module after the parser was built is the one called
         return globals()["cmd_" + args.command.replace("-", "_")](args)
-    except estimate.QuadratureError as exc:
-        print(f"clustersense {args.command}: error: {exc}", file=sys.stderr)
-        return 1
     except _USAGE_ERRORS as exc:
         print(f"clustersense {args.command}: error: {exc}", file=sys.stderr)
         return 2

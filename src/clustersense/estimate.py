@@ -6,16 +6,16 @@ relative phases e^{-i n theta}.  All operators on the subspace are plain
 (N+1) x (N+1) matrices in the |n>_un basis.
 
 A prior enters a round only through its harmonics
-h_d = int p(theta) w(theta) e^{-i d theta} dtheta, d = -N..N, for w = 1,
-theta, theta^2 and the centred phasor e^{i (theta - t0)} - 1 about the
-prior's mean t0: the prior-averaged operators are psi psi^+ o h entrywise
-(_on_subspace).  A Gaussian or wrapped prior's 1 harmonics are the row
+h_d = int p(theta) w(theta) e^{-i d theta} dtheta, d = -N..N: the
+prior-averaged operators are psi psi^+ o h entrywise (_on_subspace).  A
+Gaussian or wrapped prior's 1 harmonics are the row
 e^{-i d theta0 - d^2 sigma^2 / 2} (_gaussian_row), which is also the factor
 of the probe encoded at theta0 after Gaussian dephasing of width sigma.
-The 1 and phasor harmonics are closed forms, and so are the theta and
-theta^2 harmonics of a flat prior; those of a wrapped prior are integrated
-over [-pi, pi] by Gauss-Legendre rules of doubling order, over theta0 +- 12
-sigma only when narrower than pi / 12.  A measurement is a Povm, each effect
+The MSE rounds (bayes_round, gamma_eta) take Gaussian priors, whose theta
+and theta^2 harmonics are closed forms in that row; the Holevo rounds take
+Gaussian or wrapped priors through the 1 row and the centred phasor row
+e^{i (theta - t0)} - 1 about the prior's mean t0, closed forms too, so no
+prior is integrated numerically.  A measurement is a Povm, each effect
 stored through its factor as E_k = F_k^+ F_k, or None for the (N+1)-point
 Fourier readout.  Either way the traces start from one autocorrelation:
 of the probe, folded mod N+1 and taken through one FFT for the Fourier
@@ -32,9 +32,9 @@ above 2N, are a readout kernel like a Povm's (_classical_kernel), and the
 classical tau search is the quantum one's objective over that kernel.  One width at a
 time, as bayes-phase's column takes it, a periodic trapezoid rule against
 the wrapped Gaussian integrates the law exactly in float64, with every
-summed term positive.  Its node weights, like the wrapped prior's density
-and score, are wrapped Gaussian sums from one helper (_wrapped_sums): image
-sums below width pi, three Fourier terms from pi on.
+summed term positive.  Its node weights, like the wrapped prior's density,
+are wrapped Gaussian sums from one helper (_wrapped_sums): image sums below
+width pi, three Fourier terms from pi on.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .probes import SubspaceState, sine_coefficients
 from .simcore import StateVector
@@ -56,11 +55,6 @@ CLASSICAL_PARALLEL_N_CAP = 256
 
 class EstimateError(Exception):
     pass
-
-
-class QuadratureError(EstimateError):
-    """Gauss-Legendre rules up to the largest order did not integrate the
-    prior to 1, or did not agree to the requested tolerance."""
 
 
 class MSEValidityWarning(UserWarning):
@@ -130,56 +124,6 @@ def _brent_minimize(f, a: float, b: float, tol: float = 1e-6) -> tuple[float, fl
                 v, fv, w, fw = w, fw, u, fu
             elif fu <= fv or v == x or v == w:
                 v, fv = u, fu
-
-
-@functools.lru_cache(maxsize=8)
-def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], built once per order
-    (each build is an eigenvalue solve); read-only because they are shared."""
-    nodes, weights = leggauss(order)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
-
-
-@functools.lru_cache(maxsize=32)
-def _gauss_legendre_on(order: int, intervals: tuple[tuple[float, float], ...]):
-    """Nodes and weights of one order-`order` rule on each interval, joined;
-    read-only because they are shared."""
-    nodes, weights = _gauss_legendre(order)
-    thetas = np.concatenate([(a + b) / 2 + nodes * ((b - a) / 2) for a, b in intervals])
-    scaled = np.concatenate([weights * ((b - a) / 2) for a, b in intervals])
-    thetas.setflags(write=False)
-    scaled.setflags(write=False)
-    return thetas, scaled
-
-
-def _gauss_legendre_converged(pdf, evaluate, tol: float = 1e-12,
-                              intervals: tuple[tuple[float, float], ...] = ((-math.pi, math.pi),)):
-    """evaluate(thetas, w), w the Gauss-Legendre weights times pdf(thetas),
-    at orders 64, 128, ..., 2048 until two successive orders integrate pdf
-    to 1 within `tol` (nodes can miss a narrow prior) and agree to `tol`
-    relative to the largest |value| of the result, so a value far below 1
-    keeps its own digits.  The scale is not taken entry by entry: an entry
-    can vanish by symmetry (the mean of a prior centred on 0) and then
-    carries only rounding.  An infinite value is returned at once.  Each of
-    the `intervals` (all of [-pi, pi] by default) carries one rule of the
-    order.
-    """
-    previous = None
-    for order in (64, 128, 256, 512, 1024, 2048):
-        thetas, weights = _gauss_legendre_on(order, intervals)
-        w = weights * pdf(thetas)
-        value = evaluate(thetas, w)
-        if np.any(np.isinf(value)):
-            return value
-        if abs(np.sum(w) - 1.0) > tol:
-            value = None
-        elif previous is not None and np.all(
-                np.abs(value - previous) <= tol * np.max(np.abs(value))):
-            return value
-        previous = value
-    raise QuadratureError(f"Gauss-Legendre orders up to 2048 did not resolve the prior to {tol:g}")
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +202,16 @@ def _check_width(sigma, name: str = "sigma") -> None:
         raise EstimateError(f"{name} must be positive and finite, got {sigma}")
 
 
+def _check_phase(theta) -> None:
+    """A phase must be finite: no outcome law is defined at NaN or +-inf."""
+    if not math.isfinite(theta):
+        raise EstimateError(f"theta must be finite, got {theta}")
+
+
 @dataclass(frozen=True)
 class Prior:
-    """Gaussian / wrapped-Gaussian / flat prior with a finite mean theta0 and
-    a positive finite width sigma (a flat prior ignores sigma).
+    """Gaussian or wrapped-Gaussian prior with a finite mean theta0 and a
+    positive finite width sigma.
 
     The wrapped density lives on [-pi, pi]: the sum w0 of _wrapped_sums
     about the centre, over sqrt(2 pi) sigma.  It integrates to 1.0 in
@@ -273,63 +223,25 @@ class Prior:
     sigma: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("gaussian", "wrapped_gaussian", "flat"):
+        if self.kind not in ("gaussian", "wrapped_gaussian"):
             raise EstimateError(f"unknown prior kind {self.kind!r}")
         if not math.isfinite(self.theta0):
             raise EstimateError(f"the prior mean must be finite, got {self.theta0}")
-        if self.kind != "flat":
-            _check_width(self.sigma)
+        _check_width(self.sigma)
 
     @property
     def centre(self) -> float:
         """theta0 reduced into [-pi, pi], about which the prior's rows and
-        images are built; 0.0 for a flat prior, whose rows are taken about 0."""
-        return 0.0 if self.kind == "flat" else math.remainder(self.theta0, 2 * math.pi)
+        images are built."""
+        return math.remainder(self.theta0, 2 * math.pi)
 
     def pdf(self, theta):
         theta = np.asarray(theta, dtype=float)
         if self.kind == "gaussian":
             return np.exp(-((theta - self.theta0) ** 2) / (2 * self.sigma**2)) / (
                 math.sqrt(2 * math.pi) * self.sigma)
-        if self.kind == "wrapped_gaussian":
-            return _wrapped_sums(theta - self.centre, self.sigma, first_moment=False)[0] / (
-                math.sqrt(2 * math.pi) * self.sigma)
-        return np.full_like(theta, 1.0 / (2 * math.pi))
-
-    def rule_intervals(self) -> tuple[tuple[float, float], ...]:
-        """Where the prior integrator puts its rules: all of [-pi, pi], or
-        theta0 +- 12 sigma for a wrapped prior narrower than pi / 12 (its
-        mass outside is below e^-72), cut in two where it wraps past +-pi."""
-        if self.kind != "wrapped_gaussian" or 12 * self.sigma >= math.pi:
-            return ((-math.pi, math.pi),)
-        lo, hi = self.centre - 12 * self.sigma, self.centre + 12 * self.sigma
-        if hi > math.pi:
-            return ((lo, math.pi), (-math.pi, hi - 2 * math.pi))
-        if lo < -math.pi:
-            return ((lo + 2 * math.pi, math.pi), (-math.pi, hi))
-        return ((lo, hi),)
-
-    def fisher_information(self) -> float:
-        """I(p) = E[(d log p / d theta)^2]; 1/sigma^2 for a Gaussian."""
-        if self.kind == "gaussian":
-            return 1.0 / self.sigma**2
-        if self.kind == "flat":
-            return 0.0
-
-        scores = []
-
-        def density(thetas):
-            # one pair of sums per order gives the density and the score
-            # -d log p / d theta = w1 / (sigma^2 w0); every node lies within
-            # pi of an image centre, or within 12 sigma on a narrow prior's
-            # rule, so w0 is at least e^-72
-            w0, w1 = _wrapped_sums(thetas - self.centre, self.sigma)
-            scores.append(w1 / (self.sigma**2 * w0))
-            return w0 / (math.sqrt(2 * math.pi) * self.sigma)
-
-        return _gauss_legendre_converged(
-            density, lambda thetas, w: float(np.sum(w * scores.pop() ** 2)), tol=1e-8,
-            intervals=self.rule_intervals())
+        return _wrapped_sums(theta - self.centre, self.sigma, first_moment=False)[0] / (
+            math.sqrt(2 * math.pi) * self.sigma)
 
 
 def gaussian_prior(sigma: float, theta0: float = 0.0) -> Prior:
@@ -338,10 +250,6 @@ def gaussian_prior(sigma: float, theta0: float = 0.0) -> Prior:
 
 def wrapped_gaussian_prior(sigma: float, theta0: float = 0.0) -> Prior:
     return Prior("wrapped_gaussian", theta0, sigma)
-
-
-def flat_prior() -> Prior:
-    return Prior("flat")
 
 
 # ---------------------------------------------------------------------------
@@ -534,6 +442,7 @@ def parity_strategy(N: int, theta: float) -> tuple[float, float, float]:
     """
     if N < 1:
         raise EstimateError("N must be >= 1")
+    _check_phase(theta)
     p_plus = math.cos(N * theta / 2) ** 2
     return p_plus, 1.0 - p_plus, 1.0 / N**2
 
@@ -600,34 +509,21 @@ def _periodic_harmonics(prior: Prior, N: int) -> np.ndarray:
     """Rows h_d = int p(theta) e^{-i d theta} dtheta and the centred phasor
     harmonics c_d = int p(theta) (e^{i (theta - t0)} - 1) e^{-i d theta} dtheta
     about t0 = prior.centre, d = -N..N, as a (2, 2N + 1) array with column
-    d + N.
-
-    Gaussian and wrapped priors: h_d = e^{-i d t0 - d^2 sigma^2 / 2} and
+    d + N: h_d = e^{-i d t0 - d^2 sigma^2 / 2} and
     c_d = e^{-i d t0} (e^{-(d-1)^2 sigma^2 / 2} - e^{-d^2 sigma^2 / 2}), formed
     through expm1 so that it keeps its digits at small sigma.  At integer d
     the wrapped law's harmonics are its parent Gaussian's characteristic
     function, and an unwrapped Gaussian enters a 2 pi-periodic integrand only
-    through that function, so both give these rows.  A flat prior gives
-    h_d = delta_{d,0} and c_d = delta_{d,1} - delta_{d,0} about t0 = 0.
+    through that function, so both give these rows.
     """
-    mass, t0 = _mass_row(prior, N), prior.centre
+    t0, s2 = prior.centre, prior.sigma**2
     d = np.arange(-N, N + 1)
-    if prior.kind == "flat":
-        return np.stack([mass, (d == 1) - mass])
-    s2 = prior.sigma**2
     # e^{-(d-1)^2 s2/2} - e^{-d^2 s2/2} as the larger term times expm1 of their
     # log ratio -|2d - 1| s2 / 2, so that nothing overflows
     x = (2 * d - 1) * s2 / 2.0
     centred = (-np.sign(x) * np.exp(-1j * d * t0 - np.minimum(d**2, (d - 1) ** 2) * s2 / 2.0)
                * np.expm1(-np.abs(x)))
-    return np.stack([mass, centred])
-
-
-def _mass_row(prior: Prior, N: int) -> np.ndarray:
-    """The row h of _periodic_harmonics alone."""
-    if prior.kind == "flat":
-        return (np.arange(-N, N + 1) == 0).astype(complex)
-    return _gaussian_row(prior.sigma, _index_rows(prior.centre, N))
+    return np.stack([_gaussian_row(prior.sigma, _index_rows(t0, N)), centred])
 
 
 def _gaussian_harmonics(sigma, rows) -> np.ndarray:
@@ -647,48 +543,32 @@ def _gaussian_harmonics(sigma, rows) -> np.ndarray:
 
 def _harmonic_moments(prior: Prior, N: int) -> np.ndarray:
     """int p(theta) {1, theta, theta^2} e^{-i k theta} dtheta for k = -N..N
-    and a centred row, as a (4, 2N + 1) array, column k + N: closed forms
-    in the Gaussian characteristic function for a Gaussian prior with its
-    mean reduced into [-pi, pi], as periodic priors are, the centred row its
-    first moment about that mean (_gaussian_harmonics); otherwise the 1 row
-    from _periodic_harmonics and, for a flat prior, the theta and theta^2
-    rows i (-1)^k / k and 2 (-1)^k / k^2 (0 and pi^2 / 3 at k = 0), for a
-    wrapped prior integrated over [-pi, pi], with the centred phasor row of
-    _periodic_harmonics, so that a round builds those rows once."""
+    and the first moment about the mean, as a (4, 2N + 1) array, column
+    k + N, for a Gaussian prior: closed forms in its characteristic function
+    with the mean reduced into [-pi, pi] (_gaussian_harmonics).  A wrapped
+    prior is refused: its theta and theta^2 rows have no closed form, and
+    its round is holevo_bayes_round."""
+    if prior.kind != "gaussian":
+        raise EstimateError(f"the MSE rounds take a Gaussian prior, got {prior.kind!r}; "
+                            "the round of a periodic prior is holevo_bayes_round")
     k = np.arange(-N, N + 1)
-    if prior.kind == "gaussian":
-        s2, t0 = prior.sigma**2, prior.centre
-        char, centred = _gaussian_harmonics(prior.sigma, _index_rows(t0, N))
-        return np.stack([char, t0 * char + centred,
-                         (s2 + t0**2 - 2j * t0 * k * s2 - k**2 * s2**2) * char, centred])
-    if prior.kind == "flat":
-        off = k != 0
-        first = np.zeros(2 * N + 1, dtype=complex)
-        second = np.full(2 * N + 1, math.pi**2 / 3, dtype=complex)
-        first[off] = 1j * (-1.0) ** k[off] / k[off]
-        second[off] = 2 * (-1.0) ** k[off] / k[off] ** 2
-    else:
-        def evaluate(thetas, w):
-            return np.stack([thetas * w, thetas**2 * w]) @ np.exp(-1j * np.outer(thetas, k))
-
-        first, second = _gauss_legendre_converged(prior.pdf, evaluate,
-                                                  intervals=prior.rule_intervals())
-    mass, centred = _periodic_harmonics(prior, N)
-    return np.stack([mass, first, second, centred])
+    s2, t0 = prior.sigma**2, prior.centre
+    char, centred = _gaussian_harmonics(prior.sigma, _index_rows(t0, N))
+    return np.stack([char, t0 * char + centred,
+                     (s2 + t0**2 - 2j * t0 * k * s2 - k**2 * s2**2) * char, centred])
 
 
 def gamma_eta(prior: Prior, probe: SubspaceState) -> tuple[np.ndarray, np.ndarray]:
     """Prior-averaged state Gamma = int p rho dtheta and first moment
-    eta = int theta p rho dtheta on the subspace: psi_n psi_m* h_{n-m} for
-    the 1 and theta rows of _harmonic_moments.  For a Gaussian prior these
-    are Gamma_nm = psi_n psi_m* e^{-i(n-m) theta0} e^{-(n-m)^2 sigma^2 / 2}
-    and eta_nm = (theta0 - i (n-m) sigma^2) Gamma_nm.  The rounds themselves
+    eta = int theta p rho dtheta on the subspace for a Gaussian prior,
+    psi_n psi_m* h_{n-m} for the 1 and theta rows h of _harmonic_moments:
+    Gamma_nm = psi_n psi_m* e^{-i(n-m) theta0} e^{-(n-m)^2 sigma^2 / 2} and
+    eta_nm = (theta0 - i (n-m) sigma^2) Gamma_nm.  The rounds themselves
     never build these matrices; they contract the harmonics directly.
     """
     gamma, eta = _on_subspace(probe, _harmonic_moments(prior, probe.N)[:2])
-    if prior.kind == "gaussian":  # its rows take the mean reduced into [-pi, pi]
-        eta = eta + (prior.theta0 - prior.centre) * gamma
-    return gamma, eta
+    # the rows take the mean reduced into [-pi, pi]
+    return gamma, eta + (prior.theta0 - prior.centre) * gamma
 
 
 @dataclass(frozen=True, eq=False)
@@ -698,30 +578,26 @@ class EstimationResult:
     estimates: np.ndarray
     posterior_variances: np.ndarray
     avg_posterior_variance: float
-    # populated for wrapped/flat priors, where the circular width is the
-    # meaningful posterior measure
-    holevo_variances: np.ndarray | None = None
-    avg_holevo_variance: float | None = None
 
 
 def bayes_round(prior: Prior, probe: SubspaceState, povm: Povm) -> EstimationResult:
-    """Single-shot Bayesian update: outcome probabilities Tr(E Gamma),
-    estimates Tr(E eta)/Tr(E Gamma), and posterior MSE variances.  The POVM
-    must act on the probe's N + 1 dimensions.
+    """Single-shot Bayesian update under a Gaussian prior: outcome
+    probabilities Tr(E Gamma), estimates Tr(E eta)/Tr(E Gamma), and
+    posterior MSE variances.  The POVM must act on the probe's N + 1
+    dimensions; a wrapped prior is refused (_harmonic_moments).
 
-    For Gaussian priors the average variance uses the exact simplification
+    The average variance uses the exact simplification
     sigma^2 - sum_m gamma_m^2 / Tr(E_m Gamma), gamma_m the trace of the
     centred row of _harmonic_moments; outcomes with probability below 1e-14
-    carry zero weight and are skipped.  Wrapped and flat priors also get
-    Holevo variances, from the centred phasor row of _periodic_harmonics as
-    in holevo_bayes_round, so they keep their digits at narrow widths.
+    carry zero weight and are skipped.
     """
     _checked_probe(probe.N, probe, povm)
-    if prior.kind == "gaussian" and prior.sigma > 1.0:
+    moments = _harmonic_moments(prior, probe.N)
+    if prior.sigma > 1.0:
         warnings.warn("MSE phase results are unreliable for sigma > 1", MSEValidityWarning)
     # Tr(E_m X) for X = Gamma, eta, Omega = int theta^2 p rho dtheta and the
-    # centred moment: the first about the mean, or the phasor's
-    traces = _traces(probe, _harmonic_moments(prior, probe.N), povm)
+    # first moment about the mean
+    traces = _traces(probe, moments, povm)
     probs, firsts, seconds = traces[:3].real
 
     live = probs > PROB_FLOOR
@@ -729,18 +605,9 @@ def bayes_round(prior: Prior, probe: SubspaceState, povm: Povm) -> EstimationRes
     variances = np.full(len(probs), np.nan)
     estimates[live] = firsts[live] / probs[live]
     variances[live] = seconds[live] / probs[live] - estimates[live] ** 2
-
-    if prior.kind == "gaussian":  # its rows take the mean reduced into [-pi, pi]
-        estimates += prior.theta0 - prior.centre
-        avg = prior.sigma**2 - float(_information(probs, traces[3].real))
-        return EstimationResult(povm.labels, probs, estimates, variances, avg)
-
-    avg = float(np.sum(probs[live] * variances[live]))
-    weighted = _weighted_holevo(probs[live], traces[3, live])
-    holevo = np.full(len(probs), np.nan)
-    holevo[live] = weighted / probs[live]
-    return EstimationResult(povm.labels, probs, estimates, variances, avg,
-                            holevo_variances=holevo, avg_holevo_variance=float(np.sum(weighted)))
+    estimates += prior.theta0 - prior.centre  # the rows take the reduced mean
+    avg = prior.sigma**2 - float(_information(probs, traces[3].real))
+    return EstimationResult(povm.labels, probs, estimates, variances, avg)
 
 
 def _checked_probe(N: int, probe: SubspaceState | None, povm: Povm | None) -> SubspaceState:
@@ -841,29 +708,15 @@ def qft_phase_variance(N: int, sigma: float, theta0: float = 0.0,
 # ---------------------------------------------------------------------------
 # Holevo phase variance
 
-def holevo_variance(dist) -> float:
-    """|<e^{i theta}>|^-2 - 1 for a circular distribution.
-
-    Accepts a Prior (closed form e^{sigma^2} - 1 for Gaussian and wrapped
-    shapes, whose mean phasors are both e^{i theta0 - sigma^2 / 2}; infinite
-    for flat), a normalized pdf callable on [-pi, pi], or a (values, weights)
-    pair of samples.  A vanishing mean phasor is flagged as math.inf.
-    """
-    if isinstance(dist, Prior):
-        return math.inf if dist.kind == "flat" else math.expm1(dist.sigma**2)
-    if callable(dist):
-        # the mass sets the scale that the phasor, 0 for a flat law, converges to
-        phasor = _gauss_legendre_converged(
-            lambda ts: np.array([float(dist(t)) for t in ts]),
-            lambda thetas, w: np.array([np.sum(w), w @ np.exp(1j * thetas)]))[1]
-    else:
-        values, weights = dist
-        weights = np.asarray(weights, dtype=float)
-        phasor = np.sum(weights * np.exp(1j * np.asarray(values, dtype=float))) / np.sum(weights)
-    mod_sq = abs(phasor) ** 2
-    if mod_sq < 1e-28:
+def holevo_variance(prior: Prior) -> float:
+    """|<e^{i theta}>|^-2 - 1 = e^{sigma^2} - 1 for a Gaussian or wrapped
+    prior, whose mean phasors are both e^{i theta0 - sigma^2 / 2}.  Where
+    e^{sigma^2} overflows (sigma above about 26.6) the squared mean phasor
+    e^{-sigma^2} vanishes in float64, and the variance is math.inf."""
+    try:
+        return math.expm1(prior.sigma**2)
+    except OverflowError:
         return math.inf
-    return 1.0 / mod_sq - 1.0
 
 
 def holevo_bayes_round(N: int, prior: Prior, probe: SubspaceState | None = None,
@@ -901,7 +754,8 @@ def holevo_outcome_probabilities(N: int, prior: Prior,
     """Unconditional QFT outcome distribution p(k) under a periodic prior,
     from its closed-form harmonics."""
     probe = _checked_probe(N, probe, None)
-    return _traces(probe, _mass_row(prior, N), None).real
+    mass = _gaussian_row(prior.sigma, _index_rows(prior.centre, N))
+    return _traces(probe, mass, None).real
 
 
 # ---------------------------------------------------------------------------
@@ -909,7 +763,9 @@ def holevo_outcome_probabilities(N: int, prior: Prior,
 
 def van_trees_bound(N: int, sigma: float) -> float:
     """Lower bound sigma^2 / (1 + N sigma^2) on the average posterior MSE of
-    any classical strategy with a Gaussian prior."""
+    any classical strategy of N >= 1 qubits with a Gaussian prior."""
+    if N < 1:
+        raise EstimateError("N must be >= 1")
     _check_width(sigma)
     return sigma**2 / (1.0 + N * sigma**2)
 
@@ -1076,6 +932,7 @@ def dephased_fisher_information(probe: SubspaceState, povm: Povm, sigma: float,
     """FI of the dephased probe at theta, via the analytic state derivative:
     rho is psi psi^+ o h with h the Gaussian row of dephased_rho, and
     d rho / d theta is psi psi^+ o (-i d h)."""
+    _check_phase(theta)
     d = np.arange(-probe.N, probe.N + 1)
     h = _gaussian_row(sigma, _index_rows(theta, probe.N))
     return float(_information(*_traces(probe, np.stack([h, -1j * d * h]), povm).real))

@@ -6,12 +6,15 @@
   alternating binomial sums cancel far beyond double precision, so the
   integer part is exact and only the transcendental part is rounded.
 * Adaptive quadrature (scipy.integrate.quad) over the prior's support
-  (+-10 sigma about a Gaussian prior's mean, [-pi, pi] otherwise), and
-  with it integrals of p(m|theta) against the prior, for the Bayesian
-  rounds and for the classical strategy; the package itself integrates
-  priors by fixed Gauss-Legendre rules.  Each takes its outcome law from
-  its own route: the eigenvectors of each effect for a round, and the
-  binomial law from math.comb for the classical strategy.
+  (+-10 sigma about a Gaussian prior's mean, [-pi, pi] for a wrapped one),
+  and with it integrals of p(m|theta) against the prior, for the Bayesian
+  rounds and for the classical strategy; the package itself integrates no
+  prior numerically.  Each takes its outcome law from its own route: the
+  eigenvectors of each effect for a round, and the binomial law from
+  math.comb for the classical strategy.
+* Gauss-Legendre rules of doubling order, 64 to 2048, until two orders
+  integrate the prior to 1 and agree relative to the result: the node
+  quadrature of the Holevo oracles below.
 * The Fisher information by central differences of an outcome law, and
   the GHZ parity law it is applied to, where the package takes the exact
   slope of the parity law and the analytic derivative of the dephased
@@ -19,6 +22,10 @@
 * The Holevo round by node quadrature: the outcome law evaluated node by
   node and integrated against the prior, where the package contracts the
   probe's autocorrelation with the prior's closed-form harmonics.
+* The Fourier readout's Gaussian-prior MSE at 40 digits in mpmath: the
+  sine probe's autocorrelation, p_k and g_k as sums over d, and
+  sigma^2 - sum_k g_k^2 / p_k, where the package cancels the same sum in
+  float64.
 * The dense gate kernel: each `simcore.Gate` applied to all 2^n amplitudes
   in place, by exchanging, scaling or mixing the two parts its target
   splits the state into (`apply_gate`, `run_circuit`, `circuit_unitary`).
@@ -52,9 +59,6 @@
   where the package evaluates the whole grid in one call; and its
   refinement by golden section, which shrinks the bracket by a fixed ratio
   per call, where the package fits parabolas by Brent's method.
-* The Fisher information of a wide wrapped prior from its Fourier series
-  written out term by term and integrated in mpmath, where the package
-  takes the score from three Fourier terms on Gauss-Legendre nodes.
 
 None of these is on a production path; they are slow and kept for their
 independence.
@@ -62,10 +66,12 @@ independence.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import mpmath
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy import integrate
 
 from clustersense.compress import CompressError, CompressorLayout
@@ -75,11 +81,9 @@ from clustersense.estimate import (
     EstimateError,
     Povm,
     Prior,
-    QuadratureError,
     TauOptimum,
     _brent_minimize,
     _contract,
-    _gauss_legendre_converged,
     _gaussian_harmonics,
     _index_rows,
     _information,
@@ -99,6 +103,14 @@ from clustersense.simcore import (
     product_state,
 )
 
+
+class QuadratureError(EstimateError):
+    """A quadrature oracle did not resolve its integral: scipy's error
+    estimate was too large, or Gauss-Legendre rules up to the largest order
+    did not integrate the prior to 1 or did not agree to the requested
+    tolerance."""
+
+
 # ---------------------------------------------------------------------------
 # Adaptive quadrature
 
@@ -117,7 +129,7 @@ def _quad_complex(f, a: float, b: float, rtol: float = 1e-9) -> complex:
 
 def support(prior: Prior) -> tuple[float, float]:
     """The quadrature range of a prior: +-10 sigma about a Gaussian prior's
-    mean, [-pi, pi] for a wrapped or flat one."""
+    mean, [-pi, pi] for a wrapped one."""
     if prior.kind == "gaussian":
         return prior.theta0 - 10 * prior.sigma, prior.theta0 + 10 * prior.sigma
     return -math.pi, math.pi
@@ -249,23 +261,6 @@ def wrapped_weights_by_images(theta: np.ndarray, sigma: float):
     return g.sum(axis=1), (unwrapped * g).sum(axis=1), (np.abs(unwrapped) * g).sum(axis=1)
 
 
-def wrapped_prior_fisher_by_series(sigma: float, terms: int) -> float:
-    """I(p) = int p'^2 / p over [-pi, pi] for the wrapped Gaussian
-    p = (1 + 2 sum_j e^{-j^2 sigma^2 / 2} cos j theta) / 2 pi, its Fourier
-    series written out to j = terms, by mpmath quadrature at 30 digits.
-    The terms are summed one by one: mpmath.nsum misjudges a series whose
-    terms fall near e^-200."""
-    with mpmath.workdps(30):
-        decay = [mpmath.exp(-mpmath.mpf(j * sigma) ** 2 / 2) for j in range(1, terms + 1)]
-
-        def integrand(t):
-            p = 1 + 2 * sum(d * mpmath.cos(j * t) for j, d in enumerate(decay, 1))
-            dp = -2 * sum(j * d * mpmath.sin(j * t) for j, d in enumerate(decay, 1))
-            return dp**2 / p
-
-        return float(mpmath.quad(integrand, [-mpmath.pi, 0, mpmath.pi]) / (2 * mpmath.pi))
-
-
 def classical_parallel_sums_by_all_nodes(N: int, sigma: float,
                                          node_floor: float = _NODE_FLOOR) -> float:
     """sigma^2 - sum_m gamma_m^2 / p_m by the periodic trapezoid rule on all
@@ -345,17 +340,67 @@ def bayes_variance_quadrature(prior: Prior, probe: SubspaceState, povm: Povm,
 
 
 # ---------------------------------------------------------------------------
+# Gauss-Legendre rules of doubling order
+
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per order
+    (each build is an eigenvalue solve); read-only because they are shared."""
+    nodes, weights = leggauss(order)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+@functools.lru_cache(maxsize=32)
+def _gauss_legendre_on(order: int, intervals: tuple[tuple[float, float], ...]):
+    """Nodes and weights of one order-`order` rule on each interval, joined;
+    read-only because they are shared."""
+    nodes, weights = _gauss_legendre(order)
+    thetas = np.concatenate([(a + b) / 2 + nodes * ((b - a) / 2) for a, b in intervals])
+    scaled = np.concatenate([weights * ((b - a) / 2) for a, b in intervals])
+    thetas.setflags(write=False)
+    scaled.setflags(write=False)
+    return thetas, scaled
+
+
+def _gauss_legendre_converged(pdf, evaluate, tol: float = 1e-12,
+                              intervals: tuple[tuple[float, float], ...] = ((-math.pi, math.pi),)):
+    """evaluate(thetas, w), w the Gauss-Legendre weights times pdf(thetas),
+    at orders 64, 128, ..., 2048 until two successive orders integrate pdf
+    to 1 within `tol` (nodes can miss a narrow prior) and agree to `tol`
+    relative to the largest |value| of the result, so a value far below 1
+    keeps its own digits.  The scale is not taken entry by entry: an entry
+    can vanish by symmetry (the mean of a prior centred on 0) and then
+    carries only rounding.  An infinite value is returned at once.  Each of
+    the `intervals` (all of [-pi, pi] by default) carries one rule of the
+    order.
+    """
+    previous = None
+    for order in (64, 128, 256, 512, 1024, 2048):
+        thetas, weights = _gauss_legendre_on(order, intervals)
+        w = weights * pdf(thetas)
+        value = evaluate(thetas, w)
+        if np.any(np.isinf(value)):
+            return value
+        if abs(np.sum(w) - 1.0) > tol:
+            value = None
+        elif previous is not None and np.all(
+                np.abs(value - previous) <= tol * np.max(np.abs(value))):
+            return value
+        previous = value
+    raise QuadratureError(f"Gauss-Legendre orders up to 2048 did not resolve the prior to {tol:g}")
+
+
+# ---------------------------------------------------------------------------
 # Holevo round by node quadrature
 
 def _offset_law(prior: Prior):
     """(centre, pdf, intervals) for the prior's law of the offset
-    x = theta - centre, centre its mean reduced into [-pi, pi] (0 for a flat
-    prior).  The density is written in x, so no node near +-pi loses the
+    x = theta - centre, centre its mean reduced into [-pi, pi].  The density is written in x, so no node near +-pi loses the
     digits of its offset.  A wrapped prior is a sum of Gaussian images on the
     circle, or on +-12 sigma when that is narrower; an unwrapped Gaussian
     spans +-12 sigma of the real line, with no images at all."""
-    if prior.kind == "flat":
-        return 0.0, lambda x: np.full_like(x, 1 / (2 * math.pi)), ((-math.pi, math.pi),)
     sigma = prior.sigma
     if prior.kind == "gaussian":
         q, half = np.zeros(1), 12 * sigma
@@ -682,6 +727,49 @@ def qft_phase_variance_dense(N: int, sigma: float, theta0: float = 0.0,
     g = np.einsum("nk,nk->k", f.conj(), eta @ f).real - theta0 * p
     live = p > PROB_FLOOR
     return sigma**2 - float(np.sum(g[live] ** 2 / p[live]))
+
+
+# ---------------------------------------------------------------------------
+# The Fourier readout's MSE at 40 digits
+
+def qft_phase_variance_mpmath(probe: SubspaceState, sigmas, dps: int = 40) -> list[float]:
+    """sigma^2 - sum_k g_k^2 / p_k for a real probe with the (N+1)-point
+    Fourier readout and a Gaussian prior of mean 0, at `dps` decimal digits,
+    one value per width of `sigmas`.  The probe's float64 coefficients are
+    taken exactly, so only the arithmetic differs from the package's route.
+
+    The autocorrelation a_d = sum_n psi_n psi_{n+d} of a real probe is real
+    and even in d, so with h_d = e^{-d^2 sigma^2 / 2} and the angles
+    phi = 2 pi d k / (N+1), p_k = (a_0 + 2 sum_{d=1..N} a_d h_d cos phi) / (N+1)
+    and g_k = -2 sigma^2 sum_{d=1..N} d a_d h_d sin phi / (N+1), the traces of
+    Gamma and of the first moment (qft_phase_variance_dense writes them as
+    matrices).  The cosines and sines are read from the N + 1 roots of unity
+    at d k mod N + 1.  Outcomes with p_k <= PROB_FLOOR are skipped, as the
+    package skips them.
+    """
+    if np.any(probe.coeffs.imag != 0):
+        raise ValueError("the oracle takes a real probe")
+    N, M = probe.N, probe.N + 1
+    with mpmath.workdps(dps):
+        psi = [mpmath.mpf(float(c)) for c in probe.coeffs.real]
+        a = [mpmath.fdot(psi[:M - d], psi[d:]) for d in range(M)]
+        roots = [2 * mpmath.pi * j / M for j in range(M)]
+        cos, sin = [mpmath.cos(t) for t in roots], [mpmath.sin(t) for t in roots]
+        out = []
+        for sigma in sigmas:
+            s2 = mpmath.mpf(float(sigma)) ** 2
+            ah = [a[d] * mpmath.exp(-d * d * s2 / 2) for d in range(M)]
+            dah = [d * ah[d] for d in range(M)]
+            total = mpmath.mpf(0)
+            for k in range(M):
+                turns = [d * k % M for d in range(1, M)]
+                p = (ah[0] + 2 * mpmath.fdot(ah[1:], [cos[j] for j in turns])) / M
+                if p <= PROB_FLOOR:
+                    continue
+                g = -2 * s2 * mpmath.fdot(dah[1:], [sin[j] for j in turns]) / M
+                total += g * g / p
+            out.append(float(s2 - total))
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -346,17 +346,19 @@ def test_in_range_arguments_exit_zero(argv, tmp_path):
     assert all(0 < cell < math.inf for cell in cells)
 
 
-def test_numerical_failure_exits_one(monkeypatch, tmp_path, capsys):
-    def unconverged(*args, **kwargs):
-        raise cli.estimate.QuadratureError("Gauss-Legendre orders up to 2048 did not converge")
+def test_library_error_mid_command_exits_two(monkeypatch, tmp_path, capsys):
+    # exit code 1 is left to verification failures: a value the library
+    # refuses after the header is written is a usage error, and --out holds
+    # no partial table
+    def refused(*args, **kwargs):
+        raise cli.estimate.EstimateError("N must be >= 1")
 
-    monkeypatch.setattr(cli.estimate, "holevo_bayes_round", unconverged)
+    monkeypatch.setattr(cli.estimate, "holevo_bayes_round", refused)
     out = tmp_path / "out.csv"
-    assert cli.main(["holevo", "--n-max", "2", "--out", str(out)]) == 1
+    assert cli.main(["holevo", "--n-max", "2", "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines() == [
-        "clustersense holevo: error: Gauss-Legendre orders up to 2048 did not converge"]
+    assert captured.err.splitlines() == ["clustersense holevo: error: N must be >= 1"]
     assert not out.exists()
 
 

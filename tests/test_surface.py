@@ -50,20 +50,16 @@ PURPOSES = {
     "estimate.dephased_rho": "README `estimate` row: the dense probe state after Gaussian "
                              "dephasing and encoding; only tests build it, as the dense state "
                              "that checks dephased_fisher_information and the outcome laws",
-    "estimate.flat_prior": "README `estimate` row: the flat prior",
     "estimate.frequency_round": "README `estimate` row: the frequency objective used once; "
                                 "timed by perfbench/tracing.py",
     "estimate.holevo_outcome_probabilities": "README `estimate` row: the Holevo round's "
                                              "unconditional Fourier-readout law p(k)",
-    "estimate.holevo_variance": "README `estimate` row: the Holevo variance of a prior, a "
-                                "density or samples",
+    "estimate.holevo_variance": "README `estimate` row: the Holevo variance e^(sigma^2) - 1 "
+                                "of a Gaussian or wrapped prior, in closed form",
     "estimate.Povm.outcome_probabilities": "README `estimate` row: Tr(E_k rho) on a dense "
                                            "state; tests take it as the dense route that the "
                                            "traces and the dephased Fisher information are "
                                            "checked against",
-    "estimate.Prior.fisher_information": "ROADMAP direction 14: the Fisher information of a "
-                                         "prior, which no command reaches; that direction "
-                                         "retires it with the adaptive quadrature",
     "probes.amplitudes_from_angles": "README `probes` row: the angle-to-amplitude half of the "
                                      "inversion",
     "probes.build_prep_circuit": "README `probes` row: the controlled-Y cascade that prepares "
