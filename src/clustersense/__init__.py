@@ -2,9 +2,9 @@
 
 Subpackages by concern:
 
-* :mod:`clustersense.simcore`  - gate-only dense state-vector reference
-* :mod:`clustersense.probes`   - unary-subspace probe states and prep circuits
-* :mod:`clustersense.compress` - unary-to-binary compression circuit and QFT
+* :mod:`clustersense.simcore`  - dense state vectors and the compressor's X/SWAP gates
+* :mod:`clustersense.probes`   - unary-subspace probe states and their rotation angles
+* :mod:`clustersense.compress` - unary-to-binary compression circuit and its resources
 * :mod:`clustersense.mbqc`     - measurement patterns and their branch-exhaustive checks
 * :mod:`clustersense.estimate` - local and Bayesian phase/frequency estimation
 * :mod:`clustersense.cli`      - estimation-curve CSV output and verification CLI

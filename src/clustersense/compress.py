@@ -1,4 +1,4 @@
-"""Coherent unary-to-binary compression and the QFT on the compressed register.
+"""Coherent unary-to-binary compression and its resource accounting.
 
 The compressor runs N blocks.  Block k adds the unary bit u_k into a
 lambda-qubit binary accumulator through a chain of half adders (Toffoli
@@ -11,10 +11,10 @@ Wires are logical indices; the swap schedule is tracked so the final
 position of each binary bit is known.  Semantics (not lattice layout) are
 what gets verified.
 
-Every gate is an X (any controls and polarities) or a SWAP, so the circuit
-permutes basis states without phases and runs on bit rows, not amplitudes.
-The N+1 images of the unary basis states (`unary_images`) decide its action
-on the whole unary subspace, at any N.
+Every gate is a `simcore.Gate`, an X (any controls and polarities) or a
+SWAP, so the circuit permutes basis states without phases and runs on bit
+rows, not amplitudes.  The N+1 images of the unary basis states
+(`unary_images`) decide its action on the whole unary subspace, at any N.
 """
 
 from __future__ import annotations
@@ -172,12 +172,10 @@ def classical_compress_oracle(bits: str) -> int:
 def _push_bits(circuit: Circuit, bits: np.ndarray) -> np.ndarray:
     """Images of the basis states in the rows of a boolean (rows, n_qubits)
     array, column w holding wire w.  An X flips its target where every
-    control matches its polarity; a SWAP exchanges its two columns where
-    they differ (and the controls match)."""
+    control matches its polarity; a SWAP, the only other kind of Gate,
+    exchanges its two columns where they differ (and the controls match)."""
     wires = np.array(bits, dtype=bool).T.copy()  # one contiguous row per wire
     for op in circuit.ops:
-        if op.kind not in ("X", "SWAP"):
-            raise CompressError(f"{op!r} does not permute basis states")
         fires = True
         for wire, polarity in zip(op.controls, op.polarity):
             fires = fires & (wires[wire] if polarity else ~wires[wire])
@@ -223,26 +221,6 @@ def compress_statevector(state: simcore.StateVector, layout: CompressorLayout,
     out = np.zeros(2**layout.lam, dtype=complex)
     out[values] = amps
     return simcore.StateVector(layout.lam, out)
-
-
-# ---------------------------------------------------------------------------
-# QFT
-
-def build_qft(lam: int) -> Circuit:
-    """Standard QFT on `lam` qubits (qubit 0 = MSB), ending in bit-reversal
-    swaps; its unitary is the 2**lam-point DFT matrix e^{2 pi i jk / 2^lam}
-    / sqrt(2^lam).  Controlled phases are emitted as controlled diagonal
-    gates."""
-    if lam < 1:
-        raise CompressError("lambda must be >= 1")
-    ops: list[Gate] = []
-    for i in range(lam):
-        ops.append(simcore.h(i))
-        for j in range(i + 1, lam):
-            angle = 2.0 * math.pi / 2 ** (j - i + 1)
-            ops.append(simcore.controlled(simcore.phase_diag(i, 0.0, angle), j))
-    ops += [simcore.swap(i, lam - 1 - i) for i in range(lam // 2)]
-    return Circuit(lam, ops)
 
 
 # ---------------------------------------------------------------------------

@@ -285,10 +285,6 @@ class Povm:
     def dim(self) -> int:
         return self.factors.shape[2]
 
-    def outcome_probabilities(self, rho: np.ndarray) -> np.ndarray:
-        """Tr(E_k rho) = sum_r F_kr rho F_kr^+ for each effect."""
-        return np.einsum("kri,ij,krj->k", self.factors, rho, self.factors.conj()).real
-
 
 def qft_povm(N: int) -> Povm:
     """Fourier-basis projectors |e_k><e_k| for k = 0..N, each the factor
@@ -749,15 +745,6 @@ def _weighted_holevo(p: np.ndarray, centred: np.ndarray) -> np.ndarray:
                     / np.where(vanished, 1.0, phasor_sq))
 
 
-def holevo_outcome_probabilities(N: int, prior: Prior,
-                                 probe: SubspaceState | None = None) -> np.ndarray:
-    """Unconditional QFT outcome distribution p(k) under a periodic prior,
-    from its closed-form harmonics."""
-    probe = _checked_probe(N, probe, None)
-    mass = _gaussian_row(prior.sigma, _index_rows(prior.centre, N))
-    return _traces(probe, mass, None).real
-
-
 # ---------------------------------------------------------------------------
 # Classical baselines and bounds
 
@@ -921,16 +908,11 @@ def mse_limit_curve(sigmas) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Noisy-local equivalence
 
-def dephased_rho(probe: SubspaceState, sigma: float, theta: float) -> np.ndarray:
-    """Probe after Gaussian parallel dephasing of width sigma, then encoding:
-    psi psi^+ o h for the Gaussian row h_d = e^{-i d theta - d^2 sigma^2 / 2}."""
-    return _on_subspace(probe, _gaussian_row(sigma, _index_rows(theta, probe.N)))
-
-
 def dephased_fisher_information(probe: SubspaceState, povm: Povm, sigma: float,
                                 theta: float) -> float:
-    """FI of the dephased probe at theta, via the analytic state derivative:
-    rho is psi psi^+ o h with h the Gaussian row of dephased_rho, and
+    """FI of the probe after Gaussian parallel dephasing of width sigma, then
+    encoding at theta, via the analytic state derivative: rho is psi psi^+ o h
+    for the Gaussian row h_d = e^{-i d theta - d^2 sigma^2 / 2}, and
     d rho / d theta is psi psi^+ o (-i d h)."""
     _check_phase(theta)
     d = np.arange(-probe.N, probe.N + 1)

@@ -1,9 +1,12 @@
-"""Probe states on the unary-encoded subspace and their preparation circuits.
+"""Probe states on the unary-encoded subspace.
 
 The (N+1)-dimensional subspace is spanned by |n>_un = |1>^n |0>^(N-n) for
-n = 0..N.  Real nonnegative coefficient profiles are prepared by a cascade
-of N Y-rotations (one per qubit, each controlled on its predecessor); the
-rotation angles and the amplitudes determine each other in closed form.
+n = 0..N.  A real nonnegative coefficient profile and N rotation angles
+determine each other in closed form, psi_n = cos(phi_{n+1}/2) *
+prod_{k<=n} sin(phi_k/2) with psi_N dropping the cosine;
+`angles_from_amplitudes` inverts it for `mbqc.sine_pattern`.  The
+controlled-Y cascade that prepares a profile from its angles as a circuit,
+and the forward formula, are the tests' oracles in `tests/reference.py`.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simcore
-from .simcore import Circuit, StateVector
+from .simcore import StateVector
 
 
 class ProbeError(Exception):
@@ -71,18 +74,6 @@ def sine_coefficients(N: int) -> SubspaceState:
     return SubspaceState(N, coeffs.astype(complex))
 
 
-def amplitudes_from_angles(schedule: AngleSchedule) -> SubspaceState:
-    """psi_n = cos(phi_{n+1}/2) * prod_{k<=n} sin(phi_k/2); psi_N drops the cosine."""
-    half = np.asarray(schedule.phis) / 2.0
-    sin_prefix = np.concatenate(([1.0], np.cumprod(np.sin(half))))
-    coeffs = np.empty(schedule.N + 1)
-    coeffs[: schedule.N] = np.cos(half) * sin_prefix[: schedule.N]
-    coeffs[schedule.N] = sin_prefix[schedule.N]
-    # the profile is normalized by construction; renormalize away rounding
-    coeffs = coeffs / math.sqrt(float(np.dot(coeffs, coeffs)))
-    return SubspaceState(schedule.N, coeffs.astype(complex))
-
-
 def angles_from_amplitudes(psi: SubspaceState) -> AngleSchedule:
     """Invert the amplitude formula for real nonnegative coefficients.
 
@@ -102,19 +93,6 @@ def angles_from_amplitudes(psi: SubspaceState) -> AngleSchedule:
     # of the remaining weight, and gives 0 once that weight is 0
     phis = 2.0 * np.arctan2(np.sqrt(suffix[1 : psi.N + 1]), values[: psi.N])
     return AngleSchedule(psi.N, phis)
-
-
-def build_prep_circuit(schedule: AngleSchedule) -> Circuit:
-    """N-qubit cascade preparing the unary embedding of the schedule's amplitudes.
-
-    One rotation per qubit: a plain Y-rotation on qubit 0, then each qubit k
-    rotated conditionally on qubit k-1.  With the exp(+i phi Y / 2) gate
-    convention, |0> maps to cos|0> - sin|1>, so the emitted angles are
-    negated to realize the nonnegative-amplitude profile.
-    """
-    ops = [simcore.ry(0, -schedule.phis[0])]
-    ops += [simcore.cry(k - 1, k, -schedule.phis[k]) for k in range(1, schedule.N)]
-    return Circuit(schedule.N, ops)
 
 
 def _unary_index(N: int, n):

@@ -26,11 +26,18 @@
   sine probe's autocorrelation, p_k and g_k as sums over d, and
   sigma^2 - sum_k g_k^2 / p_k, where the package cancels the same sum in
   float64.
-* The dense gate kernel: each `simcore.Gate` applied to all 2^n amplitudes
-  in place, by exchanging, scaling or mixing the two parts its target
-  splits the state into (`apply_gate`, `run_circuit`, `circuit_unitary`).
-  It is the oracle for everything circuit-shaped; the package itself
-  applies no gate.
+* The dense gate kernel: each gate applied to all 2^n amplitudes in
+  place, by exchanging, scaling or mixing the two parts its target splits
+  the state into (`apply_gate`, `run_circuit`, `circuit_unitary`).  It
+  runs the package's permutation gates (`simcore.Gate`, X and SWAP) and
+  its own `DenseGate`s (Y, Z, H, RX, RY, RZ and PHASE), which check their
+  kind, angle and phases when built, in a `simcore.Circuit` or a
+  `DenseCircuit` that holds both.  It is the oracle for everything
+  circuit-shaped; the package itself applies no gate.
+* Circuits that only the kernel runs: the textbook QFT on lambda qubits,
+  and the N-gate controlled-Y cascade that prepares a real nonnegative
+  unary profile from its angles, with the closed-form amplitudes of an
+  angle schedule that the package inverts.
 * The projection of one qubit onto an assigned outcome, in place and as a
   fresh state, and the qubit drop that follows it.
 * The whole cluster state of a graph: every vertex in |+> or its injected
@@ -68,6 +75,7 @@ from __future__ import annotations
 
 import functools
 import math
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
@@ -91,7 +99,7 @@ from clustersense.estimate import (
     parity_strategy,
 )
 from clustersense.mbqc import Graph, PatternError
-from clustersense.probes import SubspaceState, sine_coefficients
+from clustersense.probes import AngleSchedule, SubspaceState, sine_coefficients
 from clustersense.simcore import (
     MAX_QUBITS,
     NULL_PROB,
@@ -99,7 +107,6 @@ from clustersense.simcore import (
     Gate,
     SimulationError,
     StateVector,
-    cz,
     product_state,
 )
 
@@ -492,6 +499,121 @@ def traces_dense(probe: SubspaceState, harmonics: np.ndarray, povm: Povm) -> np.
 
 
 # ---------------------------------------------------------------------------
+# The kernel's own gates
+
+@dataclass(frozen=True)
+class DenseGate:
+    """A gate of the kernel's own set, beside the package's X and SWAP: Y, Z,
+    H, RX, RY, RZ (by a finite `angle`) and PHASE (diag(e^{i a0}, e^{i a1})
+    by two `phases`) on one target, optionally conditioned on `controls`
+    matching `polarity` as a `simcore.Gate` is."""
+
+    kind: str
+    targets: tuple[int, ...]
+    controls: tuple[int, ...] = ()
+    polarity: tuple[int, ...] = ()
+    angle: float | None = None
+    phases: tuple[float, float] | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("Y", "Z", "H", "RX", "RY", "RZ", "PHASE"):
+            raise SimulationError(f"unknown dense gate kind {self.kind!r}")
+        # one target, with the controls of an X on the same wires
+        Gate("X", self.targets, self.controls, self.polarity)
+        if self.kind in ("RX", "RY", "RZ") and not (
+                self.angle is not None and math.isfinite(self.angle)):
+            raise SimulationError(f"gate {self.kind}: needs a finite angle, got {self.angle!r}")
+        if self.kind == "PHASE" and (self.phases is None or len(self.phases) != 2):
+            raise SimulationError(f"gate PHASE: needs two phases, got {self.phases!r}")
+
+    @property
+    def qubits(self) -> tuple[int, ...]:
+        return self.targets + self.controls
+
+
+def z(q: int) -> DenseGate:
+    return DenseGate("Z", (q,))
+
+
+def h(q: int) -> DenseGate:
+    return DenseGate("H", (q,))
+
+
+def ry(q: int, angle: float) -> DenseGate:
+    return DenseGate("RY", (q,), angle=angle)
+
+
+def rz(q: int, angle: float) -> DenseGate:
+    return DenseGate("RZ", (q,), angle=angle)
+
+
+def cz(a: int, b: int) -> DenseGate:
+    return DenseGate("Z", (b,), controls=(a,), polarity=(1,))
+
+
+@dataclass(frozen=True)
+class DenseCircuit:
+    """Gates of both sets, `simcore.Gate`s and `DenseGate`s, in order on
+    `n_qubits` wires."""
+
+    n_qubits: int
+    ops: tuple[Gate | DenseGate, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "ops", tuple(self.ops))
+        for op in self.ops:
+            if not isinstance(op, (Gate, DenseGate)):
+                raise SimulationError(f"unsupported circuit op {op!r}")
+            if not all(0 <= q < self.n_qubits for q in op.qubits):
+                raise SimulationError(f"gate {op.kind} on {op.qubits} out of range for "
+                                      f"{self.n_qubits} qubits")
+
+
+def build_qft(lam: int) -> DenseCircuit:
+    """Standard QFT on `lam` qubits (qubit 0 = MSB), ending in bit-reversal
+    swaps; its unitary is the 2**lam-point DFT matrix e^{2 pi i jk / 2^lam}
+    / sqrt(2^lam).  Controlled phases are emitted as controlled diagonal
+    gates."""
+    if lam < 1:
+        raise CompressError("lambda must be >= 1")
+    ops: list[Gate | DenseGate] = []
+    for i in range(lam):
+        ops.append(h(i))
+        ops += [DenseGate("PHASE", (i,), controls=(j,), polarity=(1,),
+                          phases=(0.0, 2.0 * math.pi / 2 ** (j - i + 1)))
+                for j in range(i + 1, lam)]
+    ops += [Gate("SWAP", (i, lam - 1 - i)) for i in range(lam // 2)]
+    return DenseCircuit(lam, ops)
+
+
+def amplitudes_from_angles(schedule: AngleSchedule) -> SubspaceState:
+    """psi_n = cos(phi_{n+1}/2) * prod_{k<=n} sin(phi_k/2); psi_N drops the
+    cosine: the forward formula that `probes.angles_from_amplitudes` inverts."""
+    half = np.asarray(schedule.phis) / 2.0
+    sin_prefix = np.concatenate(([1.0], np.cumprod(np.sin(half))))
+    coeffs = np.empty(schedule.N + 1)
+    coeffs[: schedule.N] = np.cos(half) * sin_prefix[: schedule.N]
+    coeffs[schedule.N] = sin_prefix[schedule.N]
+    # the profile is normalized by construction; renormalize away rounding
+    coeffs = coeffs / math.sqrt(float(np.dot(coeffs, coeffs)))
+    return SubspaceState(schedule.N, coeffs.astype(complex))
+
+
+def build_prep_circuit(schedule: AngleSchedule) -> DenseCircuit:
+    """N-qubit cascade preparing the unary embedding of the schedule's amplitudes.
+
+    One rotation per qubit: a plain Y-rotation on qubit 0, then each qubit k
+    rotated conditionally on qubit k-1.  With the exp(+i phi Y / 2) gate
+    convention, |0> maps to cos|0> - sin|1>, so the emitted angles are
+    negated to realize the nonnegative-amplitude profile.
+    """
+    ops = [ry(0, -schedule.phis[0])]
+    ops += [DenseGate("RY", (k,), controls=(k - 1,), polarity=(1,), angle=-schedule.phis[k])
+            for k in range(1, schedule.N)]
+    return DenseCircuit(schedule.N, ops)
+
+
+# ---------------------------------------------------------------------------
 # The dense gate kernel
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -501,7 +623,7 @@ _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 
 
-def base_matrix(gate: Gate) -> np.ndarray:
+def base_matrix(gate: Gate | DenseGate) -> np.ndarray:
     """Unitary applied on the gate's target factors (controls handled
     separately); the gate's constructor has checked its kind and parameters."""
     kind = gate.kind
@@ -537,7 +659,7 @@ def _blocks(zero: np.ndarray, one: np.ndarray) -> list[tuple[np.ndarray, np.ndar
     return [(zero[i], one[i]) for i in np.ndindex(zero.shape[:lead])]
 
 
-def _apply_inplace(work: np.ndarray, gate: Gate) -> None:
+def _apply_inplace(work: np.ndarray, gate: Gate | DenseGate) -> None:
     """Apply `gate` to `work` in place.
 
     `work` has one length-2 axis per qubit, in qubit order, optionally
@@ -585,12 +707,12 @@ def _apply_inplace(work: np.ndarray, gate: Gate) -> None:
             o += m10 * kept
 
 
-def apply_gate(state: StateVector, gate: Gate) -> StateVector:
+def apply_gate(state: StateVector, gate: Gate | DenseGate) -> StateVector:
     """Transform the state by the gate's unitary; norm is preserved."""
-    return run_circuit(Circuit(state.n_qubits, [gate]), state)
+    return run_circuit(DenseCircuit(state.n_qubits, [gate]), state)
 
 
-def run_circuit(circuit: Circuit, initial: StateVector) -> StateVector:
+def run_circuit(circuit: Circuit | DenseCircuit, initial: StateVector) -> StateVector:
     """Apply the circuit's gates in order to a copy of `initial`."""
     if initial.n_qubits != circuit.n_qubits:
         raise SimulationError("initial state size does not match circuit")
@@ -601,7 +723,7 @@ def run_circuit(circuit: Circuit, initial: StateVector) -> StateVector:
     return StateVector(n, work.reshape(-1))
 
 
-def circuit_unitary(circuit: Circuit) -> np.ndarray:
+def circuit_unitary(circuit: Circuit | DenseCircuit) -> np.ndarray:
     """Full 2**n unitary of a circuit (n <= 12)."""
     n = circuit.n_qubits
     if n > 12:
@@ -678,7 +800,7 @@ def cluster_state(graph: Graph, injected: dict[int, np.ndarray] | None = None) -
     injected = injected or {}
     plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
     state = product_state([np.asarray(injected.get(v, plus), dtype=complex) for v in range(n)])
-    return run_circuit(Circuit(n, [cz(a, b) for a, b in sorted(graph.edges)]), state)
+    return run_circuit(DenseCircuit(n, [cz(a, b) for a, b in sorted(graph.edges)]), state)
 
 
 # ---------------------------------------------------------------------------

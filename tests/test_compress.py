@@ -2,13 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from reference import circuit_unitary, compress_statevector_dense, run_circuit
+from reference import build_qft, circuit_unitary, compress_statevector_dense, cz, h, run_circuit
 
 from clustersense import compress, probes, simcore
 from clustersense.compress import (
     CompressError,
     build_compressor,
-    build_qft,
     build_step,
     classical_compress_oracle,
     compress_statevector,
@@ -160,7 +159,7 @@ def test_qft_single_qubit_is_hadamard():
 
 
 def test_qft_zero_column_is_uniform():
-    out = run_circuit(build_qft(2), simcore.zero_state(2))
+    out = run_circuit(build_qft(2), simcore.basis_state(0, 2))
     np.testing.assert_allclose(out.amps, [0.5] * 4, atol=1e-14)
 
 
@@ -242,11 +241,15 @@ def test_non_unary_input_fails_on_the_same_wire():
 
 
 def test_bit_route_rejects_gates_that_are_not_permutations():
+    # the bit route runs a simcore.Circuit, which holds only X and SWAP
+    # gates: neither a circuit nor a gate can carry an H or a CZ to it
     circuit, layout = build_compressor(2)
-    for extra in (simcore.h(0), simcore.cz(0, 1)):
-        broken = simcore.Circuit(circuit.n_qubits, circuit.ops + (extra,))
-        with pytest.raises(CompressError):
-            compress_statevector(probes.unary_basis_state(1, 2), layout, broken)
+    for extra in (h(0), cz(0, 1)):
+        with pytest.raises(simcore.SimulationError):
+            simcore.Circuit(circuit.n_qubits, circuit.ops + (extra,))
+    for kind, controls in (("H", ()), ("Z", (0,))):
+        with pytest.raises(simcore.SimulationError):
+            simcore.Gate(kind, (1,), controls=controls, polarity=(1,) * len(controls))
 
 
 def _unary_image_problems(circuit, layout) -> list[str]:

@@ -44,6 +44,19 @@ from clustersense.estimate import (
 PLUS_PROBE = probes.SubspaceState(1, np.array([1.0, 1.0], dtype=complex) / math.sqrt(2))
 
 
+def _dephased_row(N: int, sigma: float, theta: float) -> np.ndarray:
+    """h_d = e^{-i d theta - d^2 sigma^2 / 2}, d = -N..N: the probe after
+    Gaussian dephasing of width sigma, then encoding at theta, is psi psi^+ o h."""
+    return est._gaussian_row(sigma, est._index_rows(theta, N))
+
+
+def _mass_outcomes(N: int, prior, probe=None) -> np.ndarray:
+    """The Fourier readout's unconditional law p(k) under a periodic prior:
+    the traces of its mass row, the Gaussian row about the prior's centre."""
+    probe = probe if probe is not None else probes.sine_coefficients(N)
+    return est._traces(probe, _dephased_row(N, prior.sigma, prior.centre), None).real
+
+
 # ---------------------------------------------------------------------------
 # local estimation
 
@@ -163,7 +176,7 @@ def test_qft_povm_single_qubit_effects():
 def test_probe_weight_never_reaches_completion_effect():
     N = 6
     povm = qft_povm(N)
-    probs = povm.outcome_probabilities(est.dephased_rho(probes.sine_coefficients(N), 0.0, 0.83))
+    probs = reference.traces_dense(probes.sine_coefficients(N), _dephased_row(N, 0.0, 0.83), povm).real
     assert probs[-1] < 1e-12
     assert np.sum(probs) == pytest.approx(1.0, abs=1e-10)
 
@@ -323,9 +336,8 @@ def _random_povm(N: int, rank: int, rng) -> Povm:
 @pytest.mark.parametrize("N", [1, 3, 8, 40])
 def test_folded_effects_match_dense_traces(N):
     # the factored traces of an explicit POVM against one dense operator per
-    # harmonic row, on a stack of complex rows of unit scale, and its outcome
-    # probabilities against the dense effects; qft_povm's outcomes in the
-    # order of the Fourier readout's
+    # harmonic row, on a stack of complex rows of unit scale; qft_povm's
+    # outcomes in the order of the Fourier readout's
     rng = np.random.default_rng(N)
     raw = rng.normal(size=N + 1) + 1j * rng.normal(size=N + 1)
     probe = probes.SubspaceState(N, raw / np.linalg.norm(raw))
@@ -335,13 +347,9 @@ def test_folded_effects_match_dense_traces(N):
     povms = [qft, _random_povm(N, 2, rng), _random_povm(N, 3, rng), padded]
     if N == 1:
         povms.append(single_qubit_optimal_povm(0.4))
-    rho = est.dephased_rho(probe, 0.3, 0.7)
     for povm in povms:
         np.testing.assert_allclose(est._traces(probe, rows, povm),
                                    reference.traces_dense(probe, rows, povm), rtol=0, atol=1e-13)
-        np.testing.assert_allclose(povm.outcome_probabilities(rho),
-                                   np.einsum("kij,ji->k", reference.dense_effects(povm), rho).real,
-                                   rtol=0, atol=1e-13)
     np.testing.assert_allclose(est._traces(probe, rows, qft)[..., :N + 1],
                                est._traces(probe, rows, None), rtol=0, atol=1e-13)
 
@@ -469,9 +477,8 @@ def test_gauss_legendre_rule_is_shared_and_read_only():
 
 def test_holevo_outcome_distribution_shifts_with_prior_mean():
     N = 4
-    base = est.holevo_outcome_probabilities(N, wrapped_gaussian_prior(0.7, 0.3))
-    shifted = est.holevo_outcome_probabilities(
-        N, wrapped_gaussian_prior(0.7, 0.3 + 2 * math.pi / (N + 1)))
+    base = _mass_outcomes(N, wrapped_gaussian_prior(0.7, 0.3))
+    shifted = _mass_outcomes(N, wrapped_gaussian_prior(0.7, 0.3 + 2 * math.pi / (N + 1)))
     np.testing.assert_allclose(np.roll(base[: N + 1], -1), shifted[: N + 1], atol=1e-10)
 
 
@@ -507,7 +514,7 @@ def test_holevo_closed_form_matches_node_oracle(N):
                     reference.holevo_bayes_round_by_nodes(prior, law), rel=2e-12, abs=0), (
                         sigma, theta0, povm is None, probe is sine)
                 if povm is None:
-                    np.testing.assert_allclose(est.holevo_outcome_probabilities(N, prior, probe),
+                    np.testing.assert_allclose(_mass_outcomes(N, prior, probe),
                                                reference.outcome_probabilities_by_nodes(prior, law),
                                                rtol=0, atol=2e-14)
 
@@ -524,7 +531,7 @@ def test_unwrapped_gaussian_round_is_its_wrap(N):
                 reference.holevo_bayes_round_by_nodes(prior, law), rel=2e-12, abs=0)
             assert holevo_bayes_round(N, prior) == holevo_bayes_round(
                 N, wrapped_gaussian_prior(sigma, theta0))
-            np.testing.assert_allclose(est.holevo_outcome_probabilities(N, prior),
+            np.testing.assert_allclose(_mass_outcomes(N, prior),
                                        reference.outcome_probabilities_by_nodes(prior, law),
                                        rtol=0, atol=2e-14)
 
@@ -537,7 +544,7 @@ def test_flat_prior_round_matches_node_oracle(N):
     assert holevo_bayes_round(N, prior) == pytest.approx(
         reference.holevo_bayes_round_by_nodes(prior, reference.outcome_law(probes.sine_coefficients(N))),
         rel=2e-12, abs=0)
-    np.testing.assert_allclose(est.holevo_outcome_probabilities(N, prior), np.full(N + 1, 1 / (N + 1)),
+    np.testing.assert_allclose(_mass_outcomes(N, prior), np.full(N + 1, 1 / (N + 1)),
                                rtol=0, atol=1e-15)
 
 
@@ -571,11 +578,8 @@ def test_wrapped_prior_mean_outside_pi_is_reduced():
     lambda: holevo_bayes_round(5, wrapped_gaussian_prior(0.5), probe=probes.sine_coefficients(3)),
     lambda: holevo_bayes_round(3, wrapped_gaussian_prior(0.5), povm=qft_povm(4)),
     lambda: frequency_round(3, 0.5, probes.sine_coefficients(3), qft_povm(4)),
-    lambda: est.holevo_outcome_probabilities(5, wrapped_gaussian_prior(0.5),
-                                             probes.sine_coefficients(3)),
     lambda: bayes_round(gaussian_prior(0.5), probes.sine_coefficients(3), qft_povm(4)),
-], ids=["qft-probe", "holevo-probe", "holevo-povm", "frequency-povm", "outcomes-probe",
-        "bayes-state-povm"])
+], ids=["qft-probe", "holevo-probe", "holevo-povm", "frequency-povm", "bayes-state-povm"])
 def test_round_rejects_a_probe_or_povm_of_another_size(call):
     with pytest.raises(EstimateError):
         call()
@@ -627,9 +631,6 @@ def test_periodic_round_builds_its_harmonic_rows_once(monkeypatch):
     monkeypatch.setattr(est, "_periodic_harmonics", counting)
     holevo_bayes_round(3, wrapped_gaussian_prior(0.4, 0.3), povm=qft_povm(3))
     assert calls == [3]
-    calls.clear()
-    est.holevo_outcome_probabilities(3, wrapped_gaussian_prior(0.4, 0.3))
-    assert calls == []
 
 
 def test_subspace_operator_matches_index_matrices():
@@ -997,7 +998,7 @@ def test_dephased_fisher_matches_central_differences():
     sigma, theta = 0.4, 0.2
 
     def probs(t):
-        return povm.outcome_probabilities(est.dephased_rho(probe, sigma, t))
+        return reference.traces_dense(probe, _dephased_row(3, sigma, t), povm).real
 
     analytic = dephased_fisher_information(probe, povm, sigma, theta)
     numeric = reference.fisher_information_by_differences(probs, theta, step=1e-5)
@@ -1338,7 +1339,7 @@ def _narrow_holevo_round_by_quad(N: int, sigma: float) -> float:
      lambda: _narrow_holevo_round_by_quad(2, 1e-3), 1e-8),
     (lambda: holevo_bayes_round(2, gaussian_prior(1e-3)),
      lambda: _narrow_holevo_round_by_quad(2, 1e-3), 1e-8),
-    (lambda: est.holevo_outcome_probabilities(2, gaussian_prior(1e-3)),
+    (lambda: _mass_outcomes(2, gaussian_prior(1e-3)),
      lambda: _narrow_fourier_integrals_by_quad(2, 1e-3)[0], None),
 ], ids=["holevo-variance", "holevo-round", "gaussian-holevo-round", "outcome-probabilities"])
 def test_narrow_wrapped_prior_integrates(call, expected, rel):

