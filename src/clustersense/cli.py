@@ -146,8 +146,8 @@ def cmd_local(args) -> int:
 
 def _phase_rows(sigma: float, ns: list[int], theta0: float):
     classical = estimate.classical_parallel_curve(ns, sigma)
-    for N, v_classical in zip(ns, classical):
-        v_quantum = estimate.qft_phase_variance(N, sigma, theta0)
+    quantum = estimate.qft_phase_curve(ns, sigma, theta0)
+    for N, v_quantum, v_classical in zip(ns, quantum, classical):
         bound = estimate.van_trees_bound(N, sigma)
         yield (N, sigma, 1.0 / v_quantum, 1.0 / v_classical, 1.0 / bound)
 
@@ -211,9 +211,14 @@ def cmd_holevo(args) -> int:
     ns = _n_grid(args.n_min, args.n_max, args.n_step)
     # each prior checks its mean and width before the header is written
     priors = [estimate.wrapped_gaussian_prior(sigma, args.theta0) for sigma in sigmas]
-    rows = ((N, prior.sigma, 1.0 / estimate.holevo_bayes_round(N, prior))
-            for prior in priors for N in ns)
-    _write_csv(["N", "sigma", "inv_Vphi_post"], rows, args.out)
+
+    def rows():
+        # the table is computed once --out is open, so an --out that cannot
+        # be opened is reported first
+        for prior, column in zip(priors, estimate.holevo_curve(ns, priors)):
+            yield from ((N, prior.sigma, 1.0 / value) for N, value in zip(ns, column))
+
+    _write_csv(["N", "sigma", "inv_Vphi_post"], rows(), args.out)
     return 0
 
 

@@ -32,9 +32,17 @@ above 2N, are a readout kernel like a Povm's (_classical_kernel), and the
 classical tau search is the quantum one's objective over that kernel.  One width at a
 time, as bayes-phase's column takes it, a periodic trapezoid rule against
 the wrapped Gaussian integrates the law exactly in float64, with every
-summed term positive.  Its node weights, like the wrapped prior's density,
-are wrapped Gaussian sums from one helper (_wrapped_sums): image sums below
-width pi, three Fourier terms from pi on.
+summed term positive; the law (_outcome_law) is the one array of its size
+in a call, so the rule takes no fresh memory pages.  Its node weights,
+like the wrapped prior's density, are wrapped Gaussian sums from one
+helper (_wrapped_sums): image sums below width pi, three Fourier terms
+from pi on.
+
+Over an N grid, bayes-phase's quantum column (qft_phase_curve) and the
+holevo table (holevo_curve) build each width's rows once, at the largest N:
+a row's column k + N depends on k alone, so each N reads the centred slice
+of the rows, with one autocorrelation and one _contract for all widths
+(_grid_traces), and each value is its one-N round's bit for bit.
 """
 
 from __future__ import annotations
@@ -452,22 +460,44 @@ def _log_binomials(N: int) -> np.ndarray:
     return out
 
 
+#: Entries of _outcome_law's scratch block, 32 KB: one block holds a
+#: small law whole, and at N = 200 it is under a tenth of the law's
+#: 226 x 201 entries.
+_LAW_BLOCK = 4096
+
+
 def _outcome_law(N: int, plus, minus) -> np.ndarray:
     """C(N, m) plus^(N-m) minus^m for m = 0..N on a new last axis, one row
     per entry of the single-qubit probabilities plus and minus, as the
     exponential of log C(N, m) + (N - m) log plus + m log minus.  The two
-    products are outer products whose m = N and m = 0 columns are set to 0,
-    so a vanishing probability raised to the power 0 gives 1."""
-    m = np.arange(N + 1.0)  # float, so the outer products run no casting loop
+    products are set to 0 in their m = N and m = 0 columns, so a vanishing
+    probability raised to the power 0 gives 1.
+
+    The law is the one array of its size in a call: the m log minus term is
+    formed in a scratch block of about _LAW_BLOCK entries and added a block
+    of rows at a time, and both products multiply in place, where a
+    broadcast product takes NumPy buffers of a third of the law at N = 200.
+    Each entry takes the same operations in the same order as with outer
+    products.  A second law-sized temporary pushed the freed heap past
+    glibc's trim threshold at N = 200, so that every call faulted in fresh
+    pages, at more cost than the arithmetic."""
+    m = np.arange(N + 1.0)  # float, so the products run no casting loop
     with np.errstate(divide="ignore", invalid="ignore"):
-        law = np.multiply.outer(np.log(plus), N - m)
-        second = np.multiply.outer(np.log(minus), m)
-    law[..., N] = 0.0
-    second[..., 0] = 0.0
-    # in place: two arrays of the law's size, whose fresh pages cost more
-    # than the arithmetic at N = 200
-    law += _log_binomials(N)
-    law += second
+        law = np.empty(np.shape(plus) + (N + 1,))
+        law[...] = np.log(plus)[..., None]
+        law *= N - m
+        law[..., N] = 0.0
+        law += _log_binomials(N)
+        rows = law.reshape(-1, N + 1)
+        log_minus = np.log(minus).reshape(-1, 1)
+        height = max(1, _LAW_BLOCK // (N + 1))
+        scratch = np.empty((min(height, len(rows)), N + 1))
+        for start in range(0, len(rows), height):
+            block = scratch[:len(rows) - start]
+            block[...] = log_minus[start:start + len(block)]
+            block *= m
+            block[:, 0] = 0.0
+            rows[start:start + len(block)] += block
     return np.exp(law, out=law)
 
 
@@ -701,6 +731,32 @@ def qft_phase_variance(N: int, sigma: float, theta0: float = 0.0,
     return float(np.square(sigma) - _information(p, g))
 
 
+def _grid_traces(Ns, rows):
+    """For each N of the grid Ns, the traces (_contract) of the sine probe's
+    Fourier readout against `rows`, harmonic rows built once at an Nmax no
+    smaller than any N (column d + Nmax): a row's column d + Nmax depends
+    on d alone, so the centred slice [Nmax - N, Nmax + N] is the row built
+    at N, and each N costs one autocorrelation and one _contract for every
+    row, bit for bit as if built at N."""
+    top = rows.shape[-1] // 2
+    for N in Ns:
+        kernel = _readout_kernel(_checked_probe(N, None, None), None)
+        yield _contract(kernel, rows[..., top - N:top + N + 1])
+
+
+def qft_phase_curve(Ns, sigma: float, theta0: float = 0.0) -> list[float]:
+    """qft_phase_variance of the sine probe over an N grid, bit for bit, on
+    Gaussian rows built once at the largest N (_grid_traces).  The width
+    and the mean are checked first, so an empty grid is checked too and
+    gives []."""
+    gaussian_prior(sigma, theta0)
+    Ns = list(Ns)
+    rows = _gaussian_harmonics(sigma, _index_rows(math.remainder(theta0, 2 * math.pi),
+                                                  max(Ns, default=0)))
+    s2 = np.square(sigma)
+    return [float(s2 - _information(*traces.real)) for traces in _grid_traces(Ns, rows)]
+
+
 # ---------------------------------------------------------------------------
 # Holevo phase variance
 
@@ -729,20 +785,41 @@ def holevo_bayes_round(N: int, prior: Prior, probe: SubspaceState | None = None,
     is the sine state with the Fourier-basis measurement (one FFT).
     """
     probe = _checked_probe(N, probe, povm)
-    p, centred = _traces(probe, _periodic_harmonics(prior, N), povm)
-    live = p.real > PROB_FLOOR
-    return float(np.sum(_weighted_holevo(p[live].real, centred[live])))
+    return _holevo_sum(*_traces(probe, _periodic_harmonics(prior, N), povm))
 
 
-def _weighted_holevo(p: np.ndarray, centred: np.ndarray) -> np.ndarray:
-    """p_m (|phi_m / p_m|^-2 - 1) per outcome, from p_m and the trace c_m of
+def holevo_curve(Ns, priors) -> list[list[float]]:
+    """holevo_bayes_round of the sine probe and Fourier readout over an N
+    grid, one list per prior, bit for bit: every prior's rows
+    (_periodic_harmonics) are built once, at the largest N, and contracted
+    together (_grid_traces), and a stacked _contract gives each prior the
+    values of its own call.  A Prior checks its mean and width when it is
+    made, so an empty grid gives one empty list per prior."""
+    Ns, priors = list(Ns), list(priors)
+    if not priors:
+        return []
+    top = max(Ns, default=0)
+    rows = np.stack([_periodic_harmonics(prior, top) for prior in priors])
+    table = [[] for _ in priors]
+    for traces in _grid_traces(Ns, rows):
+        for column, (p, centred) in zip(table, traces):
+            column.append(_holevo_sum(p, centred))
+    return table
+
+
+def _holevo_sum(p: np.ndarray, centred: np.ndarray) -> float:
+    """sum_m p_m (|phi_m / p_m|^-2 - 1) over the outcomes with
+    p_m > PROB_FLOOR, from the traces p_m (real up to rounding) and c_m of
     the centred phasor row (e^{-i t0} phi_m = p_m + c_m):
     -p_m (2 p_m Re c_m + |c_m|^2) / |p_m + c_m|^2, in which nothing cancels
     at a narrow prior; infinite where the phasor vanishes."""
+    live = p.real > PROB_FLOOR
+    p, centred = p[live].real, centred[live]
     phasor_sq = np.abs(p + centred) ** 2
     vanished = phasor_sq < 1e-28 * p**2
-    return np.where(vanished, np.inf, -p * (2 * p * centred.real + np.abs(centred) ** 2)
-                    / np.where(vanished, 1.0, phasor_sq))
+    weighted = (-p * (2 * p * centred.real + np.abs(centred) ** 2)
+                / np.where(vanished, 1.0, phasor_sq))
+    return float(np.sum(np.where(vanished, np.inf, weighted)))
 
 
 # ---------------------------------------------------------------------------

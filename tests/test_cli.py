@@ -246,9 +246,10 @@ def test_out_of_range_arguments_exit_with_usage_code(argv, tmp_path, capsys):
     assert not out.exists()
 
 
-#: A library call that each CSV command makes for every row.
-ROW_CALLS = {"local": "parity_strategy", "bayes-phase": "qft_phase_variance",
-             "bayes-freq": "optimize_tau", "holevo": "holevo_bayes_round",
+#: A library call that each CSV command makes for its rows: per row, or per
+#: column of rows where a curve shares its work across the N grid.
+ROW_CALLS = {"local": "parity_strategy", "bayes-phase": "qft_phase_curve",
+             "bayes-freq": "optimize_tau", "holevo": "holevo_curve",
              "mse-limit": "mse_limit_curve"}
 
 
@@ -353,7 +354,7 @@ def test_library_error_mid_command_exits_two(monkeypatch, tmp_path, capsys):
     def refused(*args, **kwargs):
         raise cli.estimate.EstimateError("N must be >= 1")
 
-    monkeypatch.setattr(cli.estimate, "holevo_bayes_round", refused)
+    monkeypatch.setattr(cli.estimate, "holevo_curve", refused)
     out = tmp_path / "out.csv"
     assert cli.main(["holevo", "--n-max", "2", "--out", str(out)]) == 2
     captured = capsys.readouterr()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from reference import build_qft, circuit_unitary, compress_statevector_dense, cz, h, run_circuit
 
-from clustersense import compress, probes, simcore
+from clustersense import probes, simcore
 from clustersense.compress import (
     CompressError,
     build_compressor,

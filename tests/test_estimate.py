@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import reference
 
 import clustersense
 from clustersense import estimate as est
-from clustersense import mbqc, probes, simcore
+from clustersense import cli, probes, simcore
 from clustersense.estimate import (
     EstimateError,
     MSEValidityWarning,
@@ -388,6 +389,56 @@ def test_qft_phase_variance_matches_mpmath(N):
         # k (sigma^2 / V) eps relative to V
         bound = QFT_MPMATH_K * (sigma**2 / want) * np.finfo(float).eps * want
         assert abs(got - want) <= bound, (sigma, abs(got - want) / (sigma**2 * np.finfo(float).eps))
+
+
+#: Widths and means at which each curve is pinned to its per-N round.
+CURVE_PIN_SIGMAS = (1e-3, 0.1, math.pi / 8, 0.5, 3 * math.pi / 8, math.pi, 5.0, 20.0)
+CURVE_PIN_THETA0S = (0.0, 0.3, -0.45, 3.0, 1e300)
+
+
+def test_qft_phase_curve_is_the_per_n_round_bit_for_bit():
+    # bayes-phase's default grid and its --n-max 256 grid, plus an unsorted
+    # one: each N reads its centred slice of the rows built at the largest N
+    grids = (cli._n_grid(1, 200, 0), cli._n_grid(1, 256, 0), [7, 1, 40, 3])
+    for theta0 in CURVE_PIN_THETA0S:
+        for sigma in CURVE_PIN_SIGMAS + tuple(k / 10 for k in range(1, 11)):
+            for Ns in grids[:1] if sigma not in (0.5, 5.0) else grids:
+                want = [qft_phase_variance(N, sigma, theta0) for N in Ns]
+                assert est.qft_phase_curve(Ns, sigma, theta0) == want, (sigma, theta0, Ns[-1])
+
+
+def test_holevo_curve_is_the_per_n_round_bit_for_bit():
+    # holevo's default grid, every width and mean in one stacked call, with
+    # wrapped and Gaussian priors side by side; and one prior alone on an
+    # unsorted grid
+    Ns = cli._n_grid(1, 100, 0)
+    priors = [make(sigma, theta0) for make in (wrapped_gaussian_prior, gaussian_prior)
+              for sigma in CURVE_PIN_SIGMAS for theta0 in CURVE_PIN_THETA0S]
+    table = est.holevo_curve(Ns, priors)
+    assert len(table) == len(priors)
+    for prior, column in zip(priors, table):
+        assert column == [holevo_bayes_round(N, prior) for N in Ns], prior
+    prior = wrapped_gaussian_prior(0.3, -0.45)
+    assert est.holevo_curve([9, 2, 30], [prior]) == [
+        [holevo_bayes_round(N, prior) for N in (9, 2, 30)]]
+
+
+def test_curves_check_their_inputs_and_take_an_empty_grid():
+    assert est.qft_phase_curve([], 0.5, 0.3) == []
+    for sigma, theta0 in ((0.0, 0.0), (math.inf, 0.0), (0.5, math.nan), (0.5, math.inf)):
+        with pytest.raises(EstimateError):
+            est.qft_phase_curve([], sigma, theta0)
+    priors = [wrapped_gaussian_prior(0.5), gaussian_prior(1.0, 0.3)]
+    assert est.holevo_curve([], priors) == [[], []]
+    assert est.holevo_curve([1, 2], []) == []
+    # an N the round refuses is refused by the curve, with the same error
+    for N in (0, -3):
+        with pytest.raises(probes.ProbeError):
+            qft_phase_variance(N, 0.5)
+        with pytest.raises(probes.ProbeError):
+            est.qft_phase_curve([2, N], 0.5)
+        with pytest.raises(probes.ProbeError):
+            est.holevo_curve([2, N], priors)
 
 
 @pytest.mark.parametrize("theta0", [10.0, 1e3, 1e6, 1e9, 1e300, -1e300])
@@ -931,6 +982,26 @@ def test_outcome_law_equals_the_xlogy_route(N):
     law = est._outcome_law(N, edge, 1 - edge)
     np.testing.assert_array_equal(law, reference.outcome_law_by_xlogy(N, edge, 1 - edge))
     assert law[0, N] == 1.0 and law[1, 0] == 1.0
+
+
+def test_outcome_law_holds_one_array_of_its_size():
+    # the m log minus term goes through a small scratch block, not a second
+    # law-sized temporary; with two, the freed heap passed glibc's trim
+    # threshold at N = 200, and every call of the rule faulted in fresh pages
+    N, sigma = 200, 0.5
+    M, first, last = est._node_window(N, sigma)
+    half = (math.pi / M) * np.arange(first, last + 1) + math.pi / 4
+    plus, minus = np.sin(half) ** 2, np.cos(half) ** 2
+    assert len(plus) == 226  # the rule's every node at this width
+    est._outcome_law(N, plus, minus)  # caches the log-binomial row
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        law = est._outcome_law(N, plus, minus)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * law.nbytes, peak / law.nbytes
 
 
 def _run_fresh(code: str) -> str:
