@@ -202,12 +202,12 @@ def _wrapped_sums(x, sigma, first_moment: bool = True) -> tuple[np.ndarray, ...]
     return w0, w1
 
 
-def _check_width(sigma, name: str = "sigma") -> None:
+def _check_width(sigma) -> None:
     """The width rule of every prior, and of every entry point that takes a
-    width or an interrogation time: 0 < sigma < inf, for one value or each
-    entry of an array, so NaN fails too."""
+    width: 0 < sigma < inf, for one value or each entry of an array, so NaN
+    fails too."""
     if not np.all((0 < sigma) & (sigma < math.inf)):
-        raise EstimateError(f"{name} must be positive and finite, got {sigma}")
+        raise EstimateError(f"sigma must be positive and finite, got {sigma}")
 
 
 def _check_phase(theta) -> None:
@@ -760,17 +760,6 @@ def qft_phase_curve(Ns, sigma: float, theta0: float = 0.0) -> list[float]:
 # ---------------------------------------------------------------------------
 # Holevo phase variance
 
-def holevo_variance(prior: Prior) -> float:
-    """|<e^{i theta}>|^-2 - 1 = e^{sigma^2} - 1 for a Gaussian or wrapped
-    prior, whose mean phasors are both e^{i theta0 - sigma^2 / 2}.  Where
-    e^{sigma^2} overflows (sigma above about 26.6) the squared mean phasor
-    e^{-sigma^2} vanishes in float64, and the variance is math.inf."""
-    try:
-        return math.expm1(prior.sigma**2)
-    except OverflowError:
-        return math.inf
-
-
 def holevo_bayes_round(N: int, prior: Prior, probe: SubspaceState | None = None,
                        povm: Povm | None = None) -> float:
     """Average posterior Holevo phase variance over the measurement outcomes,
@@ -1031,15 +1020,6 @@ def _frequency_objective(half: np.ndarray):
         return float(value) if np.ndim(value) == 0 else value
 
     return vbar
-
-
-def frequency_round(N: int, tau, probe: SubspaceState, povm: Povm | None):
-    """The frequency objective of optimize_tau (_frequency_objective) at
-    one interrogation time or an array of them, each of which must be
-    positive and finite."""
-    tau = np.asarray(tau, dtype=float)
-    _check_width(tau, "tau")
-    return _frequency_objective(_half_kernel(_checked_probe(N, probe, povm), povm))(tau)
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,13 @@
 
 A pattern is a graph (every vertex starts in |+>, CZ on every edge, optional
 injected input states), an ordered list of single-qubit measurements in the
-x-y plane, and per-output correction words.  Measuring a vertex at angle phi
+x-y plane, and one byproduct per output.  Measuring a vertex at angle phi
 means applying Rz(phi) then H and reading the computational basis; one such
 step on a wire teleports H Z^s Rz(phi) onto the neighbour.  Angles may flip
-sign with the parity of earlier outcomes, and corrections are words of
-X/Z/H factors with outcome-parity exponents, applied after all measurements.
+sign with the parity of earlier outcomes.  An output's byproduct says that
+it holds X^x Z^z H^h times its logical state, with x and z parities of
+earlier outcomes and h a constant (Danos, Kashefi & Panangaden, JACM 54,
+2007); after all measurements it is undone as X^x, then Z^z, then H.
 
 Verification runs every outcome branch at once and checks that corrected
 outputs agree with a target state or unitary.  The full cluster is never
@@ -18,7 +20,7 @@ branch axis; measuring a vertex removes its axis and doubles the branches,
 so the sweep costs the sum over levels of 2**(live width + depth)
 amplitude operations, run in chunks of the branch axis that keep every
 array under _CHUNK_AMPS amplitudes, in one workspace taken per sweep.  The
-corrections fire as a per-branch Pauli frame.  A single branch
+Pauli part of each byproduct is undone as a per-branch frame.  A single branch
 (`run_pattern`) is the same sweep with one column.
 
 Renormalizing an outcome of conditional probability p scales its rounding by
@@ -30,7 +32,7 @@ out of the probability sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -77,17 +79,14 @@ class AngleSpec:
 
 
 @dataclass(frozen=True)
-class CorrectionFactor:
-    """One factor of a byproduct-correction word: X/Z/H raised to the parity
-    of `deps` outcomes (xor `flip`); H factors typically use flip=True."""
+class Byproduct:
+    """The byproduct of one output: it holds X^(parity of the x outcomes)
+    Z^(parity of the z outcomes) H^h times its logical state, so the sweep
+    undoes X, then Z, then H.  A vertex listed twice cancels."""
 
-    kind: str
-    deps: tuple[int, ...] = ()
-    flip: bool = False
-
-    def __post_init__(self):
-        if self.kind not in ("X", "Z", "H"):
-            raise PatternError(f"correction factor kind {self.kind!r}")
+    x: tuple[int, ...] = ()
+    z: tuple[int, ...] = ()
+    h: bool = False
 
 
 @dataclass(frozen=True)
@@ -97,7 +96,7 @@ class MeasurementPattern:
     measurements: tuple[tuple[int, AngleSpec], ...]
     outputs: tuple[int, ...]
     # a dict cannot be hashed: equality compares corrections, the hash skips them
-    corrections: dict[int, tuple[CorrectionFactor, ...]] = field(default_factory=dict, hash=False)
+    corrections: dict[int, Byproduct] = field(default_factory=dict, hash=False)
 
     def __post_init__(self):
         measured = [v for v, _ in self.measurements]
@@ -112,12 +111,13 @@ class MeasurementPattern:
             if any(d not in seen for d in spec.sign_deps):
                 raise PatternError(f"angle of vertex {v} depends on a later outcome")
             seen.add(v)
-        for out, word in self.corrections.items():
+        for out, byproduct in self.corrections.items():
             if out not in self.outputs:
                 raise PatternError(f"correction on non-output vertex {out}")
-            for factor in word:
-                if any(d not in seen for d in factor.deps):
-                    raise PatternError("correction depends on an unmeasured vertex")
+            if not isinstance(byproduct, Byproduct):
+                raise PatternError(f"correction of vertex {out} is not a Byproduct")
+            if any(d not in seen for d in byproduct.x + byproduct.z):
+                raise PatternError("correction depends on an unmeasured vertex")
 
     @property
     def n_measured(self) -> int:
@@ -128,8 +128,8 @@ class _Parities:
     """The outcome parities a sweep reads, packed as bits per branch column.
 
     Bit r of a column's words is the parity of the outcomes of one
-    dependency list, an adapted angle's `sign_deps` or a correction factor's
-    `deps`: measuring vertex v flips, on the columns that read 1, every bit
+    dependency list, an adapted angle's `sign_deps` or a byproduct's `x` or
+    `z`: measuring vertex v flips, on the columns that read 1, every bit
     whose list holds v, so reading a parity is reading a bit.  A vertex
     listed twice flips its bit twice.  A row after the bits holds each
     column's input case, which no flip touches.
@@ -137,7 +137,8 @@ class _Parities:
 
     def __init__(self, pattern: MeasurementPattern):
         deps_lists = [spec.sign_deps for _, spec in pattern.measurements if spec.base]
-        deps_lists += [factor.deps for word in pattern.corrections.values() for factor in word]
+        deps_lists += [deps for byproduct in pattern.corrections.values()
+                       for deps in (byproduct.x, byproduct.z)]
         self._bit: dict[tuple[int, ...], int] = {}
         masks = {v: 0 for v, _ in pattern.measurements}
         for deps in deps_lists:
@@ -152,7 +153,7 @@ class _Parities:
         #: per measured vertex, the words its outcome 1 flips
         self.flips = dict(zip(masks, words.view(np.int64)[:, :, None]))
 
-    def read(self, words: np.ndarray, deps: tuple[int, ...], flip: bool) -> np.ndarray:
+    def read(self, words: np.ndarray, deps: tuple[int, ...], flip: bool = False) -> np.ndarray:
         """Per-column parity, 0 or 1, of the outcomes of the `deps` vertices, xor `flip`."""
         if not deps:
             return np.full(words.shape[1], int(flip), dtype=np.int64)
@@ -362,7 +363,7 @@ def _sweep_chunks(pattern: MeasurementPattern, cases: list[dict[int, np.ndarray]
     column's adapted angle and writes both outcomes (or only the one
     `assignment` fixes) into one array without that axis, so B doubles;
     branches whose outcome had conditional probability below `cutoff` are
-    dropped.  The byproduct corrections fire per column at the end.
+    dropped.  The byproducts are undone per column at the end.
 
     A level whose result would exceed _CHUNK_AMPS amplitudes runs the two
     halves of the branch axis one after the other, depth-first, so chunks
@@ -463,42 +464,27 @@ def _measure(psi: np.ndarray, cols: _Columns, step: _Step, outcomes: tuple[int, 
 
 def _corrected(pattern: MeasurementPattern, parities: _Parities, psi: np.ndarray,
                words: np.ndarray, out_axes: list[int], workspace: _Workspace) -> np.ndarray:
-    """Fire each output's correction word per branch column, in place, then
-    order the output axes as `pattern.outputs`, the branch axis last.
-
-    The X and Z factors between two H factors fold into one Pauli frame per
-    column: X^a Z^z = (-1)^(a z) Z^z X^a moves each X ahead of the Zs
-    gathered so far, so the run is Z^z X^x times a sign.  X swaps the two
-    halves of the output's axis, Z is one +-1 multiply of the one half, and
-    the signs of every output are one +-1 multiply of the state at the end.
-    """
-    sign = None
+    """Undo each output's byproduct per branch column, in place, then order
+    the output axes as `pattern.outputs`, the branch axis last."""
     for out, axis in zip(pattern.outputs, out_axes):
+        byproduct = pattern.corrections.get(out)
+        if byproduct is None:
+            continue
         halves = _halves(axis)
         zero, one = psi[halves[0]], psi[halves[1]]
         scratch = workspace.array(-2, zero.shape)
-        x = z = None
-        for factor in pattern.corrections.get(out, ()):
-            fires = parities.read(words, factor.deps, factor.flip)
-            if factor.kind == "X":
-                if z is not None:
-                    sign = fires & z if sign is None else sign ^ (fires & z)
-                x = fires if x is None else x ^ fires
-            elif factor.kind == "Z":
-                z = fires if z is None else z ^ fires
-            else:
-                _pauli(zero, one, x, z, scratch)
-                _hadamard(psi, halves, fires, scratch)
-                x = z = None
+        x, z = (parities.read(words, deps) if deps else None
+                for deps in (byproduct.x, byproduct.z))
         _pauli(zero, one, x, z, scratch)
-    if sign is not None:
-        psi *= _SIGNS.take(sign)
+        if byproduct.h:
+            _hadamard(zero, one, scratch)
     return psi.transpose(out_axes + [len(out_axes)])
 
 
 def _pauli(zero: np.ndarray, one: np.ndarray, x: np.ndarray | None, z: np.ndarray | None,
            scratch: np.ndarray) -> None:
-    """Z^z X^x on one output, per branch column, in place on its two halves."""
+    """Z^z X^x on one output, per branch column, in place on its two halves:
+    X swaps them, and Z is a +-1 multiply of the one half."""
     if x is not None:
         # swap the halves where x, bit for bit and without a masked write:
         # their xor, cleared where x is 0, flips both
@@ -511,21 +497,15 @@ def _pauli(zero: np.ndarray, one: np.ndarray, x: np.ndarray | None, z: np.ndarra
         np.multiply(one, _SIGNS.take(z), out=one)
 
 
-def _hadamard(psi: np.ndarray, halves: tuple[tuple, tuple], fires: np.ndarray,
-              scratch: np.ndarray) -> None:
-    """H on the axis of `halves` in the columns where it `fires`, in place,
-    with the arithmetic zero/sqrt2 +- one/sqrt2; `scratch` has the shape of
-    a half."""
-    rotated = psi if fires.all() else psi.copy()
-    zero, one = rotated[halves[0]], rotated[halves[1]]
+def _hadamard(zero: np.ndarray, one: np.ndarray, scratch: np.ndarray) -> None:
+    """H on one output, in place on its two halves, with the arithmetic
+    zero/sqrt2 +- one/sqrt2; `scratch` has the shape of a half."""
     # dividing the float views gives the complex quotients, without
     # numpy's complex division
     kept = np.divide(zero.view(float), math.sqrt(2), out=scratch.view(float)).view(complex)
     np.divide(one.view(float), math.sqrt(2), out=one.view(float))
     np.add(kept, one, out=zero)
     np.subtract(kept, one, out=one)
-    if rotated is not psi:
-        np.copyto(psi, rotated, where=fires.astype(bool))
 
 
 def run_pattern(pattern: MeasurementPattern, outcome_assignment: tuple[int, ...],
@@ -671,7 +651,7 @@ def teleport_pattern(phi: float) -> MeasurementPattern:
         inputs=(0,),
         measurements=((0, AngleSpec(phi)),),
         outputs=(1,),
-        corrections={1: (CorrectionFactor("X", deps=(0,)),)},
+        corrections={1: Byproduct(x=(0,))},
     )
 
 
@@ -685,8 +665,7 @@ def y_rotation_pattern(phi: float) -> MeasurementPattern:
     """Ry(phi) on a 4-vertex wire (input vertex 0, output vertex 3): one
     rotation block on a bare input carrier.
 
-    Angles pi/2, (-1)^{s0} phi, (-1)^{s1+1} pi/2; corrected by X^{s0+s2}
-    Z^{s1} and the trailing H, which together undo the byproduct
+    Angles pi/2, (-1)^{s0} phi, (-1)^{s1+1} pi/2; the output's byproduct is
     X^{s0+s2} Z^{s1} H.
     """
     builder = _PatternBuilder()
@@ -712,8 +691,8 @@ def cnot_pattern() -> MeasurementPattern:
         measurements=((1, AngleSpec(0.0)), (2, AngleSpec(0.0))),
         outputs=(0, 3),
         corrections={
-            0: (CorrectionFactor("Z", deps=(1,)),),
-            3: (CorrectionFactor("X", deps=(2,)), CorrectionFactor("Z", deps=(1,))),
+            0: Byproduct(z=(1,)),
+            3: Byproduct(x=(2,), z=(1,)),
         },
     )
 
@@ -736,7 +715,7 @@ def ghz_pattern(N: int) -> MeasurementPattern:
     corrections = {}
     for m in range(1, N):
         deps = tuple(range(1, 2 * m, 2))
-        corrections[2 * m] = (CorrectionFactor("X", deps=deps),)
+        corrections[2 * m] = Byproduct(x=deps)
     return MeasurementPattern(
         graph=graph,
         inputs=(),
@@ -776,13 +755,13 @@ class _PatternBuilder:
 
     def pattern(self, inputs: tuple[int, ...], carriers: list[_Carrier]) -> MeasurementPattern:
         """The pattern built so far, with each carrier an output corrected
-        by its byproduct word."""
+        by its byproduct."""
         return MeasurementPattern(
             graph=Graph(self.n_vertices, frozenset(self.edges)),
             inputs=inputs,
             measurements=tuple(self.measurements),
             outputs=tuple(c.vertex for c in carriers),
-            corrections={c.vertex: _correction_word(c) for c in carriers},
+            corrections={c.vertex: c.byproduct for c in carriers},
         )
 
 
@@ -790,15 +769,13 @@ def _xor(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(set(a) ^ set(b)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Carrier:
-    """A live wire end: its vertex and the accumulated byproduct
-    X^(x deps) Z^(z deps) (H^has_h) in front of the logical state."""
+    """A live wire end: its vertex and the byproduct accumulated in front of
+    its logical state."""
 
     vertex: int
-    x_deps: tuple[int, ...] = ()
-    z_deps: tuple[int, ...] = ()
-    has_h: bool = False
+    byproduct: Byproduct = Byproduct()
 
 
 def _rotation_block(builder: _PatternBuilder, carrier: _Carrier, chi: float) -> _Carrier:
@@ -808,43 +785,27 @@ def _rotation_block(builder: _PatternBuilder, carrier: _Carrier, chi: float) -> 
     ((-1)^c pi/2, (-1)^{t1+d} chi, (-1)^{t2+c+1} pi/2); the new byproduct is
     X^{t1+t3+d} Z^{t2+c} H.
     """
-    if carrier.has_h:
+    c, d = carrier.byproduct.x, carrier.byproduct.z
+    if carrier.byproduct.h:
         raise PatternError("rotation block requires an H-free carrier")
     q1 = carrier.vertex
     q2 = builder.new_vertex(attach_to=q1)
     q3 = builder.new_vertex(attach_to=q2)
     out = builder.new_vertex(attach_to=q3)
-    builder.measure(q1, AngleSpec(math.pi / 2, sign_deps=carrier.x_deps))
-    builder.measure(q2, AngleSpec(chi, sign_deps=_xor((q1,), carrier.z_deps)))
-    builder.measure(q3, AngleSpec(math.pi / 2, sign_deps=_xor((q2,), carrier.x_deps), flip=True))
-    return _Carrier(
-        vertex=out,
-        x_deps=_xor(_xor((q1,), (q3,)), carrier.z_deps),
-        z_deps=_xor((q2,), carrier.x_deps),
-        has_h=True,
-    )
+    builder.measure(q1, AngleSpec(math.pi / 2, sign_deps=c))
+    builder.measure(q2, AngleSpec(chi, sign_deps=_xor((q1,), d)))
+    builder.measure(q3, AngleSpec(math.pi / 2, sign_deps=_xor((q2,), c), flip=True))
+    return _Carrier(out, Byproduct(x=_xor(_xor((q1,), (q3,)), d), z=_xor((q2,), c), h=True))
 
 
 def _hadamard_fixup(builder: _PatternBuilder, carrier: _Carrier) -> _Carrier:
     """One angle-0 step; cancels the carrier's H byproduct (X and Z swap)."""
-    if not carrier.has_h:
+    if not carrier.byproduct.h:
         raise PatternError("fixup expects an H byproduct")
     q = carrier.vertex
     out = builder.new_vertex(attach_to=q)
     builder.measure(q, AngleSpec(0.0))
-    return _Carrier(
-        vertex=out,
-        x_deps=_xor((q,), carrier.z_deps),
-        z_deps=carrier.x_deps,
-        has_h=False,
-    )
-
-
-def _correction_word(carrier: _Carrier) -> tuple[CorrectionFactor, ...]:
-    word = [CorrectionFactor("X", deps=carrier.x_deps), CorrectionFactor("Z", deps=carrier.z_deps)]
-    if carrier.has_h:
-        word.append(CorrectionFactor("H", flip=True))
-    return tuple(f for f in word if f.deps or f.flip)
+    return _Carrier(out, Byproduct(x=_xor((q,), carrier.byproduct.z), z=carrier.byproduct.x))
 
 
 def sine_pattern(N: int) -> MeasurementPattern:
@@ -861,22 +822,19 @@ def sine_pattern(N: int) -> MeasurementPattern:
 
     # wire 1: |+> --block--> G(phi_1)|0>; the block's H byproduct is absorbed
     # by the |+> input (H Ry(chi) |+> = Ry(-chi)|0>), leaving X/Z only
-    first = _Carrier(vertex=builder.new_vertex())
-    blk = _rotation_block(builder, first, phis[0])
-    carriers.append(_Carrier(blk.vertex, blk.x_deps, blk.z_deps, has_h=False))
+    first = _rotation_block(builder, _Carrier(builder.new_vertex()), phis[0])
+    carriers.append(replace(first, byproduct=replace(first.byproduct, h=False)))
 
     for k in range(2, N + 1):
         phi = phis[k - 1]
-        # pre-rotation on a fresh wire: |+> -> G(-phi/2)|0>
-        fresh = _Carrier(vertex=builder.new_vertex())
-        pre = _rotation_block(builder, fresh, -phi / 2)
-        pre = _Carrier(pre.vertex, pre.x_deps, pre.z_deps, has_h=False)
+        # pre-rotation on a fresh wire: |+> -> G(-phi/2)|0>, its H absorbed too
+        pre = _rotation_block(builder, _Carrier(builder.new_vertex()), -phi / 2)
         # vertical edge to the previous wire = the logical CZ of the cascade;
         # each side picks up a Z with the partner's X parity
-        prev = carriers[-1]
+        prev, a, b = carriers[-1], carriers[-1].byproduct, pre.byproduct
         builder.edges.add((prev.vertex, pre.vertex))
-        carriers[-1] = _Carrier(prev.vertex, prev.x_deps, _xor(prev.z_deps, pre.x_deps), prev.has_h)
-        pre = _Carrier(pre.vertex, pre.x_deps, _xor(pre.z_deps, prev.x_deps), False)
+        carriers[-1] = replace(prev, byproduct=replace(a, z=_xor(a.z, b.x)))
+        pre = replace(pre, byproduct=replace(b, z=_xor(b.z, a.x), h=False))
         # post-rotation completes C[G(phi)] (target starts in |0>)
         post = _rotation_block(builder, pre, -phi / 2)
         if k < N:

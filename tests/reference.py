@@ -21,7 +21,9 @@
   state.
 * The Holevo round by node quadrature: the outcome law evaluated node by
   node and integrated against the prior, where the package contracts the
-  probe's autocorrelation with the prior's closed-form harmonics.
+  probe's autocorrelation with the prior's closed-form harmonics; and the
+  Holevo variance of the prior itself, e^(sigma^2) - 1 in closed form,
+  which any round must improve on.
 * The Fourier readout's Gaussian-prior MSE at 40 digits in mpmath: the
   sine probe's autocorrelation, p_k and g_k as sums over d, and
   sigma^2 - sum_k g_k^2 / p_k, where the package cancels the same sum in
@@ -401,6 +403,18 @@ def _gauss_legendre_converged(pdf, evaluate, tol: float = 1e-12,
 
 # ---------------------------------------------------------------------------
 # Holevo round by node quadrature
+
+def holevo_variance(prior: Prior) -> float:
+    """|<e^{i theta}>|^-2 - 1 = e^{sigma^2} - 1 for a Gaussian or wrapped
+    prior, whose mean phasors are both e^{i theta0 - sigma^2 / 2}: the
+    Holevo variance before any measurement.  Where e^{sigma^2} overflows
+    (sigma above about 26.6) the squared mean phasor e^{-sigma^2} vanishes
+    in float64, and the variance is math.inf."""
+    try:
+        return math.expm1(prior.sigma**2)
+    except OverflowError:
+        return math.inf
+
 
 def _offset_law(prior: Prior):
     """(centre, pdf, intervals) for the prior's law of the offset

@@ -11,6 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 import reference
+from reference import holevo_variance
 
 import clustersense
 from clustersense import estimate as est
@@ -23,11 +24,9 @@ from clustersense.estimate import (
     bayes_round,
     classical_parallel_variance,
     dephased_fisher_information,
-    frequency_round,
     gamma_eta,
     gaussian_prior,
     holevo_bayes_round,
-    holevo_variance,
     mse_limit_curve,
     noisy_local_equivalence_check,
     optimize_tau,
@@ -407,6 +406,20 @@ def test_qft_phase_curve_is_the_per_n_round_bit_for_bit():
                 assert est.qft_phase_curve(Ns, sigma, theta0) == want, (sigma, theta0, Ns[-1])
 
 
+def test_flat_prior_holevo_curve_is_the_canonical_limit():
+    # at a flat prior the sine probe with the Fourier readout has Holevo
+    # variance 1 / a_1^2 - 1 = tan^2(pi / (N + 2)) (Berry & Wiseman, PRL 85,
+    # 5098, 2000); a wrapped prior of width 20 is flat in float64.  Each
+    # outcome's 1 - a_1^2 is a difference of order-one terms, so the bound
+    # grows with (N + 2)^2
+    Ns = list(range(1, 65)) + [int(N) for N in np.unique(np.geomspace(65, 4096, 40).astype(int))]
+    values = np.array(est.holevo_curve(Ns, [wrapped_gaussian_prior(20.0)])[0])
+    Ns = np.array(Ns)
+    exact = np.tan(np.pi / (Ns + 2)) ** 2
+    gap = np.abs(values - exact) / exact
+    assert np.all(gap <= (Ns + 2) ** 2 * np.finfo(float).eps), Ns[np.argmax(gap / (Ns + 2) ** 2)]
+
+
 def test_holevo_curve_is_the_per_n_round_bit_for_bit():
     # holevo's default grid, every width and mean in one stacked call, with
     # wrapped and Gaussian priors side by side; and one prior alone on an
@@ -628,7 +641,7 @@ def test_wrapped_prior_mean_outside_pi_is_reduced():
     lambda: qft_phase_variance(5, 0.5, probe=probes.sine_coefficients(3)),
     lambda: holevo_bayes_round(5, wrapped_gaussian_prior(0.5), probe=probes.sine_coefficients(3)),
     lambda: holevo_bayes_round(3, wrapped_gaussian_prior(0.5), povm=qft_povm(4)),
-    lambda: frequency_round(3, 0.5, probes.sine_coefficients(3), qft_povm(4)),
+    lambda: optimize_tau(3, probes.sine_coefficients(3), qft_povm(4)),
     lambda: bayes_round(gaussian_prior(0.5), probes.sine_coefficients(3), qft_povm(4)),
 ], ids=["qft-probe", "holevo-probe", "holevo-povm", "frequency-povm", "bayes-state-povm"])
 def test_round_rejects_a_probe_or_povm_of_another_size(call):
@@ -655,10 +668,7 @@ def test_qft_round_refuses_a_prior_with_the_priors_own_message(sigma, theta0):
     lambda: mse_limit_curve([math.nan]),
     lambda: mse_limit_curve([0.0]),
     lambda: mse_limit_curve([0.5, math.inf]),
-    lambda: frequency_round(4, math.inf, probes.sine_coefficients(4), None),
-    lambda: frequency_round(4, np.array([0.5, math.nan]), probes.sine_coefficients(4), None),
-], ids=["bound-nan", "bound-inf", "limit-negative", "limit-nan", "limit-zero", "limit-inf",
-        "tau-inf", "tau-nan"])
+], ids=["bound-nan", "bound-inf", "limit-negative", "limit-nan", "limit-zero", "limit-inf"])
 def test_width_entry_points_take_the_priors_rule(call):
     # 0 < width < inf, as Prior asks: an EstimateError, and no NaN, bare
     # ZeroDivisionError or RuntimeWarning first
@@ -733,7 +743,6 @@ def test_round_integrals_leave_scipy_integrate_unloaded():
             "est.bayes_round(est.gaussian_prior(0.5, 0.2), probes.sine_coefficients(3),\n"
             "                est.qft_povm(3))\n"
             "est.holevo_bayes_round(3, prior)\n"
-            "est.holevo_variance(prior)\n"
             "print('scipy.integrate' in sys.modules)")
     assert _run_fresh(code) == "False"
 
@@ -1079,12 +1088,19 @@ def test_dephased_fisher_matches_central_differences():
 # ---------------------------------------------------------------------------
 # frequency estimation
 
+def _frequency_round(N: int, tau, probe, povm):
+    """optimize_tau's objective, prepared afresh for one call, at one
+    interrogation time or an array of them."""
+    half = est._half_kernel(est._checked_probe(N, probe, povm), povm)
+    return est._frequency_objective(half)(tau)
+
+
 def test_frequency_round_equals_phase_at_matched_width():
     for N in (2, 5):
         probe = probes.sine_coefficients(N)
         povm = qft_povm(N)
         for width in (0.3, 0.8):
-            freq = frequency_round(N, width, probe, povm)
+            freq = _frequency_round(N, width, probe, povm)
             phase = bayes_round(gaussian_prior(width), probe, povm).avg_posterior_variance
             assert freq == pytest.approx(phase / width**2, rel=1e-12)
 
@@ -1093,20 +1109,13 @@ def test_frequency_round_equals_phase_at_matched_width():
 def test_fourier_frequency_route_matches_qft_povm(N):
     probe = probes.sine_coefficients(N)
     povm = qft_povm(N)
-    fast = [frequency_round(N, tau, probe, None) for tau in TAU_GRID]
-    dense = [frequency_round(N, tau, probe, povm) for tau in TAU_GRID]
+    fast = [_frequency_round(N, tau, probe, None) for tau in TAU_GRID]
+    dense = [_frequency_round(N, tau, probe, povm) for tau in TAU_GRID]
     np.testing.assert_allclose(fast, dense, rtol=1e-12, atol=0)
     # outcome by outcome too: conjugated roots of unity only relabel k as -k,
     # which leaves every MSE unchanged
     np.testing.assert_allclose(est._fourier_matrix(est._half_kernel(probe, None)),
                                est._half_kernel(probe, povm)[:N + 1], rtol=0, atol=1e-15)
-
-
-def test_frequency_round_requires_positive_tau():
-    with pytest.raises(EstimateError):
-        frequency_round(2, 0.0, probes.sine_coefficients(2), qft_povm(2))
-    with pytest.raises(EstimateError):
-        frequency_round(2, np.array([0.5, -0.1]), probes.sine_coefficients(2), None)
 
 
 @pytest.mark.parametrize("N", [1, 2, 8, 40])
@@ -1122,8 +1131,8 @@ def test_width_grid_in_one_call_matches_single_widths(N):
         assert all(np.ndim(v) == 0 for v in single)
         np.testing.assert_allclose(batch, single, rtol=1e-15, atol=0)
     grid = TAU_GRID.reshape(6, 10)
-    np.testing.assert_array_equal(frequency_round(N, grid, probe, None),
-                                  frequency_round(N, TAU_GRID, probe, None).reshape(6, 10))
+    np.testing.assert_array_equal(_frequency_round(N, grid, probe, None),
+                                  _frequency_round(N, TAU_GRID, probe, None).reshape(6, 10))
 
 
 HALF_NS = (1, 2, 3, 8, 40, 64, 200, est.CLASSICAL_PARALLEL_N_CAP)
@@ -1198,7 +1207,7 @@ def test_tau_search_matches_the_width_loop(N):
     probe = probes.sine_coefficients(N)
     for povm in (None, qft_povm(N)):
         loop = reference.optimize_by_width_loop(
-            lambda tau: frequency_round(N, tau, probe, povm), TAU_GRID)
+            lambda tau: _frequency_round(N, tau, probe, povm), TAU_GRID)
         assert optimize_tau(N, probe, povm) == loop
         # the Fourier readout of one qubit is best at the shortest time
         assert loop.boundary == (N == 1)
@@ -1237,7 +1246,7 @@ def test_prepared_searches_match_one_shot_calls(N, monkeypatch):
         visited = _visited(monkeypatch, lambda: optimize_tau(N, probe, povm))
         assert 3 <= len(visited) <= 15 or N == 1  # one qubit's optimum ends the grid
         for tau, value in visited:
-            assert value == frequency_round(N, tau, probe, povm), tau
+            assert value == _frequency_round(N, tau, probe, povm), tau
     visited = _visited(monkeypatch, lambda: optimize_tau_classical(N))
     assert 3 <= len(visited) <= 15
     for tau, value in visited:
@@ -1260,7 +1269,7 @@ def test_optimize_tau_quantum_beats_fixed_tau():
     povm = qft_povm(N)
     optimum = optimize_tau(N, probe, povm)
     assert not optimum.boundary
-    assert optimum.vbar <= frequency_round(N, 1.0, probe, povm) + 1e-12
+    assert optimum.vbar <= _frequency_round(N, 1.0, probe, povm) + 1e-12
     assert optimum.vbar <= 1.0
 
 

@@ -19,7 +19,7 @@ from reference import (
 from clustersense import mbqc, probes, simcore
 from clustersense.mbqc import (
     AngleSpec,
-    CorrectionFactor,
+    Byproduct,
     Graph,
     MeasurementPattern,
     PatternError,
@@ -40,22 +40,24 @@ from clustersense.simcore import StateVector
 # at a time through the dense kernel of reference.py, against which the
 # batched executor is pinned.
 
-_CORRECTION_GATES = {"X": simcore.x, "Z": reference.z, "H": reference.h}
-
-
 def _odd(deps: tuple[int, ...], flip: bool, outcomes: dict[int, int]) -> bool:
     """Parity of the outcomes of the `deps` vertices, xor `flip`, read from
-    the walker's outcome dict: an adapted angle flips sign, and a correction
-    factor fires, where it is odd."""
+    the walker's outcome dict: an adapted angle flips sign, and a byproduct's
+    X or Z is undone, where it is odd."""
     return (sum(outcomes[v] for v in deps) + flip) % 2 == 1
 
 
 def _apply_corrections(state: StateVector, pattern: MeasurementPattern,
                        outcomes: dict[int, int], axis_of: dict[int, int]) -> StateVector:
+    """Undo each output's byproduct X^x Z^z H^h gate by gate: X^x, then
+    Z^z, then H."""
     for out in pattern.outputs:
-        for factor in pattern.corrections.get(out, ()):
-            if _odd(factor.deps, factor.flip, outcomes):
-                state = apply_gate(state, _CORRECTION_GATES[factor.kind](axis_of[out]))
+        byproduct = pattern.corrections.get(out, Byproduct())
+        for gate, fires in ((simcore.x, _odd(byproduct.x, False, outcomes)),
+                            (reference.z, _odd(byproduct.z, False, outcomes)),
+                            (reference.h, byproduct.h)):
+            if fires:
+                state = apply_gate(state, gate(axis_of[out]))
     return state
 
 
@@ -134,13 +136,9 @@ def random_patterns(draw):
     for i, v in enumerate(measured):
         deps = draw(st.lists(st.sampled_from(measured[:i]), unique=True)) if i else []
         measurements.append((v, AngleSpec(draw(angles), tuple(deps), draw(st.booleans()))))
-    factor_deps = st.lists(st.sampled_from(measured), unique=True) if measured else st.just([])
-    corrections = {}
-    for v in outputs:
-        word = draw(st.lists(st.tuples(st.sampled_from("XZH"), factor_deps, st.booleans()),
-                             max_size=3))
-        corrections[v] = tuple(CorrectionFactor(kind, tuple(deps), flip)
-                               for kind, deps, flip in word)
+    # any dependency lists, a vertex listed twice cancelling
+    deps = st.lists(st.sampled_from(measured)).map(tuple) if measured else st.just(())
+    corrections = {v: Byproduct(draw(deps), draw(deps), draw(st.booleans())) for v in outputs}
     pattern = MeasurementPattern(Graph(n, frozenset(edges)), (), tuple(measurements), outputs,
                                  corrections)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -363,18 +361,18 @@ def _corrected_near_null_branch() -> MeasurementPattern:
     # corrected: a deterministic pattern whose output is H|psi>
     return MeasurementPattern(Graph(3, frozenset({(0, 1)})), (1,),
                               ((1, AngleSpec(0.0)), (2, AngleSpec(1e-10))), (0,),
-                              {0: (CorrectionFactor("X", (1,)),)})
+                              {0: Byproduct(x=(1,))})
 
 
 _HADAMARD = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
 
 
-def _ghz_wrong_when_s1_is_0() -> MeasurementPattern:
-    # ghz_pattern(3) with an extra Z on its last output whenever s1 = 0: only
-    # the first half of the branches fails, so the worst fidelity is not in
-    # the last chunk
+def _ghz_wrong_when_s1_and_s3_differ() -> MeasurementPattern:
+    # ghz_pattern(3) with an extra Z on its last output where s1 + s3 is odd:
+    # branches 01 and 10 fail and the last, 11, passes, so the worst
+    # fidelity is not in the last chunk
     ghz = ghz_pattern(3)
-    wrong = ghz.corrections[4] + (CorrectionFactor("Z", (1,), flip=True),)
+    wrong = dataclasses.replace(ghz.corrections[4], z=(1, 3))
     return MeasurementPattern(ghz.graph, (), ghz.measurements, ghz.outputs,
                               {**ghz.corrections, 4: wrong})
 
@@ -396,7 +394,7 @@ def test_chunked_sweep_matches_stepwise_reference(case, monkeypatch):
     (_corrected_near_null_branch(), _HADAMARD, [[_NEAR_NULL_BRANCH[1][1]]], 1e-12),
     (_NULL_BRANCH_ON_A_WIRE, simcore.plus_state(1), None, 1e-10),
     (cnot_pattern(), mbqc.CNOT_MATRIX, None, 1e-10),
-    (_ghz_wrong_when_s1_is_0(), probes.ghz_state(3), None, 1e-10),
+    (_ghz_wrong_when_s1_and_s3_differ(), probes.ghz_state(3), None, 1e-10),
 ], ids=["sine-2", "corrected-near-null", "null-branch", "cnot", "ghz-early-failure"])
 def test_chunked_verification_matches_one_chunk(pattern, target, inputs, tol, monkeypatch):
     whole = verify_pattern(pattern, target, inputs, tol)
@@ -408,39 +406,32 @@ def test_chunked_verification_matches_one_chunk(pattern, target, inputs, tol, mo
     assert chunked.probability_sum == pytest.approx(whole.probability_sum, abs=1e-12)
 
 
-# Correction words on which the sweep's Pauli frame is pinned to the walker
-# state by state, global phase included: a word's X and Z factors in both
-# orders (Z before X folds into a sign), H with and without dependencies, and
-# dependency lists in which a vertex cancels.
+# Byproducts on which the sweep's Pauli frame is pinned to the walker state
+# by state, global phase included: X and Z, dependency lists in which a
+# vertex cancels, and the trailing H of the sine and Y-rotation patterns.
 _WORDS = {
-    "X-then-Z": (CorrectionFactor("X", (0, 2)), CorrectionFactor("Z", (1,))),
-    "Z-then-X": (CorrectionFactor("Z", (1,)), CorrectionFactor("X", (0, 2))),
-    "X-Z-X": (CorrectionFactor("X", (0,)), CorrectionFactor("Z", (1, 2)),
-              CorrectionFactor("X", (2,), flip=True)),
-    "conditional-H": (CorrectionFactor("X", (0,)), CorrectionFactor("H", (1,)),
-                      CorrectionFactor("Z", (2,))),
-    "H-between": (CorrectionFactor("Z", (0,)), CorrectionFactor("H", flip=True),
-                  CorrectionFactor("X", (1,))),
-    "repeated-deps": (CorrectionFactor("X", (1, 1)), CorrectionFactor("Z", (0, 2, 0))),
+    "X-then-Z": Byproduct(x=(0, 2), z=(1,)),
+    "repeated-deps": Byproduct(x=(1, 1), z=(0, 2, 0)),
+    "X+Z+H": Byproduct(x=(0, 2), z=(1,), h=True),
 }
 
 
-def _forked_wire(word: tuple[CorrectionFactor, ...]) -> MeasurementPattern:
+def _forked_wire(byproduct: Byproduct) -> MeasurementPattern:
     """A wire 0-1-2-3 with vertex 4 hanging off 1: input 0, adapted angles
-    on 0, 1 and 2, and outputs 4 and 3, in that order.  `word` corrects 3,
-    and X^s1 then Z^s2 correct 4, so that no sign the word's frame gets
-    wrong can cancel against the same sign on the other output."""
+    on 0, 1 and 2, and outputs 4 and 3, in that order.  `byproduct` is 3's,
+    and X^s1 Z^s2 is 4's, so that no sign the frame of 3 gets wrong can
+    cancel against the same sign on the other output."""
     return MeasurementPattern(
         Graph(5, frozenset({(0, 1), (1, 2), (2, 3), (1, 4)})), (0,),
         ((0, AngleSpec(0.4)), (1, AngleSpec(-1.1, (0,))), (2, AngleSpec(0.8, (1,), flip=True))),
-        (4, 3), {3: word, 4: (CorrectionFactor("X", (1,)), CorrectionFactor("Z", (2,)))})
+        (4, 3), {3: byproduct, 4: Byproduct(x=(1,), z=(2,))})
 
 
 @pytest.mark.parametrize("chunk", [2**15, 2], ids=["one-chunk", "chunked"])
-@pytest.mark.parametrize("word", _WORDS.values(), ids=_WORDS)
-def test_correction_words_match_the_walker_state_by_state(word, chunk, monkeypatch):
+@pytest.mark.parametrize("byproduct", _WORDS.values(), ids=_WORDS)
+def test_correction_words_match_the_walker_state_by_state(byproduct, chunk, monkeypatch):
     monkeypatch.setattr(mbqc, "_CHUNK_AMPS", chunk)
-    pattern = _forked_wire(word)
+    pattern = _forked_wire(byproduct)
     injected = {0: _random_state(np.random.default_rng(5), 1)}
     reference = list(_reference_leaves(pattern, injected))
     states, probs = _joined_sweep(pattern, injected)
@@ -452,13 +443,12 @@ def test_correction_words_match_the_walker_state_by_state(word, chunk, monkeypat
         assert probs[b] == pytest.approx(prob, abs=1e-13)
 
 
-def _two_inputs_with_conditional_h() -> MeasurementPattern:
+def _two_inputs_with_h() -> MeasurementPattern:
     return MeasurementPattern(
         Graph(5, frozenset({(0, 2), (1, 2), (2, 3), (1, 4)})), (0, 1),
         ((0, AngleSpec(0.7)), (1, AngleSpec(-0.3, (0,))), (2, AngleSpec(1.2, (1,), flip=True))),
         (3, 4),
-        {3: (CorrectionFactor("X", (2,)), CorrectionFactor("Z", (0, 1)), CorrectionFactor("H", (1,))),
-         4: (CorrectionFactor("Z", (2,)), CorrectionFactor("X", (1,)))})
+        {3: Byproduct(x=(2,), z=(0, 1), h=True), 4: Byproduct(x=(1,), z=(2,))})
 
 
 @pytest.mark.parametrize("chunk", [2**15, 2], ids=["one-chunk", "chunked"])
@@ -466,7 +456,7 @@ def _two_inputs_with_conditional_h() -> MeasurementPattern:
     (cnot_pattern(), mbqc.CNOT_MATRIX),
     (y_rotation_pattern(0.9), mbqc.ry_matrix(0.9)),
     # no unitary is right for it: a failing verdict, aggregated over cases
-    (_two_inputs_with_conditional_h(), np.eye(4)),
+    (_two_inputs_with_h(), np.eye(4)),
 ], ids=["cnot", "yrot", "two-inputs"])
 def test_batched_cases_match_one_sweep_per_case(pattern, unitary, chunk, monkeypatch):
     monkeypatch.setattr(mbqc, "_CHUNK_AMPS", chunk)
@@ -605,8 +595,7 @@ def test_corrupted_correction_fails_some_branch():
         inputs=pattern.inputs,
         measurements=pattern.measurements,
         outputs=pattern.outputs,
-        corrections={**pattern.corrections,
-                     4: (CorrectionFactor("Z", deps=(1,)),)},
+        corrections={**pattern.corrections, 4: Byproduct(z=(1,))},
     )
     report = verify_pattern(broken, probes.ghz_state(3))
     assert not report.passed
@@ -625,6 +614,16 @@ def test_angle_dependencies_must_be_measured_first():
             measurements=((0, AngleSpec(0.0, sign_deps=(1,))),),
             outputs=(1,),
         )
+
+
+@pytest.mark.parametrize("corrections", [
+    {0: Byproduct(x=(0,))},
+    {1: Byproduct(z=(0, 1))},
+    {1: (Byproduct(),)},
+], ids=["on-a-measured-vertex", "on-an-unmeasured-vertex", "not-a-byproduct"])
+def test_a_byproduct_sits_on_an_output_and_reads_measured_vertices(corrections):
+    with pytest.raises(PatternError):
+        MeasurementPattern(path_graph(2), (), ((0, AngleSpec(0.0)),), (1,), corrections)
 
 
 def test_x_past_cz_identity():
@@ -656,9 +655,11 @@ def pattern_to_text(pattern: MeasurementPattern) -> str:
     for v, spec in pattern.measurements:
         lines.append(f"measure {v} base={spec.base!r} sign={_deps_str(spec.sign_deps, spec.flip)}")
     for v in pattern.outputs:
-        word = ";".join(f"{f.kind}:{_deps_str(f.deps, f.flip)}"
-                        for f in pattern.corrections.get(v, ()))
-        lines.append(f"output {v} correct={word or '-'}")
+        byproduct = pattern.corrections.get(v, Byproduct())
+        word = [f"{kind}:{_deps_str(deps, False)}"
+                for kind, deps in (("X", byproduct.x), ("Z", byproduct.z)) if deps]
+        word += ["H:-^1"] * byproduct.h
+        lines.append(f"output {v} correct={';'.join(word) or '-'}")
     return "\n".join(lines) + "\n"
 
 

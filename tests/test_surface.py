@@ -50,13 +50,9 @@ PURPOSES = {
        for command in _commands()},
     "compress.unary_images": "README 'Compressor resources': the exact check of the "
                              "compressor past the dense cap, and its timing column",
-    "estimate.frequency_round": "README `estimate` row: the frequency objective used once; "
-                                "timed by perfbench/tracing.py",
     "estimate.holevo_bayes_round": "ROADMAP north star: the `holevo_bayes_round` layer row at "
                                    "N=100, and the general-POVM Holevo round that pins "
                                    "`holevo_curve`",
-    "estimate.holevo_variance": "README `estimate` row: the Holevo variance e^(sigma^2) - 1 "
-                                "of a Gaussian or wrapped prior, in closed form",
 }
 
 
