@@ -2,7 +2,8 @@
 the compression and measurement-pattern verification suites.
 
 Exit codes: 0 on success, 1 on a verification failure, 2 on usage errors
-(any value a command or the library refuses).
+(any value a command or the library refuses).  A CSV command computes its
+whole table before it writes the header, so one that fails writes nothing.
 CSV cells are formatted with 12 significant digits ('%.12g', NaN spelled
 "nan"), so identical configurations produce byte-identical files.
 """
@@ -38,18 +39,17 @@ def _fmt(value) -> str:
 
 
 def _write_csv(header: list[str], rows, out: str | None) -> None:
-    """Write rows as they arrive (rows may be a lazy iterable), so large
-    grids stream instead of accumulating.  An `out` that cannot be opened is
-    a usage error, reported before the first row is computed.  If a row
-    fails, `out` is removed rather than left holding part of the table."""
+    """Write the table of `rows`, a lazy iterable.  An `out` that cannot be
+    opened is a usage error, reported before the first row is computed.
+    Every row is computed before the header is written, so a row that fails
+    leaves stdout empty, and `out` is removed rather than left empty."""
     try:
         sink = open(out, "w") if out else sys.stdout
     except OSError as exc:
         raise UsageError(f"--out: {exc}") from None
     try:
-        sink.write(",".join(header) + "\n")
-        for row in rows:
-            sink.write(",".join(_fmt(v) for v in row) + "\n")
+        cells = [header] + [[_fmt(v) for v in row] for row in rows]
+        sink.writelines(",".join(line) + "\n" for line in cells)
     except BaseException:
         if out:
             sink.close()
@@ -73,13 +73,13 @@ def _parse_widths(text: str, flag: str) -> list[float]:
     return values
 
 
-def _tolerance(tol: float, default: float) -> float:
-    """The --tol value of both verify commands: 0 keeps the command's
-    default, otherwise it must be finite and above mbqc.LEVEL_ROUNDING.  A
-    fidelity carries rounding of about 1e-16, so a tolerance at or below
-    that bound would report mismatches that rounding alone makes."""
+def _tolerance(tol: float) -> float:
+    """The --tol value of both verify commands: 0 keeps the default 1e-10,
+    otherwise it must be finite and above mbqc.LEVEL_ROUNDING.  A fidelity
+    carries rounding of about 1e-16, so a tolerance at or below that bound
+    would report mismatches that rounding alone makes."""
     if tol == 0:
-        return default
+        return 1e-10
     if not mbqc.LEVEL_ROUNDING < tol < math.inf:
         raise UsageError(f"--tol needs a finite value above the rounding bound "
                          f"{mbqc.LEVEL_ROUNDING:g} (0 for the default), got {tol}")
@@ -145,19 +145,16 @@ def cmd_local(args) -> int:
 # Bayesian phase estimation
 
 def _phase_rows(sigma: float, ns: list[int], theta0: float):
-    classical = estimate.classical_parallel_curve(ns, sigma)
+    # the quantum column checks the prior's mean and width first
     quantum = estimate.qft_phase_curve(ns, sigma, theta0)
-    for N, v_quantum, v_classical in zip(ns, quantum, classical):
-        bound = estimate.van_trees_bound(N, sigma)
-        yield (N, sigma, 1.0 / v_quantum, 1.0 / v_classical, 1.0 / bound)
+    classical = estimate.classical_parallel_curve(ns, sigma)
+    for N, v_q, v_c in zip(ns, quantum, classical):
+        yield (N, sigma, 1.0 / v_q, 1.0 / v_c, 1.0 / estimate.van_trees_bound(N, sigma))
 
 
 def cmd_bayes_phase(args) -> int:
     sigmas = _parse_widths(args.sigma, "--sigma") if args.sigma else [k / 10 for k in range(1, 11)]
     ns = _classical_n_grid(args)
-    for sigma in sigmas:  # the library checks the mean and each width before the header
-        estimate.gaussian_prior(sigma, args.theta0)
-        estimate.classical_parallel_curve([], sigma)
     rows = (row for sigma in sigmas for row in _phase_rows(sigma, ns, args.theta0))
     _write_csv(["N", "sigma", "inv_V_quantum", "inv_V_classical_parallel", "inv_V_bound"],
                rows, args.out)
@@ -209,7 +206,7 @@ def cmd_holevo(args) -> int:
     sigmas = (_parse_widths(args.sigma, "--sigma") if args.sigma
               else [k * math.pi / 8 for k in range(1, 9)])
     ns = _n_grid(args.n_min, args.n_max, args.n_step)
-    # each prior checks its mean and width before the header is written
+    # each prior checks its mean and width before --out is opened
     priors = [estimate.wrapped_gaussian_prior(sigma, args.theta0) for sigma in sigmas]
 
     def rows():
@@ -227,7 +224,7 @@ def cmd_holevo(args) -> int:
 
 def cmd_compress_verify(args) -> int:
     N = args.N
-    tol = _tolerance(args.tol, 1e-10)
+    tol = _tolerance(args.tol)
     rng = _rng(args.seed)
     probes.check_dense_width(N)  # before the resource line: a usage error prints nothing
     circuit, layout = compress.build_compressor(N)
@@ -297,7 +294,7 @@ def _verify_named_pattern(name: str, N: int | None, seed: int, tol: float
 
 
 def cmd_mbqc_verify(args) -> int:
-    tol = _tolerance(args.tol, 1e-10)
+    tol = _tolerance(args.tol)
     reports = _verify_named_pattern(args.pattern, args.N, args.seed, tol)
     ok = True
     for report in reports:
@@ -321,7 +318,7 @@ _OPTIONS = {
     "--theta0": {"type": float, "default": 0.0},
     "--out": {"type": str, "default": ""},
     "--tol": {"type": float, "default": 0.0,
-              "help": "tolerance override (0 keeps per-command defaults)"},
+              "help": "tolerance override (0 keeps the default 1e-10)"},
     "--jobs": {"type": int, "default": 1, "help": "1 only: runs are serial"},
     "--seed": {"type": int, "default": 0, "help": "seed for the randomized verification inputs"},
 }

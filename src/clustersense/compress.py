@@ -251,18 +251,14 @@ def _depth_and_width(gates: tuple[Gate, ...]) -> tuple[int, int]:
     return depth, len(touched)
 
 
-def count_resources(circuit: Circuit,
-                    step_slices: tuple[tuple[int, int], ...] | None = None) -> ResourceReport:
+def count_resources(circuit: Circuit, step_slices: tuple[tuple[int, int], ...]) -> ResourceReport:
     """Exact gate/Toffoli/depth counts plus a measurement-based qubit estimate.
 
-    The estimate charges each block depth x width qubits (a block of depth d
-    on w wires embeds in a cluster of about d*w vertices, teleportation
-    wires included).  Without explicit block boundaries the whole circuit is
-    one block.
+    The estimate charges each block of `step_slices` depth x width qubits (a
+    block of depth d on w wires embeds in a cluster of about d*w vertices,
+    teleportation wires included).
     """
     gates = circuit.ops
-    if step_slices is None:
-        step_slices = ((0, len(gates)),) if gates else ()
     estimate = 0
     for start, stop in step_slices:
         d, w = _depth_and_width(gates[start:stop])

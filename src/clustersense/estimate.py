@@ -12,7 +12,7 @@ Gaussian or wrapped prior's 1 harmonics are the row
 e^{-i d theta0 - d^2 sigma^2 / 2} (_gaussian_row), which is also the factor
 of the probe encoded at theta0 after Gaussian dephasing of width sigma.
 The MSE rounds (bayes_round, gamma_eta) take Gaussian priors, whose theta
-and theta^2 harmonics are closed forms in that row; the Holevo rounds take
+harmonics are a closed form in that row; the Holevo rounds take
 Gaussian or wrapped priors through the 1 row and the centred phasor row
 e^{i (theta - t0)} - 1 about the prior's mean t0, closed forms too, so no
 prior is integrated numerically.  A measurement is a Povm, each effect
@@ -76,7 +76,7 @@ _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 
-def _brent_minimize(f, a: float, b: float, tol: float = 1e-6) -> tuple[float, float]:
+def _brent_minimize(f, a: float, b: float, tol: float) -> tuple[float, float]:
     """The least value of f seen on (a, b), and where, by Brent's method in
     its bounded form (R. P. Brent, Algorithms for Minimization without
     Derivatives, 1973, ch. 5): each step fits a parabola through the three
@@ -227,8 +227,8 @@ class Prior:
     """
 
     kind: str
-    theta0: float = 0.0
-    sigma: float = 0.0
+    theta0: float
+    sigma: float
 
     def __post_init__(self):
         if self.kind not in ("gaussian", "wrapped_gaussian"):
@@ -272,7 +272,6 @@ class Povm:
     only that they sum to the identity."""
 
     factors: np.ndarray
-    labels: tuple[str, ...]
 
     def __post_init__(self):
         try:
@@ -281,8 +280,6 @@ class Povm:
             factors = np.empty(0)
         if factors.ndim != 3 or factors.size == 0:
             raise EstimateError("factors must be a non-empty (K, r, N+1) array")
-        if len(self.labels) != len(factors):
-            raise EstimateError("one label per effect required")
         rows = factors.reshape(-1, factors.shape[2])
         if not np.max(np.abs(rows.conj().T @ rows - np.eye(factors.shape[2]))) <= 1e-10:
             raise EstimateError("effects do not sum to the identity")
@@ -302,9 +299,7 @@ def qft_povm(N: int) -> Povm:
         raise EstimateError("N must be >= 1")
     n = np.arange(N + 1)
     bras = np.exp(-2j * math.pi * np.outer(n, n) / (N + 1)) / math.sqrt(N + 1)
-    factors = np.vstack([bras, np.zeros(N + 1)])[:, None, :]
-    labels = tuple(f"k={k}" for k in range(N + 1)) + ("overflow",)
-    return Povm(factors, labels)
+    return Povm(np.vstack([bras, np.zeros(N + 1)])[:, None, :])
 
 
 def single_qubit_optimal_povm(theta0: float = 0.0) -> Povm:
@@ -314,7 +309,7 @@ def single_qubit_optimal_povm(theta0: float = 0.0) -> Povm:
     phi = theta0 + pi / 2."""
     phi = theta0 + math.pi / 2
     bras = np.array([[1.0, 1.0], [1.0, -1.0]]) * np.exp(1j * phi * (np.arange(2) - 0.5))
-    return Povm(bras[:, None, :] / math.sqrt(2), ("+", "-"))
+    return Povm(bras[:, None, :] / math.sqrt(2))
 
 
 def _on_subspace(probe: SubspaceState, harmonics: np.ndarray) -> np.ndarray:
@@ -568,20 +563,17 @@ def _gaussian_harmonics(sigma, rows) -> np.ndarray:
 
 
 def _harmonic_moments(prior: Prior, N: int) -> np.ndarray:
-    """int p(theta) {1, theta, theta^2} e^{-i k theta} dtheta for k = -N..N
-    and the first moment about the mean, as a (4, 2N + 1) array, column
-    k + N, for a Gaussian prior: closed forms in its characteristic function
-    with the mean reduced into [-pi, pi] (_gaussian_harmonics).  A wrapped
-    prior is refused: its theta and theta^2 rows have no closed form, and
-    its round is holevo_bayes_round."""
+    """int p(theta) {1, theta} e^{-i k theta} dtheta for k = -N..N and the
+    first moment about the mean, as a (3, 2N + 1) array, column k + N, for a
+    Gaussian prior: closed forms in its characteristic function with the
+    mean reduced into [-pi, pi] (_gaussian_harmonics).  A wrapped prior is
+    refused: its theta row has no closed form, and its round is
+    holevo_bayes_round."""
     if prior.kind != "gaussian":
         raise EstimateError(f"the MSE rounds take a Gaussian prior, got {prior.kind!r}; "
                             "the round of a periodic prior is holevo_bayes_round")
-    k = np.arange(-N, N + 1)
-    s2, t0 = prior.sigma**2, prior.centre
-    char, centred = _gaussian_harmonics(prior.sigma, _index_rows(t0, N))
-    return np.stack([char, t0 * char + centred,
-                     (s2 + t0**2 - 2j * t0 * k * s2 - k**2 * s2**2) * char, centred])
+    char, centred = _gaussian_harmonics(prior.sigma, _index_rows(prior.centre, N))
+    return np.stack([char, prior.centre * char + centred, centred])
 
 
 def gamma_eta(prior: Prior, probe: SubspaceState) -> tuple[np.ndarray, np.ndarray]:
@@ -599,17 +591,14 @@ def gamma_eta(prior: Prior, probe: SubspaceState) -> tuple[np.ndarray, np.ndarra
 
 @dataclass(frozen=True, eq=False)
 class EstimationResult:
-    labels: tuple[str, ...]
-    probs: np.ndarray
-    estimates: np.ndarray
-    posterior_variances: np.ndarray
+    estimates: np.ndarray  #: per outcome, its posterior mean (nan below PROB_FLOOR)
     avg_posterior_variance: float
 
 
 def bayes_round(prior: Prior, probe: SubspaceState, povm: Povm) -> EstimationResult:
     """Single-shot Bayesian update under a Gaussian prior: outcome
-    probabilities Tr(E Gamma), estimates Tr(E eta)/Tr(E Gamma), and
-    posterior MSE variances.  The POVM must act on the probe's N + 1
+    probabilities Tr(E Gamma), estimates Tr(E eta)/Tr(E Gamma), and the
+    average posterior MSE.  The POVM must act on the probe's N + 1
     dimensions; a wrapped prior is refused (_harmonic_moments).
 
     The average variance uses the exact simplification
@@ -621,19 +610,11 @@ def bayes_round(prior: Prior, probe: SubspaceState, povm: Povm) -> EstimationRes
     moments = _harmonic_moments(prior, probe.N)
     if prior.sigma > 1.0:
         warnings.warn("MSE phase results are unreliable for sigma > 1", MSEValidityWarning)
-    # Tr(E_m X) for X = Gamma, eta, Omega = int theta^2 p rho dtheta and the
-    # first moment about the mean
-    traces = _traces(probe, moments, povm)
-    probs, firsts, seconds = traces[:3].real
-
-    live = probs > PROB_FLOOR
-    estimates = np.full(len(probs), np.nan)
-    variances = np.full(len(probs), np.nan)
-    estimates[live] = firsts[live] / probs[live]
-    variances[live] = seconds[live] / probs[live] - estimates[live] ** 2
+    # Tr(E_m X) for X = Gamma, eta and the first moment about the mean
+    probs, firsts, centred = _traces(probe, moments, povm).real
+    estimates = np.divide(firsts, probs, out=np.full(len(probs), np.nan), where=probs > PROB_FLOOR)
     estimates += prior.theta0 - prior.centre  # the rows take the reduced mean
-    avg = prior.sigma**2 - float(_information(probs, traces[3].real))
-    return EstimationResult(povm.labels, probs, estimates, variances, avg)
+    return EstimationResult(estimates, prior.sigma**2 - float(_information(probs, centred)))
 
 
 def _checked_probe(N: int, probe: SubspaceState | None, povm: Povm | None) -> SubspaceState:
@@ -987,8 +968,8 @@ def dephased_fisher_information(probe: SubspaceState, povm: Povm, sigma: float,
 
 
 def noisy_local_equivalence_check(N: int, sigma: float, probe: SubspaceState,
-                                  povm: Povm, theta0: float = 0.0) -> float:
-    """|V_post(Bayes) - (sigma^2 - sigma^4 FI(dephased probe at theta0))|.
+                                  povm: Povm) -> float:
+    """|V_post(Bayes) - (sigma^2 - sigma^4 FI(dephased probe at 0))|, prior mean 0.
 
     The Gaussian-prior Bayesian update and local estimation under parallel
     Gaussian noise are two readings of the same quantities, so the residual
@@ -996,8 +977,8 @@ def noisy_local_equivalence_check(N: int, sigma: float, probe: SubspaceState,
     """
     if sigma == 0.0:
         return 0.0
-    vbar = bayes_round(gaussian_prior(sigma, theta0), probe, povm).avg_posterior_variance
-    fi = dephased_fisher_information(probe, povm, sigma, theta0)
+    vbar = bayes_round(gaussian_prior(sigma), probe, povm).avg_posterior_variance
+    fi = dephased_fisher_information(probe, povm, sigma, 0.0)
     return abs(vbar - (sigma**2 - sigma**4 * fi))
 
 

@@ -4,11 +4,12 @@ A pattern is a graph (every vertex starts in |+>, CZ on every edge, optional
 injected input states), an ordered list of single-qubit measurements in the
 x-y plane, and one byproduct per output.  Measuring a vertex at angle phi
 means applying Rz(phi) then H and reading the computational basis; one such
-step on a wire teleports H Z^s Rz(phi) onto the neighbour.  Angles may flip
-sign with the parity of earlier outcomes.  An output's byproduct says that
-it holds X^x Z^z H^h times its logical state, with x and z parities of
-earlier outcomes and h a constant (Danos, Kashefi & Panangaden, JACM 54,
-2007); after all measurements it is undone as X^x, then Z^z, then H.
+step on a wire teleports H Z^s Rz(phi) onto the neighbour.  An angle is a
+signed base that flips sign with the parity of earlier outcomes (AngleSpec).
+An output's byproduct says that it holds X^x Z^z H^h times its logical
+state, with x and z parities of earlier outcomes and h a constant (Danos,
+Kashefi & Panangaden, JACM 54, 2007); after all measurements it is undone
+as X^x, then Z^z, then H.
 
 Verification runs every outcome branch at once and checks that corrected
 outputs agree with a target state or unitary.  The full cluster is never
@@ -71,11 +72,10 @@ def path_graph(n: int) -> Graph:
 
 @dataclass(frozen=True)
 class AngleSpec:
-    """Measurement angle `base * (-1)**(parity of sign_deps outcomes + flip)`."""
+    """Measurement angle `base * (-1)**(parity of sign_deps outcomes)`."""
 
     base: float
     sign_deps: tuple[int, ...] = ()
-    flip: bool = False
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,7 @@ class MeasurementPattern:
             raise PatternError("every vertex must be measured or an output")
         seen: set[int] = set()
         for v, spec in self.measurements:
-            if any(d not in seen for d in spec.sign_deps):
+            if any(d not in seen for d in _checked_deps(spec.sign_deps)):
                 raise PatternError(f"angle of vertex {v} depends on a later outcome")
             seen.add(v)
         for out, byproduct in self.corrections.items():
@@ -116,12 +116,19 @@ class MeasurementPattern:
                 raise PatternError(f"correction on non-output vertex {out}")
             if not isinstance(byproduct, Byproduct):
                 raise PatternError(f"correction of vertex {out} is not a Byproduct")
-            if any(d not in seen for d in byproduct.x + byproduct.z):
+            if any(d not in seen for d in _checked_deps(byproduct.x) + _checked_deps(byproduct.z)):
                 raise PatternError("correction depends on an unmeasured vertex")
 
     @property
     def n_measured(self) -> int:
         return len(self.measurements)
+
+
+def _checked_deps(deps) -> tuple[int, ...]:
+    """`deps`, refused unless it is a tuple of vertex numbers."""
+    if isinstance(deps, tuple) and all(isinstance(d, int) for d in deps):
+        return deps
+    raise PatternError(f"a dependency list must be a tuple of vertex numbers, got {deps!r}")
 
 
 class _Parities:
@@ -131,8 +138,9 @@ class _Parities:
     dependency list, an adapted angle's `sign_deps` or a byproduct's `x` or
     `z`: measuring vertex v flips, on the columns that read 1, every bit
     whose list holds v, so reading a parity is reading a bit.  A vertex
-    listed twice flips its bit twice.  A row after the bits holds each
-    column's input case, which no flip touches.
+    listed twice flips its bit twice, and no vertex flips the bit of the
+    empty list.  A row after the bits holds each column's input case, which
+    no flip touches.
     """
 
     def __init__(self, pattern: MeasurementPattern):
@@ -142,7 +150,7 @@ class _Parities:
         self._bit: dict[tuple[int, ...], int] = {}
         masks = {v: 0 for v, _ in pattern.measurements}
         for deps in deps_lists:
-            if deps and deps not in self._bit:
+            if deps not in self._bit:
                 self._bit[deps] = bit = len(self._bit)
                 for v in deps:
                     masks[v] ^= 1 << bit
@@ -153,13 +161,10 @@ class _Parities:
         #: per measured vertex, the words its outcome 1 flips
         self.flips = dict(zip(masks, words.view(np.int64)[:, :, None]))
 
-    def read(self, words: np.ndarray, deps: tuple[int, ...], flip: bool = False) -> np.ndarray:
-        """Per-column parity, 0 or 1, of the outcomes of the `deps` vertices, xor `flip`."""
-        if not deps:
-            return np.full(words.shape[1], int(flip), dtype=np.int64)
+    def read(self, words: np.ndarray, deps: tuple[int, ...]) -> np.ndarray:
+        """Per-column parity, 0 or 1, of the outcomes of the `deps` vertices."""
         bit = self._bit[deps]
-        parity = words[bit // 64] >> bit % 64 & 1
-        return parity ^ 1 if flip else parity
+        return words[bit // 64] >> bit % 64 & 1
 
 
 @dataclass(frozen=True)
@@ -341,7 +346,7 @@ class _Step:
         self.flips = parities.flips[vertex]
         self.phases = None
         if spec.base:
-            self.sign = spec.sign_deps, spec.flip
+            self.sign_deps = spec.sign_deps
             # rows: angle base and -base; columns: e^{-i angle}, e^{i angle/2}
             self.phases = np.exp(np.array([[-1j, 0.5j], [1j, -0.5j]]) * spec.base)
 
@@ -438,7 +443,7 @@ def _measure(psi: np.ndarray, cols: _Columns, step: _Step, outcomes: tuple[int, 
     # joins the 1/sqrt(2p) that scales each outcome state
     common = 1.0
     if step.phases is not None:
-        phases = step.phases.take(parities.read(cols.words, *step.sign), axis=0)
+        phases = step.phases.take(parities.read(cols.words, step.sign_deps), axis=0)
         np.multiply(one, phases[:, 0], out=one)
         common = phases[:, 1:]
     n = len(outcomes)
@@ -601,10 +606,8 @@ def verify_pattern(pattern: MeasurementPattern,
                 min_fid = min(min_fid, float(np.abs(overlaps).min()))
                 totals[c] += float(probs[lo:hi].sum())
                 kept[c] += int(hi - lo)
-    worst_total = 1.0
-    for total in totals:
-        if abs(total - 1.0) >= abs(worst_total - 1.0):
-            worst_total = float(total)
+    # the last case whose total is farthest from 1
+    worst_total = max(reversed(totals), key=lambda total: abs(total - 1.0), default=1.0)
     branches = min(kept, default=2**pattern.n_measured)
     pruned = sum(2**pattern.n_measured - k for k in kept)
     passed = (min_fid >= 1.0 - tol) and (abs(worst_total - 1.0) <= 1e-10)
@@ -665,7 +668,7 @@ def y_rotation_pattern(phi: float) -> MeasurementPattern:
     """Ry(phi) on a 4-vertex wire (input vertex 0, output vertex 3): one
     rotation block on a bare input carrier.
 
-    Angles pi/2, (-1)^{s0} phi, (-1)^{s1+1} pi/2; the output's byproduct is
+    Angles pi/2, (-1)^{s0} phi, -(-1)^{s1} pi/2; the output's byproduct is
     X^{s0+s2} Z^{s1} H.
     """
     builder = _PatternBuilder()
@@ -782,7 +785,7 @@ def _rotation_block(builder: _PatternBuilder, carrier: _Carrier, chi: float) -> 
     """Append three measured vertices realizing logical Ry(chi) on the carrier.
 
     Input byproduct X^c Z^d is absorbed by adapting the three angles
-    ((-1)^c pi/2, (-1)^{t1+d} chi, (-1)^{t2+c+1} pi/2); the new byproduct is
+    ((-1)^c pi/2, (-1)^{t1+d} chi, -(-1)^{t2+c} pi/2); the new byproduct is
     X^{t1+t3+d} Z^{t2+c} H.
     """
     c, d = carrier.byproduct.x, carrier.byproduct.z
@@ -794,7 +797,7 @@ def _rotation_block(builder: _PatternBuilder, carrier: _Carrier, chi: float) -> 
     out = builder.new_vertex(attach_to=q3)
     builder.measure(q1, AngleSpec(math.pi / 2, sign_deps=c))
     builder.measure(q2, AngleSpec(chi, sign_deps=_xor((q1,), d)))
-    builder.measure(q3, AngleSpec(math.pi / 2, sign_deps=_xor((q2,), c), flip=True))
+    builder.measure(q3, AngleSpec(-math.pi / 2, sign_deps=_xor((q2,), c)))
     return _Carrier(out, Byproduct(x=_xor(_xor((q1,), (q3,)), d), z=_xor((q2,), c), h=True))
 
 

@@ -141,9 +141,7 @@ def toffoli(c1: int, c2: int, target: int) -> Gate:
     return Gate("X", (target,), controls=(c1, c2), polarity=(1, 1))
 
 
-def mcx(controls: tuple[int, ...], target: int, polarity: tuple[int, ...] | None = None) -> Gate:
-    if polarity is None:
-        polarity = (1,) * len(controls)
+def mcx(controls: tuple[int, ...], target: int, polarity: tuple[int, ...]) -> Gate:
     return Gate("X", (target,), controls=tuple(controls), polarity=tuple(polarity))
 
 

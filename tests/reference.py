@@ -333,7 +333,7 @@ def bayes_variance_quadrature(prior: Prior, probe: SubspaceState, povm: Povm,
     comes from the eigenvectors of each effect (outcome_law)."""
     law = outcome_law(probe, povm)
     lo, hi = support(prior)
-    n_out = len(povm.labels)
+    n_out = len(povm.factors)
     p = np.empty(n_out)
     first = np.empty(n_out)
     second = np.empty(n_out)
@@ -446,7 +446,7 @@ def outcome_law(probe: SubspaceState, povm: Povm | None = None):
         values, vectors = np.linalg.eigh(dense_effects(povm))
         owner, column = np.nonzero(values > 1e-12)
         rows = vectors[owner, :, column] * np.sqrt(values[owner, column])[:, None]
-        per_effect = np.zeros((len(owner), len(povm.labels)))
+        per_effect = np.zeros((len(owner), len(povm.factors)))
         per_effect[np.arange(len(owner)), owner] = 1.0
 
     def law(thetas):

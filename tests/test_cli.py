@@ -40,11 +40,11 @@ def test_local_parity_column_is_n_squared_to_a_few_ulp(N):
 
 def test_verify_tolerances_share_one_floor():
     # the rule lives in _tolerance: both verify commands refuse the same values
-    assert cli._tolerance(0.0, 1e-10) == 1e-10
-    assert cli._tolerance(2e-15, 1e-10) == 2e-15
+    assert cli._tolerance(0.0) == 1e-10
+    assert cli._tolerance(2e-15) == 2e-15
     for tol in (1e-15, 1e-16, 1e-300, -1.0, math.inf, math.nan):
         with pytest.raises(cli.UsageError, match="rounding bound"):
-            cli._tolerance(tol, 1e-10)
+            cli._tolerance(tol)
 
 
 @pytest.mark.parametrize("n_min, n_max, n_step, grid", [
@@ -349,18 +349,35 @@ def test_in_range_arguments_exit_zero(argv, tmp_path):
 
 def test_library_error_mid_command_exits_two(monkeypatch, tmp_path, capsys):
     # exit code 1 is left to verification failures: a value the library
-    # refuses after the header is written is a usage error, and --out holds
-    # no partial table
+    # refuses while the rows are computed is a usage error, stdout gets not
+    # even the header, and --out is removed
     def refused(*args, **kwargs):
         raise cli.estimate.EstimateError("N must be >= 1")
 
     monkeypatch.setattr(cli.estimate, "holevo_curve", refused)
     out = tmp_path / "out.csv"
-    assert cli.main(["holevo", "--n-max", "2", "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == ["clustersense holevo: error: N must be >= 1"]
-    assert not out.exists()
+    for sink in ([], ["--out", str(out)]):
+        assert cli.main(["holevo", "--n-max", "2", *sink]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["clustersense holevo: error: N must be >= 1"]
+        assert not out.exists()
+
+
+def test_bayes_phase_evaluates_each_width_once(monkeypatch, capsys):
+    # the library checks each width as the rows are computed, so no extra
+    # call validates it ahead of the table
+    calls = []
+    curve = cli.estimate.classical_parallel_curve
+
+    def counted(Ns, sigma):
+        calls.append((list(Ns), sigma))
+        return curve(Ns, sigma)
+
+    monkeypatch.setattr(cli.estimate, "classical_parallel_curve", counted)
+    code, out = run_cli(["bayes-phase", "--sigma", "0.5", "--n-max", "3"], capsys)
+    assert code == 0 and len(out.splitlines()) == 4
+    assert calls == [([1, 2, 3], 0.5)]
 
 
 def test_failed_row_leaves_no_partial_csv(tmp_path):

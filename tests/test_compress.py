@@ -172,7 +172,7 @@ def test_qft_matches_dft_matrix(lam):
 
 
 def test_count_resources_empty():
-    report = count_resources(simcore.Circuit(2))
+    report = count_resources(simcore.Circuit(2), ())
     assert (report.gate_count, report.toffoli_count, report.depth,
             report.mbqc_qubit_estimate) == (0, 0, 0, 0)
 

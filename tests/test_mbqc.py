@@ -40,11 +40,11 @@ from clustersense.simcore import StateVector
 # at a time through the dense kernel of reference.py, against which the
 # batched executor is pinned.
 
-def _odd(deps: tuple[int, ...], flip: bool, outcomes: dict[int, int]) -> bool:
-    """Parity of the outcomes of the `deps` vertices, xor `flip`, read from
-    the walker's outcome dict: an adapted angle flips sign, and a byproduct's
-    X or Z is undone, where it is odd."""
-    return (sum(outcomes[v] for v in deps) + flip) % 2 == 1
+def _odd(deps: tuple[int, ...], outcomes: dict[int, int]) -> bool:
+    """Parity of the outcomes of the `deps` vertices, read from the walker's
+    outcome dict: an adapted angle flips sign, and a byproduct's X or Z is
+    undone, where it is odd."""
+    return sum(outcomes[v] for v in deps) % 2 == 1
 
 
 def _apply_corrections(state: StateVector, pattern: MeasurementPattern,
@@ -53,8 +53,8 @@ def _apply_corrections(state: StateVector, pattern: MeasurementPattern,
     Z^z, then H."""
     for out in pattern.outputs:
         byproduct = pattern.corrections.get(out, Byproduct())
-        for gate, fires in ((simcore.x, _odd(byproduct.x, False, outcomes)),
-                            (reference.z, _odd(byproduct.z, False, outcomes)),
+        for gate, fires in ((simcore.x, _odd(byproduct.x, outcomes)),
+                            (reference.z, _odd(byproduct.z, outcomes)),
                             (reference.h, byproduct.h)):
             if fires:
                 state = apply_gate(state, gate(axis_of[out]))
@@ -86,7 +86,7 @@ def _reference_leaves(pattern: MeasurementPattern, injected: dict[int, np.ndarra
             return
         vertex, spec = pattern.measurements[depth]
         axis = axis_of[vertex]
-        angle = -spec.base if _odd(spec.sign_deps, spec.flip, outcomes) else spec.base
+        angle = -spec.base if _odd(spec.sign_deps, outcomes) else spec.base
         rotated = apply_gate(state, reference.rz(axis, angle))
         rotated = apply_gate(rotated, reference.h(axis))
         for bit in (0, 1):
@@ -124,18 +124,18 @@ def _random_state(rng: np.random.Generator, n: int) -> np.ndarray:
 def random_patterns(draw):
     """A random pattern on 2-7 vertices, injected inputs or None, and a
     random target on its outputs.  Exact |0>, |1> and |+> inputs and angles
-    0 and pi/2 make some branches null."""
+    0 and +-pi/2 make some branches null."""
     n = draw(st.integers(2, 7))
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True))
     order = draw(st.permutations(range(n)))
     n_measured = draw(st.integers(0, n - 1))
     measured, outputs = order[:n_measured], tuple(order[n_measured:])
-    angles = st.sampled_from([0.0, math.pi / 2]) | st.floats(-math.pi, math.pi)
+    angles = st.sampled_from([0.0, math.pi / 2, -math.pi / 2]) | st.floats(-math.pi, math.pi)
     measurements = []
     for i, v in enumerate(measured):
         deps = draw(st.lists(st.sampled_from(measured[:i]), unique=True)) if i else []
-        measurements.append((v, AngleSpec(draw(angles), tuple(deps), draw(st.booleans()))))
+        measurements.append((v, AngleSpec(draw(angles), tuple(deps))))
     # any dependency lists, a vertex listed twice cancelling
     deps = st.lists(st.sampled_from(measured)).map(tuple) if measured else st.just(())
     corrections = {v: Byproduct(draw(deps), draw(deps), draw(st.booleans())) for v in outputs}
@@ -423,7 +423,7 @@ def _forked_wire(byproduct: Byproduct) -> MeasurementPattern:
     cancel against the same sign on the other output."""
     return MeasurementPattern(
         Graph(5, frozenset({(0, 1), (1, 2), (2, 3), (1, 4)})), (0,),
-        ((0, AngleSpec(0.4)), (1, AngleSpec(-1.1, (0,))), (2, AngleSpec(0.8, (1,), flip=True))),
+        ((0, AngleSpec(0.4)), (1, AngleSpec(-1.1, (0,))), (2, AngleSpec(-0.8, (1,)))),
         (4, 3), {3: byproduct, 4: Byproduct(x=(1,), z=(2,))})
 
 
@@ -446,7 +446,7 @@ def test_correction_words_match_the_walker_state_by_state(byproduct, chunk, monk
 def _two_inputs_with_h() -> MeasurementPattern:
     return MeasurementPattern(
         Graph(5, frozenset({(0, 2), (1, 2), (2, 3), (1, 4)})), (0, 1),
-        ((0, AngleSpec(0.7)), (1, AngleSpec(-0.3, (0,))), (2, AngleSpec(1.2, (1,), flip=True))),
+        ((0, AngleSpec(0.7)), (1, AngleSpec(-0.3, (0,))), (2, AngleSpec(-1.2, (1,)))),
         (3, 4),
         {3: Byproduct(x=(2,), z=(0, 1), h=True), 4: Byproduct(x=(1,), z=(2,))})
 
@@ -626,6 +626,20 @@ def test_a_byproduct_sits_on_an_output_and_reads_measured_vertices(corrections):
         MeasurementPattern(path_graph(2), (), ((0, AngleSpec(0.0)),), (1,), corrections)
 
 
+@pytest.mark.parametrize("spec, byproduct", [
+    (AngleSpec(0.0), Byproduct(x=[0])),
+    (AngleSpec(0.0), Byproduct(x=0)),
+    (AngleSpec(0.3, sign_deps=[0]), Byproduct()),
+    (AngleSpec(0.0), Byproduct(z=("0",))),
+    (AngleSpec(0.3, sign_deps=("0",)), Byproduct()),
+], ids=["x-list", "x-int", "sign-list", "z-str-entry", "sign-str-entry"])
+def test_a_dependency_list_is_a_tuple_of_vertex_numbers(spec, byproduct):
+    # refused as the pattern is built, before any sweep keys its parities
+    with pytest.raises(PatternError, match="tuple of vertex numbers"):
+        MeasurementPattern(path_graph(3), (), ((0, AngleSpec(0.0)), (1, spec)), (2,),
+                           {2: byproduct})
+
+
 def test_x_past_cz_identity():
     # moving X past CZ: CZ (X x 1) = (X x Z) CZ up to global phase
     lhs = circuit_unitary(DenseCircuit(2, [simcore.x(0), cz(0, 1)]))
@@ -642,9 +656,8 @@ def test_bare_cluster_qfi_is_linear():
         assert estimate.qfi_statevector(state) == pytest.approx(N, abs=1e-9)
 
 
-def _deps_str(deps: tuple[int, ...], flip: bool) -> str:
-    parts = ",".join(str(d) for d in deps) if deps else "-"
-    return f"{parts}^1" if flip else parts
+def _deps_str(deps: tuple[int, ...]) -> str:
+    return ",".join(str(d) for d in deps) if deps else "-"
 
 
 def pattern_to_text(pattern: MeasurementPattern) -> str:
@@ -653,10 +666,10 @@ def pattern_to_text(pattern: MeasurementPattern) -> str:
     lines += [f"edge {a} {b}" for a, b in sorted(pattern.graph.edges)]
     lines += [f"input {v}" for v in pattern.inputs]
     for v, spec in pattern.measurements:
-        lines.append(f"measure {v} base={spec.base!r} sign={_deps_str(spec.sign_deps, spec.flip)}")
+        lines.append(f"measure {v} base={spec.base!r} sign={_deps_str(spec.sign_deps)}")
     for v in pattern.outputs:
         byproduct = pattern.corrections.get(v, Byproduct())
-        word = [f"{kind}:{_deps_str(deps, False)}"
+        word = [f"{kind}:{_deps_str(deps)}"
                 for kind, deps in (("X", byproduct.x), ("Z", byproduct.z)) if deps]
         word += ["H:-^1"] * byproduct.h
         lines.append(f"output {v} correct={';'.join(word) or '-'}")
@@ -691,7 +704,7 @@ def test_pattern_serialization_golden():
         "input 0\n"
         "measure 0 base=1.5707963267948966 sign=-\n"
         "measure 1 base=0.7 sign=0\n"
-        "measure 2 base=1.5707963267948966 sign=1^1\n"
+        "measure 2 base=-1.5707963267948966 sign=1\n"
         "output 3 correct=X:0,2;Z:1;H:-^1\n"
     )
 

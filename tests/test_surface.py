@@ -1,12 +1,13 @@
-"""Every public function, class and method of clustersense is called, or says why not.
+"""Every public function, class, method and field of clustersense is used, or says why not.
 
 A public top-level name (no leading underscore) of a clustersense module,
-or a public method or property of a public class, passes when `ast` finds
-it used somewhere in `src/` outside its own definition, in
-`perfbench/worker.py` or in `tests/test_acceptance.py`.  A top-level name
-counts as a bare name only in its home module or where it is imported from
-there, and as an attribute only on that module or an alias of it; a method
-or property counts as an attribute of anything.  So a local variable that
+a public method or property of a public class, or a field of a public
+dataclass, passes when `ast` finds it used somewhere in `src/` outside its
+own definition, in `perfbench/worker.py` or in `tests/test_acceptance.py`.
+A top-level name counts as a bare name only in its home module or where it
+is imported from there, and as an attribute only on that module or an
+alias of it; a method, property or field counts as an attribute of
+anything, so a field passes when something reads it.  So a local variable that
 shares a public function's name is not a call of it.  Docstrings and
 comments do not count: `ast` sees no names in them.  Any other public name
 needs an entry in PURPOSES that names the ROADMAP direction or README row
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -42,8 +44,9 @@ def _commands() -> list[str]:
     return list(sub.choices)
 
 
-#: Public names that nothing in src/, the benchmark worker or the acceptance
-#: criteria calls, each with the direction or README row it serves.
+#: Public names and fields that nothing in src/, the benchmark worker or the
+#: acceptance criteria calls or reads, each with the direction or README row
+#: it serves.
 PURPOSES = {
     # cli.main looks each handler up by its command's name
     **{f"cli.cmd_{command.replace('-', '_')}": f"README CLI: the `{command}` command"
@@ -53,19 +56,29 @@ PURPOSES = {
     "estimate.holevo_bayes_round": "ROADMAP north star: the `holevo_bayes_round` layer row at "
                                    "N=100, and the general-POVM Holevo round that pins "
                                    "`holevo_curve`",
+    "compress.ResourceReport.mbqc_qubit_estimate": "README 'Compressor resources': the "
+                                                   "measurement-based qubit column; ROADMAP "
+                                                   "direction 9",
+    "estimate.TauOptimum.boundary": "ROADMAP direction 11 (whether an optimum sits on a grid "
+                                    "boundary), and the tau step of the CI workflow",
+    "mbqc.VerifyReport.pruned": "ROADMAP direction 11: the outcome branches a verification "
+                                "pruned",
 }
 
 
 def _members(module: types.ModuleType) -> dict[str, tuple[str, ...]]:
     """'name' or 'Class.member' -> the path of its definition, for every
-    function and class that `module` defines under a public name, and every
-    public method and property that such a class defines itself."""
+    function and class that `module` defines under a public name, every
+    public method and property that such a class defines itself, and every
+    field of such a class that is a dataclass."""
     members = {}
     for name, obj in vars(module).items():
         if (name.startswith("_") or not (inspect.isfunction(obj) or inspect.isclass(obj))
                 or obj.__module__ != module.__name__):
             continue
         members[name] = (name,)
+        if dataclasses.is_dataclass(obj):
+            members.update({f"{name}.{f.name}": (name, f.name) for f in dataclasses.fields(obj)})
         if inspect.isclass(obj):
             for attr, member in vars(obj).items():
                 if not attr.startswith("_") and (
@@ -211,3 +224,22 @@ def test_an_uncalled_method_is_flagged():
     # the same method read from outside the package has a caller
     assert _uncalled_in({"box": module}, {"box": ast.parse(source)}, {".orphan"}) == {
         "box.measure"}
+
+
+def test_an_unread_field_is_flagged():
+    # a dataclass field that nothing reads as an attribute is flagged under
+    # its class; one that another definition reads is not, nor is one read
+    # from outside the package
+    source = ("from dataclasses import dataclass\n"
+              "@dataclass\n"
+              "class Report:\n"
+              "    total: int\n"
+              "    spare: int = 0\n"
+              "def show(report: Report):\n"
+              "    return report.total\n"
+              "value = show(Report(1, spare=2))\n")
+    module = types.ModuleType("report")
+    exec(compile(source, "report.py", "exec", dont_inherit=True), vars(module))
+    assert _uncalled_in({"report": module}, {"report": ast.parse(source)}, set()) == {
+        "report.Report.spare"}
+    assert _uncalled_in({"report": module}, {"report": ast.parse(source)}, {".spare"}) == set()
